@@ -20,12 +20,16 @@ front line is the victim) -- no victim-list allocation, mirroring
 The DRAM cache is *non-inclusive* with respect to the on-chip hierarchy in
 all designs (section IV-C): it never forces LLC invalidations, and LLC fills
 do not have to allocate here.
+
+Resident lines are never mutated in place: a change of a line's dirty bit
+replaces the line object.  That is what lets :meth:`DRAMCache.share_fill`
+hand one prewarm fill to several sockets' caches without copying the lines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional, Tuple
 
 from .block import CacheBlockState, CacheLine
 from .miss_predictor import RegionMissPredictor
@@ -53,6 +57,9 @@ _PROBE_MISS_BYPASS = DRAMCacheProbe(hit=False, array_accessed=False)
 _PROBE_MISS_ARRAY = DRAMCacheProbe(hit=False, array_accessed=True)
 _PROBE_HIT_CLEAN = DRAMCacheProbe(hit=True, array_accessed=True, dirty=False)
 _PROBE_HIT_DIRTY = DRAMCacheProbe(hit=True, array_accessed=True, dirty=True)
+
+#: Every DRAM-cache line is coherence-wise Shared; only its dirty bit varies.
+_SHARED = CacheBlockState.SHARED
 
 
 class DRAMCache:
@@ -172,13 +179,7 @@ class DRAMCache:
 
     # -- mutations ------------------------------------------------------------
 
-    def insert(
-        self,
-        block: int,
-        *,
-        dirty: bool = False,
-        state: CacheBlockState = CacheBlockState.SHARED,
-    ) -> Optional[CacheLine]:
+    def insert(self, block: int, *, dirty: bool = False) -> Optional[CacheLine]:
         """Insert ``block``, returning the displaced victim line if any.
 
         In clean mode the inserted line is always stored clean regardless of
@@ -186,7 +187,8 @@ class DRAMCache:
         and victims never require a writeback.  The returned victim is the
         displaced :class:`CacheLine` itself (exposing ``block``, ``state``,
         ``dirty`` and ``needs_writeback``), avoiding a per-eviction record
-        allocation.
+        allocation; callers only read it.  Re-inserting a resident block
+        dirty replaces its line rather than setting the bit in place.
         """
         stored_dirty = dirty and not self.clean
         predictor = self.miss_predictor
@@ -198,11 +200,11 @@ class DRAMCache:
             victim: Optional[CacheLine] = None
             if existing is not None:
                 if existing.block == block:
-                    existing.dirty = existing.dirty or stored_dirty
-                    existing.state = state
+                    if stored_dirty and not existing.dirty:
+                        lines[index] = CacheLine(block, _SHARED, True)
                     return None
                 # The displaced line itself is the victim record (it is no
-                # longer referenced by the cache, so handing it out is safe).
+                # longer referenced by this cache, so handing it out is safe).
                 victim = existing
                 self.evictions += 1
                 if existing.dirty:
@@ -210,7 +212,7 @@ class DRAMCache:
                 if predictor is not None:
                     predictor.note_evict(existing.block)
 
-            lines[index] = CacheLine(block=block, state=state, dirty=stored_dirty)
+            lines[index] = CacheLine(block, _SHARED, stored_dirty)
             if predictor is not None:
                 predictor.note_insert(block)
             return victim
@@ -218,11 +220,11 @@ class DRAMCache:
         cache_set = self._sets.get(block % self.num_sets)
         if cache_set is None:
             cache_set = self._sets[block % self.num_sets] = {}
-        existing = cache_set.get(block)
+        existing = cache_set.pop(block, None)
         if existing is not None:
-            existing.dirty = existing.dirty or stored_dirty
-            existing.state = state
-            del cache_set[block]
+            # Re-append: the block becomes the most recently used of its set.
+            if stored_dirty and not existing.dirty:
+                existing = CacheLine(block, _SHARED, True)
             cache_set[block] = existing
             return None
         victim = None
@@ -233,7 +235,7 @@ class DRAMCache:
                 self.dirty_evictions += 1
             if predictor is not None:
                 predictor.note_evict(victim.block)
-        cache_set[block] = CacheLine(block=block, state=state, dirty=stored_dirty)
+        cache_set[block] = CacheLine(block, _SHARED, stored_dirty)
         if predictor is not None:
             predictor.note_insert(block)
         return victim
@@ -278,7 +280,6 @@ class DRAMCache:
         num_sets = self.num_sets
         start, stop = blocks.start, blocks.stop
         n = stop - start
-        shared = CacheBlockState.SHARED
 
         if start % num_sets + n <= num_sets:
             idx_list = range(start % num_sets, start % num_sets + n)
@@ -286,8 +287,8 @@ class DRAMCache:
             idx_list = [b % num_sets for b in blocks]
 
         # Eviction accounting for set conflicts with already-resident lines,
-        # in block order (rare relative to n).  ``same_block`` entries must
-        # keep their existing line object (state refreshed, dirty preserved).
+        # in block order (rare relative to n).  ``same_block`` entries keep
+        # their existing line object (dirty bit preserved).
         victims_by_region = {}
         same_block = []
         predictor = self.miss_predictor
@@ -298,7 +299,6 @@ class DRAMCache:
                 existing = lines[index]
                 block = start + (index - start) % num_sets
                 if existing.block == block:
-                    existing.state = shared
                     same_block.append((index, existing, block))
                     continue
                 self.evictions += 1
@@ -375,7 +375,6 @@ class DRAMCache:
 
         lines = self._lines
         num_sets = self.num_sets
-        shared = CacheBlockState.SHARED
         make_line = CacheLine
         predictor = self.miss_predictor
         if predictor is not None:
@@ -394,7 +393,6 @@ class DRAMCache:
             existing = lines.get(block % num_sets)
             if existing is not None:
                 if existing.block == block:
-                    existing.state = shared
                     continue
                 evictions += 1
                 if existing.dirty:
@@ -407,7 +405,7 @@ class DRAMCache:
                     if bits is not None:
                         table[region] = bits & ~(1 << (victim_block % blocks_per_region))
                         move_to_end(region)
-            lines[block % num_sets] = make_line(block=block, state=shared, dirty=False)
+            lines[block % num_sets] = make_line(block, _SHARED, False)
             if predictor is not None:
                 # Inlined RegionMissPredictor.note_insert(block).
                 region = (block * block_size) // region_size
@@ -444,15 +442,75 @@ class DRAMCache:
         return line
 
     def mark_clean(self, block: int) -> None:
-        """Clear the dirty bit of a resident block (after a writeback)."""
+        """Clear the dirty bit of a resident block (after a writeback).
+
+        The dirty line is replaced by a clean one in the same slot (and, when
+        associative, the same LRU position).
+        """
         line = self.peek(block)
-        if line is not None:
-            line.dirty = False
+        if line is None or not line.dirty:
+            return
+        if self.associativity == 1:
+            self._lines[block % self.num_sets] = CacheLine(block, _SHARED, False)
+        else:
+            self._sets[block % self.num_sets][block] = CacheLine(block, _SHARED, False)
 
     def clear(self) -> None:
         """Drop all contents."""
         self._lines.clear()
         self._sets.clear()
+
+    # -- prewarm fill sharing ----------------------------------------------------
+
+    def is_empty(self) -> bool:
+        """True when no set holds a line and the predictor tracks no region."""
+        predictor = self.miss_predictor
+        return not self._lines and not self._sets and (
+            predictor is None or not predictor._table
+        )
+
+    def fill_counts(self) -> Tuple[int, int]:
+        """``(evictions, predictor region displacements)``: what a clean fill adds to."""
+        predictor = self.miss_predictor
+        displaced = predictor.region_displacements if predictor is not None else 0
+        return self.evictions, displaced
+
+    def _geometry(self) -> Tuple:
+        predictor = self.miss_predictor
+        return (
+            self.num_sets,
+            self.associativity,
+            self.block_size,
+            None if predictor is None else (
+                predictor.entries, predictor.region_size, predictor._block_size
+            ),
+        )
+
+    def share_fill(self, source: "DRAMCache", counts_before: Tuple[int, int]) -> None:
+        """Adopt the clean fill ``source`` received, instead of repeating it.
+
+        This cache must be empty (:meth:`is_empty`) and share ``source``'s
+        geometry; ``source`` must have been empty before its fill, and
+        ``counts_before`` is its :meth:`fill_counts` from then.  Afterwards
+        the tag store and predictor table equal ``source``'s, in the same
+        order, and the eviction and region-displacement counters have
+        advanced by what the fill cost ``source``: the state a replay of the
+        same inserts would leave.  The line objects themselves are shared
+        between the two caches, which is safe because no cache mutates a
+        resident line in place.
+        """
+        if not self.is_empty():
+            raise ValueError(f"{self.name}: share_fill needs an empty cache")
+        if self._geometry() != source._geometry():
+            raise ValueError(f"{self.name}: geometry differs from {source.name}")
+        evictions, displaced = source.fill_counts()
+        self.evictions += evictions - counts_before[0]
+        self._lines = source._lines.copy()
+        self._sets = {index: lines.copy() for index, lines in source._sets.items()}
+        predictor = self.miss_predictor
+        if predictor is not None:
+            predictor._table = source.miss_predictor._table.copy()
+            predictor.region_displacements += displaced - counts_before[1]
 
     # -- statistics -----------------------------------------------------------
 

@@ -12,6 +12,10 @@ designs is *which* blocks get entries:
 The module also provides :class:`DirectoryCostModel`, which reproduces the
 storage arithmetic of section III-B (a 2x-provisioned sparse directory for a
 256 MB DRAM cache costs 32 MB per socket; 128 MB for a 1 GB cache).
+
+An entry's sharer set is never mutated in place: a membership change binds a
+new set to the entry.  That is what lets many entries share one set object,
+as the DRAM-cache prewarm does (:meth:`GlobalDirectory.add_shared_entries`).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Set
+from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, Optional, Set
 
 __all__ = ["DirectoryState", "DirectoryEntry", "GlobalDirectory", "DirectoryCostModel"]
 
@@ -39,14 +43,18 @@ class DirectoryState(enum.Enum):
 _TRANSITION_KEYS = {}
 
 
-@dataclass
+@dataclass(slots=True)
 class DirectoryEntry:
-    """One tracked block."""
+    """One tracked block.
+
+    ``sharers`` may be shared with other entries, so it is replaced, never
+    mutated in place.
+    """
 
     block: int
     state: DirectoryState = DirectoryState.INVALID
     owner: Optional[int] = None
-    sharers: Set[int] = field(default_factory=set)
+    sharers: AbstractSet[int] = field(default_factory=set)
 
     def copy(self) -> "DirectoryEntry":
         return DirectoryEntry(self.block, self.state, self.owner, set(self.sharers))
@@ -148,15 +156,45 @@ class GlobalDirectory:
             key = _TRANSITION_KEYS[(DirectoryState.INVALID, DirectoryState.SHARED)]
             self.transitions[key] = self.transitions.get(key, 0) + 1
             entry.state = DirectoryState.SHARED
-        entry.sharers.add(socket)
+        sharers = entry.sharers
+        if socket not in sharers:
+            entry.sharers = sharers | {socket}
         return entry
+
+    def add_shared_entries(self, blocks: Iterable[int], sharers: FrozenSet[int]) -> None:
+        """``add_sharer(block, socket)`` for each block of ``blocks`` and socket of ``sharers``.
+
+        Leaves the same entries (new ones in ``blocks`` order), sharers,
+        ``allocations``, ``peak_entries`` and transition counts as those
+        calls, but every entry it allocates holds the one ``sharers`` object.
+        An already tracked block gains the sockets through ``add_sharer``.
+        """
+        entries = self._entries
+        shared = DirectoryState.SHARED
+        added = {}
+        for block in blocks:
+            if block in entries:
+                for socket in sharers:
+                    self.add_sharer(block, socket)
+            else:
+                added[block] = DirectoryEntry(block, shared, None, sharers)
+        if not added:
+            return
+        entries.update(added)
+        self.allocations += len(added)
+        if len(entries) > self.peak_entries:
+            self.peak_entries = len(entries)
+        key = _TRANSITION_KEYS[(DirectoryState.INVALID, shared)]
+        self.transitions[key] = self.transitions.get(key, 0) + len(added)
 
     def remove_sharer(self, block: int, socket: int) -> None:
         """Drop ``socket`` from the sharing vector; deallocate when empty."""
         entry = self._entries.get(block)
         if entry is None:
             return
-        entry.sharers.discard(socket)
+        sharers = entry.sharers
+        if socket in sharers:
+            entry.sharers = sharers - {socket}
         if entry.owner == socket:
             entry.owner = None
         if not entry.sharers:

@@ -89,7 +89,7 @@ class PrivateSharedClassifier:
             and entry.owner_thread == thread_id
         ):
             self._last_core_of_thread[thread_id] = core_id
-        if entry is None:
+        if entry is None or entry.owner_thread is None:  # first touch
             self.stats.tlb_misses += 1
         _entry, reclassified = self.page_table.touch(page, thread_id, migrated=migrated)
         if reclassified:
@@ -126,7 +126,7 @@ class PrivateSharedClassifier:
 
     def private_page_fraction(self) -> float:
         """Fraction of touched pages currently classified private."""
-        total = len(self.page_table)
+        total = sum(1 for entry in self.page_table if entry.owner_thread is not None)
         if not total:
             return 0.0
         return self.page_table.private_pages() / total

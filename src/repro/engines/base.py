@@ -223,54 +223,95 @@ class EngineContext:
                     for page in range(first_page, first_page + num_pages):
                         pin(page, page % num_sockets)
 
-    def prewarm_dram_caches(self, *, fill_fraction: float = 1.0) -> int:
+    def prewarm_dram_caches(self) -> int:
         """Functionally pre-load the DRAM caches with the workload's shared data.
 
         The paper warms its DRAM caches with 100 million accesses before
         measuring; replaying that many accesses is not affordable here, so
-        the equivalent steady-state content is installed directly: each
-        socket's DRAM cache is filled with blocks of the shared regions (cold
-        first, then warm, then hot, so that the hottest data wins
-        direct-mapped conflicts), up to ``fill_fraction`` of its capacity.
-        For directory designs that track DRAM-cache residency (full-dir and
-        c3d-full-dir) the pre-loaded blocks are also registered as sharers so
-        the directory stays a superset of reality.
+        the equivalent steady-state content is installed directly.  Every
+        socket's DRAM cache receives the same clean fill: the shared regions
+        one after another (cold first, then warm, then hot), each cut to its
+        first ``num_sets`` blocks.  The cap applies per region, not per
+        cache, so the regions together may insert more blocks than the cache
+        has sets (facesim at scale 1024 inserts 23,040 blocks into a
+        16,384-set cache); the hotter regions, filled last, then win the
+        direct-mapped conflicts.
 
-        Returns the largest number of blocks inserted into any single cache.
+        The fill is computed once: the first empty cache receives it through
+        :meth:`DRAMCache.bulk_insert_clean` and every other empty cache
+        adopts a copy (:meth:`DRAMCache.share_fill`).  A cache that already
+        holds data gets a ``bulk_insert_clean`` fill of its own.
+
+        For directory designs that track DRAM-cache residency (full-dir and
+        c3d-full-dir) every filled block -- displaced or not -- is
+        registered in its home slice as Shared by every socket with a DRAM
+        cache, so the directory stays a superset of reality
+        (:meth:`GlobalDirectory.add_shared_entries`: every entry it creates
+        holds one shared sharer set).  With the broadcast filter on, every
+        page of the filled blocks is classified shared: a socket other than
+        a page's first toucher may already hold its blocks, so no write to
+        it may skip the broadcast.
+
+        Returns the number of block insertions each DRAM cache received
+        (the sum of the capped region lengths, displaced blocks included),
+        or 0 when there was nothing to fill.
         """
         system = self.system
-        if not system.protocol.uses_dram_cache:
-            return 0
         regions_fn = getattr(self.workload, "memory_regions", None)
-        if regions_fn is None:
+        sockets = [sock for sock in system.sockets if sock.dram_cache is not None]
+        if not system.protocol.uses_dram_cache or regions_fn is None or not sockets:
             return 0
         layout = system.layout
-        shared_regions = [r for r in regions_fn() if r.get("owner_thread") is None]
         # Least important first so the hottest regions win conflicts.
         order = {"cold": 0, "warm": 1, "hot": 2}
-        shared_regions.sort(key=lambda r: order.get(r["kind"], 0))
-        track_in_directory = system.protocol.tracks_dram_cache_in_directory
+        shared_regions = sorted(
+            (r for r in regions_fn() if r.get("owner_thread") is None),
+            key=lambda r: order.get(r["kind"], 0),
+        )
+        num_sets = sockets[0].dram_cache.num_sets
+        fill = []
+        for region in shared_regions:
+            base_block = layout.block_of(region["base"])
+            num_blocks = max(1, region["size"] // layout.block_size)
+            fill.append(range(base_block, base_block + min(num_blocks, num_sets)))
 
-        max_inserted = 0
-        for sock in system.sockets:
-            if sock.dram_cache is None:
+        template = None  # (cache filled first from empty, its fill_counts() before)
+        for sock in sockets:
+            cache = sock.dram_cache
+            empty = cache.is_empty()
+            if template is not None and empty:
+                cache.share_fill(*template)
                 continue
-            capacity_blocks = max(1, int(sock.dram_cache.num_sets * fill_fraction))
-            inserted = 0
-            for region in shared_regions:
-                base_block = layout.block_of(region["base"])
-                num_blocks = max(1, region["size"] // layout.block_size)
-                block_range = range(base_block, base_block + min(num_blocks, capacity_blocks))
-                if track_in_directory:
-                    for block in block_range:
-                        sock.dram_cache.insert(block, dirty=False)
-                        inserted += 1
-                        home = system.mapper.home_of_block(block)
-                        system.directories[home].add_sharer(block, sock.socket_id)
-                else:
-                    inserted += sock.dram_cache.bulk_insert_clean(block_range)
-            max_inserted = max(max_inserted, inserted)
-        return max_inserted
+            counts_before = cache.fill_counts()
+            for blocks in fill:
+                cache.bulk_insert_clean(blocks)
+            if template is None and empty:
+                template = (cache, counts_before)
+
+        if system.protocol.tracks_dram_cache_in_directory:
+            # Registered a page at a time (a page has a single home); new
+            # entries all hold one sharer set.
+            directories = system.directories
+            home_of_block = system.mapper.home_of_block
+            sharers = frozenset(sock.socket_id for sock in sockets)
+            per_page = layout.blocks_per_page()
+            for blocks in fill:
+                start = blocks.start
+                while start < blocks.stop:
+                    stop = min(blocks.stop, (start // per_page + 1) * per_page)
+                    directories[home_of_block(start)].add_shared_entries(
+                        range(start, stop), sharers
+                    )
+                    start = stop
+
+        classifier = system.page_classifier
+        if classifier is not None:
+            page_of_block = layout.page_of_block
+            for blocks in fill:
+                classifier.page_table.mark_shared(
+                    range(page_of_block(blocks.start), page_of_block(blocks.stop - 1) + 1)
+                )
+        return sum(len(blocks) for blocks in fill)
 
     # ------------------------------------------------------------------
     # Measurement-blackout helpers (re-exported for engines)

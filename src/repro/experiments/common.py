@@ -226,6 +226,14 @@ class ExperimentContext:
         docs/campaigns.md for the field-by-field semantics.
         """
         settings = self.settings
+        run_params = {
+            "warmup_accesses_per_core": settings.warmup_accesses_per_thread,
+            "prewarm": settings.prewarm,
+        }
+        if config.broadcast_filter and settings.prewarm:
+            # See sweep_point_payload: re-keys only the runs whose statistics
+            # changed when prewarm began classifying its pages shared.
+            run_params["prewarm_marks_shared"] = True
         return {
             "kind": "context-run",
             "schema": STORE_SCHEMA_VERSION,
@@ -239,10 +247,7 @@ class ExperimentContext:
                 "num_threads": settings.total_cores,
                 "seed": settings.seed,
             },
-            "run_params": {
-                "warmup_accesses_per_core": settings.warmup_accesses_per_thread,
-                "prewarm": settings.prewarm,
-            },
+            "run_params": run_params,
         }
 
     def _record_from_stored(self, workload_name: str, protocol: str,

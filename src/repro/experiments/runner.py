@@ -187,6 +187,11 @@ def sweep_point_payload(point: SweepPoint, engine: str = "compiled") -> Dict:
         # Absent from the payload unless used, so every pre-clone store key
         # (pinned in tests/engines/test_store_keys.py) is preserved.
         payload.pop("clone")
+    if point.broadcast_filter and point.prewarm:
+        # These points' statistics changed when prewarm began classifying
+        # its pages shared; the marker keeps results stored before that from
+        # being served, without moving any other key (docs/campaigns.md).
+        payload["prewarm_marks_shared"] = True
     if point.sample_plan is not None:
         from ..stats.sampling import SamplingPlan
 

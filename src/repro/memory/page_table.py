@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from .address import DEFAULT_LAYOUT, AddressLayout
 
@@ -37,7 +37,9 @@ class PageTableEntry:
         Page number.
     owner_thread:
         Id of the thread that currently owns the page (valid while the page
-        is classified private).
+        is classified private).  ``None`` exactly while no thread has
+        touched the page, which happens only to pages marked shared before
+        their first touch; that touch records the toucher.
     classification:
         Current private/shared classification.
     home_socket:
@@ -46,7 +48,7 @@ class PageTableEntry:
     """
 
     page: int
-    owner_thread: int
+    owner_thread: Optional[int]
     classification: PageClassification = PageClassification.PRIVATE
     home_socket: Optional[int] = None
 
@@ -73,7 +75,7 @@ class PageTable:
         return iter(self._entries.values())
 
     def lookup(self, page: int) -> Optional[PageTableEntry]:
-        """Return the entry for ``page`` or ``None`` if never touched."""
+        """Return the entry for ``page`` or ``None`` if never touched nor marked shared."""
         return self._entries.get(page)
 
     def lookup_addr(self, addr: int) -> Optional[PageTableEntry]:
@@ -107,6 +109,8 @@ class PageTable:
             return entry, False
 
         if entry.classification is PageClassification.SHARED:
+            if entry.owner_thread is None:  # first touch of a page marked shared
+                entry.owner_thread = thread_id
             return entry, False
 
         if entry.owner_thread == thread_id:
@@ -120,6 +124,25 @@ class PageTable:
         entry.classification = PageClassification.SHARED
         self.private_to_shared_transitions += 1
         return entry, True
+
+    def mark_shared(self, pages: Iterable[int]) -> None:
+        """Classify every page of ``pages`` as SHARED, touched or not.
+
+        For pages whose data other sockets may already hold without any
+        thread having touched them, such as DRAM-cache prewarm content: a
+        first touch must not classify those private.  A private page
+        marked here counts as a private-to-shared transition; an untouched
+        one gets an entry without an owner.
+        """
+        entries = self._entries
+        shared = PageClassification.SHARED
+        for page in pages:
+            entry = entries.get(page)
+            if entry is None:
+                entries[page] = PageTableEntry(page, None, shared)
+            elif entry.classification is not shared:
+                entry.classification = shared
+                self.private_to_shared_transitions += 1
 
     def classify(self, page: int) -> PageClassification:
         """Return the classification of ``page`` (SHARED if unknown).

@@ -94,9 +94,9 @@ class Simulator:
             warmup_accesses_per_core=warmup_accesses_per_core,
         )
 
-    def prewarm_dram_caches(self, *, fill_fraction: float = 1.0) -> int:
+    def prewarm_dram_caches(self) -> int:
         """Pre-load the DRAM caches (see :meth:`EngineContext.prewarm_dram_caches`)."""
-        return self._context().prewarm_dram_caches(fill_fraction=fill_fraction)
+        return self._context().prewarm_dram_caches()
 
     # ------------------------------------------------------------------
     # Internals

@@ -1,7 +1,7 @@
 """Tests for the direct-mapped DRAM cache (clean and dirty modes)."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.caches.dram_cache import DRAMCache
 from repro.caches.miss_predictor import RegionMissPredictor
@@ -125,6 +125,127 @@ def test_clean_cache_invariant_holds_under_any_insertion_sequence(blocks, dirty)
         cache.insert(block, dirty=dirty)
     assert all(not cache.peek(b).dirty for b in cache.resident_blocks())
     assert cache.occupancy() <= cache.num_sets
+
+
+def cache_state(cache):
+    """Tags (in storage order), eviction counters and predictor LRU table."""
+    predictor = cache.miss_predictor
+    return (
+        [(index, line.block, line.state, line.dirty) for index, line in cache._lines.items()],
+        [(index, [(block, line.dirty) for block, line in lines.items()])
+         for index, lines in cache._sets.items()],
+        cache.evictions,
+        cache.dirty_evictions,
+        None if predictor is None else (list(predictor._table.items()),
+                                        predictor.region_displacements),
+    )
+
+
+def build_cache(num_sets, associativity, predictor_entries, region_blocks):
+    predictor = (
+        RegionMissPredictor(entries=predictor_entries, region_size=64 * region_blocks)
+        if predictor_entries else None
+    )
+    return DRAMCache(64 * num_sets * associativity, associativity=associativity,
+                     clean=False, miss_predictor=predictor)
+
+
+fill_inputs = st.one_of(
+    # Contiguous: the vectorised path when it fits, wrap-around otherwise.
+    st.builds(lambda start, length: range(start, start + length),
+              st.integers(0, 300), st.integers(1, 80)),
+    # Non-contiguous (and possibly repeating) blocks: the per-block loop.
+    st.lists(st.integers(0, 300), min_size=1, max_size=80),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # Set counts that are not a multiple of the region size let one
+    # predictor region straddle the wrap-around of a contiguous fill.
+    num_sets=st.sampled_from([4, 6, 16, 24, 64]),
+    associativity=st.sampled_from([1, 1, 2]),
+    predictor_entries=st.sampled_from([0, 1, 2, 4, 64]),
+    region_blocks=st.sampled_from([1, 4, 16]),
+    before=st.lists(st.tuples(st.integers(0, 300), st.booleans()), max_size=60),
+    fills=st.lists(fill_inputs, min_size=1, max_size=3),
+)
+# A wrapped fill whose straddling region evicts lines of four other regions:
+# the victims must reach the predictor in block order, not set order.
+@example(num_sets=6, associativity=1, predictor_entries=64, region_blocks=4,
+         before=[(100, False), (107, False), (108, False), (115, False)],
+         fills=[range(4, 10)])
+def test_bulk_insert_clean_matches_per_block_insert(
+    num_sets, associativity, predictor_entries, region_blocks, before, fills
+):
+    """Randomized bulk-fill equivalence: ``bulk_insert_clean`` leaves the same
+    tags, predictor table (in LRU order) and counters as ``insert`` per block,
+    on empty and pre-populated (partly dirty) caches and tiny predictor tables."""
+    bulk = build_cache(num_sets, associativity, predictor_entries, region_blocks)
+    loop = build_cache(num_sets, associativity, predictor_entries, region_blocks)
+    for cache in (bulk, loop):
+        for block, dirty in before:
+            cache.insert(block, dirty=dirty)
+    for blocks in fills:
+        assert bulk.bulk_insert_clean(blocks) == len(blocks)
+        for block in blocks:
+            loop.insert(block, dirty=False)
+        assert cache_state(bulk) == cache_state(loop)
+
+
+@pytest.mark.parametrize("associativity", [1, 2])
+def test_shared_fill_equals_a_replayed_fill(associativity):
+    def build():
+        predictor = RegionMissPredictor(entries=4, region_size=256)
+        return DRAMCache(64 * 32, associativity=associativity, clean=False,
+                         miss_predictor=predictor)
+
+    source, shared, replayed = build(), build(), build()
+    before = source.fill_counts()
+    fill = [range(0, 40), range(64, 90), range(8, 12)]
+    for blocks in fill:
+        source.bulk_insert_clean(blocks)
+        replayed.bulk_insert_clean(blocks)
+    assert shared.is_empty()
+    shared.share_fill(source, before)
+    assert cache_state(shared) == cache_state(replayed) == cache_state(source)
+    assert shared.evictions > 0 and shared.miss_predictor.region_displacements > 0
+    with pytest.raises(ValueError):
+        shared.share_fill(source, before)  # no longer empty
+    with pytest.raises(ValueError):
+        DRAMCache(64 * 64).share_fill(source, before)  # other geometry
+
+
+@pytest.mark.parametrize("associativity", [1, 2])
+def test_shared_line_is_unchanged_by_the_other_cache(associativity):
+    """Two sockets' caches hold one line object after ``share_fill``: an
+    ``insert``, ``mark_clean`` or ``invalidate`` of that block through one
+    cache leaves the other's line as it was."""
+    source = DRAMCache(64 * 16 * associativity, associativity=associativity, clean=False)
+    source.insert(5, dirty=True)
+    source.insert(6)
+    copy = DRAMCache(64 * 16 * associativity, associativity=associativity, clean=False)
+    copy.share_fill(source, source.fill_counts())
+    dirty_line, clean_line = source.peek(5), source.peek(6)
+    assert copy.peek(5) is dirty_line and copy.peek(6) is clean_line
+
+    copy.mark_clean(5)
+    copy.insert(6, dirty=True)
+    assert not copy.peek(5).dirty and copy.peek(6).dirty
+    copy.invalidate(5)
+    copy.insert(6 + copy.num_sets * associativity)  # conflict in 6's set
+    copy.insert(6 + 2 * copy.num_sets * associativity)
+    assert source.peek(5) is dirty_line and dirty_line.dirty
+    assert source.peek(6) is clean_line and not clean_line.dirty
+
+
+def test_mark_clean_keeps_the_lru_position():
+    cache = DRAMCache(64 * 2, associativity=2, clean=False)
+    cache.insert(0, dirty=True)
+    cache.insert(1)
+    cache.mark_clean(0)
+    victim = cache.insert(2)
+    assert victim.block == 0 and not victim.dirty
 
 
 @settings(max_examples=50)

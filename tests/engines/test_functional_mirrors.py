@@ -63,15 +63,7 @@ def test_lean_mirrors_match_generic_fallback_bit_for_bit(protocol, broadcast_fil
     lean, lean_system = _run_sampled(protocol, broadcast_filter, force_generic=False)
     generic, _ = _run_sampled(protocol, broadcast_filter, force_generic=True)
 
-    if not broadcast_filter:
-        # With the broadcast filter on, a stale private classification can
-        # legitimately skip an invalidation (a modelled property of the
-        # paper's section IV-D mechanism that pre-dates the engines
-        # subsystem and shows up identically on the exact engines), so the
-        # SWMR invariant only gates the unfiltered designs here.  The
-        # bit-identity assertions below are the point of this test and
-        # apply to every case.
-        assert lean_system.check_invariants() == []
+    assert lean_system.check_invariants() == []
     assert lean.stats.to_json_dict() == generic.stats.to_json_dict()
     assert lean.accesses_executed == generic.accesses_executed
     assert lean.inter_socket_bytes == generic.inter_socket_bytes

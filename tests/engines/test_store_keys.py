@@ -10,6 +10,8 @@ either something outcome-relevant leaked into the payloads (bump
 built-in names are stable).
 """
 
+from dataclasses import replace
+
 from repro.experiments.common import ExperimentContext, ExperimentSettings
 from repro.experiments.runner import SweepPoint, sweep_point_key
 from repro.stats.store import content_key
@@ -103,6 +105,35 @@ def test_engine_jobs_never_reaches_store_keys():
         sweep_point_key(SweepPoint(engine_jobs=4))
         == PINNED_SWEEP_KEYS[("default", "compiled")]
     )
+
+
+#: Keys of broadcast-filter points from before the DRAM-cache prewarm
+#: classified its pages shared.
+PRE_MARK_SHARED_KEYS = {
+    "sweep, prewarm": "e3e9a040e625910e28347b0a74929d5bc6f4d8cd4f61701070ec2187a9c33c4a",
+    "sweep, no prewarm": "656d9c1ec5ce934781caebe4d9a884ee74da196969b6b4eb6fd25c492136cf5c",
+    "context, prewarm": "5870a46161a6a56f9e46f50f708605188375e75f0f5c449553c59a76a615fb70",
+    "context, no prewarm": "c87eff40405b5253dd1901734b595f26fe7e2614234627c73b7aa51f741ba5b7",
+}
+
+
+def test_only_filtered_prewarmed_points_moved_when_prewarm_marked_pages_shared():
+    """Marking prewarmed pages shared changed the statistics of every point
+    with the broadcast filter and prewarm on, so their keys moved (stored
+    results from before must not be served); with prewarm off nothing
+    changed, and neither did the key."""
+    def context_key(prewarm):
+        settings = replace(ExperimentSettings.quick(), prewarm=prewarm)
+        context = ExperimentContext(settings)
+        config = context.make_config("c3d", broadcast_filter=True)
+        return content_key(context.store_payload("facesim", "c3d", config))
+
+    old = PRE_MARK_SHARED_KEYS
+    assert sweep_point_key(SweepPoint(broadcast_filter=True)) != old["sweep, prewarm"]
+    assert (sweep_point_key(SweepPoint(broadcast_filter=True, prewarm=False))
+            == old["sweep, no prewarm"])
+    assert context_key(True) != old["context, prewarm"]
+    assert context_key(False) == old["context, no prewarm"]
 
 
 def test_clone_points_key_separately_without_moving_old_keys():

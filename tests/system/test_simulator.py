@@ -1,7 +1,11 @@
 """Tests for the trace-driven simulation driver."""
 
+import pytest
 
-from repro.system.numa_system import NumaSystem
+from repro.coherence.directory import DirectoryState
+from repro.memory.page_table import PageClassification
+from repro.system.config import SystemConfig
+from repro.system.numa_system import PROTOCOL_REGISTRY, NumaSystem
 from repro.system.simulator import Simulator
 from repro.workloads.registry import make_workload
 from repro.workloads.synthetic import SyntheticWorkload, WorkloadSpec
@@ -84,6 +88,217 @@ def test_prewarm_registers_sharers_for_full_dir():
     system = NumaSystem(tiny_config("full-dir", num_sockets=2, cores_per_socket=1))
     Simulator(system, workload).prewarm_dram_caches()
     assert sum(len(directory) for directory in system.directories) > 0
+
+
+# ----------------------------------------------------------------------
+# Prewarm: the shared fill equals a per-socket, per-block fill
+# ----------------------------------------------------------------------
+
+
+def prewarm_fill(system, workload):
+    """The block ranges every DRAM cache receives, in insertion order."""
+    layout = system.layout
+    order = {"cold": 0, "warm": 1, "hot": 2}
+    regions = sorted(
+        (r for r in workload.memory_regions() if r.get("owner_thread") is None),
+        key=lambda r: order.get(r["kind"], 0),
+    )
+    num_sets = next(s.dram_cache.num_sets for s in system.sockets if s.dram_cache is not None)
+    return [
+        range(layout.block_of(r["base"]),
+              layout.block_of(r["base"]) + min(max(1, r["size"] // layout.block_size), num_sets))
+        for r in regions
+    ]
+
+
+def reference_prewarm(system, workload) -> int:
+    """Per-socket, per-block prewarm: one ``insert`` and ``add_sharer`` per block."""
+    if not system.protocol.uses_dram_cache:
+        return 0
+    fill = prewarm_fill(system, workload)
+    tracks = system.protocol.tracks_dram_cache_in_directory
+    for sock in system.sockets:
+        for blocks in fill:
+            for block in blocks:
+                sock.dram_cache.insert(block, dirty=False)
+                if tracks:
+                    home = system.mapper.home_of_block(block)
+                    system.directories[home].add_sharer(block, sock.socket_id)
+    return sum(len(blocks) for blocks in fill)
+
+
+def dram_cache_state(cache):
+    if cache is None:
+        return None
+    predictor = cache.miss_predictor
+    return (
+        [(index, line.block, line.state, line.dirty) for index, line in cache._lines.items()],
+        [(index, [(block, line.state, line.dirty) for block, line in lines.items()])
+         for index, lines in cache._sets.items()],
+        (cache.hits, cache.misses, cache.evictions, cache.dirty_evictions,
+         cache.invalidations, cache.predictor_bypasses),
+        None if predictor is None else (
+            list(predictor._table.items()), predictor.lookups, predictor.predicted_miss,
+            predictor.predicted_present, predictor.untracked_lookups,
+            predictor.region_displacements,
+        ),
+    )
+
+
+def directory_state(directory):
+    return (
+        [(e.block, e.state, e.owner, set(e.sharers)) for e in directory.entries()],
+        directory.lookups, directory.allocations, directory.deallocations,
+        directory.peak_entries, list(directory.transitions.items()),
+    )
+
+
+def assert_same_memory_state(system, reference):
+    for sock, ref in zip(system.sockets, reference.sockets):
+        assert dram_cache_state(sock.dram_cache) == dram_cache_state(ref.dram_cache)
+    for directory, ref in zip(system.directories, reference.directories):
+        assert directory_state(directory) == directory_state(ref)
+
+
+def read_only_replay(workload, accesses):
+    """The first ``accesses`` accesses of every thread of ``workload``, as reads."""
+    return ListWorkload([
+        [MemoryAccess(addr=a.addr, gap=a.gap) for a in list(workload.stream(t))[:accesses]]
+        for t in range(workload.num_threads)
+    ])
+
+
+@pytest.mark.parametrize("num_sockets", [2, 4])
+@pytest.mark.parametrize("protocol", sorted(PROTOCOL_REGISTRY))
+def test_prewarm_matches_per_socket_reference(protocol, num_sockets):
+    def build():
+        return NumaSystem(tiny_config(protocol, num_sockets=num_sockets, cores_per_socket=1))
+
+    workload = make_workload("facesim", scale=4096, accesses_per_thread=300,
+                             num_threads=num_sockets, seed=3)
+    system, reference = build(), build()
+    assert Simulator(system, workload).prewarm_dram_caches() == reference_prewarm(
+        reference, workload
+    )
+    assert_same_memory_state(system, reference)
+    if system.protocol.uses_dram_cache:
+        caches = [sock.dram_cache for sock in system.sockets]
+        some_block = next(iter(caches[0]._lines.values())).block
+        # The fill really is shared, not repeated.
+        assert all(c.peek(some_block) is caches[0].peek(some_block) for c in caches)
+
+    # A second prewarm on a used system still matches: the caches are no
+    # longer empty, so each gets a fill of its own, and the directories
+    # track many of the blocks already, some for fewer sockets than before
+    # (DRAM-cache evictions removed those).
+    reads = read_only_replay(workload, 300)
+    for target in (system, reference):
+        Simulator(target, reads).run()
+    assert_same_memory_state(system, reference)
+    if system.protocol.tracks_dram_cache_in_directory:
+        fill_blocks = {block for blocks in prewarm_fill(system, workload) for block in blocks}
+        assert any(
+            entry.block in fill_blocks and len(entry.sharers) < num_sockets
+            for directory in system.directories for entry in directory.entries()
+        )
+    assert Simulator(system, workload).prewarm_dram_caches() == reference_prewarm(
+        reference, workload
+    )
+    assert_same_memory_state(system, reference)
+
+
+def test_prewarm_fills_a_used_cache_alone_and_shares_with_the_rest():
+    workload = make_workload("facesim", scale=4096, accesses_per_thread=5, num_threads=4)
+    systems = [NumaSystem(tiny_config("c3d", num_sockets=4, cores_per_socket=1))
+               for _ in range(2)]
+    for system in systems:
+        system.sockets[0].dram_cache.insert(3)
+    system, reference = systems
+    Simulator(system, workload).prewarm_dram_caches()
+    reference_prewarm(reference, workload)
+    assert_same_memory_state(system, reference)
+    used, template, *rest = (sock.dram_cache for sock in system.sockets)
+    block = next(iter(template._lines.values())).block
+    assert all(cache.peek(block) is template.peek(block) for cache in rest)
+    assert used.peek(block) is not template.peek(block)
+
+
+def test_prewarm_shares_the_fill_at_figure_scale():
+    """The quick-fidelity machine (16,384 sets): the contiguous bulk path."""
+    config = SystemConfig.quad_socket(protocol="c3d-full-dir", num_sockets=2).scaled(1024)
+    workload = make_workload("facesim", scale=1024, accesses_per_thread=10, num_threads=8)
+    system, reference = NumaSystem(config), NumaSystem(config)
+    inserted = Simulator(system, workload).prewarm_dram_caches()
+    # The cap is per region: 4,096 cold + 16,384 warm + 2,560 hot blocks.
+    assert inserted == reference_prewarm(reference, workload) == 23040
+    assert system.sockets[0].dram_cache.num_sets == 16384
+    assert_same_memory_state(system, reference)
+
+
+def test_shared_prewarm_sharer_sets_are_never_mutated():
+    workload = make_workload("facesim", scale=4096, accesses_per_thread=5, num_threads=2)
+    system = NumaSystem(tiny_config("c3d-full-dir", num_sockets=2, cores_per_socket=1))
+    Simulator(system, workload).prewarm_dram_caches()
+    directory = next(d for d in system.directories if len(d) >= 3)
+    first, second, third = list(directory.entries())[:3]
+    assert first.sharers is second.sharers is third.sharers
+    assert first.sharers == {0, 1}
+
+    directory.remove_sharer(first.block, 1)
+    directory.add_sharer(first.block, 1)
+    directory.remove_sharer(first.block, 0)
+    directory.set_modified(third.block, owner=1)
+    assert first.sharers == {1}
+    assert third.sharers == {1} and third.state is DirectoryState.MODIFIED
+    assert second.sharers == {0, 1} and second.state is DirectoryState.SHARED
+
+
+@pytest.mark.parametrize("cores_per_socket", [1, 2])
+def test_prewarm_keeps_broadcast_filter_coherent(cores_per_socket):
+    """Prewarmed pages are shared: a private classification must not skip
+    the broadcast that invalidates another socket's prewarmed copy."""
+    for seed in range(6):
+        config = SystemConfig.quad_socket(
+            protocol="c3d", num_sockets=2, cores_per_socket=cores_per_socket,
+            broadcast_filter=True,
+        ).scaled(1024)
+        system = NumaSystem(config)
+        workload = make_workload("facesim", scale=1024, accesses_per_thread=700,
+                                 num_threads=config.total_cores, seed=seed)
+        Simulator(system, workload, engine="compiled").run(
+            warmup_accesses_per_core=100, prewarm=True
+        )
+        assert system.check_invariants() == [], seed
+
+
+def test_prewarm_classifies_filled_pages_shared():
+    workload = make_workload("facesim", scale=4096, accesses_per_thread=5, num_threads=2)
+    system = NumaSystem(tiny_config("c3d", num_sockets=2, cores_per_socket=1,
+                                    broadcast_filter=True))
+    Simulator(system, workload).prewarm_dram_caches()
+    layout = system.layout
+    pages = {layout.page_of_block(block)
+             for blocks in prewarm_fill(system, workload) for block in blocks}
+    page_table = system.page_classifier.page_table
+    assert {entry.page for entry in page_table} == pages
+    assert all(entry.classification is PageClassification.SHARED for entry in page_table)
+
+
+def test_prewarmed_pages_count_as_touched_only_once_a_thread_touches_them():
+    """``tlb_misses`` and ``private_page_fraction`` cover the touched pages,
+    not the untouched ones the prewarm marked shared."""
+    workload = make_workload("facesim", scale=4096, accesses_per_thread=40, num_threads=2)
+    system = NumaSystem(tiny_config("c3d", num_sockets=2, cores_per_socket=1,
+                                    broadcast_filter=True))
+    Simulator(system, workload).run(prewarm=True)
+    touched = {system.layout.page_of(access.addr)
+               for thread in range(2) for access in workload.stream(thread)}
+    classifier = system.page_classifier
+    assert len(classifier.page_table) > len(touched)
+    assert classifier.stats.tlb_misses == len(touched)
+    assert classifier.private_page_fraction() == (
+        classifier.page_table.private_pages() / len(touched)
+    )
 
 
 def test_ft2_pins_private_pages_to_owner_socket():

@@ -138,6 +138,9 @@ class DRAMCache:
         DRAM array is not accessed; the caller should charge only the
         predictor latency in that case.
         """
+        # The tag is read once; the predictor's bookkeeping below neither
+        # depends on nor changes it.
+        line = self.peek(block)
         predictor = self.miss_predictor
         if predictor is not None:
             # Inlined RegionMissPredictor.predicts_miss.
@@ -157,15 +160,14 @@ class DRAMCache:
                 else:
                     predictor.predicted_miss += 1
                     predicted_miss = True
-            if predicted_miss:
-                if self.peek(block) is None:
-                    self.predictor_bypasses += 1
-                    self.misses += 1
-                    return _PROBE_MISS_BYPASS
-                # Mis-prediction (the predictor lost this region's residency
-                # information): fall through to the array access so that a
-                # resident -- possibly dirty -- line is never silently ignored.
-        line = self.peek(block)
+            if predicted_miss and line is None:
+                self.predictor_bypasses += 1
+                self.misses += 1
+                return _PROBE_MISS_BYPASS
+            # A predicted miss on a resident line is a mis-prediction (the
+            # predictor lost this region's residency information): fall
+            # through to the array access so that a resident -- possibly
+            # dirty -- line is never silently ignored.
         if line is None:
             self.misses += 1
             return _PROBE_MISS_ARRAY

@@ -4,7 +4,7 @@ from .baseline import BaselineProtocol
 from .directory import DirectoryCostModel, DirectoryEntry, DirectoryState, GlobalDirectory
 from .full_directory import FullDirectoryProtocol
 from .local_directory import LocalDirectory, LocalDirectoryEntry
-from .messages import CoherenceRequestType, EvictionResult, MissResult, ServiceSource
+from .messages import ServiceSource
 from .protocol_base import GlobalCoherenceProtocol
 from .snoopy import SnoopyProtocol
 
@@ -19,8 +19,5 @@ __all__ = [
     "DirectoryCostModel",
     "LocalDirectory",
     "LocalDirectoryEntry",
-    "CoherenceRequestType",
-    "MissResult",
-    "EvictionResult",
     "ServiceSource",
 ]

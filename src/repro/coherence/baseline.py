@@ -8,9 +8,11 @@ served by a remote LLC goes to (possibly remote) main memory.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from ..interconnect.packet import MessageClass
 from .directory import DirectoryState
-from .messages import CoherenceRequestType, EvictionResult, MissResult, ServiceSource
+from .messages import ServiceSource
 from .protocol_base import GlobalCoherenceProtocol
 
 __all__ = ["BaselineProtocol"]
@@ -27,7 +29,7 @@ class BaselineProtocol(GlobalCoherenceProtocol):
     # Reads
     # ------------------------------------------------------------------
 
-    def read_miss(self, now: float, requester: int, block: int) -> MissResult:
+    def read_miss(self, now: float, requester: int, block: int) -> Tuple[float, ServiceSource]:
         home = self._home_of_block(block)
         directory = self.directories[home]
 
@@ -55,7 +57,7 @@ class BaselineProtocol(GlobalCoherenceProtocol):
             source = (ServiceSource.LOCAL_MEMORY if home == requester
                       else ServiceSource.REMOTE_MEMORY)
 
-        return MissResult(latency=latency, source=source, request_type=CoherenceRequestType.GETS)
+        return latency, source
 
     # ------------------------------------------------------------------
     # Writes
@@ -69,18 +71,14 @@ class BaselineProtocol(GlobalCoherenceProtocol):
         *,
         thread_id: int = 0,
         has_shared_copy: bool = False,
-    ) -> MissResult:
+    ) -> Tuple[float, ServiceSource]:
         home = self._home_of_block(block)
         directory = self.directories[home]
-        request_type = (
-            CoherenceRequestType.UPGRADE if has_shared_copy else CoherenceRequestType.GETX
-        )
 
         latency = self._net_send(now, requester, home, MessageClass.REQUEST)
         latency += directory.latency_ns
         self.system.stats.directory_lookups += 1
         entry = directory.lookup(block)
-        invalidations = 0
 
         if (
             entry is not None
@@ -92,7 +90,6 @@ class BaselineProtocol(GlobalCoherenceProtocol):
             latency += self._fetch_from_remote_llc(
                 now + latency, home, owner, requester, block, downgrade=False
             )
-            invalidations = 1
             source = ServiceSource.REMOTE_LLC
         else:
             sharers = sorted(entry.sharers - {requester}) if entry is not None else []
@@ -104,7 +101,6 @@ class BaselineProtocol(GlobalCoherenceProtocol):
                         now + latency, home, target, block, include_dram_cache=False
                     ),
                 )
-                invalidations += 1
             data_latency = 0.0
             if has_shared_copy:
                 source = ServiceSource.LLC
@@ -119,30 +115,19 @@ class BaselineProtocol(GlobalCoherenceProtocol):
         directory.set_modified(block, requester)
         if has_shared_copy:
             self.system.stats.upgrades += 1
-        return MissResult(
-            latency=latency,
-            source=source,
-            request_type=request_type,
-            invalidations=invalidations,
-        )
+        return latency, source
 
     # ------------------------------------------------------------------
     # Evictions
     # ------------------------------------------------------------------
 
-    def llc_eviction(
-        self, now: float, requester: int, block: int, *, dirty: bool
-    ) -> EvictionResult:
-        result = EvictionResult()
-        home = self._home_of_block(block)
-        directory = self.directories[home]
+    def llc_eviction(self, now: float, requester: int, block: int, *, dirty: bool) -> None:
         if dirty:
-            result.latency = self._memory_write(now, home, block, requester)
-            result.wrote_memory = True
-            directory.invalidate(block)
+            home = self._home_of_block(block)
+            self._memory_write(now, home, block, requester)
+            self.directories[home].invalidate(block)
         # Clean (Shared) evictions are silent: the sharing vector becomes a
         # stale superset, which is still a valid over-approximation.
-        return result
 
     # ------------------------------------------------------------------
     # Functional (state-only) mirrors -- see GlobalCoherenceProtocol

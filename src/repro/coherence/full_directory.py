@@ -16,8 +16,12 @@ block in a remote DRAM cache" pathology of Fig. 4.
 
 from __future__ import annotations
 
+from typing import Tuple
+
+from ..caches.block import CacheBlockState
+from ..interconnect.packet import MessageClass
 from .directory import DirectoryState
-from .messages import CoherenceRequestType, EvictionResult, MissResult, ServiceSource
+from .messages import ServiceSource
 from .protocol_base import GlobalCoherenceProtocol
 
 __all__ = ["FullDirectoryProtocol"]
@@ -35,23 +39,20 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
     # Reads
     # ------------------------------------------------------------------
 
-    def read_miss(self, now: float, requester: int, block: int) -> MissResult:
+    def read_miss(self, now: float, requester: int, block: int) -> Tuple[float, ServiceSource]:
         hit, local_latency, _dirty = self._probe_local_dram_cache(now, requester, block)
         if hit:
             # The directory continues to track the requester (it already did,
             # by inclusivity), so no global transaction is needed.
-            return MissResult(
-                latency=local_latency,
-                source=ServiceSource.LOCAL_DRAM_CACHE,
-                request_type=CoherenceRequestType.GETS,
-            )
+            return local_latency, ServiceSource.LOCAL_DRAM_CACHE
 
-        home = self.home_of(block)
+        home = self._home_of_block(block)
         directory = self.directories[home]
+        send = self._net_send
         latency = local_latency
-        latency += self._request_to_home(now + latency, requester, home)
+        latency += send(now + latency, requester, home, MessageClass.REQUEST)
         latency += directory.latency_ns
-        self.stats.directory_lookups += 1
+        self.system.stats.directory_lookups += 1
         entry = directory.lookup(block)
 
         if (
@@ -64,20 +65,20 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
             latency += self._fetch_from_owner_any_level(
                 now + latency, home, owner, requester, block
             )
-            owner_socket = self.socket(owner)
             source = (
                 ServiceSource.REMOTE_LLC
-                if owner_socket.llc.contains(block)
+                if self.sockets[owner].llc.contains(block)
                 else ServiceSource.REMOTE_DRAM_CACHE
             )
             directory.set_shared(block, {owner, requester})
         else:
             latency += self._memory_read(now + latency, home, block, requester)
-            latency += self._data_response(now + latency, home, requester)
+            latency += send(now + latency, home, requester, MessageClass.DATA_RESPONSE)
             self._directory_note_read_sharer(directory, block, requester)
-            source = self._memory_source(home, requester)
+            source = (ServiceSource.LOCAL_MEMORY if home == requester
+                      else ServiceSource.REMOTE_MEMORY)
 
-        return MissResult(latency=latency, source=source, request_type=CoherenceRequestType.GETS)
+        return latency, source
 
     def _fetch_from_owner_any_level(
         self, now: float, home: int, owner: int, requester: int, block: int
@@ -88,28 +89,24 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
         back to the home memory so that the Shared invariant (memory not
         stale) holds afterwards.
         """
-        from ..interconnect.packet import MessageClass
-
-        owner_socket = self.socket(owner)
-        forward = self._send(now, home, owner, MessageClass.FORWARD)
+        owner_socket = self.sockets[owner]
+        send = self._net_send
+        forward = send(now, home, owner, MessageClass.FORWARD)
         if owner_socket.llc.contains(block):
             probe = owner_socket.llc_latency_ns
             was_dirty = owner_socket.downgrade_block(block)
-            self.stats.downgrades += 1
+            self.system.stats.downgrades += 1
         else:
             # The dirty copy lives in the owner's DRAM cache (Fig. 4 path).
             probe = owner_socket.dram_cache_latency_ns
-            line = (
-                owner_socket.dram_cache.peek(block)
-                if owner_socket.dram_cache is not None
-                else None
-            )
+            dram_cache = owner_socket.dram_cache
+            line = dram_cache.peek(block) if dram_cache is not None else None
             was_dirty = bool(line is not None and line.dirty)
-            if owner_socket.dram_cache is not None and line is not None:
-                owner_socket.dram_cache.mark_clean(block)
+            if line is not None:
+                dram_cache.mark_clean(block)
         if was_dirty:
             self._memory_write(now + forward + probe, home, block, owner)
-        response = self._data_response(now + forward + probe, owner, requester)
+        response = send(now + forward + probe, owner, requester, MessageClass.DATA_RESPONSE)
         return forward + probe + response
 
     # ------------------------------------------------------------------
@@ -124,23 +121,21 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
         *,
         thread_id: int = 0,
         has_shared_copy: bool = False,
-    ) -> MissResult:
-        request_type = (
-            CoherenceRequestType.UPGRADE if has_shared_copy else CoherenceRequestType.GETX
-        )
+    ) -> Tuple[float, ServiceSource]:
         local_hit = False
         local_latency = 0.0
         if not has_shared_copy:
             local_hit, local_latency, _ = self._probe_local_dram_cache(now, requester, block)
 
-        home = self.home_of(block)
+        home = self._home_of_block(block)
         directory = self.directories[home]
+        send = self._net_send
+        stats = self.system.stats
         latency = local_latency
-        latency += self._request_to_home(now + latency, requester, home)
+        latency += send(now + latency, requester, home, MessageClass.REQUEST)
         latency += directory.latency_ns
-        self.stats.directory_lookups += 1
+        stats.directory_lookups += 1
         entry = directory.lookup(block)
-        invalidations = 0
 
         if (
             entry is not None
@@ -149,17 +144,15 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
             and entry.owner != requester
         ):
             owner = entry.owner
-            owner_socket = self.socket(owner)
             source = (
                 ServiceSource.REMOTE_LLC
-                if owner_socket.llc.contains(block)
+                if self.sockets[owner].llc.contains(block)
                 else ServiceSource.REMOTE_DRAM_CACHE
             )
             latency += self._invalidate_remote_socket(
                 now + latency, home, owner, block, include_dram_cache=True
             )
-            latency += self._data_response(now + latency, owner, requester)
-            invalidations = 1
+            latency += send(now + latency, owner, requester, MessageClass.DATA_RESPONSE)
         else:
             sharers = sorted(entry.sharers - {requester}) if entry is not None else []
             invalidation_latency = 0.0
@@ -170,7 +163,6 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
                         now + latency, home, target, block, include_dram_cache=True
                     ),
                 )
-                invalidations += 1
             data_latency = 0.0
             if has_shared_copy:
                 source = ServiceSource.LLC
@@ -178,56 +170,44 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
                 source = ServiceSource.LOCAL_DRAM_CACHE
             else:
                 data_latency = self._memory_read(now + latency, home, block, requester)
-                data_latency += self._data_response(now + latency + data_latency, home, requester)
-                source = self._memory_source(home, requester)
+                data_latency += send(now + latency + data_latency, home, requester,
+                                     MessageClass.DATA_RESPONSE)
+                source = (ServiceSource.LOCAL_MEMORY if home == requester
+                          else ServiceSource.REMOTE_MEMORY)
             latency += max(invalidation_latency, data_latency)
 
         directory.set_modified(block, requester)
         if has_shared_copy:
-            self.stats.upgrades += 1
-        return MissResult(
-            latency=latency,
-            source=source,
-            request_type=request_type,
-            invalidations=invalidations,
-        )
+            stats.upgrades += 1
+        return latency, source
 
     # ------------------------------------------------------------------
     # Evictions
     # ------------------------------------------------------------------
 
-    def llc_eviction(
-        self, now: float, requester: int, block: int, *, dirty: bool
-    ) -> EvictionResult:
-        result = EvictionResult()
-        sock = self.socket(requester)
-        if sock.dram_cache is None:
+    def llc_eviction(self, now: float, requester: int, block: int, *, dirty: bool) -> None:
+        if self.sockets[requester].dram_cache is None:
             if dirty:
-                home = self.home_of(block)
-                result.latency = self._memory_write(now, home, block, requester)
-                result.wrote_memory = True
+                home = self._home_of_block(block)
+                self._memory_write(now, home, block, requester)
                 self.directories[home].invalidate(block)
-            return result
+            return
 
         # The victim (dirty or clean) is absorbed by the local DRAM cache; the
         # directory keeps tracking the block at this socket (inclusive of the
         # DRAM cache), so no directory transition happens here.
         self._insert_into_dram_cache(now, requester, block, dirty=dirty)
-        result.inserted_in_dram_cache = True
-        return result
 
     # ------------------------------------------------------------------
     # DRAM-cache eviction hooks (directory bookkeeping)
     # ------------------------------------------------------------------
 
     def _on_dram_cache_dirty_victim(self, block: int, socket_id: int) -> None:
-        from ..caches.block import CacheBlockState
-
-        directory = self.directory_for(block)
+        directory = self.directories[self._home_of_block(block)]
         entry = directory.peek(block)
         if entry is None:
             return
-        llc_line = self.socket(socket_id).llc.peek(block)
+        llc_line = self.sockets[socket_id].llc.peek(block)
         if entry.state is DirectoryState.MODIFIED and entry.owner == socket_id:
             if llc_line is None:
                 # The written-back data was the only copy: stop tracking.
@@ -241,5 +221,5 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
             directory.remove_sharer(block, socket_id)
 
     def _on_dram_cache_clean_victim(self, block: int, socket_id: int) -> None:
-        if not self.socket(socket_id).llc.contains(block):
-            self.directory_for(block).remove_sharer(block, socket_id)
+        if not self.sockets[socket_id].llc.contains(block):
+            self.directories[self._home_of_block(block)].remove_sharer(block, socket_id)

@@ -1,34 +1,15 @@
-"""Coherence transaction vocabulary shared by all protocol implementations.
+"""Coherence vocabulary shared by all protocol implementations.
 
-The paper's protocol (Fig. 5) is expressed in terms of GetS / GetX / Upgrade
-requests and PutX write-backs exchanged between the LLC, the DRAM-cache
-controller and the global directory.  This module defines those request
-types, plus the result record a protocol returns to the socket when it
-services an LLC miss.
+A protocol services an LLC miss by returning ``(latency, source)`` to the
+socket; :class:`ServiceSource` names where the data (or write permission)
+came from, for the AMAT and traffic breakdowns.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List, Optional
 
-__all__ = ["CoherenceRequestType", "ServiceSource", "MissResult"]
-
-
-class CoherenceRequestType(enum.Enum):
-    """Request types from Fig. 5 of the paper."""
-
-    GETS = "GetS"        # read request
-    GETX = "GetX"        # write request (requester lacks the data)
-    UPGRADE = "Upgrade"  # write request, requester already holds the data in Shared
-    PUTX = "PutX"        # write-back of modified data
-
-    __hash__ = object.__hash__  # identity hashing, C-level
-
-    @property
-    def is_write(self) -> bool:
-        return self in (CoherenceRequestType.GETX, CoherenceRequestType.UPGRADE)
+__all__ = ["ServiceSource"]
 
 
 class ServiceSource(enum.Enum):
@@ -57,48 +38,3 @@ class ServiceSource(enum.Enum):
     @property
     def is_memory(self) -> bool:
         return self in (ServiceSource.LOCAL_MEMORY, ServiceSource.REMOTE_MEMORY)
-
-
-@dataclass(slots=True)
-class MissResult:
-    """Outcome of a globally serviced LLC miss (or permission upgrade).
-
-    Attributes
-    ----------
-    latency:
-        Critical-path latency of the transaction in nanoseconds, measured
-        from the moment the LLC miss is presented to the protocol.
-    source:
-        Where the data (or write permission) came from.
-    request_type:
-        The coherence request that was performed.
-    invalidations:
-        Number of directed invalidation messages sent.
-    used_broadcast:
-        True when the transaction had to broadcast invalidations
-        (C3D write to an untracked block).
-    notes:
-        Optional free-form tags used by tests and ablations (None until a
-        tag is attached; avoids a per-miss list allocation).
-    """
-
-    latency: float
-    source: ServiceSource
-    request_type: CoherenceRequestType
-    invalidations: int = 0
-    used_broadcast: bool = False
-    notes: Optional[List[str]] = None
-
-    @property
-    def off_socket(self) -> bool:
-        return self.source.is_off_socket
-
-
-@dataclass(slots=True)
-class EvictionResult:
-    """Outcome of handing an LLC victim to the protocol."""
-
-    wrote_memory: bool = False
-    inserted_in_dram_cache: bool = False
-    latency: float = 0.0
-    source_note: Optional[str] = None

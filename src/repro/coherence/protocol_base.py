@@ -22,9 +22,13 @@ situations:
 * :meth:`llc_eviction` -- the LLC displaced a block and the victim must be
   handled (write-back, DRAM-cache insertion, directory update).
 
-All latencies are in nanoseconds and describe the critical path of the
-transaction as seen by the requesting socket.  Traffic and memory accesses
-are accounted on the shared :class:`~repro.stats.counters.SimulationStats`.
+The two miss entry points return a plain ``(latency, source)`` tuple and
+:meth:`llc_eviction` returns nothing: the socket reads no other outcome, so
+no per-miss result object is built.  All latencies are in nanoseconds and
+describe the critical path of the transaction as seen by the requesting
+socket.  Traffic and memory accesses are accounted on the shared
+:class:`~repro.stats.counters.SimulationStats`, always read as
+``self.system.stats`` because warm-up and fast-forward swap that object.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..interconnect.packet import MessageClass
 from .directory import DirectoryState, GlobalDirectory
-from .messages import EvictionResult, MissResult, ServiceSource
+from .messages import ServiceSource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance for type checkers only
     from ..system.numa_system import NumaSystem
@@ -63,22 +67,21 @@ class GlobalCoherenceProtocol(ABC):
         self.interconnect = system.interconnect
         self.mapper = system.mapper
         self.directories: List[GlobalDirectory] = system.directories
-        # Hot-path bindings: one call layer instead of two or three.
+        # Hot-path bindings, called directly by every design.
         self._net_send = system.interconnect.send
         self._home_of_block = system.mapper.home_of_block
-
-    @property
-    def stats(self):
-        """The system-wide statistics object (swappable for warm-up resets)."""
-        return self.system.stats
 
     # ------------------------------------------------------------------
     # Abstract entry points
     # ------------------------------------------------------------------
 
     @abstractmethod
-    def read_miss(self, now: float, requester: int, block: int) -> MissResult:
-        """Service a demand read that missed the requester's on-chip hierarchy."""
+    def read_miss(self, now: float, requester: int, block: int) -> Tuple[float, ServiceSource]:
+        """Service a demand read that missed the requester's on-chip hierarchy.
+
+        Returns ``(latency, source)``: the critical-path latency from the
+        moment the LLC miss reaches the protocol, and where the data came from.
+        """
 
     @abstractmethod
     def write_miss(
@@ -89,11 +92,14 @@ class GlobalCoherenceProtocol(ABC):
         *,
         thread_id: int = 0,
         has_shared_copy: bool = False,
-    ) -> MissResult:
-        """Obtain Modified permission (and data if needed) for a store."""
+    ) -> Tuple[float, ServiceSource]:
+        """Obtain Modified permission (and data if needed) for a store.
+
+        Returns ``(latency, source)`` like :meth:`read_miss`.
+        """
 
     @abstractmethod
-    def llc_eviction(self, now: float, requester: int, block: int, *, dirty: bool) -> EvictionResult:
+    def llc_eviction(self, now: float, requester: int, block: int, *, dirty: bool) -> None:
         """Handle an LLC victim produced by the requester socket."""
 
     # ------------------------------------------------------------------
@@ -132,41 +138,6 @@ class GlobalCoherenceProtocol(ABC):
     def llc_eviction_functional(self, requester: int, block: int, *, dirty: bool) -> None:
         """State-only mirror of :meth:`llc_eviction` (no timing, no result)."""
         self.llc_eviction(0.0, requester, block, dirty=dirty)
-
-    # ------------------------------------------------------------------
-    # Address / component helpers
-    # ------------------------------------------------------------------
-
-    def home_of(self, block: int) -> int:
-        """Home socket of a block (where its memory and directory slice live)."""
-        return self._home_of_block(block)
-
-    def directory_for(self, block: int) -> GlobalDirectory:
-        """Directory slice responsible for ``block``."""
-        return self.directories[self.home_of(block)]
-
-    def socket(self, socket_id: int) -> "Socket":
-        return self.sockets[socket_id]
-
-    @property
-    def num_sockets(self) -> int:
-        return len(self.sockets)
-
-    # ------------------------------------------------------------------
-    # Interconnect helpers
-    # ------------------------------------------------------------------
-
-    def _send(self, now: float, src: int, dst: int, message_class: MessageClass) -> float:
-        """Send one message; returns its latency (0 for same-socket)."""
-        return self.interconnect.send(now, src, dst, message_class)
-
-    def _request_to_home(self, now: float, requester: int, home: int) -> float:
-        """Carry the coherence request from the requester to the home socket."""
-        return self._send(now, requester, home, MessageClass.REQUEST)
-
-    def _data_response(self, now: float, src: int, dst: int) -> float:
-        """Send a data-carrying response."""
-        return self._send(now, src, dst, MessageClass.DATA_RESPONSE)
 
     # ------------------------------------------------------------------
     # Memory helpers
@@ -228,10 +199,6 @@ class GlobalCoherenceProtocol(ABC):
         else:
             stats.dram_cache_misses += 1
         return probe.hit, latency, probe.dirty
-
-    def _dram_cache_contains(self, socket_id: int, block: int) -> bool:
-        sock = self.socket(socket_id)
-        return sock.dram_cache is not None and sock.dram_cache.contains(block)
 
     def _insert_into_dram_cache(self, now: float, socket_id: int, block: int, *, dirty: bool) -> None:
         """Insert an LLC victim into the socket's DRAM cache and handle its victim."""
@@ -317,16 +284,6 @@ class GlobalCoherenceProtocol(ABC):
         self.system.stats.invalidations_sent += 1
         return out + probe + ack
 
-    def _sockets_with_onchip_copy(self, block: int, exclude: Optional[int] = None) -> List[int]:
-        """Sockets whose LLC currently holds ``block``."""
-        holders = []
-        for sock in self.sockets:
-            if exclude is not None and sock.socket_id == exclude:
-                continue
-            if sock.llc.contains(block):
-                holders.append(sock.socket_id)
-        return holders
-
     def _sockets_with_any_copy(self, block: int, exclude: Optional[int] = None) -> List[int]:
         """Sockets holding ``block`` in their LLC or DRAM cache."""
         holders = []
@@ -351,28 +308,6 @@ class GlobalCoherenceProtocol(ABC):
             directory.set_shared(block, set(entry.sharers) | {requester})
         else:
             directory.add_sharer(block, requester)
-
-    # ------------------------------------------------------------------
-    # Classification of sources
-    # ------------------------------------------------------------------
-
-    def _memory_source(self, home: int, requester: int) -> ServiceSource:
-        if home == requester:
-            return ServiceSource.LOCAL_MEMORY
-        return ServiceSource.REMOTE_MEMORY
-
-    # ------------------------------------------------------------------
-    # Fill bookkeeping shared by subclasses
-    # ------------------------------------------------------------------
-
-    def _register_llc_fill(self, requester: int, block: int, *, modified: bool) -> None:
-        """Hook invoked by the socket after it installs the fill into its LLC.
-
-        Subclasses that track on-chip residency (all directory designs) do
-        their sharer/owner bookkeeping in :meth:`read_miss`/:meth:`write_miss`
-        directly; this hook exists for designs that need to observe the fill
-        itself (currently none), and for tests.
-        """
 
     def describe(self) -> str:
         """One-line human-readable description of the design."""

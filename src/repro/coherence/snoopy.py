@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 
 from ..caches.block import CacheBlockState
 from ..interconnect.packet import MessageClass
-from .messages import CoherenceRequestType, EvictionResult, MissResult, ServiceSource
+from .messages import ServiceSource
 from .protocol_base import GlobalCoherenceProtocol
 
 __all__ = ["SnoopyProtocol"]
@@ -41,6 +41,7 @@ class SnoopyProtocol(GlobalCoherenceProtocol):
         now: float,
         requester: int,
         target: int,
+        home: int,
         block: int,
         *,
         invalidate: bool,
@@ -51,25 +52,23 @@ class SnoopyProtocol(GlobalCoherenceProtocol):
         when the target supplied (dirty) data.  ``invalidate`` selects the
         write-snoop behaviour (all copies at the target are invalidated).
         """
-        target_socket = self.socket(target)
-        home = self.home_of(block)
-        out = self._send(now, requester, target, MessageClass.SNOOP)
+        target_socket = self.sockets[target]
+        send = self._net_send
+        stats = self.system.stats
+        out = send(now, requester, target, MessageClass.SNOOP)
         # The snoop filter (the baseline's directory structure) only covers
         # the on-chip caches -- it cannot possibly track the GB-scale DRAM
         # cache, which is the whole storage problem of section III.  Every
         # snoop therefore probes the DRAM-cache array, and that latency is on
         # the critical path of the requester's miss.
         probe = target_socket.snoop_filter_latency_ns
-        if target_socket.dram_cache is not None:
+        dram_cache = target_socket.dram_cache
+        if dram_cache is not None:
             probe += target_socket.dram_cache_latency_ns
         data_source: Optional[ServiceSource] = None
 
         llc_line = target_socket.llc.peek(block)
-        dram_line = (
-            target_socket.dram_cache.peek(block)
-            if target_socket.dram_cache is not None
-            else None
-        )
+        dram_line = dram_cache.peek(block) if dram_cache is not None else None
 
         if llc_line is not None:
             probe += target_socket.llc_latency_ns
@@ -79,7 +78,7 @@ class SnoopyProtocol(GlobalCoherenceProtocol):
                     target_socket.invalidate_onchip(block)
                 else:
                     target_socket.downgrade_block(block)
-                    self.stats.downgrades += 1
+                    stats.downgrades += 1
                     self._memory_write(now + out + probe, home, block, target)
             elif invalidate:
                 target_socket.invalidate_onchip(block)
@@ -88,63 +87,60 @@ class SnoopyProtocol(GlobalCoherenceProtocol):
                 data_source = ServiceSource.REMOTE_DRAM_CACHE
                 if not invalidate:
                     # Keep a clean copy and make memory valid again.
-                    target_socket.dram_cache.mark_clean(block)
+                    dram_cache.mark_clean(block)
                     self._memory_write(now + out + probe, home, block, target)
 
         if invalidate:
-            if dram_line is not None and target_socket.dram_cache is not None:
-                target_socket.dram_cache.invalidate(block)
+            if dram_line is not None and dram_cache is not None:
+                dram_cache.invalidate(block)
             target_socket.invalidate_onchip(block)
-            self.stats.invalidations_sent += 1
+            stats.invalidations_sent += 1
 
         response_class = (
             MessageClass.DATA_RESPONSE if data_source is not None else MessageClass.ACK
         )
-        back = self._send(now + out + probe, target, requester, response_class)
+        back = send(now + out + probe, target, requester, response_class)
         return out + probe + back, data_source
 
-    def _memory_path(self, now: float, requester: int, block: int) -> float:
+    def _memory_path(self, now: float, requester: int, home: int, block: int) -> float:
         """Latency of the memory access issued in parallel with the snoops."""
-        home = self.home_of(block)
-        latency = self._request_to_home(now, requester, home)
+        send = self._net_send
+        latency = send(now, requester, home, MessageClass.REQUEST)
         latency += self._memory_read(now + latency, home, block, requester)
-        latency += self._data_response(now + latency, home, requester)
+        latency += send(now + latency, home, requester, MessageClass.DATA_RESPONSE)
         return latency
 
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
 
-    def read_miss(self, now: float, requester: int, block: int) -> MissResult:
+    def read_miss(self, now: float, requester: int, block: int) -> Tuple[float, ServiceSource]:
         hit, local_latency, _dirty = self._probe_local_dram_cache(now, requester, block)
         if hit:
-            return MissResult(
-                latency=local_latency,
-                source=ServiceSource.LOCAL_DRAM_CACHE,
-                request_type=CoherenceRequestType.GETS,
-            )
+            return local_latency, ServiceSource.LOCAL_DRAM_CACHE
 
-        home = self.home_of(block)
+        home = self._home_of_block(block)
         start = now + local_latency
-        memory_latency = self._memory_path(start, requester, block)
+        memory_latency = self._memory_path(start, requester, home, block)
 
         snoop_latency = 0.0
         data_source: Optional[ServiceSource] = None
-        for target in range(self.num_sockets):
+        for target in range(len(self.sockets)):
             if target == requester:
                 continue
             latency, source = self._snoop_socket(
-                start, requester, target, block, invalidate=False
+                start, requester, target, home, block, invalidate=False
             )
             snoop_latency = max(snoop_latency, latency)
             if source is not None:
                 data_source = source
 
         total = local_latency + max(memory_latency, snoop_latency)
-        source = data_source if data_source is not None else self._memory_source(home, requester)
-        return MissResult(
-            latency=total, source=source, request_type=CoherenceRequestType.GETS
-        )
+        if data_source is not None:
+            return total, data_source
+        if home == requester:
+            return total, ServiceSource.LOCAL_MEMORY
+        return total, ServiceSource.REMOTE_MEMORY
 
     # ------------------------------------------------------------------
     # Writes
@@ -158,28 +154,23 @@ class SnoopyProtocol(GlobalCoherenceProtocol):
         *,
         thread_id: int = 0,
         has_shared_copy: bool = False,
-    ) -> MissResult:
-        request_type = (
-            CoherenceRequestType.UPGRADE if has_shared_copy else CoherenceRequestType.GETX
-        )
+    ) -> Tuple[float, ServiceSource]:
         local_hit = False
         local_latency = 0.0
         if not has_shared_copy:
             local_hit, local_latency, _ = self._probe_local_dram_cache(now, requester, block)
 
-        home = self.home_of(block)
+        home = self._home_of_block(block)
         start = now + local_latency
 
         snoop_latency = 0.0
         data_source: Optional[ServiceSource] = None
-        invalidations = 0
-        for target in range(self.num_sockets):
+        for target in range(len(self.sockets)):
             if target == requester:
                 continue
             latency, source = self._snoop_socket(
-                start, requester, target, block, invalidate=True
+                start, requester, target, home, block, invalidate=True
             )
-            invalidations += 1
             snoop_latency = max(snoop_latency, latency)
             if source is not None:
                 data_source = source
@@ -190,35 +181,23 @@ class SnoopyProtocol(GlobalCoherenceProtocol):
         elif data_source is not None:
             source = data_source
         else:
-            memory_latency = self._memory_path(start, requester, block)
-            source = self._memory_source(home, requester)
+            memory_latency = self._memory_path(start, requester, home, block)
+            source = (ServiceSource.LOCAL_MEMORY if home == requester
+                      else ServiceSource.REMOTE_MEMORY)
 
         total = local_latency + max(memory_latency, snoop_latency)
-        self.stats.broadcasts += 1
+        stats = self.system.stats
+        stats.broadcasts += 1
         if has_shared_copy:
-            self.stats.upgrades += 1
-        return MissResult(
-            latency=total,
-            source=source,
-            request_type=request_type,
-            invalidations=invalidations,
-            used_broadcast=True,
-        )
+            stats.upgrades += 1
+        return total, source
 
     # ------------------------------------------------------------------
     # Evictions
     # ------------------------------------------------------------------
 
-    def llc_eviction(
-        self, now: float, requester: int, block: int, *, dirty: bool
-    ) -> EvictionResult:
-        result = EvictionResult()
-        sock = self.socket(requester)
-        if sock.dram_cache is not None:
+    def llc_eviction(self, now: float, requester: int, block: int, *, dirty: bool) -> None:
+        if self.sockets[requester].dram_cache is not None:
             self._insert_into_dram_cache(now, requester, block, dirty=dirty)
-            result.inserted_in_dram_cache = True
         elif dirty:
-            home = self.home_of(block)
-            result.latency = self._memory_write(now, home, block, requester)
-            result.wrote_memory = True
-        return result
+            self._memory_write(now, self._home_of_block(block), block, requester)

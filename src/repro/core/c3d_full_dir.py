@@ -20,9 +20,12 @@ Two behavioural changes relative to :class:`~repro.core.c3d_protocol.C3DProtocol
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from ..coherence.directory import DirectoryState
-from ..coherence.messages import CoherenceRequestType, EvictionResult, MissResult, ServiceSource
+from ..coherence.messages import ServiceSource
 from ..coherence.protocol_base import GlobalCoherenceProtocol
+from ..interconnect.packet import MessageClass
 from .c3d_protocol import C3DProtocol
 
 __all__ = ["C3DFullDirectoryProtocol"]
@@ -46,15 +49,15 @@ class C3DFullDirectoryProtocol(C3DProtocol):
     # Reads
     # ------------------------------------------------------------------
 
-    def read_miss(self, now: float, requester: int, block: int) -> MissResult:
-        result = super().read_miss(now, requester, block)
+    def read_miss(self, now: float, requester: int, block: int) -> Tuple[float, ServiceSource]:
+        latency, source = super().read_miss(now, requester, block)
         # The idealised directory tracks DRAM-cache residency too, so a read
         # served by memory (the untracked case in plain C3D) still allocates
         # a sharer entry here.  Local DRAM-cache hits are already tracked.
-        if result.source in (ServiceSource.LOCAL_MEMORY, ServiceSource.REMOTE_MEMORY):
-            directory = self.directory_for(block)
+        if source is ServiceSource.LOCAL_MEMORY or source is ServiceSource.REMOTE_MEMORY:
+            directory = self.directories[self._home_of_block(block)]
             self._directory_note_read_sharer(directory, block, requester)
-        return result
+        return latency, source
 
     # ------------------------------------------------------------------
     # Writes
@@ -68,23 +71,21 @@ class C3DFullDirectoryProtocol(C3DProtocol):
         *,
         thread_id: int = 0,
         has_shared_copy: bool = False,
-    ) -> MissResult:
-        request_type = (
-            CoherenceRequestType.UPGRADE if has_shared_copy else CoherenceRequestType.GETX
-        )
+    ) -> Tuple[float, ServiceSource]:
         local_hit = False
         local_latency = 0.0
         if not has_shared_copy:
             local_hit, local_latency, _ = self._probe_local_dram_cache(now, requester, block)
 
-        home = self.home_of(block)
+        home = self._home_of_block(block)
         directory = self.directories[home]
+        send = self._net_send
+        stats = self.system.stats
         latency = local_latency
-        latency += self._request_to_home(now + latency, requester, home)
+        latency += send(now + latency, requester, home, MessageClass.REQUEST)
         latency += directory.latency_ns
-        self.stats.directory_lookups += 1
+        stats.directory_lookups += 1
         entry = directory.lookup(block)
-        invalidations = 0
 
         if (
             entry is not None
@@ -96,8 +97,7 @@ class C3DFullDirectoryProtocol(C3DProtocol):
             latency += self._invalidate_remote_socket(
                 now + latency, home, owner, block, include_dram_cache=True
             )
-            latency += self._data_response(now + latency, owner, requester)
-            invalidations = 1
+            latency += send(now + latency, owner, requester, MessageClass.DATA_RESPONSE)
             source = ServiceSource.REMOTE_LLC
         else:
             # The idealised directory knows the exact holders: use the tracked
@@ -115,7 +115,6 @@ class C3DFullDirectoryProtocol(C3DProtocol):
                         now + latency, home, target, block, include_dram_cache=True
                     ),
                 )
-                invalidations += 1
             data_latency, source = self._write_data_path(
                 now + latency, requester, home, block,
                 has_shared_copy=has_shared_copy, local_hit=local_hit,
@@ -124,47 +123,34 @@ class C3DFullDirectoryProtocol(C3DProtocol):
 
         directory.set_modified(block, requester)
         if has_shared_copy:
-            self.stats.upgrades += 1
-        return MissResult(
-            latency=latency,
-            source=source,
-            request_type=request_type,
-            invalidations=invalidations,
-            used_broadcast=False,
-        )
+            stats.upgrades += 1
+        return latency, source
 
     # ------------------------------------------------------------------
     # Evictions
     # ------------------------------------------------------------------
 
-    def llc_eviction(
-        self, now: float, requester: int, block: int, *, dirty: bool
-    ) -> EvictionResult:
-        result = EvictionResult()
-        sock = self.socket(requester)
-        home = self.home_of(block)
-        directory = self.directories[home]
-
-        if sock.dram_cache is not None:
+    def llc_eviction(self, now: float, requester: int, block: int, *, dirty: bool) -> None:
+        dram_cache = self.sockets[requester].dram_cache
+        if dram_cache is not None:
             self._insert_into_dram_cache(now, requester, block, dirty=False)
-            result.inserted_in_dram_cache = True
 
         if dirty:
-            result.latency = self._memory_write(now, home, block, requester)
-            result.wrote_memory = True
-            self.stats.write_throughs += 1
+            home = self._home_of_block(block)
+            directory = self.directories[home]
+            self._memory_write(now, home, block, requester)
+            self.system.stats.write_throughs += 1
             # Modified -> Shared on write-back: the (clean) copy retained in
             # the DRAM cache keeps the socket in the sharing vector.
-            if sock.dram_cache is not None and sock.dram_cache.contains(block):
+            if dram_cache is not None and dram_cache.contains(block):
                 directory.set_shared(block, {requester})
             else:
                 directory.invalidate(block)
-        return result
 
     # ------------------------------------------------------------------
     # DRAM-cache eviction hooks (keep the ideal directory precise)
     # ------------------------------------------------------------------
 
     def _on_dram_cache_clean_victim(self, block: int, socket_id: int) -> None:
-        if not self.socket(socket_id).llc.contains(block):
-            self.directory_for(block).remove_sharer(block, socket_id)
+        if not self.sockets[socket_id].llc.contains(block):
+            self.directories[self._home_of_block(block)].remove_sharer(block, socket_id)

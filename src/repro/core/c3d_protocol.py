@@ -31,15 +31,10 @@ Directory stable states and transitions follow Fig. 5:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..coherence.directory import DirectoryState
-from ..coherence.messages import (
-    CoherenceRequestType,
-    EvictionResult,
-    MissResult,
-    ServiceSource,
-)
+from ..coherence.messages import ServiceSource
 from ..coherence.protocol_base import GlobalCoherenceProtocol
 from ..interconnect.packet import MessageClass
 from .page_classifier import PrivateSharedClassifier
@@ -65,7 +60,7 @@ class C3DProtocol(GlobalCoherenceProtocol):
     # Reads
     # ------------------------------------------------------------------
 
-    def read_miss(self, now: float, requester: int, block: int) -> MissResult:
+    def read_miss(self, now: float, requester: int, block: int) -> Tuple[float, ServiceSource]:
         # Fast local hit: a read hit in the local DRAM cache completes with no
         # messages to remote sockets (first bullet of section IV-B summary).
         # (Inlined _probe_local_dram_cache: this is the hottest C3D path.)
@@ -80,11 +75,7 @@ class C3DProtocol(GlobalCoherenceProtocol):
                 local_latency += sock.dram_cache_latency_ns
             if probe.hit:
                 stats.dram_cache_hits += 1
-                return MissResult(
-                    latency=local_latency,
-                    source=ServiceSource.LOCAL_DRAM_CACHE,
-                    request_type=CoherenceRequestType.GETS,
-                )
+                return local_latency, ServiceSource.LOCAL_DRAM_CACHE
             stats.dram_cache_misses += 1
 
         home = self._home_of_block(block)
@@ -124,7 +115,7 @@ class C3DProtocol(GlobalCoherenceProtocol):
             source = (ServiceSource.LOCAL_MEMORY if home == requester
                       else ServiceSource.REMOTE_MEMORY)
 
-        return MissResult(latency=latency, source=source, request_type=CoherenceRequestType.GETS)
+        return latency, source
 
     # ------------------------------------------------------------------
     # Writes
@@ -171,10 +162,7 @@ class C3DProtocol(GlobalCoherenceProtocol):
         *,
         thread_id: int = 0,
         has_shared_copy: bool = False,
-    ) -> MissResult:
-        request_type = (
-            CoherenceRequestType.UPGRADE if has_shared_copy else CoherenceRequestType.GETX
-        )
+    ) -> Tuple[float, ServiceSource]:
         stats = self.system.stats
         local_hit = False
         local_latency = 0.0
@@ -200,8 +188,6 @@ class C3DProtocol(GlobalCoherenceProtocol):
         latency += directory.latency_ns
         stats.directory_lookups += 1
         entry = directory.lookup(block)
-        invalidations = 0
-        used_broadcast = False
 
         if (
             entry is not None
@@ -213,8 +199,8 @@ class C3DProtocol(GlobalCoherenceProtocol):
             latency += self._invalidate_remote_socket(
                 now + latency, home, owner, block, include_dram_cache=True
             )
-            latency += self._data_response(now + latency, owner, requester)
-            invalidations = 1
+            latency += self._net_send(now + latency, owner, requester,
+                                      MessageClass.DATA_RESPONSE)
             source = ServiceSource.REMOTE_LLC
         elif entry is not None and entry.state is DirectoryState.SHARED:
             sharers = sorted(entry.sharers - {requester})
@@ -226,7 +212,6 @@ class C3DProtocol(GlobalCoherenceProtocol):
                         now + latency, home, target, block, include_dram_cache=True
                     ),
                 )
-                invalidations += 1
             data_latency, source = self._write_data_path(
                 now + latency, requester, home, block,
                 has_shared_copy=has_shared_copy, local_hit=local_hit,
@@ -244,8 +229,6 @@ class C3DProtocol(GlobalCoherenceProtocol):
                 broadcast_latency = self._broadcast_invalidations(
                     now + latency, requester, home, block
                 )
-                invalidations += self.num_sockets - 1
-                used_broadcast = True
             data_latency, source = self._write_data_path(
                 now + latency, requester, home, block,
                 has_shared_copy=has_shared_copy, local_hit=local_hit,
@@ -258,13 +241,7 @@ class C3DProtocol(GlobalCoherenceProtocol):
         directory.set_modified(block, requester)
         if has_shared_copy:
             stats.upgrades += 1
-        return MissResult(
-            latency=latency,
-            source=source,
-            request_type=request_type,
-            invalidations=invalidations,
-            used_broadcast=used_broadcast,
-        )
+        return latency, source
 
     def _write_data_path(
         self,
@@ -275,7 +252,7 @@ class C3DProtocol(GlobalCoherenceProtocol):
         *,
         has_shared_copy: bool,
         local_hit: bool,
-    ):
+    ) -> Tuple[float, ServiceSource]:
         """Latency and source of the data portion of a write transaction."""
         if has_shared_copy:
             return 0.0, ServiceSource.LLC
@@ -371,28 +348,20 @@ class C3DProtocol(GlobalCoherenceProtocol):
     # Evictions
     # ------------------------------------------------------------------
 
-    def llc_eviction(
-        self, now: float, requester: int, block: int, *, dirty: bool
-    ) -> EvictionResult:
-        result = EvictionResult()
-        sock = self.sockets[requester]
-        home = self._home_of_block(block)
-        directory = self.directories[home]
-
-        if sock.dram_cache is not None:
+    def llc_eviction(self, now: float, requester: int, block: int, *, dirty: bool) -> None:
+        dram_cache = self.sockets[requester].dram_cache
+        if dram_cache is not None:
             # Victim cache: retain a clean copy locally regardless of
             # dirtiness.  The DRAM cache is clean, so its victims never need
             # a writeback and can be dropped on the floor directly.
-            sock.dram_cache.insert(block, dirty=False)
-            result.inserted_in_dram_cache = True
+            dram_cache.insert(block, dirty=False)
 
         if dirty:
             # PutX: write the data through to the home memory; the directory
             # acknowledges and transitions Modified -> Invalid (Fig. 5).
-            result.latency = self._memory_write(now, home, block, requester)
-            result.wrote_memory = True
-            self.stats.write_throughs += 1
-            directory.invalidate(block)
+            home = self._home_of_block(block)
+            self._memory_write(now, home, block, requester)
+            self.system.stats.write_throughs += 1
+            self.directories[home].invalidate(block)
         # Clean (Shared) LLC evictions are silent; the sharing vector becomes
         # a superset, which remains valid.
-        return result

@@ -93,12 +93,12 @@ class Core:
 
         Takes precomputed block/page numbers, hoists the attribute and
         property lookups of the legacy path into locals and inlines the TLB,
-        the store-buffer empty checks and the L1 hit path (the L1 is LRU in
-        every evaluated configuration, so its recency update is the same
-        intrusive move the cache itself would perform).  The sequence of
-        architectural and statistics updates is identical to ``execute`` (the
-        engine equivalence golden test asserts this), only the Python-level
-        indirection differs.
+        the store buffer's ``forwards``/``push`` and the L1 hit path (the L1
+        is LRU in every evaluated configuration, so its recency update is the
+        same intrusive move the cache itself would perform).  The sequence of
+        architectural and statistics updates is identical to ``execute``,
+        which still calls the store-buffer methods (the engine equivalence
+        tests compare the two), only the Python-level indirection differs.
         """
         time = self.time
         if gap > 0:
@@ -121,11 +121,11 @@ class Core:
         stats = socket.system.stats
         stats.instructions += 1
         store_buffer = self.store_buffer
+        entries = store_buffer._entries
 
         if is_write:
             self.stores += 1
             stats.writes += 1
-            entries = store_buffer._entries
             while entries and entries[0][0] <= time:
                 entries.popleft()
             # Inlined L1 lookup + store hit path (see _access_fast).
@@ -153,17 +153,42 @@ class Core:
                 latency, _source = socket.access_l1_missed(
                     time, self.local_index, block, True, self.thread_id
                 )
-            result = store_buffer.push(time, block, time + latency)
-            if result.stall_ns > 0:
-                stats.store_buffer_stalls += 1
-                stats.store_buffer_stall_ns += result.stall_ns
-                time += result.stall_ns
+            # Inlined StoreBuffer.push; its drain already ran above at this
+            # same time, so it would retire nothing.
+            completion = time + latency
+            if len(entries) >= store_buffer.capacity:
+                stall_ns = max(0.0, entries[0][0] - time)
+                issue_time = time + stall_ns
+                store_buffer.stalls += 1
+                store_buffer.total_stall_ns += stall_ns
+                while entries and entries[0][0] <= issue_time:
+                    entries.popleft()
+                if issue_time > completion:
+                    completion = issue_time
+                if stall_ns > 0:
+                    stats.store_buffer_stalls += 1
+                    stats.store_buffer_stall_ns += stall_ns
+                    time = issue_time
+            if entries and entries[-1][0] > completion:
+                completion = entries[-1][0]
+            entries.append((completion, block))
+            store_buffer.pushes += 1
             time += self.cycle_ns
             acc = stats.write_latency
         else:
             self.loads += 1
             stats.reads += 1
-            if store_buffer._entries and store_buffer.forwards(block, time):
+            forwarded = False
+            if entries:
+                # Inlined StoreBuffer.forwards.
+                while entries and entries[0][0] <= time:
+                    entries.popleft()
+                for _completion, pending_block in entries:
+                    if pending_block == block:
+                        store_buffer.forward_hits += 1
+                        forwarded = True
+                        break
+            if forwarded:
                 latency = socket.l1_latency_ns
                 stats.store_forward_hits += 1
             else:

@@ -459,10 +459,9 @@ class EngineContext:
             ]
             i = cursors[core_id]
             page = pages[i]
-            # Inlined AddressMapper.touch_page.
-            home = home_of_page(page, socket_id)
+            # Inlined AddressMapper.touch_page; see the heap loop below.
             if page not in touched_pages:
-                touched_pages[page] = home
+                touched_pages[page] = home_of_page(page, socket_id)
             if record_access is not None:
                 record_access(thread_id, addrs[i])
             new_time = execute_fast(blocks[i], page, writes[i], gaps[i])
@@ -512,10 +511,11 @@ class EngineContext:
             ]
             i = cursors[cid]
             page = pages[i]
-            # Inlined AddressMapper.touch_page.
-            home = home_of_page(page, socket_id)
+            # Inlined AddressMapper.touch_page.  A page already touched is
+            # already placed (its first touch passed a toucher socket), so
+            # only a first touch asks the policy.
             if page not in touched_pages:
-                touched_pages[page] = home
+                touched_pages[page] = home_of_page(page, socket_id)
             if record_access is not None:
                 record_access(thread_id, addrs[i])
             new_time = execute_fast(blocks[i], page, writes[i], gaps[i])

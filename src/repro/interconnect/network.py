@@ -9,7 +9,7 @@ packets.  Fig. 2's idealisations map to ``zero_latency`` (0-QPI-latency) and
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from .link import Link
 from .packet import CONTROL_PACKET_BYTES, DATA_PACKET_BYTES, MessageClass, PacketKind
@@ -44,18 +44,16 @@ class Interconnect:
             (a, b): Link(a, b, link_bandwidth_gbps, infinite_bandwidth=infinite_bandwidth)
             for a, b in topology.links()
         }
-        # Route cache: topologies are static, so the per-pair link list never
-        # changes.  The routes are resolved to Link objects directly so the
-        # hot send loop performs no per-hop dict lookups.
-        self._routes: Dict[Tuple[int, int], list] = {
-            (a, b): topology.route(a, b)
-            for a in range(topology.num_sockets)
-            for b in range(topology.num_sockets)
-        }
-        self._route_links: Dict[Tuple[int, int], list] = {
-            pair: [self._links[hop] for hop in route]
-            for pair, route in self._routes.items()
-        }
+        # Route table: topologies are static, so ``_route_table[src][dst]``
+        # holds the route's Link objects and its hop latency (hops x hop
+        # latency), resolved once so a send does no per-hop lookups.
+        self._route_table: List[List[Tuple[Tuple[Link, ...], float]]] = []
+        for a in range(topology.num_sockets):
+            row = []
+            for b in range(topology.num_sockets):
+                links = tuple(self._links[hop] for hop in topology.route(a, b))
+                row.append((links, self.hop_latency_ns * len(links)))
+            self._route_table.append(row)
         # Physical packet size per message class, precomputed so the hot path
         # never evaluates the MessageClass.kind property.
         self._packet_sizes: Dict[MessageClass, int] = {
@@ -96,8 +94,7 @@ class Interconnect:
         if src == dst:
             return 0.0
         size = self._packet_sizes[message_class]
-        links = self._route_links[(src, dst)]
-        latency = self.hop_latency_ns * len(links)
+        links, latency = self._route_table[src][dst]
         arrival = now
         for link in links:
             # Inlined Link.occupy (busy-until bandwidth accounting).
@@ -122,47 +119,6 @@ class Interconnect:
         pair[0] += size
         pair[1] += 1
         return latency
-
-    def round_trip(
-        self,
-        now: float,
-        src: int,
-        dst: int,
-        request_class: MessageClass = MessageClass.REQUEST,
-        response_class: MessageClass = MessageClass.DATA_RESPONSE,
-    ) -> float:
-        """Request/response pair between two sockets; returns total latency."""
-        if src == dst:
-            return 0.0
-        request_latency = self.send(now, src, dst, request_class)
-        response_latency = self.send(now + request_latency, dst, src, response_class)
-        return request_latency + response_latency
-
-    def broadcast(
-        self,
-        now: float,
-        src: int,
-        message_class: MessageClass = MessageClass.BROADCAST_INVALIDATION,
-        *,
-        collect_acks: bool = True,
-        ack_class: MessageClass = MessageClass.ACK,
-    ) -> float:
-        """Send a packet from ``src`` to every other socket.
-
-        Returns the time until the last destination has received the packet
-        (plus the ack collection latency when ``collect_acks``), which is the
-        completion latency of a broadcast invalidation.
-        """
-        worst = 0.0
-        for dst in range(self.num_sockets):
-            if dst == src:
-                continue
-            out_latency = self.send(now, src, dst, message_class)
-            total = out_latency
-            if collect_acks:
-                total += self.send(now + out_latency, dst, src, ack_class)
-            worst = max(worst, total)
-        return worst
 
     # -- statistics -----------------------------------------------------------
 

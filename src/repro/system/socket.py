@@ -17,7 +17,7 @@ from ..caches.dram_cache import DRAMCache
 from ..caches.miss_predictor import RegionMissPredictor
 from ..caches.sram_cache import SetAssociativeCache
 from ..coherence.local_directory import LocalDirectory, LocalDirectoryEntry
-from ..coherence.messages import MissResult, ServiceSource
+from ..coherence.messages import ServiceSource
 from ..memory.address import AddressLayout
 from ..memory.main_memory import MemoryController
 from ..stats.counters import SimulationStats
@@ -31,6 +31,13 @@ __all__ = ["Socket"]
 
 _MODIFIED = CacheBlockState.MODIFIED
 _SHARED = CacheBlockState.SHARED
+# Enum members read through the class cost a metaclass lookup each; the LLC
+# miss path compares against these once per miss.
+_LOCAL_DRAM_CACHE = ServiceSource.LOCAL_DRAM_CACHE
+_LOCAL_MEMORY = ServiceSource.LOCAL_MEMORY
+_REMOTE_MEMORY = ServiceSource.REMOTE_MEMORY
+_REMOTE_LLC = ServiceSource.REMOTE_LLC
+_REMOTE_DRAM_CACHE = ServiceSource.REMOTE_DRAM_CACHE
 
 
 class Socket:
@@ -184,45 +191,85 @@ class Socket:
                 self._local_write_update(core_index, block)
                 return latency, ServiceSource.LLC
             # Shared in the LLC: data is present but Modified permission is not.
-            result = self.protocol.write_miss(
+            miss_latency, source = self.protocol.write_miss(
                 now + latency, self.socket_id, block,
                 thread_id=thread_id, has_shared_copy=True,
             )
-            latency += result.latency
+            latency += miss_latency
             llc.set_state(block, _MODIFIED, dirty=True)
             self._local_write_update(core_index, block)
-            return latency, result.source
+            return latency, source
 
-        # LLC miss: hand the request to the global protocol.
+        # LLC miss: hand the request to the global protocol, then install the
+        # fill -- LLC, the LLC victim's eviction, L1 -- all in this frame.
         stats.llc_misses += 1
+        protocol = self.protocol
         if is_write:
-            result = self.protocol.write_miss(
+            miss_latency, source = protocol.write_miss(
                 now + latency, self.socket_id, block,
                 thread_id=thread_id, has_shared_copy=False,
             )
+            state = _MODIFIED
         else:
-            result = self.protocol.read_miss(now + latency, self.socket_id, block)
-        latency += result.latency
+            miss_latency, source = protocol.read_miss(now + latency, self.socket_id, block)
+            state = _SHARED
+        latency += miss_latency
 
-        # Inlined _record_service (one call per LLC miss saved).
-        source = result.source
-        if source is ServiceSource.LOCAL_DRAM_CACHE:
+        if source is _LOCAL_DRAM_CACHE:
             stats.served_local_dram_cache += 1
-        elif source is ServiceSource.LOCAL_MEMORY:
+        elif source is _LOCAL_MEMORY:
             stats.served_local_memory += 1
-        elif source is ServiceSource.REMOTE_MEMORY:
+        elif source is _REMOTE_MEMORY:
             stats.served_remote_memory += 1
-        elif source is ServiceSource.REMOTE_LLC:
+        elif source is _REMOTE_LLC:
             stats.served_remote_llc += 1
-        elif source is ServiceSource.REMOTE_DRAM_CACHE:
+        elif source is _REMOTE_DRAM_CACHE:
             stats.served_remote_dram_cache += 1
         acc = stats.llc_miss_latency
-        acc.total += result.latency
+        acc.total += miss_latency
         acc.count += 1
-        if result.latency > acc.maximum:
-            acc.maximum = result.latency
+        if miss_latency > acc.maximum:
+            acc.maximum = miss_latency
 
-        self._fill(now + latency, core_index, block, modified=is_write)
+        victim = llc.insert(block, state, dirty=is_write)
+        if victim is not None:
+            # Back-invalidate the victim's L1 copies (the LLC is inclusive);
+            # a dirty L1 copy makes the eviction dirty.
+            victim_block = victim.block
+            victim_dirty = victim.dirty
+            l1s = self.l1s
+            for core in self.local_directory.invalidate_block(victim_block):
+                line = l1s[core].invalidate(victim_block)
+                if line is not None and line.dirty:
+                    victim_dirty = True
+            protocol.llc_eviction(now + latency, self.socket_id, victim_block,
+                                  dirty=victim_dirty)
+
+        # The L1 fill with its local-directory bookkeeping, as in _fill_l1.
+        victim = self.l1s[core_index].insert(block, state, dirty=is_write)
+        entries = self.local_directory._entries
+        entry = entries.get(block)
+        if entry is None:
+            entry = entries[block] = LocalDirectoryEntry(block=block)
+        entry.sharers.add(core_index)
+        if is_write:
+            entry.owner = core_index
+        elif entry.owner == core_index:
+            entry.owner = None
+        if victim is not None:
+            victim_block = victim.block
+            victim_entry = entries.get(victim_block)
+            if victim_entry is not None:
+                victim_entry.sharers.discard(core_index)
+                if victim_entry.owner == core_index:
+                    victim_entry.owner = None
+                if not victim_entry.sharers:
+                    del entries[victim_block]
+            if victim.dirty:
+                # Write the L1 victim's data back into the (inclusive) LLC.
+                llc_line = llc.peek(victim_block)
+                if llc_line is not None:
+                    llc_line.dirty = True
         return latency, source
 
     def access_functional(self, core_index: int, block: int, is_write: bool,
@@ -340,16 +387,9 @@ class Socket:
                 if llc_line is not None:
                     llc_line.dirty = True
 
-    def _fill(self, now: float, core_index: int, block: int, *, modified: bool) -> None:
-        """Install a fill returned by the global protocol into LLC + L1."""
-        state = _MODIFIED if modified else _SHARED
-        victim = self.llc.insert(block, state, dirty=modified)
-        if victim is not None:
-            self._handle_llc_victim(now, victim.block, victim.dirty)
-        self._fill_l1(core_index, block, modified=modified)
-
     def _fill_functional(self, core_index: int, block: int, *, modified: bool) -> None:
-        """State-only :meth:`_fill`: victims go to the protocol's functional mirror."""
+        """State-only LLC + L1 fill of :meth:`access_l1_missed`: victims go to
+        the protocol's functional mirror."""
         state = _MODIFIED if modified else _SHARED
         victim = self.llc.insert(block, state, dirty=modified)
         if victim is not None:
@@ -364,16 +404,6 @@ class Socket:
                 self.socket_id, victim_block, dirty=victim_dirty
             )
         self._fill_l1(core_index, block, modified=modified)
-
-    def _handle_llc_victim(self, now: float, victim_block: int, dirty: bool) -> None:
-        """Back-invalidate L1 copies of the victim and hand it to the protocol."""
-        cores_with_copy = self.local_directory.invalidate_block(victim_block)
-        victim_dirty = dirty
-        for core in cores_with_copy:
-            line = self.l1s[core].invalidate(victim_block)
-            if line is not None and line.dirty:
-                victim_dirty = True
-        self.protocol.llc_eviction(now, self.socket_id, victim_block, dirty=victim_dirty)
 
     # ------------------------------------------------------------------
     # Entry points used by the global protocols on remote sockets
@@ -410,25 +440,6 @@ class Socket:
                 was_dirty = True
             self.llc.downgrade(block)
         return was_dirty
-
-    # ------------------------------------------------------------------
-    # Statistics plumbing
-    # ------------------------------------------------------------------
-
-    def _record_service(self, result: MissResult) -> None:
-        stats = self.system.stats
-        source = result.source
-        if source is ServiceSource.LOCAL_DRAM_CACHE:
-            stats.served_local_dram_cache += 1
-        elif source is ServiceSource.LOCAL_MEMORY:
-            stats.served_local_memory += 1
-        elif source is ServiceSource.REMOTE_MEMORY:
-            stats.served_remote_memory += 1
-        elif source is ServiceSource.REMOTE_LLC:
-            stats.served_remote_llc += 1
-        elif source is ServiceSource.REMOTE_DRAM_CACHE:
-            stats.served_remote_dram_cache += 1
-        stats.llc_miss_latency.add(result.latency)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         dram = "+DRAM$" if self.dram_cache is not None else ""

@@ -1,20 +1,8 @@
-"""Tests for the coherence message/result vocabulary and protocol metadata."""
+"""Tests for the coherence vocabulary and protocol metadata."""
 
-from repro.coherence.messages import (
-    CoherenceRequestType,
-    EvictionResult,
-    MissResult,
-    ServiceSource,
-)
+from repro.coherence.messages import ServiceSource
 
 from ..conftest import tiny_system
-
-
-def test_request_type_write_flag():
-    assert CoherenceRequestType.GETX.is_write
-    assert CoherenceRequestType.UPGRADE.is_write
-    assert not CoherenceRequestType.GETS.is_write
-    assert not CoherenceRequestType.PUTX.is_write
 
 
 def test_service_source_classification():
@@ -24,23 +12,6 @@ def test_service_source_classification():
     assert ServiceSource.LOCAL_MEMORY.is_memory
     assert ServiceSource.REMOTE_MEMORY.is_memory
     assert not ServiceSource.LLC.is_memory
-
-
-def test_miss_result_off_socket_property():
-    result = MissResult(
-        latency=10.0, source=ServiceSource.REMOTE_LLC,
-        request_type=CoherenceRequestType.GETS,
-    )
-    assert result.off_socket
-    assert result.invalidations == 0
-    assert not result.used_broadcast
-
-
-def test_eviction_result_defaults():
-    result = EvictionResult()
-    assert not result.wrote_memory
-    assert not result.inserted_in_dram_cache
-    assert result.latency == 0.0
 
 
 def test_protocol_describe_strings():

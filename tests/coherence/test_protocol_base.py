@@ -7,18 +7,6 @@ from repro.coherence.directory import DirectoryState
 from ..conftest import block_homed_at, tiny_system
 
 
-def test_home_of_and_directory_for():
-    system = tiny_system("c3d")
-    protocol = system.protocol
-    block0 = block_homed_at(system, home=0)
-    block1 = block_homed_at(system, home=1)
-    assert protocol.home_of(block0) == 0
-    assert protocol.home_of(block1) == 1
-    assert protocol.directory_for(block1) is system.directories[1]
-    assert protocol.num_sockets == 2
-    assert protocol.socket(1) is system.sockets[1]
-
-
 def test_memory_read_and_write_update_local_remote_counters():
     system = tiny_system("c3d")
     protocol = system.protocol
@@ -65,7 +53,6 @@ def test_sockets_with_copy_helpers():
 
     system.sockets[0].llc.insert(block, CacheBlockState.SHARED)
     system.sockets[1].dram_cache.insert(block)
-    assert protocol._sockets_with_onchip_copy(block) == [0]
     assert protocol._sockets_with_any_copy(block) == [0, 1]
     assert protocol._sockets_with_any_copy(block, exclude=0) == [1]
 
@@ -96,8 +83,3 @@ def test_invalidate_remote_socket_removes_all_copies_and_acks():
     assert not system.sockets[1].llc.contains(block)
     assert not system.sockets[1].dram_cache.contains(block)
     assert system.stats.invalidations_sent == 1
-
-
-def test_register_llc_fill_hook_is_a_noop_by_default():
-    system = tiny_system("c3d")
-    system.protocol._register_llc_fill(0, 1234, modified=True)  # must not raise

@@ -1,6 +1,8 @@
 """Tests for the inter-socket network (links, packets, traffic accounting)."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.interconnect.link import Link
 from repro.interconnect.network import Interconnect
@@ -55,24 +57,6 @@ def test_traffic_accounting_by_class():
     assert network.messages_by_class[MessageClass.REQUEST] == 1
 
 
-def test_round_trip_combines_request_and_response():
-    network = make_network(2, topology="p2p", hop_latency_ns=20.0)
-    latency = network.round_trip(0.0, 0, 1)
-    assert latency == pytest.approx(40.0)
-    assert network.round_trip(0.0, 1, 1) == 0.0
-
-
-def test_broadcast_reaches_every_other_socket():
-    network = make_network(4)
-    latency = network.broadcast(0.0, 0)
-    # Furthest socket on a 4-ring is 2 hops away; request + ack = 4 hops,
-    # plus a little link serialisation for packets sharing the first hop.
-    assert latency >= 4 * 20.0
-    assert latency < 4 * 20.0 + 5.0
-    assert network.messages_by_class[MessageClass.BROADCAST_INVALIDATION] == 3
-    assert network.messages_by_class[MessageClass.ACK] == 3
-
-
 def test_zero_latency_idealisation():
     network = make_network(4, zero_latency=True)
     assert network.send(0.0, 0, 2, MessageClass.REQUEST) == 0.0
@@ -112,3 +96,110 @@ def test_link_utilisation_bounds():
     utilisations = network.link_utilisations(1000.0)
     assert all(0.0 <= value <= 1.0 for value in utilisations.values())
     assert network.busiest_link_utilisation(1000.0) > 0.0
+
+
+# ----------------------------------------------------------------------
+# Interconnect.send against a hop-by-hop Link.occupy reference
+# ----------------------------------------------------------------------
+
+
+class ReferenceNetwork:
+    """The network model spelled out: one ``Link.occupy`` per hop of the route.
+
+    A packet's latency starts as hops x hop latency; each hop adds the
+    queueing delay its link charges, and the packet reaches the next link
+    at ``now`` plus the latency so far.
+    """
+
+    def __init__(self, topology, *, hop_latency_ns, link_bandwidth_gbps,
+                 zero_latency, infinite_bandwidth):
+        self.topology = topology
+        self.hop_latency_ns = 0.0 if zero_latency else hop_latency_ns
+        self.links = {
+            pair: Link(*pair, link_bandwidth_gbps, infinite_bandwidth=infinite_bandwidth)
+            for pair in topology.links()
+        }
+        self.bytes_by_class = {cls: 0 for cls in MessageClass}
+        self.messages_by_class = {cls: 0 for cls in MessageClass}
+
+    def send(self, now, src, dst, message_class):
+        if src == dst:
+            return 0.0
+        size = DATA_PACKET_BYTES if message_class.kind is PacketKind.DATA else (
+            CONTROL_PACKET_BYTES
+        )
+        route = self.topology.route(src, dst)
+        latency = self.hop_latency_ns * len(route)
+        arrival = now
+        for hop in route:
+            latency += self.links[hop].occupy(arrival, size)
+            arrival = now + latency
+        self.bytes_by_class[message_class] += size
+        self.messages_by_class[message_class] += 1
+        return latency
+
+
+def _link_state(link):
+    return (link.bytes_transferred, link.packets, link.busy_time,
+            link.busy_until, link.last_arrival)
+
+
+_TOPOLOGIES = {"ring4": lambda: RingTopology(4), "p2p2": lambda: PointToPointTopology(2)}
+
+_sends = st.lists(
+    st.tuples(
+        # Coarse, repeating times: packets collide on links, and arrive out
+        # of time order as skewed cores do.
+        st.integers(min_value=0, max_value=40).map(lambda t: t * 2.5),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from(list(MessageClass)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    topology=st.sampled_from(sorted(_TOPOLOGIES)),
+    bandwidth=st.sampled_from([0.25, 1.0, 25.6]),
+    infinite_bandwidth=st.booleans(),
+    zero_latency=st.booleans(),
+    sends=_sends,
+)
+# A ring broadcast from socket 0: the packets to sockets 1 and 2 share the
+# first hop, so the second one queues behind the first, as do their acks.
+@example(topology="ring4", bandwidth=25.6, infinite_bandwidth=False, zero_latency=False,
+         sends=[(0.0, 0, dst, MessageClass.BROADCAST_INVALIDATION) for dst in (1, 2, 3)]
+         + [(20.0, 1, 0, MessageClass.ACK), (40.0, 2, 0, MessageClass.ACK)])
+# A 2-hop packet queueing at its route's second link only.
+@example(topology="ring4", bandwidth=1.0, infinite_bandwidth=False, zero_latency=False,
+         sends=[(40.0, 1, 2, MessageClass.DATA_RESPONSE), (0.0, 0, 2, MessageClass.REQUEST)])
+def test_send_matches_hop_by_hop_link_reference(topology, bandwidth, infinite_bandwidth,
+                                                zero_latency, sends):
+    options = dict(hop_latency_ns=20.0, link_bandwidth_gbps=bandwidth,
+                   zero_latency=zero_latency, infinite_bandwidth=infinite_bandwidth)
+    topo = _TOPOLOGIES[topology]()
+    network = Interconnect(topo, **options)
+    reference = ReferenceNetwork(topo, **options)
+    for now, src, dst, message_class in sends:
+        src %= topo.num_sockets
+        dst %= topo.num_sockets
+        # Exact equality: the same float operations in the same order.
+        assert network.send(now, src, dst, message_class) == reference.send(
+            now, src, dst, message_class
+        )
+    for pair, link in reference.links.items():
+        assert _link_state(network._links[pair]) == _link_state(link)
+    assert network.bytes_by_class == reference.bytes_by_class
+    assert network.messages_by_class == reference.messages_by_class
+    assert network.bytes_sent == sum(reference.bytes_by_class.values())
+    assert network.messages_sent == sum(reference.messages_by_class.values())
+
+
+def test_send_queues_at_a_routes_second_link():
+    """0 -> 2 on a 4-ring crosses 0->1 (idle) then 1->2 (busy until 120 ns)."""
+    network = make_network(4, hop_latency_ns=20.0, link_bandwidth_gbps=1.0)
+    network.send(40.0, 1, 2, MessageClass.DATA_RESPONSE)  # 80 B at 1 B/ns
+    # Arrives at 1->2 at now + 40 ns = 40 ns and waits 80 ns for it.
+    assert network.send(0.0, 0, 2, MessageClass.REQUEST) == pytest.approx(120.0)

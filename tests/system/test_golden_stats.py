@@ -1,53 +1,57 @@
-"""Statistics-drift guard: a fixed scenario must reproduce golden counters.
+"""Statistics-drift guard: a fixed scenario must reproduce golden statistics.
 
-The checked-in golden file (``tests/golden/throughput_smoke.json``) holds the
-integer statistics of a small facesim run for the ``baseline`` and ``c3d``
-designs.  Any change to the simulation model -- caches, protocols, placement,
-trace generation, engine -- that alters behaviour shows up as a drift here
-and must be accompanied by a deliberate regeneration of the golden file
-(``python tests/golden/regen.py``).  Performance-only changes must pass
-untouched; CI runs this as part of the tier-1 suite.
+The checked-in golden file (``tests/golden/throughput_smoke.json``) holds, for
+a small prewarmed facesim run of every evaluated design (plus c3d with the
+broadcast filter), the integer counters and a sha256 of the complete
+``SimulationStats.to_json_dict()``.  Any change to the simulation model --
+caches, protocols, placement, trace generation, engine -- that alters
+behaviour shows up as a drift here and must be accompanied by a deliberate
+regeneration of the golden file (``python tests/golden/regen.py``).  The
+digest covers the floats too (latency sums and maxima, per-core finish
+times), so a latency change that moves no counter still fails.
+Performance-only changes must pass untouched; CI runs this as part of the
+tier-1 suite.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.system.config import SystemConfig
-from repro.system.numa_system import NumaSystem
-from repro.system.simulator import Simulator
-from repro.workloads.registry import make_workload
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
+GOLDEN_PATH = GOLDEN_DIR / "throughput_smoke.json"
 
-GOLDEN_PATH = Path(__file__).resolve().parent.parent / "golden" / "throughput_smoke.json"
+_spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN_DIR / "regen.py")
+regen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen)
 
 
 def load_golden():
     return json.loads(GOLDEN_PATH.read_text())
 
 
-@pytest.mark.parametrize("protocol", ["baseline", "c3d"])
-def test_statistics_match_golden(protocol):
+def test_golden_file_pins_every_case():
     golden = load_golden()
-    expected = golden["protocols"][protocol]
-    scale = golden["scale"]
-    accesses = golden["accesses_per_core"]
+    assert golden["cases"].keys() == regen.CASES.keys()
+    for name, entry in golden["cases"].items():
+        assert entry["config"] == regen.CASES[name]
 
-    config = SystemConfig.quad_socket(protocol=protocol).scaled(scale)
-    system = NumaSystem(config)
-    workload = make_workload(
-        golden["workload"], scale=scale, accesses_per_thread=accesses,
-        num_threads=config.total_cores,
+
+@pytest.mark.parametrize("case", list(regen.CASES))
+def test_statistics_match_golden(case):
+    golden = load_golden()
+    expected = golden["cases"][case]
+    result = regen.run_case(
+        expected["config"], scale=golden["scale"],
+        accesses=golden["accesses_per_core"], workload=golden["workload"],
     )
-    result = Simulator(system, workload).run(prewarm=True)
+    actual = regen.summarise(result)
 
-    actual = {}
-    for name, want in expected.items():
-        if name == "accesses_executed":
-            actual[name] = result.accesses_executed
-        elif name == "inter_socket_bytes":
-            actual[name] = result.inter_socket_bytes
-        else:
-            actual[name] = getattr(result.stats, name)
-    drift = {k: (expected[k], actual[k]) for k in expected if expected[k] != actual[k]}
-    assert not drift, f"statistics drift vs golden for {protocol}: {drift}"
+    want, got = expected["counters"], actual["counters"]
+    drift = {k: (want[k], got[k]) for k in want if want[k] != got[k]}
+    assert not drift, f"statistics drift vs golden for {case}: {drift}"
+    assert actual["stats_sha256"] == expected["stats_sha256"], (
+        f"{case}: counters match but the full statistics (latencies, finish "
+        f"times) drifted from the golden digest"
+    )

@@ -10,20 +10,24 @@ Two operating modes are supported, selected by ``clean``:
 * ``clean=False`` (snoopy / full-dir designs): modified LLC victims are
   absorbed dirty, and evicting a dirty line produces a writeback to memory.
 
-The paper's configuration is direct-mapped (``associativity=1``), stored as
-one flat ``set index -> line`` dict.  For sensitivity sweeps the cache can
+A DRAM-cache line is only a block number and a dirty bit: coherence-wise it
+is always Shared, and no replacement decision reads a use time.  So the tag
+store holds plain ints, never line objects.  The paper's configuration is
+direct-mapped (``associativity=1``), stored as one flat dict
+``set index -> block << 1 | dirty``.  For sensitivity sweeps the cache can
 also be built set-associative, in which case each set is an insertion-ordered
-dict managed as an intrusive O(1) LRU (hits move the line to the back, the
-front line is the victim) -- no victim-list allocation, mirroring
-:class:`~repro.caches.sram_cache.SetAssociativeCache`.
+``{block: dirty}`` dict managed as an intrusive O(1) LRU (hits move the block
+to the back, the front block is the victim), mirroring
+:class:`~repro.caches.sram_cache.SetAssociativeCache`.  A dict of ints is not
+tracked by the cyclic garbage collector, however many lines a prewarm fills,
+and :meth:`DRAMCache.share_fill` hands one fill to several sockets' caches by
+copying it: no line is shared between two caches.  The encoding stays inside
+this class; callers read :meth:`DRAMCache.dirty_of`,
+:meth:`DRAMCache.resident_blocks` and :meth:`DRAMCache.dirty_blocks`.
 
 The DRAM cache is *non-inclusive* with respect to the on-chip hierarchy in
 all designs (section IV-C): it never forces LLC invalidations, and LLC fills
 do not have to allocate here.
-
-Resident lines are never mutated in place: a change of a line's dirty bit
-replaces the line object.  That is what lets :meth:`DRAMCache.share_fill`
-hand one prewarm fill to several sockets' caches without copying the lines.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
-from .block import CacheBlockState, CacheLine
 from .miss_predictor import RegionMissPredictor
 
 __all__ = ["DRAMCache", "DRAMCacheProbe"]
@@ -57,9 +60,6 @@ _PROBE_MISS_BYPASS = DRAMCacheProbe(hit=False, array_accessed=False)
 _PROBE_MISS_ARRAY = DRAMCacheProbe(hit=False, array_accessed=True)
 _PROBE_HIT_CLEAN = DRAMCacheProbe(hit=True, array_accessed=True, dirty=False)
 _PROBE_HIT_DIRTY = DRAMCacheProbe(hit=True, array_accessed=True, dirty=True)
-
-#: Every DRAM-cache line is coherence-wise Shared; only its dirty bit varies.
-_SHARED = CacheBlockState.SHARED
 
 
 class DRAMCache:
@@ -91,10 +91,11 @@ class DRAMCache:
         self.associativity = associativity
         self.clean = clean
         self.miss_predictor = miss_predictor
-        # Direct-mapped storage: set index -> line.  Associative storage:
-        # set index -> insertion-ordered {block: line} (front = LRU victim).
-        self._lines: Dict[int, CacheLine] = {}
-        self._sets: Dict[int, Dict[int, CacheLine]] = {}
+        # Direct-mapped storage: set index -> block << 1 | dirty.  Associative
+        # storage: set index -> insertion-ordered {block: dirty} (front = LRU
+        # victim).
+        self._lines: Dict[int, int] = {}
+        self._sets: Dict[int, Dict[int, bool]] = {}
 
         self.hits = 0
         self.misses = 0
@@ -114,17 +115,18 @@ class DRAMCache:
     def contains(self, block: int) -> bool:
         """True if ``block`` is resident (no statistics update)."""
         if self.associativity == 1:
-            line = self._lines.get(block % self.num_sets)
-            return line is not None and line.block == block
+            tag = self._lines.get(block % self.num_sets)
+            return tag is not None and tag >> 1 == block
         cache_set = self._sets.get(block % self.num_sets)
         return cache_set is not None and block in cache_set
 
-    def peek(self, block: int) -> Optional[CacheLine]:
-        """Return the resident line for ``block`` without side effects."""
+    def dirty_of(self, block: int) -> Optional[bool]:
+        """Dirty bit of resident ``block``, or ``None`` when it is not
+        resident (no side effects)."""
         if self.associativity == 1:
-            line = self._lines.get(block % self.num_sets)
-            if line is not None and line.block == block:
-                return line
+            tag = self._lines.get(block % self.num_sets)
+            if tag is not None and tag >> 1 == block:
+                return (tag & 1) == 1
             return None
         cache_set = self._sets.get(block % self.num_sets)
         if cache_set is None:
@@ -138,9 +140,14 @@ class DRAMCache:
         DRAM array is not accessed; the caller should charge only the
         predictor latency in that case.
         """
-        # The tag is read once; the predictor's bookkeeping below neither
-        # depends on nor changes it.
-        line = self.peek(block)
+        # The tag is read once, inline; the predictor's bookkeeping below
+        # neither depends on nor changes it.  ``dirty`` is None on a miss.
+        if self.associativity == 1:
+            tag = self._lines.get(block % self.num_sets)
+            dirty = tag & 1 if tag is not None and tag >> 1 == block else None
+        else:
+            cache_set = self._sets.get(block % self.num_sets)
+            dirty = cache_set.get(block) if cache_set is not None else None
         predictor = self.miss_predictor
         if predictor is not None:
             # Inlined RegionMissPredictor.predicts_miss.
@@ -160,7 +167,7 @@ class DRAMCache:
                 else:
                     predictor.predicted_miss += 1
                     predicted_miss = True
-            if predicted_miss and line is None:
+            if predicted_miss and dirty is None:
                 self.predictor_bypasses += 1
                 self.misses += 1
                 return _PROBE_MISS_BYPASS
@@ -168,53 +175,50 @@ class DRAMCache:
             # predictor lost this region's residency information): fall
             # through to the array access so that a resident -- possibly
             # dirty -- line is never silently ignored.
-        if line is None:
+        if dirty is None:
             self.misses += 1
             return _PROBE_MISS_ARRAY
         self.hits += 1
         if self.associativity > 1:
-            # Intrusive LRU touch: move the line to the back of its set.
-            cache_set = self._sets[block % self.num_sets]
+            # Intrusive LRU touch: move the block to the back of its set.
             del cache_set[block]
-            cache_set[block] = line
-        return _PROBE_HIT_DIRTY if line.dirty else _PROBE_HIT_CLEAN
+            cache_set[block] = dirty
+        return _PROBE_HIT_DIRTY if dirty else _PROBE_HIT_CLEAN
 
     # -- mutations ------------------------------------------------------------
 
-    def insert(self, block: int, *, dirty: bool = False) -> Optional[CacheLine]:
-        """Insert ``block``, returning the displaced victim line if any.
+    def insert(self, block: int, *, dirty: bool = False) -> Optional[Tuple[int, bool]]:
+        """Insert ``block``; return the displaced victim as
+        ``(victim_block, victim_dirty)``, or ``None`` when nothing was
+        displaced.
 
         In clean mode the inserted line is always stored clean regardless of
         the ``dirty`` argument (the caller performs the memory write-through),
-        and victims never require a writeback.  The returned victim is the
-        displaced :class:`CacheLine` itself (exposing ``block``, ``state``,
-        ``dirty`` and ``needs_writeback``), avoiding a per-eviction record
-        allocation; callers only read it.  Re-inserting a resident block
-        dirty replaces its line rather than setting the bit in place.
+        and victims are never dirty.  Re-inserting a resident block keeps its
+        dirty bit and sets it when ``dirty`` is stored.
         """
         stored_dirty = dirty and not self.clean
         predictor = self.miss_predictor
         if self.associativity == 1:
             index = block % self.num_sets
             lines = self._lines
-            existing = lines.get(index)
+            tag = lines.get(index)
 
-            victim: Optional[CacheLine] = None
-            if existing is not None:
-                if existing.block == block:
-                    if stored_dirty and not existing.dirty:
-                        lines[index] = CacheLine(block, _SHARED, True)
+            victim: Optional[Tuple[int, bool]] = None
+            if tag is not None:
+                victim_block = tag >> 1
+                if victim_block == block:
+                    if stored_dirty:
+                        lines[index] = tag | 1
                     return None
-                # The displaced line itself is the victim record (it is no
-                # longer referenced by this cache, so handing it out is safe).
-                victim = existing
+                victim = (victim_block, (tag & 1) == 1)
                 self.evictions += 1
-                if existing.dirty:
+                if tag & 1:
                     self.dirty_evictions += 1
                 if predictor is not None:
-                    predictor.note_evict(existing.block)
+                    predictor.note_evict(victim_block)
 
-            lines[index] = CacheLine(block, _SHARED, stored_dirty)
+            lines[index] = block << 1 | stored_dirty
             if predictor is not None:
                 predictor.note_insert(block)
             return victim
@@ -225,19 +229,18 @@ class DRAMCache:
         existing = cache_set.pop(block, None)
         if existing is not None:
             # Re-append: the block becomes the most recently used of its set.
-            if stored_dirty and not existing.dirty:
-                existing = CacheLine(block, _SHARED, True)
-            cache_set[block] = existing
+            cache_set[block] = existing or stored_dirty
             return None
         victim = None
         if len(cache_set) >= self.associativity:
-            victim = cache_set.pop(next(iter(cache_set)))
+            victim_block = next(iter(cache_set))
+            victim = (victim_block, cache_set.pop(victim_block))
             self.evictions += 1
-            if victim.dirty:
+            if victim[1]:
                 self.dirty_evictions += 1
             if predictor is not None:
-                predictor.note_evict(victim.block)
-        cache_set[block] = CacheLine(block, _SHARED, stored_dirty)
+                predictor.note_evict(victim_block)
+        cache_set[block] = stored_dirty
         if predictor is not None:
             predictor.note_insert(block)
         return victim
@@ -247,9 +250,10 @@ class DRAMCache:
 
         Semantically identical to calling ``insert(block, dirty=False)`` for
         each block in order -- same eviction counters, same final cache and
-        predictor state -- but vectorised: contiguous ranges build their
-        lines with a C-level ``map`` and fill the tag store with one
-        ``dict.update``, and predictor presence bits are OR-ed per *region*
+        predictor state -- but vectorised: contiguous ranges fill the tag
+        store with one ``dict.update`` from a ``zip`` of set indices and
+        clean tags (``range(2 * start, 2 * stop, 2)``, as each tag is
+        ``block << 1``), and predictor presence bits are OR-ed per *region*
         instead of per block.  Falls back to a faithful per-block loop for
         non-contiguous inputs, associative organisations, wrap-around ranges
         and predictor-displacement corner cases.  Returns the number of
@@ -290,7 +294,7 @@ class DRAMCache:
 
         # Eviction accounting for set conflicts with already-resident lines,
         # in block order (rare relative to n).  ``same_block`` entries keep
-        # their existing line object (dirty bit preserved).
+        # their existing tag (dirty bit preserved).
         victims_by_region = {}
         same_block = []
         predictor = self.miss_predictor
@@ -298,24 +302,24 @@ class DRAMCache:
             evicted = []  # (inserting block, victim block), later sorted to
             # recover the per-block processing order the loop path would use.
             for index in lines.keys() & set(idx_list):
-                existing = lines[index]
+                tag = lines[index]
                 block = start + (index - start) % num_sets
-                if existing.block == block:
-                    same_block.append((index, existing, block))
+                if tag >> 1 == block:
+                    same_block.append((index, tag, block))
                     continue
                 self.evictions += 1
-                if existing.dirty:
+                if tag & 1:
                     self.dirty_evictions += 1
-                evicted.append((block, existing.block))
+                evicted.append((block, tag >> 1))
             if predictor is not None and evicted:
                 evicted.sort()
                 for block, victim_block in evicted:
                     region = (block * predictor._block_size) // predictor.region_size
                     victims_by_region.setdefault(region, []).append(victim_block)
 
-        lines.update(zip(idx_list, map(CacheLine, blocks)))
-        for index, existing, _block in same_block:
-            lines[index] = existing
+        lines.update(zip(idx_list, range(2 * start, 2 * stop, 2)))
+        for index, tag, _block in same_block:
+            lines[index] = tag
 
         if predictor is not None:
             # Blocks already resident as themselves are *not* re-inserted by
@@ -326,7 +330,7 @@ class DRAMCache:
                 bs = predictor._block_size
                 rs = predictor.region_size
                 bpr_bits = predictor._blocks_per_region
-                for _index, _existing, block in same_block:
+                for _index, _tag, block in same_block:
                     region = (block * bs) // rs
                     skipped_by_region[region] = skipped_by_region.get(region, 0) | (
                         1 << (block % bpr_bits)
@@ -377,7 +381,6 @@ class DRAMCache:
 
         lines = self._lines
         num_sets = self.num_sets
-        make_line = CacheLine
         predictor = self.miss_predictor
         if predictor is not None:
             table = predictor._table
@@ -392,22 +395,22 @@ class DRAMCache:
         count = 0
         for block in blocks:
             count += 1
-            existing = lines.get(block % num_sets)
-            if existing is not None:
-                if existing.block == block:
+            tag = lines.get(block % num_sets)
+            if tag is not None:
+                victim_block = tag >> 1
+                if victim_block == block:
                     continue
                 evictions += 1
-                if existing.dirty:
+                if tag & 1:
                     dirty_evictions += 1
                 if predictor is not None:
-                    # Inlined RegionMissPredictor.note_evict(existing.block).
-                    victim_block = existing.block
+                    # Inlined RegionMissPredictor.note_evict(victim_block).
                     region = (victim_block * block_size) // region_size
                     bits = table_get(region)
                     if bits is not None:
                         table[region] = bits & ~(1 << (victim_block % blocks_per_region))
                         move_to_end(region)
-            lines[block % num_sets] = make_line(block, _SHARED, False)
+            lines[block % num_sets] = block << 1
             if predictor is not None:
                 # Inlined RegionMissPredictor.note_insert(block).
                 region = (block * block_size) // region_size
@@ -425,37 +428,35 @@ class DRAMCache:
         self.dirty_evictions += dirty_evictions
         return count
 
-    def invalidate(self, block: int) -> Optional[CacheLine]:
-        """Remove ``block`` (e.g. on a broadcast invalidation); return the line."""
+    def invalidate(self, block: int) -> bool:
+        """Remove ``block`` (e.g. on a broadcast invalidation); return whether
+        it was resident."""
         if self.associativity == 1:
             index = block % self.num_sets
-            line = self._lines.get(index)
-            if line is None or line.block != block:
-                return None
+            tag = self._lines.get(index)
+            if tag is None or tag >> 1 != block:
+                return False
             del self._lines[index]
         else:
             cache_set = self._sets.get(block % self.num_sets)
-            line = cache_set.pop(block, None) if cache_set is not None else None
-            if line is None:
-                return None
+            if cache_set is None or cache_set.pop(block, None) is None:
+                return False
         self.invalidations += 1
         if self.miss_predictor is not None:
             self.miss_predictor.note_evict(block)
-        return line
+        return True
 
     def mark_clean(self, block: int) -> None:
-        """Clear the dirty bit of a resident block (after a writeback).
-
-        The dirty line is replaced by a clean one in the same slot (and, when
-        associative, the same LRU position).
-        """
-        line = self.peek(block)
-        if line is None or not line.dirty:
-            return
+        """Clear the dirty bit of a resident block (after a writeback), in
+        place: same slot and, when associative, the same LRU position."""
         if self.associativity == 1:
-            self._lines[block % self.num_sets] = CacheLine(block, _SHARED, False)
+            index = block % self.num_sets
+            if self._lines.get(index) == block << 1 | 1:
+                self._lines[index] = block << 1
         else:
-            self._sets[block % self.num_sets][block] = CacheLine(block, _SHARED, False)
+            cache_set = self._sets.get(block % self.num_sets)
+            if cache_set is not None and cache_set.get(block):
+                cache_set[block] = False
 
     def clear(self) -> None:
         """Drop all contents."""
@@ -497,9 +498,8 @@ class DRAMCache:
         the tag store and predictor table equal ``source``'s, in the same
         order, and the eviction and region-displacement counters have
         advanced by what the fill cost ``source``: the state a replay of the
-        same inserts would leave.  The line objects themselves are shared
-        between the two caches, which is safe because no cache mutates a
-        resident line in place.
+        same inserts would leave.  The tags are ints, so the copies share
+        nothing a later change to either cache could reach.
         """
         if not self.is_empty():
             raise ValueError(f"{self.name}: share_fill needs an empty cache")
@@ -519,18 +519,26 @@ class DRAMCache:
     def occupancy(self) -> int:
         """Number of valid resident blocks."""
         if self.associativity == 1:
-            return sum(1 for line in self._lines.values() if line.valid)
+            return len(self._lines)
         return sum(len(cache_set) for cache_set in self._sets.values())
 
     def resident_blocks(self) -> Iterator[int]:
-        """Iterate over resident block numbers."""
+        """Resident block numbers, in tag-store order (set by set, each
+        associative set LRU first)."""
         if self.associativity == 1:
-            for line in self._lines.values():
-                if line.valid:
-                    yield line.block
-        else:
-            for cache_set in self._sets.values():
-                yield from cache_set.keys()
+            return (tag >> 1 for tag in self._lines.values())
+        return (block for cache_set in self._sets.values() for block in cache_set)
+
+    def dirty_blocks(self) -> Iterator[int]:
+        """Resident dirty block numbers, in tag-store order."""
+        if self.associativity == 1:
+            return (tag >> 1 for tag in self._lines.values() if tag & 1)
+        return (
+            block
+            for cache_set in self._sets.values()
+            for block, dirty in cache_set.items()
+            if dirty
+        )
 
     @property
     def accesses(self) -> int:

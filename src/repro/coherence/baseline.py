@@ -35,7 +35,7 @@ class BaselineProtocol(GlobalCoherenceProtocol):
 
         latency = self._net_send(now, requester, home, MessageClass.REQUEST)
         latency += directory.latency_ns
-        self.system.stats.directory_lookups += 1
+        self.stats.directory_lookups += 1
         entry = directory.lookup(block)
 
         if (
@@ -77,7 +77,7 @@ class BaselineProtocol(GlobalCoherenceProtocol):
 
         latency = self._net_send(now, requester, home, MessageClass.REQUEST)
         latency += directory.latency_ns
-        self.system.stats.directory_lookups += 1
+        self.stats.directory_lookups += 1
         entry = directory.lookup(block)
 
         if (
@@ -114,7 +114,7 @@ class BaselineProtocol(GlobalCoherenceProtocol):
 
         directory.set_modified(block, requester)
         if has_shared_copy:
-            self.system.stats.upgrades += 1
+            self.stats.upgrades += 1
         return latency, source
 
     # ------------------------------------------------------------------

@@ -52,7 +52,7 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
         latency = local_latency
         latency += send(now + latency, requester, home, MessageClass.REQUEST)
         latency += directory.latency_ns
-        self.system.stats.directory_lookups += 1
+        self.stats.directory_lookups += 1
         entry = directory.lookup(block)
 
         if (
@@ -95,14 +95,13 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
         if owner_socket.llc.contains(block):
             probe = owner_socket.llc_latency_ns
             was_dirty = owner_socket.downgrade_block(block)
-            self.system.stats.downgrades += 1
+            self.stats.downgrades += 1
         else:
             # The dirty copy lives in the owner's DRAM cache (Fig. 4 path).
             probe = owner_socket.dram_cache_latency_ns
             dram_cache = owner_socket.dram_cache
-            line = dram_cache.peek(block) if dram_cache is not None else None
-            was_dirty = bool(line is not None and line.dirty)
-            if line is not None:
+            was_dirty = dram_cache is not None and bool(dram_cache.dirty_of(block))
+            if was_dirty:
                 dram_cache.mark_clean(block)
         if was_dirty:
             self._memory_write(now + forward + probe, home, block, owner)
@@ -130,7 +129,7 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
         home = self._home_of_block(block)
         directory = self.directories[home]
         send = self._net_send
-        stats = self.system.stats
+        stats = self.stats
         latency = local_latency
         latency += send(now + latency, requester, home, MessageClass.REQUEST)
         latency += directory.latency_ns

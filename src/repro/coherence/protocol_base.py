@@ -28,7 +28,8 @@ no per-miss result object is built.  All latencies are in nanoseconds and
 describe the critical path of the transaction as seen by the requesting
 socket.  Traffic and memory accesses are accounted on the shared
 :class:`~repro.stats.counters.SimulationStats`, always read as
-``self.system.stats`` because warm-up and fast-forward swap that object.
+``self.stats`` at the time of use: warm-up and fast-forward swap that object,
+and assigning ``NumaSystem.stats`` re-points ``self.stats``.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .directory import DirectoryState, GlobalDirectory
 from .messages import ServiceSource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance for type checkers only
+    from ..stats.counters import SimulationStats
     from ..system.numa_system import NumaSystem
     from ..system.socket import Socket
 
@@ -62,7 +64,11 @@ class GlobalCoherenceProtocol(ABC):
     tracks_dram_cache_in_directory: bool = False
 
     def __init__(self, system: "NumaSystem") -> None:
-        self.system = system
+        #: A weak proxy to the machine, set by ``NumaSystem._link``: the
+        #: system owns the protocol, not the other way round.
+        self.system: Optional["NumaSystem"] = None
+        #: The machine's current counters, re-pointed by ``NumaSystem.stats``.
+        self.stats: Optional[SimulationStats] = None
         self.sockets: List["Socket"] = system.sockets
         self.interconnect = system.interconnect
         self.mapper = system.mapper
@@ -150,7 +156,7 @@ class GlobalCoherenceProtocol(ABC):
         requesting socket for the Table I / Fig. 8 statistics.
         """
         latency = self.sockets[home].memory.read_fast(now, block)
-        stats = self.system.stats
+        stats = self.stats
         if home == requester:
             stats.memory_reads_local += 1
         else:
@@ -165,7 +171,7 @@ class GlobalCoherenceProtocol(ABC):
         """
         transfer = self.interconnect.send(now, requester, home, MessageClass.WRITEBACK)
         latency = self.sockets[home].memory.write_fast(now + transfer, block)
-        stats = self.system.stats
+        stats = self.stats
         if home == requester:
             stats.memory_writes_local += 1
         else:
@@ -193,7 +199,7 @@ class GlobalCoherenceProtocol(ABC):
         probe = sock.dram_cache.probe(block)
         if probe.array_accessed:
             latency += sock.dram_cache_latency_ns
-        stats = self.system.stats
+        stats = self.stats
         if probe.hit:
             stats.dram_cache_hits += 1
         else:
@@ -206,14 +212,17 @@ class GlobalCoherenceProtocol(ABC):
         if sock.dram_cache is None:
             return
         victim = sock.dram_cache.insert(block, dirty=dirty)
-        if victim is not None and victim.dirty:
+        if victim is None:
+            return
+        victim_block, victim_dirty = victim
+        if victim_dirty:
             # A dirty DRAM-cache victim must reach its home memory
             # (only possible in the non-clean designs).
-            victim_home = self._home_of_block(victim.block)
-            self._memory_write(now, victim_home, victim.block, socket_id)
-            self._on_dram_cache_dirty_victim(victim.block, socket_id)
-        elif victim is not None:
-            self._on_dram_cache_clean_victim(victim.block, socket_id)
+            victim_home = self._home_of_block(victim_block)
+            self._memory_write(now, victim_home, victim_block, socket_id)
+            self._on_dram_cache_dirty_victim(victim_block, socket_id)
+        else:
+            self._on_dram_cache_clean_victim(victim_block, socket_id)
 
     def _on_dram_cache_dirty_victim(self, block: int, socket_id: int) -> None:
         """Directory bookkeeping hook for a dirty DRAM-cache eviction."""
@@ -247,7 +256,7 @@ class GlobalCoherenceProtocol(ABC):
         send = self._net_send
         forward = send(now, home, owner, MessageClass.FORWARD)
         probe = owner_socket.llc_latency_ns
-        stats = self.system.stats
+        stats = self.stats
         if downgrade:
             was_dirty = owner_socket.downgrade_block(block)
             stats.downgrades += 1
@@ -281,7 +290,7 @@ class GlobalCoherenceProtocol(ABC):
             probe = max(probe, target_socket.llc_latency_ns)
         target_socket.invalidate_onchip(block)
         ack = send(now + out + probe, target, home, MessageClass.ACK)
-        self.system.stats.invalidations_sent += 1
+        self.stats.invalidations_sent += 1
         return out + probe + ack
 
     def _sockets_with_any_copy(self, block: int, exclude: Optional[int] = None) -> List[int]:

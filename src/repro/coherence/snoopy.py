@@ -54,7 +54,7 @@ class SnoopyProtocol(GlobalCoherenceProtocol):
         """
         target_socket = self.sockets[target]
         send = self._net_send
-        stats = self.system.stats
+        stats = self.stats
         out = send(now, requester, target, MessageClass.SNOOP)
         # The snoop filter (the baseline's directory structure) only covers
         # the on-chip caches -- it cannot possibly track the GB-scale DRAM
@@ -68,7 +68,7 @@ class SnoopyProtocol(GlobalCoherenceProtocol):
         data_source: Optional[ServiceSource] = None
 
         llc_line = target_socket.llc.peek(block)
-        dram_line = dram_cache.peek(block) if dram_cache is not None else None
+        dram_dirty = dram_cache.dirty_of(block) if dram_cache is not None else None
 
         if llc_line is not None:
             probe += target_socket.llc_latency_ns
@@ -82,16 +82,15 @@ class SnoopyProtocol(GlobalCoherenceProtocol):
                     self._memory_write(now + out + probe, home, block, target)
             elif invalidate:
                 target_socket.invalidate_onchip(block)
-        elif dram_line is not None:
-            if dram_line.dirty:
-                data_source = ServiceSource.REMOTE_DRAM_CACHE
-                if not invalidate:
-                    # Keep a clean copy and make memory valid again.
-                    dram_cache.mark_clean(block)
-                    self._memory_write(now + out + probe, home, block, target)
+        elif dram_dirty:
+            data_source = ServiceSource.REMOTE_DRAM_CACHE
+            if not invalidate:
+                # Keep a clean copy and make memory valid again.
+                dram_cache.mark_clean(block)
+                self._memory_write(now + out + probe, home, block, target)
 
         if invalidate:
-            if dram_line is not None and dram_cache is not None:
+            if dram_dirty is not None:
                 dram_cache.invalidate(block)
             target_socket.invalidate_onchip(block)
             stats.invalidations_sent += 1
@@ -186,7 +185,7 @@ class SnoopyProtocol(GlobalCoherenceProtocol):
                       else ServiceSource.REMOTE_MEMORY)
 
         total = local_latency + max(memory_latency, snoop_latency)
-        stats = self.system.stats
+        stats = self.stats
         stats.broadcasts += 1
         if has_shared_copy:
             stats.upgrades += 1

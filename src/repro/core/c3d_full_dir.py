@@ -80,7 +80,7 @@ class C3DFullDirectoryProtocol(C3DProtocol):
         home = self._home_of_block(block)
         directory = self.directories[home]
         send = self._net_send
-        stats = self.system.stats
+        stats = self.stats
         latency = local_latency
         latency += send(now + latency, requester, home, MessageClass.REQUEST)
         latency += directory.latency_ns
@@ -139,7 +139,7 @@ class C3DFullDirectoryProtocol(C3DProtocol):
             home = self._home_of_block(block)
             directory = self.directories[home]
             self._memory_write(now, home, block, requester)
-            self.system.stats.write_throughs += 1
+            self.stats.write_throughs += 1
             # Modified -> Shared on write-back: the (clean) copy retained in
             # the DRAM cache keeps the socket in the sharing vector.
             if dram_cache is not None and dram_cache.contains(block):

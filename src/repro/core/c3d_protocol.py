@@ -64,7 +64,7 @@ class C3DProtocol(GlobalCoherenceProtocol):
         # Fast local hit: a read hit in the local DRAM cache completes with no
         # messages to remote sockets (first bullet of section IV-B summary).
         # (Inlined _probe_local_dram_cache: this is the hottest C3D path.)
-        stats = self.system.stats
+        stats = self.stats
         sock = self.sockets[requester]
         dram_cache = sock.dram_cache
         local_latency = 0.0
@@ -128,7 +128,7 @@ class C3DProtocol(GlobalCoherenceProtocol):
         """
         worst = 0.0
         send = self._net_send
-        stats = self.system.stats
+        stats = self.stats
         sockets = self.sockets
         broadcast_class = MessageClass.BROADCAST_INVALIDATION
         ack_class = MessageClass.ACK
@@ -163,7 +163,7 @@ class C3DProtocol(GlobalCoherenceProtocol):
         thread_id: int = 0,
         has_shared_copy: bool = False,
     ) -> Tuple[float, ServiceSource]:
-        stats = self.system.stats
+        stats = self.stats
         local_hit = False
         local_latency = 0.0
         if not has_shared_copy:
@@ -361,7 +361,7 @@ class C3DProtocol(GlobalCoherenceProtocol):
             # acknowledges and transitions Modified -> Invalid (Fig. 5).
             home = self._home_of_block(block)
             self._memory_write(now, home, block, requester)
-            self.system.stats.write_throughs += 1
+            self.stats.write_throughs += 1
             self.directories[home].invalidate(block)
         # Clean (Shared) LLC evictions are silent; the sharing vector becomes
         # a superset, which remains valid.

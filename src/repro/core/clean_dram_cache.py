@@ -72,8 +72,7 @@ class CleanWriteThroughPolicy:
     @staticmethod
     def validate_cache(cache: DRAMCache) -> bool:
         """Check the clean invariant: no resident line is dirty."""
-        return all(not line.dirty for line in (cache.peek(b) for b in cache.resident_blocks())
-                   if line is not None)
+        return next(cache.dirty_blocks(), None) is None
 
 
 class DirtyVictimCachePolicy:

@@ -118,7 +118,7 @@ class Core:
             tlb_pages[page] = None
         self.instructions += 1
         socket = self.socket
-        stats = socket.system.stats
+        stats = socket.stats
         stats.instructions += 1
         store_buffer = self.store_buffer
         entries = store_buffer._entries

@@ -66,11 +66,11 @@ class SimulationResult:
 def scratch_stats(system: "NumaSystem"):
     """Swap the system statistics for a throw-away object, then restore.
 
-    Everything in the machine reaches the counters through ``system.stats``
-    dynamically (sockets, cores and protocols all read the attribute per
-    access), so a swap is a complete measurement blackout: warm-up windows
-    advance every architectural and timing structure while the measured
-    counters stay untouched.
+    Assigning ``system.stats`` re-points the reference every socket and the
+    protocol read per access (cores read their socket's), so a swap is a
+    complete measurement blackout: warm-up windows advance every
+    architectural and timing structure while the measured counters stay
+    untouched.
     """
     real = system.stats
     system.stats = SimulationStats()
@@ -100,26 +100,26 @@ def functional_timing(system: "NumaSystem"):
     def _zero_memory(now, block):
         return 0.0
 
-    interconnect = system.interconnect
-    protocol = system.protocol
-    saved_send = interconnect.send
-    saved_protocol_send = protocol._net_send
-    interconnect.send = _zero_send
-    protocol._net_send = _zero_send
-    saved_memory = []
+    stubs = [(system.interconnect, "send", _zero_send),
+             (system.protocol, "_net_send", _zero_send)]
     for sock in system.sockets:
-        memory = sock.memory
-        saved_memory.append((memory, memory.read_fast, memory.write_fast))
-        memory.read_fast = _zero_memory
-        memory.write_fast = _zero_memory
+        stubs.append((sock.memory, "read_fast", _zero_memory))
+        stubs.append((sock.memory, "write_fast", _zero_memory))
+    # Restore what each instance itself held: an instance attribute (a
+    # wrapper someone installed, the protocol's cached ``send``) goes back,
+    # and a method that came from the class is un-shadowed.  Pinning the
+    # bound method on its own instance instead would make a reference cycle.
+    saved = [(obj, attr, vars(obj).get(attr)) for obj, attr, _stub in stubs]
+    for obj, attr, stub in stubs:
+        setattr(obj, attr, stub)
     try:
         yield
     finally:
-        interconnect.send = saved_send
-        protocol._net_send = saved_protocol_send
-        for memory, read_fast, write_fast in saved_memory:
-            memory.read_fast = read_fast
-            memory.write_fast = write_fast
+        for obj, attr, value in saved:
+            if value is None:
+                delattr(obj, attr)
+            else:
+                setattr(obj, attr, value)
 
 
 class EngineContext:

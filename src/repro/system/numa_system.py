@@ -4,14 +4,29 @@
 complete simulated machine and exposes the pieces the simulation driver and
 the experiments need.  The coherence design is selected by name through
 :data:`PROTOCOL_REGISTRY`.
+
+The machine graph is acyclic.  ``NumaSystem`` holds strong references down
+to its sockets, protocol, cores, directories and interconnect; the links
+that point back up (``Socket.system``, ``GlobalCoherenceProtocol.system``)
+or across to the protocol (``Socket.protocol``) are ``weakref.proxy``
+objects, set in :meth:`NumaSystem._link`.  A machine its caller drops is
+therefore freed by reference counting as soon as the last reference goes,
+instead of waiting for a full pass of the cyclic garbage collector.  The
+counters are not read through those weak links: each socket and the
+protocol hold the current :class:`SimulationStats` themselves, re-pointed
+whenever ``NumaSystem.stats`` is assigned, so the per-access reads take no
+proxy hop.
 """
 
 from __future__ import annotations
 
+import copy
+import weakref
 from typing import Dict, List, Optional, Type
 
+from ..caches.block import CacheBlockState
 from ..coherence.baseline import BaselineProtocol
-from ..coherence.directory import GlobalDirectory
+from ..coherence.directory import DirectoryState, GlobalDirectory
 from ..coherence.full_directory import FullDirectoryProtocol
 from ..coherence.protocol_base import GlobalCoherenceProtocol
 from ..coherence.snoopy import SnoopyProtocol
@@ -45,7 +60,7 @@ class NumaSystem:
 
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
-        self.stats = SimulationStats()
+        self._stats = SimulationStats()
         self.layout = AddressLayout(config.block_size, config.page_size)
         self.policy = make_policy(config.allocation_policy, config.num_sockets)
         self.mapper = AddressMapper(self.policy, self.layout)
@@ -83,8 +98,7 @@ class NumaSystem:
             )
         else:
             self.protocol = protocol_cls(self)
-        for sock in self.sockets:
-            sock.protocol = self.protocol
+        self._link()
 
         self.cores: List[Core] = [
             Core(
@@ -97,6 +111,54 @@ class NumaSystem:
             )
             for core_id in range(config.total_cores)
         ]
+
+    def _link(self) -> None:
+        """Point the sockets and the protocol back at this machine, weakly,
+        and hand them the current counters.
+
+        One proxy to the system and one to the protocol serve every link.
+        """
+        system = weakref.proxy(self)
+        protocol = weakref.proxy(self.protocol)
+        self.protocol.system = system
+        for sock in self.sockets:
+            sock.system = system
+            sock.protocol = protocol
+        self.stats = self._stats
+
+    @property
+    def stats(self) -> SimulationStats:
+        """The counters every component records into.
+
+        Warm-up, fast-forward and :meth:`reset_measurement` swap the object.
+        Assigning it re-points each socket's and the protocol's own
+        ``stats``, which the hot paths read instead of a weak hop up to the
+        system (cores read their socket's).
+        """
+        return self._stats
+
+    @stats.setter
+    def stats(self, stats: SimulationStats) -> None:
+        self._stats = stats
+        self.protocol.stats = stats
+        for sock in self.sockets:
+            sock.stats = stats
+
+    def __deepcopy__(self, memo: dict) -> "NumaSystem":
+        """Copy the machine and link the copy to itself.
+
+        Deep-copying a ``weakref.proxy`` would copy its referent as a
+        second, separate object, so the proxies are kept out of the copy
+        (the memo maps them to ``None``) and :meth:`_link` sets the copy's
+        links afterwards.
+        """
+        for link in (self.protocol.system, *(sock.protocol for sock in self.sockets)):
+            memo[id(link)] = None
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        clone.__dict__.update(copy.deepcopy(self.__dict__, memo))
+        clone._link()
+        return clone
 
     # ------------------------------------------------------------------
     # Convenience accessors
@@ -148,12 +210,16 @@ class NumaSystem:
         violations: List[str] = []
 
         # SWMR at socket granularity: at most one socket holds a block Modified.
+        # One pass over each tag store, states compared by identity (an enum
+        # member's ``.value`` is a property call): this runs after every point
+        # of a sweep.
+        modified = CacheBlockState.MODIFIED
         modified_holders: Dict[int, List[int]] = {}
         for sock in self.sockets:
-            for block in sock.llc.resident_blocks():
-                line = sock.llc.peek(block)
-                if line is not None and line.state.value == "M":
-                    modified_holders.setdefault(block, []).append(sock.socket_id)
+            for cache_set in sock.llc._sets.values():
+                for block, line in cache_set.items():
+                    if line.state is modified:
+                        modified_holders.setdefault(block, []).append(sock.socket_id)
         for block, holders in modified_holders.items():
             if len(holders) > 1:
                 violations.append(
@@ -175,20 +241,19 @@ class NumaSystem:
             for sock in self.sockets:
                 if sock.dram_cache is None:
                     continue
-                for block in sock.dram_cache.resident_blocks():
-                    line = sock.dram_cache.peek(block)
-                    if line is not None and line.dirty:
-                        violations.append(
-                            f"dirty line {block:#x} in clean DRAM cache of socket "
-                            f"{sock.socket_id}"
-                        )
+                for block in sock.dram_cache.dirty_blocks():
+                    violations.append(
+                        f"dirty line {block:#x} in clean DRAM cache of socket "
+                        f"{sock.socket_id}"
+                    )
 
         # Directory Modified entries must point at a socket that actually holds
         # the block: on chip for the clean/no-DRAM-cache designs, on chip or in
         # the DRAM cache for the dirty-DRAM-cache designs (full-dir).
+        directory_modified = DirectoryState.MODIFIED
         for directory in self.directories:
             for entry in directory.entries():
-                if entry.state.value == "M":
+                if entry.state is directory_modified:
                     owner = entry.owner
                     has_copy = False
                     if owner is not None:

@@ -53,8 +53,13 @@ class Socket:
     ) -> None:
         self.socket_id = socket_id
         self.config = config
-        self.system = system
         self.layout: AddressLayout = system.layout
+        #: Weak proxies to the machine and to its protocol, set by
+        #: ``NumaSystem._link``: the socket owns neither.
+        self.system: Optional["NumaSystem"] = None
+        self.protocol: Optional["GlobalCoherenceProtocol"] = None
+        #: The machine's current counters, re-pointed by ``NumaSystem.stats``.
+        self.stats: Optional[SimulationStats] = None
 
         # -- latencies (ns) -------------------------------------------------
         self.l1_latency_ns = config.l1.latency_ns
@@ -113,8 +118,6 @@ class Socket:
             infinite_bandwidth=config.memory.infinite_bandwidth,
         )
 
-        #: Set by the system after the protocol is constructed.
-        self.protocol: Optional["GlobalCoherenceProtocol"] = None
         self._core_ids = [
             socket_id * config.cores_per_socket + i for i in range(config.cores_per_socket)
         ]
@@ -122,10 +125,6 @@ class Socket:
     # ------------------------------------------------------------------
     # Identity helpers
     # ------------------------------------------------------------------
-
-    @property
-    def stats(self) -> SimulationStats:
-        return self.system.stats
 
     @property
     def core_ids(self) -> List[int]:
@@ -150,7 +149,7 @@ class Socket:
         path of the access and ``source`` identifies which level ultimately
         provided the data (or write permission).
         """
-        stats = self.system.stats
+        stats = self.stats
         l1_line = self.l1s[core_index].lookup(block)
 
         if l1_line is not None and (not is_write or l1_line.state is _MODIFIED):
@@ -174,7 +173,7 @@ class Socket:
         has already performed the L1 lookup (recency + cache and stats hit
         accounting).
         """
-        stats = self.system.stats
+        stats = self.stats
         # LLC level (local directory consulted in parallel with the tag check).
         latency = self.l1_latency_ns + self.local_directory.latency_ns
         llc = self.llc

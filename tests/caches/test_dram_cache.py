@@ -1,5 +1,7 @@
 """Tests for the direct-mapped DRAM cache (clean and dirty modes)."""
 
+import gc
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -32,7 +34,7 @@ def test_direct_mapped_conflict_eviction():
     cache = make_cache(size=1024)
     cache.insert(0)
     victim = cache.insert(16)  # same set
-    assert victim is not None and victim.block == 0
+    assert victim == (0, False)
     assert not cache.contains(0)
     assert cache.contains(16)
 
@@ -40,43 +42,77 @@ def test_direct_mapped_conflict_eviction():
 def test_clean_mode_never_stores_dirty():
     cache = make_cache(clean=True)
     cache.insert(5, dirty=True)
-    assert not cache.peek(5).dirty
+    assert cache.dirty_of(5) is False
     # Clean victims never require a write-back.
     victim = cache.insert(5 + cache.num_sets, dirty=True)
-    assert victim is not None and not victim.needs_writeback
+    assert victim == (5, False)
 
 
 def test_dirty_mode_stores_and_reports_dirty_victims():
     cache = make_cache(clean=False)
     cache.insert(5, dirty=True)
-    assert cache.peek(5).dirty
+    assert cache.dirty_of(5) is True
     victim = cache.insert(5 + cache.num_sets)
-    assert victim.needs_writeback
+    assert victim == (5, True)
     assert cache.dirty_evictions == 1
 
 
 def test_reinsert_same_block_keeps_dirty_bit():
     cache = make_cache(clean=False)
     cache.insert(5, dirty=True)
-    cache.insert(5, dirty=False)
-    assert cache.peek(5).dirty
+    assert cache.insert(5, dirty=False) is None
+    assert cache.dirty_of(5) is True
 
 
 def test_invalidate():
     cache = make_cache()
     cache.insert(9)
-    line = cache.invalidate(9)
-    assert line is not None
+    assert cache.invalidate(9) is True
     assert not cache.contains(9)
+    assert cache.dirty_of(9) is None
     assert cache.invalidations == 1
-    assert cache.invalidate(9) is None
+    assert cache.invalidate(9) is False
+    assert cache.invalidate(9 + cache.num_sets) is False  # same set, other block
+    assert cache.invalidations == 1
 
 
 def test_mark_clean():
     cache = make_cache(clean=False)
     cache.insert(4, dirty=True)
     cache.mark_clean(4)
-    assert not cache.peek(4).dirty
+    assert cache.dirty_of(4) is False
+    cache.mark_clean(4 + cache.num_sets)  # not resident: no effect
+    assert cache.dirty_of(4) is False and cache.dirty_of(4 + cache.num_sets) is None
+
+
+@pytest.mark.parametrize("associativity", [1, 2])
+def test_dirty_of_and_dirty_blocks(associativity):
+    cache = DRAMCache(64 * 8 * associativity, associativity=associativity, clean=False)
+    assert cache.dirty_of(3) is None
+    cache.insert(3, dirty=True)
+    cache.insert(4)
+    cache.insert(13, dirty=True)
+    assert cache.dirty_of(3) is True and cache.dirty_of(4) is False
+    assert cache.dirty_of(3 + 8 * 16) is None  # same set, not resident
+    assert sorted(cache.dirty_blocks()) == [3, 13]
+    assert sorted(cache.resident_blocks()) == [3, 4, 13]
+    cache.mark_clean(13)
+    assert list(cache.dirty_blocks()) == [3]
+
+
+def test_direct_mapped_tag_store_is_not_tracked_by_the_collector():
+    """A prewarm-sized fill and its shared copy hold no object the cyclic
+    garbage collector tracks."""
+    predictor = RegionMissPredictor(entries=64, region_size=4096)
+    source = DRAMCache(64 * 1024, clean=False, miss_predictor=predictor)
+    source.bulk_insert_clean(range(100, 900))
+    source.insert(5, dirty=True)
+    copy = DRAMCache(64 * 1024, clean=False,
+                     miss_predictor=RegionMissPredictor(entries=64, region_size=4096))
+    copy.share_fill(source, (0, 0))
+    for cache in (source, copy):
+        assert cache.occupancy() == 801
+        assert not gc.is_tracked(cache._lines)
 
 
 def test_predictor_skips_array_on_confident_miss():
@@ -123,17 +159,24 @@ def test_clean_cache_invariant_holds_under_any_insertion_sequence(blocks, dirty)
     cache = DRAMCache(1024, clean=True)
     for block in blocks:
         cache.insert(block, dirty=dirty)
-    assert all(not cache.peek(b).dirty for b in cache.resident_blocks())
+    assert all(cache.dirty_of(b) is False for b in cache.resident_blocks())
+    assert list(cache.dirty_blocks()) == []
     assert cache.occupancy() <= cache.num_sets
+
+
+def tag_snapshot(cache):
+    """``(set index, block, dirty)`` of every resident line, in tag-store
+    order (set by set, each associative set LRU first), read through the
+    public queries so it does not depend on how tags are stored."""
+    return [(cache.set_index(block), block, cache.dirty_of(block))
+            for block in cache.resident_blocks()]
 
 
 def cache_state(cache):
     """Tags (in storage order), eviction counters and predictor LRU table."""
     predictor = cache.miss_predictor
     return (
-        [(index, line.block, line.state, line.dirty) for index, line in cache._lines.items()],
-        [(index, [(block, line.dirty) for block, line in lines.items()])
-         for index, lines in cache._sets.items()],
+        tag_snapshot(cache),
         cache.evictions,
         cache.dirty_evictions,
         None if predictor is None else (list(predictor._table.items()),
@@ -218,25 +261,28 @@ def test_shared_fill_equals_a_replayed_fill(associativity):
 
 @pytest.mark.parametrize("associativity", [1, 2])
 def test_shared_line_is_unchanged_by_the_other_cache(associativity):
-    """Two sockets' caches hold one line object after ``share_fill``: an
-    ``insert``, ``mark_clean`` or ``invalidate`` of that block through one
-    cache leaves the other's line as it was."""
+    """After ``share_fill`` two sockets' caches hold the same lines: an
+    ``insert``, ``mark_clean`` or ``invalidate`` of a block through one
+    cache leaves the other's blocks and dirty bits as they were."""
     source = DRAMCache(64 * 16 * associativity, associativity=associativity, clean=False)
     source.insert(5, dirty=True)
     source.insert(6)
     copy = DRAMCache(64 * 16 * associativity, associativity=associativity, clean=False)
     copy.share_fill(source, source.fill_counts())
-    dirty_line, clean_line = source.peek(5), source.peek(6)
-    assert copy.peek(5) is dirty_line and copy.peek(6) is clean_line
+    before = tag_snapshot(source)
+    assert tag_snapshot(copy) == before
+    assert (source.dirty_of(5), source.dirty_of(6)) == (True, False)
 
     copy.mark_clean(5)
     copy.insert(6, dirty=True)
-    assert not copy.peek(5).dirty and copy.peek(6).dirty
+    assert copy.dirty_of(5) is False and copy.dirty_of(6) is True
+    assert tag_snapshot(source) == before
     copy.invalidate(5)
     copy.insert(6 + copy.num_sets * associativity)  # conflict in 6's set
     copy.insert(6 + 2 * copy.num_sets * associativity)
-    assert source.peek(5) is dirty_line and dirty_line.dirty
-    assert source.peek(6) is clean_line and not clean_line.dirty
+    assert not copy.contains(5) and not copy.contains(6)
+    assert tag_snapshot(source) == before
+    assert (source.dirty_of(5), source.dirty_of(6)) == (True, False)
 
 
 def test_mark_clean_keeps_the_lru_position():
@@ -245,7 +291,7 @@ def test_mark_clean_keeps_the_lru_position():
     cache.insert(1)
     cache.mark_clean(0)
     victim = cache.insert(2)
-    assert victim.block == 0 and not victim.dirty
+    assert victim == (0, False)
 
 
 @settings(max_examples=50)

@@ -25,8 +25,7 @@ def test_dirty_llc_victim_stays_dirty_in_dram_cache_without_writeback(full_dir_s
     write(system, socket_id=0, block=block)
     writes_before = system.stats.memory_writes_remote
     spill_from_llc(system, socket_id=0, block=block)
-    line = system.sockets[0].dram_cache.peek(block)
-    assert line is not None and line.dirty
+    assert system.sockets[0].dram_cache.dirty_of(block) is True
     assert system.stats.memory_writes_remote == writes_before
     # The directory still records socket 0 as the owner (Fig. 4 situation).
     entry = system.directories[1].peek(block)
@@ -86,7 +85,7 @@ def test_dram_cache_dirty_victim_reaches_memory_and_directory(full_dir_system):
     block = block_homed_at(system, home=1)
     write(system, socket_id=0, block=block)
     spill_from_llc(system, socket_id=0, block=block)
-    assert dram.peek(block).dirty
+    assert dram.dirty_of(block) is True
     writes_before = system.stats.memory_writes_remote
     # Conflict the dirty line out of the direct-mapped DRAM cache.
     conflicting = block + dram.num_sets

@@ -52,8 +52,7 @@ def test_dirty_remote_dram_copy_is_forwarded(snoopy_system):
     llc = system.sockets[1].llc
     for i in range(1, llc.associativity + 1):
         read(system, socket_id=1, block=block + i * llc.num_sets)
-    line = system.sockets[1].dram_cache.peek(block)
-    assert line is not None and line.dirty
+    assert system.sockets[1].dram_cache.dirty_of(block) is True
     _latency, source = read(system, socket_id=0, block=block)
     assert source is ServiceSource.REMOTE_DRAM_CACHE
     assert system.stats.served_remote_dram_cache == 1
@@ -79,8 +78,7 @@ def test_llc_victims_are_absorbed_dirty(snoopy_system):
     llc = system.sockets[0].llc
     for i in range(1, llc.associativity + 1):
         read(system, socket_id=0, block=block + i * llc.num_sets)
-    line = system.sockets[0].dram_cache.peek(block)
-    assert line is not None and line.dirty
+    assert system.sockets[0].dram_cache.dirty_of(block) is True
     # No memory write-back happened for the absorbed victim.
     assert (
         system.stats.memory_writes_local + system.stats.memory_writes_remote

@@ -43,8 +43,7 @@ def test_dirty_llc_eviction_writes_through_and_keeps_clean_copy(c3d_system):
     assert system.stats.memory_writes_remote > writes_before
     assert system.stats.write_throughs >= 1
     # ... a clean copy is retained in the local DRAM cache ...
-    line = system.sockets[0].dram_cache.peek(block)
-    assert line is not None and not line.dirty
+    assert system.sockets[0].dram_cache.dirty_of(block) is False
     # ... and the directory transitions Modified -> Invalid (untracked).
     assert system.directories[1].peek(block) is None
 
@@ -136,7 +135,7 @@ def test_clean_dram_cache_invariant_holds_after_mixed_traffic(c3d_system):
     assert system.check_invariants() == []
     for sock in system.sockets:
         for resident in sock.dram_cache.resident_blocks():
-            assert not sock.dram_cache.peek(resident).dirty
+            assert sock.dram_cache.dirty_of(resident) is False
 
 
 def test_write_data_can_come_from_local_dram_cache(c3d_system):

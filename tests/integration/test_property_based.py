@@ -60,7 +60,7 @@ def test_c3d_dram_caches_stay_clean_under_random_traffic(sequence):
         )
     for sock in system.sockets:
         for block in sock.dram_cache.resident_blocks():
-            assert not sock.dram_cache.peek(block).dirty
+            assert sock.dram_cache.dirty_of(block) is False
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])

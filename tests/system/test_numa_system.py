@@ -1,5 +1,6 @@
 """Tests for machine assembly and the protocol registry."""
 
+import weakref
 
 from repro.coherence.baseline import BaselineProtocol
 from repro.core.c3d_protocol import C3DProtocol
@@ -18,8 +19,18 @@ def test_build_system_wires_components():
     assert len(system.sockets) == 2
     assert len(system.cores) == 4
     assert len(system.directories) == 2
-    assert all(sock.protocol is system.protocol for sock in system.sockets)
+    # The links back up are weak proxies: check whom each one refers to.
+    assert refers_to(system.protocol.system, system)
+    for sock in system.sockets:
+        assert refers_to(sock.system, system)
+        assert refers_to(sock.protocol, system.protocol)
+        assert sock.stats is system.stats
     assert system.num_cores == 4
+
+
+def refers_to(proxy, target) -> bool:
+    """True when ``proxy`` is a weak proxy to ``target`` itself."""
+    return any(ref is proxy for ref in weakref.getweakrefs(target))
 
 
 def test_baseline_system_has_no_dram_caches():
@@ -47,6 +58,21 @@ def test_reset_measurement_preserves_cache_contents():
     assert system.stats.memory_reads == 0
     assert system.inter_socket_bytes() == 0
     assert system.sockets[0].llc.contains(block)
+
+
+def test_assigning_stats_re_points_every_component():
+    """Sockets, cores and the protocol record into whatever ``system.stats``
+    holds now: they keep their own reference, which the assignment moves."""
+    from repro.stats.counters import SimulationStats
+
+    system = tiny_system("c3d")
+    components = [system.protocol, *system.sockets, *system.cores]
+    assert all(part.stats is system.stats for part in components)
+    swapped = SimulationStats()
+    system.stats = swapped
+    assert all(part.stats is swapped for part in components)
+    read(system, socket_id=0, block=block_homed_at(system, home=1))
+    assert swapped.memory_reads == 1
 
 
 def test_check_invariants_clean_on_fresh_system():

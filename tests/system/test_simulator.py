@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.caches.dram_cache import DRAMCache
 from repro.coherence.directory import DirectoryState
 from repro.memory.page_table import PageClassification
 from repro.system.config import SystemConfig
@@ -128,13 +129,14 @@ def reference_prewarm(system, workload) -> int:
 
 
 def dram_cache_state(cache):
+    """Tags in tag-store order as ``(set index, block, dirty)``, counters and
+    the predictor table in LRU order, read through the public queries."""
     if cache is None:
         return None
     predictor = cache.miss_predictor
     return (
-        [(index, line.block, line.state, line.dirty) for index, line in cache._lines.items()],
-        [(index, [(block, line.state, line.dirty) for block, line in lines.items()])
-         for index, lines in cache._sets.items()],
+        [(cache.set_index(block), block, cache.dirty_of(block))
+         for block in cache.resident_blocks()],
         (cache.hits, cache.misses, cache.evictions, cache.dirty_evictions,
          cache.invalidations, cache.predictor_bypasses),
         None if predictor is None else (
@@ -151,6 +153,26 @@ def directory_state(directory):
         directory.lookups, directory.allocations, directory.deallocations,
         directory.peak_entries, list(directory.transitions.items()),
     )
+
+
+def record_fills(monkeypatch):
+    """Log each DRAM cache's prewarm fill: ``(name, None)`` for a fill of
+    its own, ``(name, source name)`` for an adopted one."""
+    fills = []
+    bulk_insert_clean, share_fill = DRAMCache.bulk_insert_clean, DRAMCache.share_fill
+
+    def own_fill(cache, blocks):
+        if (cache.name, None) not in fills:
+            fills.append((cache.name, None))
+        return bulk_insert_clean(cache, blocks)
+
+    def adopted_fill(cache, source, counts_before):
+        fills.append((cache.name, source.name))
+        return share_fill(cache, source, counts_before)
+
+    monkeypatch.setattr(DRAMCache, "bulk_insert_clean", own_fill)
+    monkeypatch.setattr(DRAMCache, "share_fill", adopted_fill)
+    return fills
 
 
 def assert_same_memory_state(system, reference):
@@ -170,22 +192,22 @@ def read_only_replay(workload, accesses):
 
 @pytest.mark.parametrize("num_sockets", [2, 4])
 @pytest.mark.parametrize("protocol", sorted(PROTOCOL_REGISTRY))
-def test_prewarm_matches_per_socket_reference(protocol, num_sockets):
+def test_prewarm_matches_per_socket_reference(protocol, num_sockets, monkeypatch):
     def build():
         return NumaSystem(tiny_config(protocol, num_sockets=num_sockets, cores_per_socket=1))
 
     workload = make_workload("facesim", scale=4096, accesses_per_thread=300,
                              num_threads=num_sockets, seed=3)
     system, reference = build(), build()
-    assert Simulator(system, workload).prewarm_dram_caches() == reference_prewarm(
-        reference, workload
-    )
+    with monkeypatch.context() as patch:
+        fills = record_fills(patch)
+        inserted = Simulator(system, workload).prewarm_dram_caches()
+    assert inserted == reference_prewarm(reference, workload)
     assert_same_memory_state(system, reference)
     if system.protocol.uses_dram_cache:
-        caches = [sock.dram_cache for sock in system.sockets]
-        some_block = next(iter(caches[0]._lines.values())).block
+        names = [sock.dram_cache.name for sock in system.sockets]
         # The fill really is shared, not repeated.
-        assert all(c.peek(some_block) is caches[0].peek(some_block) for c in caches)
+        assert fills == [(names[0], None)] + [(name, names[0]) for name in names[1:]]
 
     # A second prewarm on a used system still matches: the caches are no
     # longer empty, so each gets a fill of its own, and the directories
@@ -207,20 +229,20 @@ def test_prewarm_matches_per_socket_reference(protocol, num_sockets):
     assert_same_memory_state(system, reference)
 
 
-def test_prewarm_fills_a_used_cache_alone_and_shares_with_the_rest():
+def test_prewarm_fills_a_used_cache_alone_and_shares_with_the_rest(monkeypatch):
     workload = make_workload("facesim", scale=4096, accesses_per_thread=5, num_threads=4)
     systems = [NumaSystem(tiny_config("c3d", num_sockets=4, cores_per_socket=1))
                for _ in range(2)]
     for system in systems:
         system.sockets[0].dram_cache.insert(3)
     system, reference = systems
-    Simulator(system, workload).prewarm_dram_caches()
+    with monkeypatch.context() as patch:
+        fills = record_fills(patch)
+        Simulator(system, workload).prewarm_dram_caches()
     reference_prewarm(reference, workload)
     assert_same_memory_state(system, reference)
-    used, template, *rest = (sock.dram_cache for sock in system.sockets)
-    block = next(iter(template._lines.values())).block
-    assert all(cache.peek(block) is template.peek(block) for cache in rest)
-    assert used.peek(block) is not template.peek(block)
+    used, template, *rest = (sock.dram_cache.name for sock in system.sockets)
+    assert fills == [(used, None), (template, None)] + [(name, template) for name in rest]
 
 
 def test_prewarm_shares_the_fill_at_figure_scale():

@@ -1,27 +1,14 @@
-"""Cache substrate: SRAM caches, DRAM cache, miss predictor, replacement."""
+"""Cache substrate: SRAM caches, DRAM cache, miss predictor."""
 
-from .block import CacheBlockState, CacheLine
 from .dram_cache import DRAMCache, DRAMCacheProbe
 from .miss_predictor import RegionMissPredictor
-from .replacement import (
-    FIFOPolicy,
-    LRUPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    make_replacement_policy,
-)
-from .sram_cache import SetAssociativeCache
+from .sram_cache import DIRTY, MODIFIED, SetAssociativeCache
 
 __all__ = [
-    "CacheBlockState",
-    "CacheLine",
     "SetAssociativeCache",
+    "MODIFIED",
+    "DIRTY",
     "DRAMCache",
     "DRAMCacheProbe",
     "RegionMissPredictor",
-    "ReplacementPolicy",
-    "LRUPolicy",
-    "FIFOPolicy",
-    "RandomPolicy",
-    "make_replacement_policy",
 ]

@@ -3,20 +3,31 @@
 The model is functional (hit/miss, MSI state, dirty bits, LRU) with latency
 left to the owning socket, which knows the configured tag/data latencies.
 It maintains the hit/miss/eviction statistics the experiments report.
+
+A resident line is one int of state bits, stored in its set's dict under
+the block number: :data:`MODIFIED` and :data:`DIRTY`.  A clean Shared line
+is ``0``, so residency is tested with ``is None`` or ``in``, never by
+truthiness.  Each set dict is kept in LRU order (Table II), least recently
+used first: a hit or a re-insert moves the block to the end, and a write to
+a resident line assigns to the existing key, which keeps its position.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .block import CacheBlockState, CacheLine
-from .replacement import LRUPolicy, ReplacementPolicy
+__all__ = ["SetAssociativeCache", "MODIFIED", "DIRTY", "VICTIM_SHIFT"]
 
-__all__ = ["SetAssociativeCache"]
+#: The line holds the block in Modified state (else Shared).
+MODIFIED = 1
+#: The line's data differs from the next level's copy.
+DIRTY = 2
+#: An evicted line comes back as ``block << VICTIM_SHIFT | bits``.
+VICTIM_SHIFT = 2
 
 
 class SetAssociativeCache:
-    """A set-associative, write-back cache of 64-byte blocks.
+    """A set-associative, write-back, LRU cache of 64-byte blocks.
 
     Parameters
     ----------
@@ -28,8 +39,6 @@ class SetAssociativeCache:
         Block size in bytes.
     name:
         Label used in statistics and error messages (e.g. ``"socket0.llc"``).
-    replacement:
-        Replacement policy instance; defaults to LRU.
     """
 
     def __init__(
@@ -39,7 +48,6 @@ class SetAssociativeCache:
         *,
         block_size: int = 64,
         name: str = "cache",
-        replacement: Optional[ReplacementPolicy] = None,
     ) -> None:
         if size_bytes <= 0 or associativity <= 0 or block_size <= 0:
             raise ValueError("cache geometry parameters must be positive")
@@ -55,19 +63,15 @@ class SetAssociativeCache:
         self.block_size = block_size
         self.associativity = associativity
         self.num_sets = total_blocks // associativity
-        self.replacement = replacement if replacement is not None else LRUPolicy()
-        # Intrusive recency order: each set is an insertion-ordered dict whose
-        # front entry is the victim, so LRU/FIFO evict in O(1) without the
-        # per-eviction victim-list allocation of ``choose_victim``.
-        self._intrusive = getattr(self.replacement, "intrusive", False)
-        self._touch_moves = self._intrusive and getattr(self.replacement, "touch_moves", False)
-        self._sets: Dict[int, Dict[int, CacheLine]] = {}
+        #: Set index -> {block: state bits}, each dict in LRU order.
+        self._sets: Dict[int, Dict[int, int]] = {}
         # Change log for batch engines (see ``repro.engines.vector``): when
         # tracking is enabled, every mutation that can change which blocks are
-        # resident or their MSI state appends the affected block number (or
-        # ``-1`` for a wholesale ``clear``).  Recency-only moves are not state
-        # changes and are not logged.  The flag is off by default so the
-        # per-access engines pay only a predicted-not-taken branch.
+        # resident or their Modified bit appends the affected block number (or
+        # ``-1`` for a wholesale ``clear``).  Recency-only moves and dirty
+        # bits are not state changes and are not logged.  The flag is off by
+        # default so the per-access engines pay only a predicted-not-taken
+        # branch.
         self._track_changes = False
         self._changes: List[int] = []
 
@@ -90,134 +94,115 @@ class SetAssociativeCache:
         cache_set = self._sets.get(block % self.num_sets)
         return cache_set is not None and block in cache_set
 
-    def peek(self, block: int) -> Optional[CacheLine]:
-        """Return the resident line for ``block`` without side effects."""
+    def peek(self, block: int) -> Optional[int]:
+        """Return the state bits of ``block`` (None when absent), no side effects."""
         cache_set = self._sets.get(block % self.num_sets)
         if cache_set is None:
             return None
         return cache_set.get(block)
 
-    def lookup(self, block: int) -> Optional[CacheLine]:
-        """Access ``block``: update recency and hit/miss statistics."""
+    def lookup(self, block: int) -> Optional[int]:
+        """Access ``block``: update recency and hit/miss statistics.
+
+        Returns the line's state bits, or None on a miss.
+        """
         cache_set = self._sets.get(block % self.num_sets)
-        line = cache_set.get(block) if cache_set is not None else None
-        if line is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        if self._touch_moves:
-            # Move to the back of the set's recency order (dicts preserve
-            # insertion order, so delete + reinsert is an O(1) move-to-end).
-            del cache_set[block]
-            cache_set[block] = line
-        elif not self._intrusive:
-            self.replacement.touch(line)
-        return line
+        if cache_set is not None:
+            # Pop and re-add: an O(1) move to the MRU end.
+            bits = cache_set.pop(block, None)
+            if bits is not None:
+                cache_set[block] = bits
+                self.hits += 1
+                return bits
+        self.misses += 1
+        return None
+
+    def lines(self) -> Iterator[Tuple[int, int]]:
+        """Iterate ``(block, state bits)`` over every resident line, each set
+        in LRU order."""
+        for cache_set in self._sets.values():
+            yield from cache_set.items()
 
     # -- mutations ------------------------------------------------------------
 
-    def insert(
-        self,
-        block: int,
-        state: CacheBlockState = CacheBlockState.SHARED,
-        *,
-        dirty: bool = False,
-    ) -> Optional[CacheLine]:
-        """Insert ``block`` (allocating on fill) and return any victim.
+    def insert(self, block: int, bits: int = 0) -> Optional[int]:
+        """Insert ``block`` with state ``bits`` (allocating on fill).
 
-        If the block is already resident its state/dirty bits are upgraded in
-        place and no victim is produced.  The returned victim is the displaced
-        :class:`CacheLine` itself (no per-eviction record allocation).
+        Returns the displaced line as ``victim_block << VICTIM_SHIFT |
+        victim_bits``, or None.  A resident block takes the new Modified bit,
+        keeps its dirty bit (ORed with the new one), moves to the MRU end and
+        displaces nothing.
         """
         index = block % self.num_sets
         cache_set = self._sets.get(index)
         if cache_set is None:
             cache_set = self._sets[index] = {}
-        existing = cache_set.get(block)
-        if existing is not None:
-            if self._track_changes and existing.state is not state:
+        old = cache_set.pop(block, None)
+        if old is not None:
+            if self._track_changes and (old ^ bits) & MODIFIED:
                 self._changes.append(block)
-            existing.state = state
-            existing.dirty = existing.dirty or dirty
-            if self._touch_moves:
-                del cache_set[block]
-                cache_set[block] = existing
-            elif not self._intrusive:
-                self.replacement.touch(existing)
+            cache_set[block] = bits | (old & DIRTY)
             return None
 
-        victim: Optional[CacheLine] = None
+        victim = None
         if len(cache_set) >= self.associativity:
-            if self._intrusive:
-                # The front of the insertion-ordered set is the LRU/FIFO victim.
-                victim = cache_set.pop(next(iter(cache_set)))
-            else:
-                victim = self.replacement.choose_victim(cache_set.values())
-                del cache_set[victim.block]
+            # The front of the LRU-ordered set is the least recently used.
+            victim_block = next(iter(cache_set))
+            victim_bits = cache_set.pop(victim_block)
             self.evictions += 1
-            if victim.dirty:
+            if victim_bits & DIRTY:
                 self.dirty_evictions += 1
-
-        line = CacheLine(block=block, state=state, dirty=dirty)
-        cache_set[block] = line
-        if not self._intrusive:
-            self.replacement.on_insert(line)
+            victim = victim_block << VICTIM_SHIFT | victim_bits
+        cache_set[block] = bits
         if self._track_changes:
             self._changes.append(block)
             if victim is not None:
-                self._changes.append(victim.block)
+                self._changes.append(victim >> VICTIM_SHIFT)
         return victim
 
-    def invalidate(self, block: int) -> Optional[CacheLine]:
-        """Remove ``block`` and return the removed line (or ``None``)."""
-        cache_set = self._sets.get(self.set_index(block))
+    def invalidate(self, block: int) -> Optional[int]:
+        """Remove ``block`` and return its state bits (or ``None``)."""
+        cache_set = self._sets.get(block % self.num_sets)
         if not cache_set:
             return None
-        line = cache_set.pop(block, None)
-        if line is not None:
+        bits = cache_set.pop(block, None)
+        if bits is not None:
             self.invalidations += 1
             if self._track_changes:
                 self._changes.append(block)
-            return line
-        return None
+        return bits
 
-    def downgrade(self, block: int) -> Optional[CacheLine]:
-        """Transition ``block`` from MODIFIED to SHARED, returning the line."""
-        line = self.peek(block)
-        if line is None:
+    def downgrade(self, block: int) -> Optional[int]:
+        """Make ``block`` a clean Shared line; returns its previous bits."""
+        cache_set = self._sets.get(block % self.num_sets)
+        bits = cache_set.get(block) if cache_set is not None else None
+        if bits is None:
             return None
-        line.state = CacheBlockState.SHARED
-        line.dirty = False
+        cache_set[block] = 0
         if self._track_changes:
             self._changes.append(block)
-        return line
+        return bits
 
-    def set_state(self, block: int, state: CacheBlockState, *, dirty: Optional[bool] = None) -> None:
-        """Overwrite the MSI state (and optionally the dirty bit) of a resident block."""
-        line = self.peek(block)
-        if line is None:
+    def set_state(self, block: int, bits: int) -> None:
+        """Overwrite the state bits of a resident block (KeyError when absent)."""
+        cache_set = self._sets.get(block % self.num_sets)
+        if cache_set is None or block not in cache_set:
             raise KeyError(f"{self.name}: block {block:#x} not resident")
-        line.state = state
-        if dirty is not None:
-            line.dirty = dirty
+        cache_set[block] = bits
         if self._track_changes:
             self._changes.append(block)
+
+    def mark_dirty(self, block: int) -> None:
+        """Set the dirty bit of ``block`` if it is resident (recency unchanged)."""
+        cache_set = self._sets.get(block % self.num_sets)
+        if cache_set is not None and block in cache_set:
+            cache_set[block] |= DIRTY
 
     def clear(self) -> None:
         """Drop all contents and reset statistics-independent state."""
         self._sets.clear()
         if self._track_changes:
             self._changes.append(-1)
-
-    def note_external_change(self, block: int) -> None:
-        """Record a state change made directly on a peeked line.
-
-        The coherence fast paths in :mod:`repro.system.socket` mutate peeked
-        lines in place (peer intervention, directory downgrade); they call
-        this so batch engines observing the change log stay coherent.
-        """
-        if self._track_changes:
-            self._changes.append(block)
 
     # -- batch-engine helpers -------------------------------------------------
 
@@ -233,19 +218,15 @@ class SetAssociativeCache:
         block in a window, in window order, which yields the same final
         recency order as per-access touches.
         """
-        if not self._touch_moves:
-            return
         sets = self._sets
         num_sets = self.num_sets
         for block in blocks:
             cache_set = sets.get(block % num_sets)
             if cache_set is None:
                 continue
-            line = cache_set.get(block)
-            if line is None:
-                continue
-            del cache_set[block]
-            cache_set[block] = line
+            bits = cache_set.pop(block, None)
+            if bits is not None:
+                cache_set[block] = bits
 
     # -- statistics -----------------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Coherence substrate: directories, messages, and the non-C3D protocols."""
 
 from .baseline import BaselineProtocol
-from .directory import DirectoryCostModel, DirectoryEntry, DirectoryState, GlobalDirectory
+from .directory import DecodedEntry, DirectoryCostModel, DirectoryState, GlobalDirectory
 from .full_directory import FullDirectoryProtocol
-from .local_directory import LocalDirectory, LocalDirectoryEntry
+from .local_directory import LocalDirectory
 from .messages import ServiceSource
 from .protocol_base import GlobalCoherenceProtocol
 from .snoopy import SnoopyProtocol
@@ -14,10 +14,9 @@ __all__ = [
     "SnoopyProtocol",
     "FullDirectoryProtocol",
     "GlobalDirectory",
-    "DirectoryEntry",
+    "DecodedEntry",
     "DirectoryState",
     "DirectoryCostModel",
     "LocalDirectory",
-    "LocalDirectoryEntry",
     "ServiceSource",
 ]

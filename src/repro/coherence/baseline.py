@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from ..interconnect.packet import MessageClass
-from .directory import DirectoryState
+from .directory import DIR_MODIFIED, SHARER_SHIFT, members, owner_of
 from .messages import ServiceSource
 from .protocol_base import GlobalCoherenceProtocol
 
@@ -40,15 +40,14 @@ class BaselineProtocol(GlobalCoherenceProtocol):
 
         if (
             entry is not None
-            and entry.state is DirectoryState.MODIFIED
-            and entry.owner is not None
-            and entry.owner != requester
+            and entry & DIR_MODIFIED
+            and entry >> SHARER_SHIFT != 1 << requester
         ):
-            owner = entry.owner
+            owner = owner_of(entry)
             latency += self._fetch_from_remote_llc(
                 now + latency, home, owner, requester, block, downgrade=True
             )
-            directory.set_shared(block, {owner, requester})
+            directory.set_shared(block, (owner, requester))
             source = ServiceSource.REMOTE_LLC
         else:
             latency += self._memory_read(now + latency, home, block, requester)
@@ -82,17 +81,17 @@ class BaselineProtocol(GlobalCoherenceProtocol):
 
         if (
             entry is not None
-            and entry.state is DirectoryState.MODIFIED
-            and entry.owner is not None
-            and entry.owner != requester
+            and entry & DIR_MODIFIED
+            and entry >> SHARER_SHIFT != 1 << requester
         ):
-            owner = entry.owner
+            owner = owner_of(entry)
             latency += self._fetch_from_remote_llc(
                 now + latency, home, owner, requester, block, downgrade=False
             )
             source = ServiceSource.REMOTE_LLC
         else:
-            sharers = sorted(entry.sharers - {requester}) if entry is not None else []
+            sharers = (members(entry >> SHARER_SHIFT & ~(1 << requester))
+                       if entry is not None else ())
             invalidation_latency = 0.0
             for target in sharers:
                 invalidation_latency = max(
@@ -138,15 +137,14 @@ class BaselineProtocol(GlobalCoherenceProtocol):
         entry = directory.lookup(block)
         if (
             entry is not None
-            and entry.state is DirectoryState.MODIFIED
-            and entry.owner is not None
-            and entry.owner != requester
+            and entry & DIR_MODIFIED
+            and entry >> SHARER_SHIFT != 1 << requester
         ):
-            owner = entry.owner
+            owner = owner_of(entry)
             # Mirror of _fetch_from_remote_llc(downgrade=True): the owner
             # keeps a Shared copy (the write-through touches only counters).
             self.sockets[owner].downgrade_block(block)
-            directory.set_shared(block, {owner, requester})
+            directory.set_shared(block, (owner, requester))
         else:
             self._directory_note_read_sharer(directory, block, requester)
 
@@ -158,16 +156,15 @@ class BaselineProtocol(GlobalCoherenceProtocol):
         entry = directory.lookup(block)
         if (
             entry is not None
-            and entry.state is DirectoryState.MODIFIED
-            and entry.owner is not None
-            and entry.owner != requester
+            and entry & DIR_MODIFIED
+            and entry >> SHARER_SHIFT != 1 << requester
         ):
             # Mirror of _fetch_from_remote_llc(downgrade=False).
-            self.sockets[entry.owner].invalidate_onchip(block)
+            self.sockets[owner_of(entry)].invalidate_onchip(block)
         elif entry is not None:
             # Mirror of _invalidate_remote_socket(include_dram_cache=False)
             # per sharer (the baseline has no DRAM caches to probe).
-            for target in sorted(entry.sharers - {requester}):
+            for target in members(entry >> SHARER_SHIFT & ~(1 << requester)):
                 self.sockets[target].invalidate_onchip(block)
         directory.set_modified(block, requester)
 

@@ -9,23 +9,42 @@ designs is *which* blocks get entries:
 * baseline / C3D: only blocks cached by an LLC (or higher) are tracked;
 * full-dir / c3d-full-dir: blocks resident in DRAM caches are tracked too.
 
+An entry is one int, ``sharers_mask << SHARER_SHIFT | state``: bit ``s`` of
+the sharers mask is socket ``s``, and the state is :data:`DIR_SHARED` or
+:data:`DIR_MODIFIED` (an untracked block, Invalid, has no entry).  The owner
+of a Modified entry is its only sharer, so it needs no field of its own.
+Protocols compare the ints directly; :meth:`GlobalDirectory.decode` turns
+one into a :class:`DecodedEntry` for tests, invariant checks and debugging.
+
 The module also provides :class:`DirectoryCostModel`, which reproduces the
 storage arithmetic of section III-B (a 2x-provisioned sparse directory for a
 256 MB DRAM cache costs 32 MB per socket; 128 MB for a 1 GB cache).
-
-An entry's sharer set is never mutated in place: a membership change binds a
-new set to the entry.  That is what lets many entries share one set object,
-as the DRAM-cache prewarm does (:meth:`GlobalDirectory.add_shared_entries`).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
-__all__ = ["DirectoryState", "DirectoryEntry", "GlobalDirectory", "DirectoryCostModel"]
+__all__ = [
+    "DirectoryState",
+    "DecodedEntry",
+    "GlobalDirectory",
+    "DirectoryCostModel",
+    "DIR_SHARED",
+    "DIR_MODIFIED",
+    "SHARER_SHIFT",
+    "members",
+    "owner_of",
+]
+
+#: State bits of an entry.
+DIR_SHARED = 1
+DIR_MODIFIED = 2
+#: Socket ``s`` is bit ``s + SHARER_SHIFT`` of an entry.
+SHARER_SHIFT = 2
 
 
 class DirectoryState(enum.Enum):
@@ -35,29 +54,42 @@ class DirectoryState(enum.Enum):
     SHARED = "S"
     MODIFIED = "M"
 
-    __hash__ = object.__hash__  # identity hashing, C-level
+
+#: Entry state bits -> state, and ``[old][new]`` -> transition label.
+_STATES = (DirectoryState.INVALID, DirectoryState.SHARED, DirectoryState.MODIFIED)
+_TRANSITION_KEYS = tuple(
+    tuple(f"{old.value}->{new.value}" for new in _STATES) for old in _STATES
+)
 
 
-#: Precomputed transition labels, so recording a transition does not format
-#: a string on every directory state change.
-_TRANSITION_KEYS = {}
+def members(mask: int) -> List[int]:
+    """The indices of the bits set in ``mask``, ascending."""
+    indices = []
+    while mask:
+        low = mask & -mask
+        indices.append(low.bit_length() - 1)
+        mask ^= low
+    return indices
 
 
-@dataclass(slots=True)
-class DirectoryEntry:
-    """One tracked block.
+def owner_of(entry: int) -> int:
+    """The owner socket of a Modified entry: its only sharer."""
+    return entry.bit_length() - 1 - SHARER_SHIFT
 
-    ``sharers`` may be shared with other entries, so it is replaced, never
-    mutated in place.
-    """
 
-    block: int
-    state: DirectoryState = DirectoryState.INVALID
-    owner: Optional[int] = None
-    sharers: AbstractSet[int] = field(default_factory=set)
+def _mask(sockets: Iterable[int]) -> int:
+    mask = 0
+    for socket in sockets:
+        mask |= 1 << socket
+    return mask
 
-    def copy(self) -> "DirectoryEntry":
-        return DirectoryEntry(self.block, self.state, self.owner, set(self.sharers))
+
+class DecodedEntry(NamedTuple):
+    """A read-only view of one entry, built on demand by :meth:`GlobalDirectory.decode`."""
+
+    state: DirectoryState
+    owner: Optional[int]
+    sharers: FrozenSet[int]
 
 
 class GlobalDirectory:
@@ -74,7 +106,8 @@ class GlobalDirectory:
         self.home_socket = home_socket
         self.latency_ns = latency_ns
         self.name = name or f"directory[{home_socket}]"
-        self._entries: Dict[int, DirectoryEntry] = {}
+        #: Block -> entry int, in allocation order.
+        self._entries: Dict[int, int] = {}
 
         self.lookups = 0
         self.allocations = 0
@@ -82,129 +115,116 @@ class GlobalDirectory:
         self.transitions: Dict[str, int] = {}
         self.peak_entries = 0
 
-    # -- lookup / allocation ----------------------------------------------
+    # -- lookup ---------------------------------------------------------------
 
-    def lookup(self, block: int) -> Optional[DirectoryEntry]:
-        """Return the entry for ``block`` (None when untracked); counts a lookup."""
+    def lookup(self, block: int) -> Optional[int]:
+        """Return the entry int for ``block`` (None when untracked); counts a lookup."""
         self.lookups += 1
         return self._entries.get(block)
 
-    def peek(self, block: int) -> Optional[DirectoryEntry]:
-        """Return the entry without counting a lookup (for assertions/tests)."""
+    def peek(self, block: int) -> Optional[int]:
+        """Return the entry int without counting a lookup."""
         return self._entries.get(block)
 
-    def state_of(self, block: int) -> DirectoryState:
-        """Return the stable state of ``block`` (INVALID when untracked)."""
+    def decode(self, block: int) -> Optional[DecodedEntry]:
+        """Decode the entry for ``block`` (None when untracked); counts nothing."""
         entry = self._entries.get(block)
-        return entry.state if entry is not None else DirectoryState.INVALID
-
-    def _get_or_allocate(self, block: int) -> DirectoryEntry:
-        entry = self._entries.get(block)
-        if entry is None:
-            entry = DirectoryEntry(block=block)
-            self._entries[block] = entry
-            self.allocations += 1
-            if len(self._entries) > self.peak_entries:
-                self.peak_entries = len(self._entries)
-        return entry
-
-    def _record_transition(self, old: DirectoryState, new: DirectoryState) -> None:
-        key = _TRANSITION_KEYS[(old, new)]
-        self.transitions[key] = self.transitions.get(key, 0) + 1
+        return None if entry is None else _decode(entry)
 
     # -- state changes -------------------------------------------------------
 
-    def set_modified(self, block: int, owner: int) -> DirectoryEntry:
+    def _transition(self, old: int, new: int) -> None:
+        key = _TRANSITION_KEYS[old & 3][new]
+        self.transitions[key] = self.transitions.get(key, 0) + 1
+
+    def _allocated(self) -> None:
+        """Count an entry just added to ``_entries``."""
+        self.allocations += 1
+        if len(self._entries) > self.peak_entries:
+            self.peak_entries = len(self._entries)
+
+    def set_modified(self, block: int, owner: int) -> None:
         """Transition ``block`` to Modified with the given owner socket."""
         entries = self._entries
-        entry = entries.get(block)
-        if entry is None:
-            entry = entries[block] = DirectoryEntry(block=block)
-            self.allocations += 1
-            if len(entries) > self.peak_entries:
-                self.peak_entries = len(entries)
-        key = _TRANSITION_KEYS[(entry.state, DirectoryState.MODIFIED)]
-        self.transitions[key] = self.transitions.get(key, 0) + 1
-        entry.state = DirectoryState.MODIFIED
-        entry.owner = owner
-        entry.sharers = {owner}
-        return entry
+        old = entries.get(block)
+        entries[block] = 1 << owner + SHARER_SHIFT | DIR_MODIFIED
+        if old is None:
+            old = 0
+            self._allocated()
+        self._transition(old, DIR_MODIFIED)
 
-    def set_shared(self, block: int, sharers: Set[int]) -> DirectoryEntry:
+    def set_shared(self, block: int, sharers: Iterable[int]) -> None:
         """Transition ``block`` to Shared with the given sharing vector."""
-        if not sharers:
+        mask = _mask(sharers)
+        if not mask:
             raise ValueError("shared state requires at least one sharer")
-        entry = self._get_or_allocate(block)
-        self._record_transition(entry.state, DirectoryState.SHARED)
-        entry.state = DirectoryState.SHARED
-        entry.owner = None
-        entry.sharers = set(sharers)
-        return entry
+        entries = self._entries
+        old = entries.get(block)
+        entries[block] = mask << SHARER_SHIFT | DIR_SHARED
+        if old is None:
+            old = 0
+            self._allocated()
+        self._transition(old, DIR_SHARED)
 
-    def add_sharer(self, block: int, socket: int) -> DirectoryEntry:
+    def add_sharer(self, block: int, socket: int) -> None:
         """Add ``socket`` to the sharing vector (allocating a Shared entry)."""
         entries = self._entries
-        entry = entries.get(block)
-        if entry is None:
-            entry = entries[block] = DirectoryEntry(block=block)
-            self.allocations += 1
-            if len(entries) > self.peak_entries:
-                self.peak_entries = len(entries)
-        if entry.state is DirectoryState.MODIFIED:
+        old = entries.get(block)
+        if old is None:
+            entries[block] = 1 << socket + SHARER_SHIFT | DIR_SHARED
+            self._allocated()
+            self._transition(0, DIR_SHARED)
+        elif old & DIR_MODIFIED:
             raise ValueError(f"add_sharer on Modified block {block:#x}")
-        if entry.state is DirectoryState.INVALID:
-            key = _TRANSITION_KEYS[(DirectoryState.INVALID, DirectoryState.SHARED)]
-            self.transitions[key] = self.transitions.get(key, 0) + 1
-            entry.state = DirectoryState.SHARED
-        sharers = entry.sharers
-        if socket not in sharers:
-            entry.sharers = sharers | {socket}
-        return entry
+        else:
+            entries[block] = old | 1 << socket + SHARER_SHIFT
 
-    def add_shared_entries(self, blocks: Iterable[int], sharers: FrozenSet[int]) -> None:
+    def add_shared_entries(self, blocks: Iterable[int], sharers: Iterable[int]) -> None:
         """``add_sharer(block, socket)`` for each block of ``blocks`` and socket of ``sharers``.
 
-        Leaves the same entries (new ones in ``blocks`` order), sharers,
-        ``allocations``, ``peak_entries`` and transition counts as those
-        calls, but every entry it allocates holds the one ``sharers`` object.
-        An already tracked block gains the sockets through ``add_sharer``.
+        Leaves the same entries (new ones in ``blocks`` order), ``allocations``,
+        ``peak_entries`` and transition counts as those calls, one dict
+        update for all the new entries.
         """
+        sharers = tuple(sharers)
+        mask = _mask(sharers) << SHARER_SHIFT
         entries = self._entries
-        shared = DirectoryState.SHARED
         added = {}
         for block in blocks:
             if block in entries:
                 for socket in sharers:
                     self.add_sharer(block, socket)
             else:
-                added[block] = DirectoryEntry(block, shared, None, sharers)
+                added[block] = mask | DIR_SHARED
         if not added:
             return
         entries.update(added)
         self.allocations += len(added)
         if len(entries) > self.peak_entries:
             self.peak_entries = len(entries)
-        key = _TRANSITION_KEYS[(DirectoryState.INVALID, shared)]
+        key = _TRANSITION_KEYS[0][DIR_SHARED]
         self.transitions[key] = self.transitions.get(key, 0) + len(added)
 
     def remove_sharer(self, block: int, socket: int) -> None:
-        """Drop ``socket`` from the sharing vector; deallocate when empty."""
-        entry = self._entries.get(block)
-        if entry is None:
+        """Drop ``socket`` from the sharing vector; deallocate when empty.
+
+        Removing the owner of a Modified entry empties it.
+        """
+        entries = self._entries
+        old = entries.get(block)
+        if old is None:
             return
-        sharers = entry.sharers
-        if socket in sharers:
-            entry.sharers = sharers - {socket}
-        if entry.owner == socket:
-            entry.owner = None
-        if not entry.sharers:
+        entry = old & ~(1 << socket + SHARER_SHIFT)
+        if entry >> SHARER_SHIFT:
+            entries[block] = entry
+        else:
             self.invalidate(block)
 
     def invalidate(self, block: int) -> None:
         """Remove the entry for ``block`` (transition to Invalid / untracked)."""
-        entry = self._entries.pop(block, None)
-        if entry is not None:
-            self._record_transition(entry.state, DirectoryState.INVALID)
+        old = self._entries.pop(block, None)
+        if old is not None:
+            self._transition(old, 0)
             self.deallocations += 1
 
     # -- inspection ----------------------------------------------------------
@@ -212,16 +232,16 @@ class GlobalDirectory:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def entries(self) -> Iterator[DirectoryEntry]:
-        return iter(self._entries.values())
+    def entries(self) -> Iterator[Tuple[int, DecodedEntry]]:
+        """Iterate ``(block, decoded entry)`` in allocation order."""
+        for block, entry in self._entries.items():
+            yield block, _decode(entry)
 
-    def tracked_blocks(self) -> Set[int]:
-        return set(self._entries)
 
-
-_TRANSITION_KEYS.update(
-    {(a, b): f"{a.value}->{b.value}" for a in DirectoryState for b in DirectoryState}
-)
+def _decode(entry: int) -> DecodedEntry:
+    sharers = frozenset(members(entry >> SHARER_SHIFT))
+    owner = owner_of(entry) if entry & DIR_MODIFIED else None
+    return DecodedEntry(_STATES[entry & 3], owner, sharers)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from ..caches.block import CacheBlockState
+from ..caches.sram_cache import MODIFIED
 from ..interconnect.packet import MessageClass
-from .directory import DirectoryState
+from .directory import DIR_MODIFIED, SHARER_SHIFT, members, owner_of
 from .messages import ServiceSource
 from .protocol_base import GlobalCoherenceProtocol
 
@@ -57,11 +57,10 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
 
         if (
             entry is not None
-            and entry.state is DirectoryState.MODIFIED
-            and entry.owner is not None
-            and entry.owner != requester
+            and entry & DIR_MODIFIED
+            and entry >> SHARER_SHIFT != 1 << requester
         ):
-            owner = entry.owner
+            owner = owner_of(entry)
             latency += self._fetch_from_owner_any_level(
                 now + latency, home, owner, requester, block
             )
@@ -70,7 +69,7 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
                 if self.sockets[owner].llc.contains(block)
                 else ServiceSource.REMOTE_DRAM_CACHE
             )
-            directory.set_shared(block, {owner, requester})
+            directory.set_shared(block, (owner, requester))
         else:
             latency += self._memory_read(now + latency, home, block, requester)
             latency += send(now + latency, home, requester, MessageClass.DATA_RESPONSE)
@@ -138,11 +137,10 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
 
         if (
             entry is not None
-            and entry.state is DirectoryState.MODIFIED
-            and entry.owner is not None
-            and entry.owner != requester
+            and entry & DIR_MODIFIED
+            and entry >> SHARER_SHIFT != 1 << requester
         ):
-            owner = entry.owner
+            owner = owner_of(entry)
             source = (
                 ServiceSource.REMOTE_LLC
                 if self.sockets[owner].llc.contains(block)
@@ -153,7 +151,8 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
             )
             latency += send(now + latency, owner, requester, MessageClass.DATA_RESPONSE)
         else:
-            sharers = sorted(entry.sharers - {requester}) if entry is not None else []
+            sharers = (members(entry >> SHARER_SHIFT & ~(1 << requester))
+                       if entry is not None else ())
             invalidation_latency = 0.0
             for target in sharers:
                 invalidation_latency = max(
@@ -207,13 +206,13 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
         if entry is None:
             return
         llc_line = self.sockets[socket_id].llc.peek(block)
-        if entry.state is DirectoryState.MODIFIED and entry.owner == socket_id:
+        if entry == 1 << socket_id + SHARER_SHIFT | DIR_MODIFIED:
             if llc_line is None:
                 # The written-back data was the only copy: stop tracking.
                 directory.invalidate(block)
-            elif llc_line.state is not CacheBlockState.MODIFIED:
+            elif not llc_line & MODIFIED:
                 # A clean, current on-chip copy remains: downgrade to Shared.
-                directory.set_shared(block, {socket_id})
+                directory.set_shared(block, (socket_id,))
             # If the LLC still holds the block Modified, the DRAM victim was
             # an older value and the entry must stay Modified.
         elif llc_line is None:

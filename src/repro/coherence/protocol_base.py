@@ -38,7 +38,7 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..interconnect.packet import MessageClass
-from .directory import DirectoryState, GlobalDirectory
+from .directory import DIR_MODIFIED, SHARER_SHIFT, GlobalDirectory, members
 from .messages import ServiceSource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance for type checkers only
@@ -313,8 +313,8 @@ class GlobalCoherenceProtocol(ABC):
         it to Shared rather than violating the directory's M-state invariant.
         """
         entry = directory.peek(block)
-        if entry is not None and entry.state is DirectoryState.MODIFIED:
-            directory.set_shared(block, set(entry.sharers) | {requester})
+        if entry is not None and entry & DIR_MODIFIED:
+            directory.set_shared(block, members(entry >> SHARER_SHIFT | 1 << requester))
         else:
             directory.add_sharer(block, requester)
 

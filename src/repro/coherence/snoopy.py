@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..caches.block import CacheBlockState
+from ..caches.sram_cache import MODIFIED
 from ..interconnect.packet import MessageClass
 from .messages import ServiceSource
 from .protocol_base import GlobalCoherenceProtocol
@@ -72,7 +72,7 @@ class SnoopyProtocol(GlobalCoherenceProtocol):
 
         if llc_line is not None:
             probe += target_socket.llc_latency_ns
-            if llc_line.state is CacheBlockState.MODIFIED:
+            if llc_line & MODIFIED:
                 data_source = ServiceSource.REMOTE_LLC
                 if invalidate:
                     target_socket.invalidate_onchip(block)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from ..coherence.directory import DirectoryState
+from ..coherence.directory import DIR_MODIFIED, SHARER_SHIFT, members, owner_of
 from ..coherence.messages import ServiceSource
 from ..coherence.protocol_base import GlobalCoherenceProtocol
 from ..interconnect.packet import MessageClass
@@ -89,11 +89,10 @@ class C3DFullDirectoryProtocol(C3DProtocol):
 
         if (
             entry is not None
-            and entry.state is DirectoryState.MODIFIED
-            and entry.owner is not None
-            and entry.owner != requester
+            and entry & DIR_MODIFIED
+            and entry >> SHARER_SHIFT != 1 << requester
         ):
-            owner = entry.owner
+            owner = owner_of(entry)
             latency += self._invalidate_remote_socket(
                 now + latency, home, owner, block, include_dram_cache=True
             )
@@ -103,8 +102,8 @@ class C3DFullDirectoryProtocol(C3DProtocol):
             # The idealised directory knows the exact holders: use the tracked
             # sharing vector when present, otherwise fall back to the true
             # holder set (equivalent, since the ideal directory is precise).
-            if entry is not None and entry.sharers:
-                targets = sorted(entry.sharers - {requester})
+            if entry is not None:
+                targets = members(entry >> SHARER_SHIFT & ~(1 << requester))
             else:
                 targets = self._sockets_with_any_copy(block, exclude=requester)
             invalidation_latency = 0.0
@@ -143,7 +142,7 @@ class C3DFullDirectoryProtocol(C3DProtocol):
             # Modified -> Shared on write-back: the (clean) copy retained in
             # the DRAM cache keeps the socket in the sharing vector.
             if dram_cache is not None and dram_cache.contains(block):
-                directory.set_shared(block, {requester})
+                directory.set_shared(block, (requester,))
             else:
                 directory.invalidate(block)
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..coherence.directory import DirectoryState
+from ..coherence.directory import DIR_MODIFIED, DIR_SHARED, SHARER_SHIFT, members, owner_of
 from ..coherence.messages import ServiceSource
 from ..coherence.protocol_base import GlobalCoherenceProtocol
 from ..interconnect.packet import MessageClass
@@ -88,20 +88,19 @@ class C3DProtocol(GlobalCoherenceProtocol):
 
         if (
             entry is not None
-            and entry.state is DirectoryState.MODIFIED
-            and entry.owner is not None
-            and entry.owner != requester
+            and entry & DIR_MODIFIED
+            and entry >> SHARER_SHIFT != 1 << requester
         ):
             # The only place a modified copy can live is a remote *on-chip*
             # cache; forward there.  The owner downgrades to Shared and the
             # dirty data is written through so memory becomes valid again.
-            owner = entry.owner
+            owner = owner_of(entry)
             latency += self._fetch_from_remote_llc(
                 now + latency, home, owner, requester, block, downgrade=True
             )
-            directory.set_shared(block, {owner, requester})
+            directory.set_shared(block, (owner, requester))
             source = ServiceSource.REMOTE_LLC
-        elif entry is not None and entry.state is DirectoryState.SHARED:
+        elif entry is not None and entry & DIR_SHARED:
             latency += self._memory_read(now + latency, home, block, requester)
             latency += self._net_send(now + latency, home, requester, MessageClass.DATA_RESPONSE)
             directory.add_sharer(block, requester)
@@ -191,19 +190,18 @@ class C3DProtocol(GlobalCoherenceProtocol):
 
         if (
             entry is not None
-            and entry.state is DirectoryState.MODIFIED
-            and entry.owner is not None
-            and entry.owner != requester
+            and entry & DIR_MODIFIED
+            and entry >> SHARER_SHIFT != 1 << requester
         ):
-            owner = entry.owner
+            owner = owner_of(entry)
             latency += self._invalidate_remote_socket(
                 now + latency, home, owner, block, include_dram_cache=True
             )
             latency += self._net_send(now + latency, owner, requester,
                                       MessageClass.DATA_RESPONSE)
             source = ServiceSource.REMOTE_LLC
-        elif entry is not None and entry.state is DirectoryState.SHARED:
-            sharers = sorted(entry.sharers - {requester})
+        elif entry is not None and entry & DIR_SHARED:
+            sharers = members(entry >> SHARER_SHIFT & ~(1 << requester))
             invalidation_latency = 0.0
             for target in sharers:
                 invalidation_latency = max(
@@ -280,15 +278,14 @@ class C3DProtocol(GlobalCoherenceProtocol):
         entry = directory.lookup(block)
         if (
             entry is not None
-            and entry.state is DirectoryState.MODIFIED
-            and entry.owner is not None
-            and entry.owner != requester
+            and entry & DIR_MODIFIED
+            and entry >> SHARER_SHIFT != 1 << requester
         ):
-            owner = entry.owner
+            owner = owner_of(entry)
             # Mirror of _fetch_from_remote_llc(downgrade=True).
             self.sockets[owner].downgrade_block(block)
-            directory.set_shared(block, {owner, requester})
-        elif entry is not None and entry.state is DirectoryState.SHARED:
+            directory.set_shared(block, (owner, requester))
+        elif entry is not None and entry & DIR_SHARED:
             directory.add_sharer(block, requester)
         # Invalid / untracked: served by memory, stays untracked.
 
@@ -305,17 +302,16 @@ class C3DProtocol(GlobalCoherenceProtocol):
         sockets = self.sockets
         if (
             entry is not None
-            and entry.state is DirectoryState.MODIFIED
-            and entry.owner is not None
-            and entry.owner != requester
+            and entry & DIR_MODIFIED
+            and entry >> SHARER_SHIFT != 1 << requester
         ):
             # Mirror of _invalidate_remote_socket(include_dram_cache=True).
-            target_socket = sockets[entry.owner]
+            target_socket = sockets[owner_of(entry)]
             if target_socket.dram_cache is not None:
                 target_socket.dram_cache.invalidate(block)
             target_socket.invalidate_onchip(block)
-        elif entry is not None and entry.state is DirectoryState.SHARED:
-            for target in sorted(entry.sharers - {requester}):
+        elif entry is not None and entry & DIR_SHARED:
+            for target in members(entry >> SHARER_SHIFT & ~(1 << requester)):
                 target_socket = sockets[target]
                 if target_socket.dram_cache is not None:
                     target_socket.dram_cache.invalidate(block)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from ..caches.block import CacheBlockState
+from ..caches.sram_cache import DIRTY, MODIFIED
 from ..stats.counters import SimulationStats
 from .store_buffer import StoreBuffer
 from .tlb import TLB
@@ -49,10 +49,8 @@ class Core:
         self.stores = 0
         #: Socket-local L1 index, fixed at construction (hot-loop fast path).
         self.local_index = socket.local_index_of(core_id)
-        #: This core's L1, plus whether its recency can be maintained
-        #: intrusively (LRU) -- the condition for the inlined hit path.
+        #: This core's L1, whose hit path :meth:`execute_fast` inlines.
         self.l1 = socket.l1s[self.local_index]
-        self._l1_fast = getattr(self.l1, "_touch_moves", False)
 
     # -- helpers --------------------------------------------------------------
 
@@ -93,9 +91,9 @@ class Core:
 
         Takes precomputed block/page numbers, hoists the attribute and
         property lookups of the legacy path into locals and inlines the TLB,
-        the store buffer's ``forwards``/``push`` and the L1 hit path (the L1
-        is LRU in every evaluated configuration, so its recency update is the
-        same intrusive move the cache itself would perform).  The sequence of
+        the store buffer's ``forwards``/``push`` and the L1 hit path (the
+        same LRU move-to-end and counters as ``SetAssociativeCache.lookup``;
+        a store hit sets the dirty bit in place).  The sequence of
         architectural and statistics updates is identical to ``execute``,
         which still calls the store-buffer methods (the engine equivalence
         tests compare the two), only the Python-level indirection differs.
@@ -128,27 +126,24 @@ class Core:
             stats.writes += 1
             while entries and entries[0][0] <= time:
                 entries.popleft()
-            # Inlined L1 lookup + store hit path (see _access_fast).
+            # Inlined L1 lookup + store hit path.
             l1 = self.l1
-            if self._l1_fast:
-                cache_set = l1._sets.get(block % l1.num_sets)
-                line = cache_set.get(block) if cache_set is not None else None
-                if line is not None:
-                    l1.hits += 1
-                    del cache_set[block]
-                    cache_set[block] = line
-                else:
-                    l1.misses += 1
-            else:
-                line = l1.lookup(block)
-            if line is not None and line.state is CacheBlockState.MODIFIED:
+            cache_set = l1._sets.get(block % l1.num_sets)
+            line = cache_set.pop(block, None) if cache_set is not None else None
+            if line is not None and line & MODIFIED:
+                # Store hit: the LRU move and the dirty bit in one store.
+                l1.hits += 1
+                cache_set[block] = line | DIRTY
                 stats.l1_hits += 1
-                line.dirty = True
-                llc_line = socket.llc.peek(block)
-                if llc_line is not None:
-                    llc_line.dirty = True
+                socket.llc.mark_dirty(block)
                 latency = socket.l1_latency_ns
             else:
+                if line is None:
+                    l1.misses += 1
+                else:
+                    # A hit on a Shared line still lacks write permission.
+                    l1.hits += 1
+                    cache_set[block] = line
                 stats.l1_misses += 1
                 latency, _source = socket.access_l1_missed(
                     time, self.local_index, block, True, self.thread_id
@@ -192,25 +187,21 @@ class Core:
                 latency = socket.l1_latency_ns
                 stats.store_forward_hits += 1
             else:
-                # Inlined L1 lookup + load hit path (see _access_fast).
+                # Inlined L1 lookup + load hit path.
                 l1 = self.l1
-                if self._l1_fast:
-                    cache_set = l1._sets.get(block % l1.num_sets)
-                    line = cache_set.get(block) if cache_set is not None else None
-                    if line is not None:
-                        l1.hits += 1
-                        del cache_set[block]
-                        cache_set[block] = line
-                        stats.l1_hits += 1
-                        latency = socket.l1_latency_ns
-                    else:
-                        l1.misses += 1
-                        stats.l1_misses += 1
-                        latency, _source = socket.access_l1_missed(
-                            time, self.local_index, block, False, self.thread_id
-                        )
+                cache_set = l1._sets.get(block % l1.num_sets)
+                line = cache_set.pop(block, None) if cache_set is not None else None
+                if line is not None:
+                    l1.hits += 1
+                    cache_set[block] = line
+                    stats.l1_hits += 1
+                    latency = socket.l1_latency_ns
                 else:
-                    latency = self._access_fast(time, block, False, stats)
+                    l1.misses += 1
+                    stats.l1_misses += 1
+                    latency, _source = socket.access_l1_missed(
+                        time, self.local_index, block, False, self.thread_id
+                    )
             time += latency
             acc = stats.read_latency
         acc.total += latency
@@ -219,36 +210,6 @@ class Core:
             acc.maximum = latency
         self.time = time
         return time
-
-    def _access_fast(self, now: float, block: int, is_write: bool, stats) -> float:
-        """Inlined L1 lookup + hit path of :meth:`Socket.access`."""
-        socket = self.socket
-        l1 = self.l1
-        if self._l1_fast:
-            cache_set = l1._sets.get(block % l1.num_sets)
-            line = cache_set.get(block) if cache_set is not None else None
-            if line is not None:
-                l1.hits += 1
-                # Intrusive LRU move-to-end, as l1.lookup would do.
-                del cache_set[block]
-                cache_set[block] = line
-            else:
-                l1.misses += 1
-        else:
-            line = l1.lookup(block)
-        if line is not None and (not is_write or line.state is CacheBlockState.MODIFIED):
-            stats.l1_hits += 1
-            if is_write:
-                line.dirty = True
-                llc_line = socket.llc.peek(block)
-                if llc_line is not None:
-                    llc_line.dirty = True
-            return socket.l1_latency_ns
-        stats.l1_misses += 1
-        latency, _source = socket.access_l1_missed(
-            now, self.local_index, block, is_write, self.thread_id
-        )
-        return latency
 
     def _execute_load(self, block: int) -> None:
         self.loads += 1

@@ -246,8 +246,8 @@ class EngineContext:
         c3d-full-dir) every filled block -- displaced or not -- is
         registered in its home slice as Shared by every socket with a DRAM
         cache, so the directory stays a superset of reality
-        (:meth:`GlobalDirectory.add_shared_entries`: every entry it creates
-        holds one shared sharer set).  With the broadcast filter on, every
+        (:meth:`GlobalDirectory.add_shared_entries`: one int per new
+        entry).  With the broadcast filter on, every
         page of the filled blocks is classified shared: a socket other than
         a page's first toucher may already hold its blocks, so no write to
         it may skip the broadcast.
@@ -289,11 +289,10 @@ class EngineContext:
                 template = (cache, counts_before)
 
         if system.protocol.tracks_dram_cache_in_directory:
-            # Registered a page at a time (a page has a single home); new
-            # entries all hold one sharer set.
+            # Registered a page at a time (a page has a single home).
             directories = system.directories
             home_of_block = system.mapper.home_of_block
-            sharers = frozenset(sock.socket_id for sock in sockets)
+            sharers = [sock.socket_id for sock in sockets]
             per_page = layout.blocks_per_page()
             for blocks in fill:
                 start = blocks.start

@@ -39,7 +39,7 @@ import os
 import pickle
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..caches.block import CacheBlockState
+from ..caches.sram_cache import DIRTY, MODIFIED
 from ..stats.counters import SimulationStats
 from ..stats.sampling import (
     SampledSimulationStats,
@@ -54,8 +54,6 @@ from ..workloads.compiled import CompiledTrace
 from .base import EngineContext, ExecutionEngine, SimulationResult
 
 __all__ = ["SampledEngine"]
-
-_MODIFIED = CacheBlockState.MODIFIED
 
 #: Test/diagnostic switch: force the deepcopy (non-fork) window isolation
 #: path even on platforms where ``os.fork`` is available.
@@ -413,10 +411,10 @@ class SampledEngine(ExecutionEngine):
                 core.local_index,
                 core.thread_id,
                 socket.access_functional,
-                l1._sets if getattr(l1, "_touch_moves", False) else None,
+                l1._sets,
                 l1.num_sets,
                 socket.socket_id,
-                socket.llc.peek,
+                socket.llc.mark_dirty,
             ))
 
         executed = 0
@@ -427,22 +425,11 @@ class SampledEngine(ExecutionEngine):
             for state in active:
                 (core_id, blocks, pages, addrs, writes, end,
                  local_index, thread_id, access_functional, l1_sets,
-                 num_sets, socket_id, llc_peek) = state
+                 num_sets, socket_id, llc_mark_dirty) = state
                 i = cursors[core_id]
                 stop = min(end, i + chunk)
                 executed += stop - i
-                if l1_sets is None:
-                    # Non-LRU L1: every access takes the full functional path.
-                    for offset in range(i, stop):
-                        page = pages[offset]
-                        if page not in touched_pages:
-                            touched_pages[page] = home_of_page(page, socket_id)
-                        if record_access is not None:
-                            record_access(thread_id, addrs[offset])
-                        access_functional(
-                            local_index, blocks[offset], writes[offset], thread_id
-                        )
-                elif record_access is not None:
+                if record_access is not None:
                     for block, page, write, addr in zip(
                         blocks[i:stop], pages[i:stop], writes[i:stop], addrs[i:stop]
                     ):
@@ -454,18 +441,15 @@ class SampledEngine(ExecutionEngine):
                         if line is None:
                             access_functional(local_index, block, write, thread_id)
                         elif not write:
-                            # Inlined intrusive-LRU L1 read-hit path (recency
-                            # only; the cache's own hit counters are skipped).
+                            # Inlined L1 read-hit path (recency only; the
+                            # cache's own hit counters are skipped).
                             del cache_set[block]
                             cache_set[block] = line
-                        elif line.state is _MODIFIED:
+                        elif line & MODIFIED:
                             # Inlined L1 write-hit path: recency + dirty bits.
                             del cache_set[block]
-                            cache_set[block] = line
-                            line.dirty = True
-                            llc_line = llc_peek(block)
-                            if llc_line is not None:
-                                llc_line.dirty = True
+                            cache_set[block] = line | DIRTY
+                            llc_mark_dirty(block)
                         else:
                             access_functional(local_index, block, True, thread_id)
                 else:
@@ -481,13 +465,10 @@ class SampledEngine(ExecutionEngine):
                         elif not write:
                             del cache_set[block]
                             cache_set[block] = line
-                        elif line.state is _MODIFIED:
+                        elif line & MODIFIED:
                             del cache_set[block]
-                            cache_set[block] = line
-                            line.dirty = True
-                            llc_line = llc_peek(block)
-                            if llc_line is not None:
-                                llc_line.dirty = True
+                            cache_set[block] = line | DIRTY
+                            llc_mark_dirty(block)
                         else:
                             access_functional(local_index, block, True, thread_id)
                 cursors[core_id] = stop

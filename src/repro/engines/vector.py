@@ -47,8 +47,8 @@ exponentially growing *scalar burst* -- the next ``burst_accesses`` accesses
 in exact global merge order on the per-access path -- before re-probing, so
 cold-start miss storms and genuinely unbatchable traces both converge to the
 scalar loop's speed while staying bit-identical.  Configurations
-outside the classifier's proven envelope (non-LRU L1s, custom allocation
-policies or page classifiers, zero L1 latency) skip the batch path entirely.
+outside the classifier's proven envelope (custom allocation policies or page
+classifiers, zero L1 latency) skip the batch path entirely.
 """
 
 from __future__ import annotations
@@ -59,8 +59,7 @@ from typing import Dict, List, Optional, Set
 
 import numpy as np
 
-from ..caches.block import CacheBlockState
-from ..caches.sram_cache import SetAssociativeCache
+from ..caches.sram_cache import DIRTY, MODIFIED, SetAssociativeCache
 from ..core.page_classifier import PrivateSharedClassifier
 from ..cpu.store_buffer import StoreBuffer
 from ..cpu.tlb import TLB
@@ -70,7 +69,6 @@ from .base import EngineContext, ExecutionEngine, SimulationResult
 
 __all__ = ["VectorEngine"]
 
-_MODIFIED = CacheBlockState.MODIFIED
 _PAGE_SHARED = PageClassification.SHARED
 _EMPTY_F = np.empty(0, dtype=np.float64)
 
@@ -79,9 +77,10 @@ def _vectorizable(system, core_ids) -> bool:
     """True when the batch classifier's assumptions hold for this run.
 
     The classifier replicates the inlined fast paths of
-    :meth:`Core.execute_fast` exactly; any substituted component (a non-LRU
-    L1, a subclassed store buffer/TLB/page classifier, an exotic allocation
-    policy) voids that proof, so the engine falls back to the scalar loop.
+    :meth:`Core.execute_fast` exactly; any substituted component (an L1
+    that is not a ``SetAssociativeCache``, a subclassed store buffer/TLB/page
+    classifier, an exotic allocation policy) voids that proof, so the engine
+    falls back to the scalar loop.
     """
     policy = system.mapper.policy
     if type(policy) not in (InterleavePolicy, FirstTouchPolicy):
@@ -107,8 +106,6 @@ def _vectorizable(system, core_ids) -> bool:
     cores = system.cores
     for core_id in core_ids:
         core = cores[core_id]
-        if not getattr(core, "_l1_fast", False):
-            return False
         if type(core.store_buffer) is not StoreBuffer:
             return False
         if type(core.tlb) is not TLB:
@@ -537,10 +534,8 @@ class _VectorPhase:
             wblocks = st.wblocks
             while wi < len(wrel) and wrel[wi] < cut:
                 block = wblocks[wi]
-                sets_[block % nsets][block].dirty = True
-                llc_line = llc.peek(block)
-                if llc_line is not None:
-                    llc_line.dirty = True
+                sets_[block % nsets][block] |= DIRTY
+                llc.mark_dirty(block)
                 wi += 1
             st.wi = wi
         st.j = cut
@@ -743,7 +738,7 @@ class _VectorPhase:
                 modu[u] = False
             else:
                 resu[u] = True
-                modu[u] = line.state is _MODIFIED
+                modu[u] = bool(line & MODIFIED)
         st.bmap = bmap
         st.res = resu[binv]
         st.mod = modu[binv]
@@ -816,7 +811,7 @@ class _VectorPhase:
                 st.mod[sel] = False
             else:
                 st.res[sel] = True
-                st.mod[sel] = line.state is _MODIFIED
+                st.mod[sel] = bool(line & MODIFIED)
         changes.clear()
         st.log_pos = 0
 

@@ -24,7 +24,7 @@ import copy
 import weakref
 from typing import Dict, List, Optional, Type
 
-from ..caches.block import CacheBlockState
+from ..caches.sram_cache import MODIFIED
 from ..coherence.baseline import BaselineProtocol
 from ..coherence.directory import DirectoryState, GlobalDirectory
 from ..coherence.full_directory import FullDirectoryProtocol
@@ -203,23 +203,23 @@ class NumaSystem:
     def check_invariants(self) -> List[str]:
         """Return a list of invariant violations (empty when consistent).
 
-        Checks the socket-granularity Single-Writer/Multiple-Reader property,
-        the clean-DRAM-cache property for clean designs, and directory
+        Checks, inside each socket, that the LLC includes the L1s and that
+        the local directory matches the L1s; across sockets, the
+        socket-granularity Single-Writer/Multiple-Reader property, the
+        clean-DRAM-cache property for clean designs, and directory
         Modified-state consistency.
         """
         violations: List[str] = []
+        for sock in self.sockets:
+            violations.extend(self._socket_violations(sock))
 
         # SWMR at socket granularity: at most one socket holds a block Modified.
-        # One pass over each tag store, states compared by identity (an enum
-        # member's ``.value`` is a property call): this runs after every point
-        # of a sweep.
-        modified = CacheBlockState.MODIFIED
+        # One pass over each tag store: this runs after every point of a sweep.
         modified_holders: Dict[int, List[int]] = {}
         for sock in self.sockets:
-            for cache_set in sock.llc._sets.values():
-                for block, line in cache_set.items():
-                    if line.state is modified:
-                        modified_holders.setdefault(block, []).append(sock.socket_id)
+            for block, line in sock.llc.lines():
+                if line & MODIFIED:
+                    modified_holders.setdefault(block, []).append(sock.socket_id)
         for block, holders in modified_holders.items():
             if len(holders) > 1:
                 violations.append(
@@ -250,26 +250,73 @@ class NumaSystem:
         # Directory Modified entries must point at a socket that actually holds
         # the block: on chip for the clean/no-DRAM-cache designs, on chip or in
         # the DRAM cache for the dirty-DRAM-cache designs (full-dir).
-        directory_modified = DirectoryState.MODIFIED
         for directory in self.directories:
-            for entry in directory.entries():
-                if entry.state is directory_modified:
-                    owner = entry.owner
-                    has_copy = False
-                    if owner is not None:
-                        owner_socket = self.sockets[owner]
-                        has_copy = owner_socket.llc.contains(entry.block)
-                        if not has_copy and not self.protocol.clean_dram_cache:
-                            has_copy = (
-                                owner_socket.dram_cache is not None
-                                and owner_socket.dram_cache.contains(entry.block)
-                            )
-                    if not has_copy:
-                        violations.append(
-                            f"directory[{directory.home_socket}] says block "
-                            f"{entry.block:#x} is Modified at socket {owner}, "
-                            "which has no on-chip copy"
-                        )
+            for block, entry in directory.entries():
+                if entry.state is not DirectoryState.MODIFIED:
+                    continue
+                owner_socket = self.sockets[entry.owner]
+                has_copy = owner_socket.llc.contains(block)
+                if not has_copy and not self.protocol.clean_dram_cache:
+                    has_copy = (
+                        owner_socket.dram_cache is not None
+                        and owner_socket.dram_cache.contains(block)
+                    )
+                if not has_copy:
+                    violations.append(
+                        f"directory[{directory.home_socket}] says block "
+                        f"{block:#x} is Modified at socket {entry.owner}, "
+                        "which has no on-chip copy"
+                    )
+        return violations
+
+    @staticmethod
+    def _socket_violations(sock: Socket) -> List[str]:
+        """Inclusion and local-directory consistency inside one socket."""
+        violations: List[str] = []
+        name = f"socket {sock.socket_id}"
+        llc = sock.llc
+        holders: Dict[int, List[int]] = {}
+        modified_in: Dict[int, List[int]] = {}
+        for core, l1 in enumerate(sock.l1s):
+            for block, line in l1.lines():
+                holders.setdefault(block, []).append(core)
+                if line & MODIFIED:
+                    modified_in.setdefault(block, []).append(core)
+                if not llc.contains(block):
+                    violations.append(
+                        f"block {block:#x} in the L1 of core {core} of {name} "
+                        "but not in its LLC"
+                    )
+        for block, cores in modified_in.items():
+            if len(cores) > 1:
+                violations.append(
+                    f"block {block:#x} Modified in several L1s of {name}: {cores}"
+                )
+        listed = set()
+        for block, sharers, owner in sock.local_directory.entries():
+            listed.add(block)
+            cores = holders.get(block, [])
+            if not cores:
+                violations.append(
+                    f"{name} local directory lists block {block:#x}, which no L1 holds"
+                )
+            elif sharers != cores:
+                violations.append(
+                    f"{name} local directory lists sharers {sharers} of block "
+                    f"{block:#x}, but the L1s of cores {cores} hold it"
+                )
+            if owner is not None and modified_in.get(block) != [owner]:
+                violations.append(
+                    f"{name} local directory says core {owner} owns block "
+                    f"{block:#x}, but the L1s holding it Modified are "
+                    f"{modified_in.get(block, [])}"
+                )
+        for block, cores in holders.items():
+            if block not in listed:
+                violations.append(
+                    f"{name} local directory lists sharers [] of block "
+                    f"{block:#x}, but the L1s of cores {cores} hold it"
+                )
         return violations
 
 

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from ..caches.block import CacheBlockState
 from ..caches.dram_cache import DRAMCache
 from ..caches.miss_predictor import RegionMissPredictor
-from ..caches.sram_cache import SetAssociativeCache
-from ..coherence.local_directory import LocalDirectory, LocalDirectoryEntry
+from ..caches.sram_cache import DIRTY, MODIFIED, VICTIM_SHIFT, SetAssociativeCache
+from ..coherence.local_directory import LocalDirectory
 from ..coherence.messages import ServiceSource
 from ..memory.address import AddressLayout
 from ..memory.main_memory import MemoryController
@@ -29,8 +28,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Socket"]
 
-_MODIFIED = CacheBlockState.MODIFIED
-_SHARED = CacheBlockState.SHARED
+#: SRAM line state bits of a store's fill: Modified and dirty.
+_WRITTEN = MODIFIED | DIRTY
 # Enum members read through the class cost a metaclass lookup each; the LLC
 # miss path compares against these once per miss.
 _LOCAL_DRAM_CACHE = ServiceSource.LOCAL_DRAM_CACHE
@@ -87,6 +86,7 @@ class Socket:
             name=f"socket{socket_id}.llc",
         )
         self.local_directory = LocalDirectory(
+            config.cores_per_socket,
             latency_ns=config.directory.local_latency_ns,
             name=f"socket{socket_id}.local_dir",
         )
@@ -150,15 +150,14 @@ class Socket:
         provided the data (or write permission).
         """
         stats = self.stats
-        l1_line = self.l1s[core_index].lookup(block)
+        l1 = self.l1s[core_index]
+        l1_line = l1.lookup(block)
 
-        if l1_line is not None and (not is_write or l1_line.state is _MODIFIED):
+        if l1_line is not None and (not is_write or l1_line & MODIFIED):
             stats.l1_hits += 1
             if is_write:
-                l1_line.dirty = True
-                llc_line = self.llc.peek(block)
-                if llc_line is not None:
-                    llc_line.dirty = True
+                l1.mark_dirty(block)
+                self.llc.mark_dirty(block)
             return self.l1_latency_ns, ServiceSource.L1
         stats.l1_misses += 1
         return self.access_l1_missed(now, core_index, block, is_write, thread_id)
@@ -186,21 +185,21 @@ class Socket:
                 latency += self._peer_intervention(core_index, block)
                 self._fill_l1(core_index, block, modified=False)
                 return latency, ServiceSource.LLC
-            if llc_line.state is _MODIFIED:
+            if llc_line & MODIFIED:
                 self._local_write_update(core_index, block)
                 return latency, ServiceSource.LLC
-            # Shared in the LLC: data is present but Modified permission is not.
+            # Shared in the LLC: data is present but Modified permission is
+            # not.  _local_write_update then makes the LLC line Modified.
             miss_latency, source = self.protocol.write_miss(
                 now + latency, self.socket_id, block,
                 thread_id=thread_id, has_shared_copy=True,
             )
             latency += miss_latency
-            llc.set_state(block, _MODIFIED, dirty=True)
             self._local_write_update(core_index, block)
             return latency, source
 
         # LLC miss: hand the request to the global protocol, then install the
-        # fill -- LLC, the LLC victim's eviction, L1 -- all in this frame.
+        # fill -- LLC and the LLC victim's eviction in this frame, then L1.
         stats.llc_misses += 1
         protocol = self.protocol
         if is_write:
@@ -208,10 +207,10 @@ class Socket:
                 now + latency, self.socket_id, block,
                 thread_id=thread_id, has_shared_copy=False,
             )
-            state = _MODIFIED
+            bits = _WRITTEN
         else:
             miss_latency, source = protocol.read_miss(now + latency, self.socket_id, block)
-            state = _SHARED
+            bits = 0
         latency += miss_latency
 
         if source is _LOCAL_DRAM_CACHE:
@@ -230,45 +229,21 @@ class Socket:
         if miss_latency > acc.maximum:
             acc.maximum = miss_latency
 
-        victim = llc.insert(block, state, dirty=is_write)
+        victim = llc.insert(block, bits)
         if victim is not None:
             # Back-invalidate the victim's L1 copies (the LLC is inclusive);
             # a dirty L1 copy makes the eviction dirty.
-            victim_block = victim.block
-            victim_dirty = victim.dirty
+            victim_block = victim >> VICTIM_SHIFT
+            victim_dirty = victim & DIRTY
             l1s = self.l1s
             for core in self.local_directory.invalidate_block(victim_block):
                 line = l1s[core].invalidate(victim_block)
-                if line is not None and line.dirty:
-                    victim_dirty = True
+                if line is not None:
+                    victim_dirty |= line & DIRTY
             protocol.llc_eviction(now + latency, self.socket_id, victim_block,
-                                  dirty=victim_dirty)
+                                  dirty=victim_dirty != 0)
 
-        # The L1 fill with its local-directory bookkeeping, as in _fill_l1.
-        victim = self.l1s[core_index].insert(block, state, dirty=is_write)
-        entries = self.local_directory._entries
-        entry = entries.get(block)
-        if entry is None:
-            entry = entries[block] = LocalDirectoryEntry(block=block)
-        entry.sharers.add(core_index)
-        if is_write:
-            entry.owner = core_index
-        elif entry.owner == core_index:
-            entry.owner = None
-        if victim is not None:
-            victim_block = victim.block
-            victim_entry = entries.get(victim_block)
-            if victim_entry is not None:
-                victim_entry.sharers.discard(core_index)
-                if victim_entry.owner == core_index:
-                    victim_entry.owner = None
-                if not victim_entry.sharers:
-                    del entries[victim_block]
-            if victim.dirty:
-                # Write the L1 victim's data back into the (inclusive) LLC.
-                llc_line = llc.peek(victim_block)
-                if llc_line is not None:
-                    llc_line.dirty = True
+        self._fill_l1(core_index, block, modified=is_write)
         return latency, source
 
     def access_functional(self, core_index: int, block: int, is_write: bool,
@@ -289,12 +264,10 @@ class Socket:
         """
         l1 = self.l1s[core_index]
         line = l1.lookup(block)
-        if line is not None and (not is_write or line.state is _MODIFIED):
+        if line is not None and (not is_write or line & MODIFIED):
             if is_write:
-                line.dirty = True
-                llc_line = self.llc.peek(block)
-                if llc_line is not None:
-                    llc_line.dirty = True
+                l1.mark_dirty(block)
+                self.llc.mark_dirty(block)
             return
         llc = self.llc
         llc_line = llc.lookup(block)
@@ -303,14 +276,11 @@ class Socket:
                 self._peer_intervention(core_index, block)
                 self._fill_l1(core_index, block, modified=False)
                 return
-            if llc_line.state is _MODIFIED:
-                self._local_write_update(core_index, block)
-                return
-            self.protocol.write_miss_functional(
-                self.socket_id, block,
-                thread_id=thread_id, has_shared_copy=True,
-            )
-            llc.set_state(block, _MODIFIED, dirty=True)
+            if not llc_line & MODIFIED:
+                self.protocol.write_miss_functional(
+                    self.socket_id, block,
+                    thread_id=thread_id, has_shared_copy=True,
+                )
             self._local_write_update(core_index, block)
             return
         if is_write:
@@ -328,79 +298,50 @@ class Socket:
 
     def _peer_intervention(self, core_index: int, block: int) -> float:
         """If a peer core's L1 owns the block modified, source it from there."""
-        owner = self.local_directory.owner_of(block)
-        if owner is None or owner == core_index:
+        owner = self.local_directory.intervene(block, core_index)
+        if owner is None:
             return 0.0
         self.stats.llc_peer_hits += 1
-        self.local_directory.peer_interventions += 1
-        # The owner is downgraded to Shared; the LLC copy is made current.
+        # The owner is downgraded to Shared, keeping its dirty bit; the LLC
+        # copy is made current.
         owner_l1 = self.l1s[owner]
         owner_line = owner_l1.peek(block)
         if owner_line is not None:
-            owner_line.state = CacheBlockState.SHARED
-            owner_l1.note_external_change(block)
-        entry = self.local_directory.peek(block)
-        if entry is not None:
-            entry.owner = None
+            owner_l1.set_state(block, owner_line & DIRTY)
         return self.l1_latency_ns
 
     def _local_write_update(self, core_index: int, block: int) -> None:
         """Give core ``core_index`` the only L1 copy and mark everything dirty."""
-        peers = self.local_directory.record_write(block, core_index)
-        for peer in peers:
+        for peer in self.local_directory.record_write(block, core_index):
             self.l1s[peer].invalidate(block)
         self._fill_l1(core_index, block, modified=True)
-        llc_line = self.llc.peek(block)
-        if llc_line is not None:
-            llc_line.state = CacheBlockState.MODIFIED
-            llc_line.dirty = True
+        # The LLC just hit on the block, so it is resident.
+        self.llc.set_state(block, _WRITTEN)
 
     def _fill_l1(self, core_index: int, block: int, *, modified: bool) -> None:
-        l1 = self.l1s[core_index]
-        state = _MODIFIED if modified else _SHARED
-        victim = l1.insert(block, state, dirty=modified)
-        # Inlined LocalDirectory.record_fill.
-        local_dir = self.local_directory
-        entries = local_dir._entries
-        entry = entries.get(block)
-        if entry is None:
-            entry = entries[block] = LocalDirectoryEntry(block=block)
-        entry.sharers.add(core_index)
-        if modified:
-            entry.owner = core_index
-        elif entry.owner == core_index:
-            entry.owner = None
-        if victim is not None:
-            # Inlined LocalDirectory.record_eviction.
-            victim_block = victim.block
-            victim_entry = entries.get(victim_block)
-            if victim_entry is not None:
-                victim_entry.sharers.discard(core_index)
-                if victim_entry.owner == core_index:
-                    victim_entry.owner = None
-                if not victim_entry.sharers:
-                    del entries[victim_block]
-            if victim.dirty:
-                # Write the L1 victim's data back into the (inclusive) LLC.
-                llc_line = self.llc.peek(victim_block)
-                if llc_line is not None:
-                    llc_line.dirty = True
+        victim = self.l1s[core_index].insert(block, _WRITTEN if modified else 0)
+        if victim is None:
+            self.local_directory.record_fill(block, core_index, modified)
+            return
+        victim_block = victim >> VICTIM_SHIFT
+        self.local_directory.record_fill(block, core_index, modified, victim_block)
+        if victim & DIRTY:
+            # Write the L1 victim's data back into the (inclusive) LLC.
+            self.llc.mark_dirty(victim_block)
 
     def _fill_functional(self, core_index: int, block: int, *, modified: bool) -> None:
         """State-only LLC + L1 fill of :meth:`access_l1_missed`: victims go to
         the protocol's functional mirror."""
-        state = _MODIFIED if modified else _SHARED
-        victim = self.llc.insert(block, state, dirty=modified)
+        victim = self.llc.insert(block, _WRITTEN if modified else 0)
         if victim is not None:
-            victim_block = victim.block
-            victim_dirty = victim.dirty
-            cores_with_copy = self.local_directory.invalidate_block(victim_block)
-            for core in cores_with_copy:
+            victim_block = victim >> VICTIM_SHIFT
+            victim_dirty = victim & DIRTY
+            for core in self.local_directory.invalidate_block(victim_block):
                 line = self.l1s[core].invalidate(victim_block)
-                if line is not None and line.dirty:
-                    victim_dirty = True
+                if line is not None:
+                    victim_dirty |= line & DIRTY
             self.protocol.llc_eviction_functional(
-                self.socket_id, victim_block, dirty=victim_dirty
+                self.socket_id, victim_block, dirty=victim_dirty != 0
             )
         self._fill_l1(core_index, block, modified=modified)
 
@@ -421,23 +362,13 @@ class Socket:
     def downgrade_block(self, block: int) -> bool:
         """Downgrade an on-chip Modified copy to Shared; returns True if it was dirty."""
         was_dirty = False
-        entry = self.local_directory.peek(block)
-        if entry is not None:
-            for core in list(entry.sharers):
-                core_l1 = self.l1s[core]
-                line = core_l1.peek(block)
-                if line is not None:
-                    if line.dirty:
-                        was_dirty = True
-                    line.state = CacheBlockState.SHARED
-                    line.dirty = False
-                    core_l1.note_external_change(block)
-            entry.owner = None
-        llc_line = self.llc.peek(block)
-        if llc_line is not None:
-            if llc_line.dirty:
+        for core in self.local_directory.downgrade(block):
+            line = self.l1s[core].downgrade(block)
+            if line is not None and line & DIRTY:
                 was_dirty = True
-            self.llc.downgrade(block)
+        line = self.llc.downgrade(block)
+        if line is not None and line & DIRTY:
+            was_dirty = True
         return was_dirty
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

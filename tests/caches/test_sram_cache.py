@@ -1,10 +1,9 @@
 """Tests for the set-associative SRAM cache model (L1 / LLC)."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.caches.block import CacheBlockState
-from repro.caches.sram_cache import SetAssociativeCache
+from repro.caches.sram_cache import DIRTY, MODIFIED, VICTIM_SHIFT, SetAssociativeCache
 
 
 def make_cache(size=1024, ways=2, name="test"):
@@ -24,17 +23,36 @@ def test_miss_then_hit():
     assert cache.lookup(5) is None
     cache.insert(5)
     line = cache.lookup(5)
-    assert line is not None and line.block == 5
+    # A clean Shared line is 0: residency is "is not None", not truthiness.
+    assert line == 0 and line is not None
     assert cache.hits == 1 and cache.misses == 1
 
 
 def test_insert_existing_upgrades_state_without_victim():
     cache = make_cache()
-    cache.insert(5, CacheBlockState.SHARED)
-    victim = cache.insert(5, CacheBlockState.MODIFIED, dirty=True)
+    cache.insert(5)
+    victim = cache.insert(5, MODIFIED | DIRTY)
     assert victim is None
-    line = cache.peek(5)
-    assert line.state is CacheBlockState.MODIFIED and line.dirty
+    assert cache.peek(5) == MODIFIED | DIRTY
+
+
+def test_reinsert_keeps_the_dirty_bit_and_moves_to_mru():
+    cache = make_cache(size=256, ways=2)  # 2 sets, 2 ways
+    cache.insert(0, MODIFIED | DIRTY)
+    cache.insert(2)
+    assert cache.insert(0) is None  # Shared again, still dirty, now MRU
+    assert cache.peek(0) == DIRTY
+    victim = cache.insert(4)
+    assert victim == 2 << VICTIM_SHIFT
+
+
+def test_write_to_resident_line_keeps_its_lru_position():
+    cache = make_cache(size=256, ways=2)
+    cache.insert(0)
+    cache.insert(2)
+    cache.mark_dirty(0)
+    cache.set_state(0, MODIFIED | DIRTY)
+    assert cache.insert(4) == 0 << VICTIM_SHIFT | MODIFIED | DIRTY
 
 
 def test_lru_eviction_order():
@@ -44,17 +62,17 @@ def test_lru_eviction_order():
     cache.insert(2)
     cache.lookup(0)
     victim = cache.insert(4)  # maps to set 0
-    assert victim is not None and victim.block == 2
+    assert victim is not None and victim >> VICTIM_SHIFT == 2
 
 
 def test_dirty_eviction_reported():
     cache = make_cache(size=256, ways=2)
-    cache.insert(0, CacheBlockState.MODIFIED, dirty=True)
+    cache.insert(0, MODIFIED | DIRTY)
     cache.insert(2)
     cache.lookup(2)
     victim = cache.insert(4)
-    assert victim.block == 0
-    assert victim.needs_writeback
+    assert victim >> VICTIM_SHIFT == 0
+    assert victim & DIRTY
     assert cache.dirty_evictions == 1
 
 
@@ -62,7 +80,7 @@ def test_invalidate_removes_line():
     cache = make_cache()
     cache.insert(7)
     line = cache.invalidate(7)
-    assert line is not None
+    assert line == 0
     assert not cache.contains(7)
     assert cache.invalidations == 1
     assert cache.invalidate(7) is None
@@ -70,16 +88,16 @@ def test_invalidate_removes_line():
 
 def test_downgrade_clears_modified_and_dirty():
     cache = make_cache()
-    cache.insert(3, CacheBlockState.MODIFIED, dirty=True)
-    line = cache.downgrade(3)
-    assert line.state is CacheBlockState.SHARED
-    assert not line.dirty
+    cache.insert(3, MODIFIED | DIRTY)
+    assert cache.downgrade(3) == MODIFIED | DIRTY
+    assert cache.peek(3) == 0
+    assert cache.downgrade(4) is None
 
 
 def test_set_state_requires_residency():
     cache = make_cache()
     with pytest.raises(KeyError):
-        cache.set_state(1, CacheBlockState.MODIFIED)
+        cache.set_state(1, MODIFIED)
 
 
 def test_occupancy_and_resident_blocks():
@@ -133,3 +151,143 @@ def test_most_recently_inserted_block_is_always_resident(blocks):
     for block in blocks:
         cache.insert(block)
         assert cache.contains(block)
+
+
+# ----------------------------------------------------------------------
+# Differential test: the int encoding against a reference model of tuples
+# ----------------------------------------------------------------------
+
+
+class ReferenceCache:
+    """LRU sets as lists of ``(block, modified, dirty)``, front = LRU."""
+
+    def __init__(self, num_sets, ways):
+        self.num_sets = num_sets
+        self.ways = ways
+        self.sets = {}
+        self.counters = dict(hits=0, misses=0, evictions=0, dirty_evictions=0,
+                             invalidations=0)
+
+    def _find(self, block):
+        lines = self.sets.setdefault(block % self.num_sets, [])
+        for position, line in enumerate(lines):
+            if line[0] == block:
+                return lines, position
+        return lines, None
+
+    def lookup(self, block):
+        lines, position = self._find(block)
+        if position is None:
+            self.counters["misses"] += 1
+            return None
+        self.counters["hits"] += 1
+        line = lines.pop(position)
+        lines.append(line)
+        return line[1:]
+
+    def insert(self, block, modified, dirty):
+        lines, position = self._find(block)
+        if position is not None:
+            _, _, old_dirty = lines.pop(position)
+            lines.append((block, modified, old_dirty or dirty))
+            return None
+        victim = None
+        if len(lines) >= self.ways:
+            victim = lines.pop(0)
+            self.counters["evictions"] += 1
+            if victim[2]:
+                self.counters["dirty_evictions"] += 1
+        lines.append((block, modified, dirty))
+        return victim
+
+    def invalidate(self, block):
+        lines, position = self._find(block)
+        if position is None:
+            return None
+        self.counters["invalidations"] += 1
+        return lines.pop(position)[1:]
+
+    def rewrite(self, block, modified=None, dirty=None):
+        """Change a resident line in place; returns its old bits (or None)."""
+        lines, position = self._find(block)
+        if position is None:
+            return None
+        _, old_modified, old_dirty = lines[position]
+        lines[position] = (
+            block,
+            old_modified if modified is None else modified,
+            old_dirty if dirty is None else dirty,
+        )
+        return old_modified, old_dirty
+
+    def state(self):
+        return {index: list(lines) for index, lines in self.sets.items() if lines}
+
+
+def _bits(modified, dirty):
+    return (MODIFIED if modified else 0) | (DIRTY if dirty else 0)
+
+
+def _unbits(bits):
+    return None if bits is None else (bool(bits & MODIFIED), bool(bits & DIRTY))
+
+
+def _cache_state(cache):
+    state = {}
+    for block, bits in cache.lines():
+        state.setdefault(cache.set_index(block), []).append((block, *_unbits(bits)))
+    return state
+
+
+_blocks = st.integers(0, 7)
+_cache_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("lookup"), _blocks),
+        st.tuples(st.just("insert"), _blocks, st.booleans(), st.booleans()),
+        st.tuples(st.just("invalidate"), _blocks),
+        st.tuples(st.just("downgrade"), _blocks),
+        st.tuples(st.just("set_state"), _blocks, st.booleans(), st.booleans()),
+        st.tuples(st.just("mark_dirty"), _blocks),
+    ),
+    # Long enough that re-inserts and evictions meet in most examples.
+    min_size=20,
+    max_size=60,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cache_ops)
+# Re-inserting a resident block keeps its dirty bit and makes it MRU.
+@example([("insert", 0, True, True), ("insert", 2, False, False),
+          ("insert", 0, False, False), ("insert", 4, False, False)])
+def test_int_lines_match_a_reference_model(ops):
+    """Residency in LRU order, Modified/dirty bits, victims and every counter
+    equal a model written with tuples, after every operation."""
+    cache = SetAssociativeCache(4 * 64, 2, block_size=64)  # 2 sets x 2 ways
+    ref = ReferenceCache(cache.num_sets, 2)
+    for op, block, *args in ops:
+        if op == "lookup":
+            assert _unbits(cache.lookup(block)) == ref.lookup(block)
+        elif op == "insert":
+            modified, dirty = args
+            victim = cache.insert(block, _bits(modified, dirty))
+            expected = ref.insert(block, modified, dirty)
+            got = None if victim is None else (
+                victim >> VICTIM_SHIFT, *_unbits(victim & (MODIFIED | DIRTY)))
+            assert got == expected
+        elif op == "invalidate":
+            assert _unbits(cache.invalidate(block)) == ref.invalidate(block)
+        elif op == "downgrade":
+            assert _unbits(cache.downgrade(block)) == ref.rewrite(block, False, False)
+        elif op == "set_state":
+            modified, dirty = args
+            if ref.rewrite(block, modified, dirty) is None:
+                with pytest.raises(KeyError):
+                    cache.set_state(block, _bits(modified, dirty))
+            else:
+                cache.set_state(block, _bits(modified, dirty))
+        else:
+            cache.mark_dirty(block)
+            ref.rewrite(block, dirty=True)
+        assert _cache_state(cache) == ref.state()
+        assert {name: getattr(cache, name) for name in ref.counters} == ref.counters

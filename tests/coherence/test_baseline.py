@@ -40,7 +40,7 @@ def test_read_allocates_directory_sharer(baseline_system):
     system = baseline_system
     block = block_homed_at(system, home=1)
     read(system, socket_id=0, block=block)
-    entry = system.directories[1].peek(block)
+    entry = system.directories[1].decode(block)
     assert entry is not None
     assert entry.state is DirectoryState.SHARED
     assert 0 in entry.sharers
@@ -50,7 +50,7 @@ def test_write_sets_directory_modified(baseline_system):
     system = baseline_system
     block = block_homed_at(system, home=1)
     write(system, socket_id=0, block=block)
-    entry = system.directories[1].peek(block)
+    entry = system.directories[1].decode(block)
     assert entry.state is DirectoryState.MODIFIED
     assert entry.owner == 0
 
@@ -61,7 +61,7 @@ def test_read_of_remotely_modified_block_is_forwarded(baseline_system):
     write(system, socket_id=1, block=block)
     latency, source = read(system, socket_id=0, block=block)
     assert source is ServiceSource.REMOTE_LLC
-    entry = system.directories[0].peek(block)
+    entry = system.directories[0].decode(block)
     assert entry.state is DirectoryState.SHARED
     assert entry.sharers == {0, 1}
     # The forward wrote the dirty data through to memory.
@@ -85,7 +85,7 @@ def test_write_to_remotely_modified_block_changes_owner(baseline_system):
     block = block_homed_at(system, home=0)
     write(system, socket_id=1, block=block)
     write(system, socket_id=0, block=block)
-    entry = system.directories[0].peek(block)
+    entry = system.directories[0].decode(block)
     assert entry.state is DirectoryState.MODIFIED and entry.owner == 0
     assert not system.sockets[1].llc.contains(block)
     assert system.check_invariants() == []
@@ -113,7 +113,7 @@ def test_dirty_eviction_writes_back_and_untracks(baseline_system):
         read(system, socket_id=0, block=other)
     assert not llc.contains(block)
     assert system.stats.memory_writes_remote > writes_before
-    assert system.directories[1].peek(block) is None
+    assert system.directories[1].decode(block) is None
 
 
 def test_l1_hit_has_no_global_side_effects(baseline_system):

@@ -1,28 +1,36 @@
 """Tests for the global directory slice and the storage-cost model."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.coherence.directory import (
+    DIR_MODIFIED,
+    DIR_SHARED,
+    SHARER_SHIFT,
     DirectoryCostModel,
     DirectoryState,
     GlobalDirectory,
+    members,
+    owner_of,
 )
 
 
 def test_untracked_block_is_invalid():
     directory = GlobalDirectory(0)
     assert directory.lookup(5) is None
-    assert directory.state_of(5) is DirectoryState.INVALID
+    assert directory.decode(5) is None
     assert directory.lookups == 1
 
 
 def test_set_modified_and_shared_transitions():
     directory = GlobalDirectory(0)
-    entry = directory.set_modified(7, owner=2)
+    directory.set_modified(7, owner=2)
+    entry = directory.decode(7)
     assert entry.state is DirectoryState.MODIFIED
     assert entry.owner == 2
-    entry = directory.set_shared(7, {1, 2})
+    assert entry.sharers == {2}
+    directory.set_shared(7, {1, 2})
+    entry = directory.decode(7)
     assert entry.state is DirectoryState.SHARED
     assert entry.owner is None
     assert entry.sharers == {1, 2}
@@ -30,13 +38,28 @@ def test_set_modified_and_shared_transitions():
     assert directory.transitions["M->S"] == 1
 
 
+def test_entry_ints_use_the_documented_layout():
+    directory = GlobalDirectory(0)
+    directory.set_modified(7, owner=2)
+    directory.set_shared(8, {0, 3})
+    assert directory.peek(7) == 1 << 2 + SHARER_SHIFT | DIR_MODIFIED
+    assert directory.peek(8) == (1 | 1 << 3) << SHARER_SHIFT | DIR_SHARED
+    assert owner_of(directory.peek(7)) == 2
+    assert members(directory.peek(8) >> SHARER_SHIFT) == [0, 3]
+    assert directory.lookups == 0
+    assert directory.lookup(7) == directory.peek(7)
+    assert directory.lookups == 1
+
+
 def test_add_sharer_allocates_shared_entry():
     directory = GlobalDirectory(0)
     directory.add_sharer(3, 1)
     directory.add_sharer(3, 2)
-    entry = directory.peek(3)
+    entry = directory.decode(3)
     assert entry.state is DirectoryState.SHARED
     assert entry.sharers == {1, 2}
+    assert directory.allocations == 1
+    assert directory.transitions == {"I->S": 1}
 
 
 def test_add_sharer_on_modified_entry_rejected():
@@ -56,9 +79,20 @@ def test_remove_sharer_deallocates_when_empty():
     directory = GlobalDirectory(0)
     directory.set_shared(3, {1, 2})
     directory.remove_sharer(3, 1)
-    assert directory.peek(3).sharers == {2}
+    assert directory.decode(3).sharers == {2}
     directory.remove_sharer(3, 2)
-    assert directory.peek(3) is None
+    assert directory.decode(3) is None
+    assert directory.deallocations == 1
+
+
+def test_removing_the_owner_frees_a_modified_entry():
+    directory = GlobalDirectory(0)
+    directory.set_modified(3, owner=1)
+    directory.remove_sharer(3, 0)  # not a sharer: no change
+    assert directory.decode(3) == (DirectoryState.MODIFIED, 1, frozenset({1}))
+    directory.remove_sharer(3, 1)
+    assert directory.decode(3) is None
+    assert directory.transitions == {"I->M": 1, "M->I": 1}
     assert directory.deallocations == 1
 
 
@@ -104,8 +138,149 @@ def test_directory_entries_always_well_formed(ops):
             directory.set_shared(block, {socket})
         else:
             directory.invalidate(block)
-    for entry in directory.entries():
+    for _block, entry in directory.entries():
         assert entry.state in (DirectoryState.MODIFIED, DirectoryState.SHARED)
         if entry.state is DirectoryState.MODIFIED:
             assert entry.owner is not None
+            assert entry.sharers == {entry.owner}
         assert entry.sharers
+
+
+# ----------------------------------------------------------------------
+# Differential test: the int encoding against a reference model of tuples
+# ----------------------------------------------------------------------
+
+
+class ReferenceDirectory:
+    """Entries as ``(state letter, owner, frozenset of sharers)`` tuples, with
+    the mutable-entry semantics the int encoding replaced."""
+
+    def __init__(self):
+        self.entries = {}
+        self.transitions = {}
+        self.counters = dict(lookups=0, allocations=0, deallocations=0, peak_entries=0)
+
+    def _transition(self, old, new):
+        key = f"{old}->{new}"
+        self.transitions[key] = self.transitions.get(key, 0) + 1
+
+    def _get_or_allocate(self, block):
+        if block not in self.entries:
+            self.entries[block] = ("I", None, frozenset())
+            self.counters["allocations"] += 1
+            self.counters["peak_entries"] = max(self.counters["peak_entries"],
+                                                len(self.entries))
+        return self.entries[block]
+
+    def lookup(self, block):
+        self.counters["lookups"] += 1
+        return self.entries.get(block)
+
+    def set_modified(self, block, owner):
+        state, _, _ = self._get_or_allocate(block)
+        self._transition(state, "M")
+        self.entries[block] = ("M", owner, frozenset({owner}))
+
+    def set_shared(self, block, sharers):
+        if not sharers:
+            raise ValueError
+        state, _, _ = self._get_or_allocate(block)
+        self._transition(state, "S")
+        self.entries[block] = ("S", None, frozenset(sharers))
+
+    def add_sharer(self, block, socket):
+        state, owner, sharers = self._get_or_allocate(block)
+        if state == "M":
+            raise ValueError
+        if state == "I":
+            self._transition("I", "S")
+        self.entries[block] = ("S", owner, sharers | {socket})
+
+    def add_shared_entries(self, blocks, sharers):
+        added = {}
+        for block in blocks:
+            if block in self.entries:
+                for socket in sorted(sharers):
+                    self.add_sharer(block, socket)
+            else:
+                added[block] = ("S", None, frozenset(sharers))
+        if added:
+            self.entries.update(added)
+            self.counters["allocations"] += len(added)
+            self.counters["peak_entries"] = max(self.counters["peak_entries"],
+                                                len(self.entries))
+            self.transitions["I->S"] = self.transitions.get("I->S", 0) + len(added)
+
+    def remove_sharer(self, block, socket):
+        if block not in self.entries:
+            return
+        state, owner, sharers = self.entries[block]
+        sharers = sharers - {socket}
+        self.entries[block] = (state, None if owner == socket else owner, sharers)
+        if not sharers:
+            self.invalidate(block)
+
+    def invalidate(self, block):
+        entry = self.entries.pop(block, None)
+        if entry is not None:
+            self._transition(entry[0], "I")
+            self.counters["deallocations"] += 1
+
+    def decoded(self):
+        return [(block, (DirectoryState(state), owner, sharers))
+                for block, (state, owner, sharers) in self.entries.items()]
+
+
+_dir_blocks = st.integers(0, 7)
+_sockets = st.integers(0, 3)
+_socket_sets = st.frozensets(_sockets, max_size=4)
+_directory_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("lookup"), _dir_blocks),
+        st.tuples(st.just("set_modified"), _dir_blocks, _sockets),
+        st.tuples(st.just("set_shared"), _dir_blocks, _socket_sets),
+        st.tuples(st.just("add_sharer"), _dir_blocks, _sockets),
+        st.tuples(st.just("add_shared_entries"),
+                  st.lists(_dir_blocks, unique=True, max_size=5),
+                  _socket_sets.filter(bool)),
+        st.tuples(st.just("remove_sharer"), _dir_blocks, _sockets),
+        st.tuples(st.just("invalidate"), _dir_blocks),
+    ),
+    max_size=60,
+)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args), None
+    except ValueError:
+        return None, ValueError
+
+
+@settings(max_examples=200, deadline=None)
+@given(_directory_ops)
+# add_shared_entries over tracked blocks: Shared ones gain the sockets, a
+# Modified one refuses them (and no new entry is added).
+@example([("set_shared", 1, frozenset({1})),
+          ("add_shared_entries", [0, 1, 2], frozenset({0, 3}))])
+@example([("set_modified", 1, 2), ("add_shared_entries", [0, 1], frozenset({0}))])
+# remove_sharer of a Modified owner frees the entry; of another socket, not.
+@example([("set_modified", 3, 1), ("remove_sharer", 3, 0), ("remove_sharer", 3, 1)])
+def test_int_entries_match_a_reference_model(ops):
+    """Entries in allocation order (state, owner, sharers), errors, and every
+    counter -- transitions in recording order too -- equal a model written
+    with tuples and sets, after every operation."""
+    directory = GlobalDirectory(0)
+    ref = ReferenceDirectory()
+    for op, *args in ops:
+        if op == "lookup":
+            entry = directory.lookup(args[0])
+            expected = ref.lookup(args[0])
+            assert (entry is None) == (expected is None)
+        else:
+            got, error = _outcome(getattr(directory, op), *args)
+            assert got is None
+            assert _outcome(getattr(ref, op), *args)[1] is error
+        assert list(directory.entries()) == ref.decoded()
+        assert {name: getattr(directory, name) for name in ref.counters} == ref.counters
+        assert list(directory.transitions.items()) == list(ref.transitions.items())

@@ -28,7 +28,7 @@ def test_dirty_llc_victim_stays_dirty_in_dram_cache_without_writeback(full_dir_s
     assert system.sockets[0].dram_cache.dirty_of(block) is True
     assert system.stats.memory_writes_remote == writes_before
     # The directory still records socket 0 as the owner (Fig. 4 situation).
-    entry = system.directories[1].peek(block)
+    entry = system.directories[1].decode(block)
     assert entry.state is DirectoryState.MODIFIED and entry.owner == 0
 
 
@@ -44,7 +44,7 @@ def test_remote_read_of_dirty_dram_block_hits_the_pathology(full_dir_system):
     assert latency > system.config.memory.latency_ns
     assert system.stats.served_remote_dram_cache == 1
     # Afterwards memory is valid again and the entry is Shared.
-    entry = system.directories[1].peek(block)
+    entry = system.directories[1].decode(block)
     assert entry.state is DirectoryState.SHARED
     assert system.check_invariants() == []
 

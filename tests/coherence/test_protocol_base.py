@@ -49,9 +49,7 @@ def test_sockets_with_copy_helpers():
     system = tiny_system("c3d")
     protocol = system.protocol
     block = block_homed_at(system, home=0)
-    from repro.caches.block import CacheBlockState
-
-    system.sockets[0].llc.insert(block, CacheBlockState.SHARED)
+    system.sockets[0].llc.insert(block)  # a clean Shared line
     system.sockets[1].dram_cache.insert(block)
     assert protocol._sockets_with_any_copy(block) == [0, 1]
     assert protocol._sockets_with_any_copy(block, exclude=0) == [1]
@@ -63,7 +61,7 @@ def test_directory_note_read_sharer_degrades_stale_modified_entry():
     directory = system.directories[0]
     directory.set_modified(7, owner=1)
     protocol._directory_note_read_sharer(directory, 7, requester=0)
-    entry = directory.peek(7)
+    entry = directory.decode(7)
     assert entry.state is DirectoryState.SHARED
     assert entry.sharers == {0, 1}
 
@@ -72,9 +70,7 @@ def test_invalidate_remote_socket_removes_all_copies_and_acks():
     system = tiny_system("c3d")
     protocol = system.protocol
     block = block_homed_at(system, home=0)
-    from repro.caches.block import CacheBlockState
-
-    system.sockets[1].llc.insert(block, CacheBlockState.SHARED)
+    system.sockets[1].llc.insert(block)  # a clean Shared line
     system.sockets[1].dram_cache.insert(block)
     latency = protocol._invalidate_remote_socket(
         0.0, home=0, target=1, block=block, include_dram_cache=True

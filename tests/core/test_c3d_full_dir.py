@@ -40,7 +40,7 @@ def test_reads_are_tracked_even_when_served_by_memory():
     system = make_system()
     block = block_homed_at(system, home=1)
     read(system, socket_id=0, block=block)
-    entry = system.directories[1].peek(block)
+    entry = system.directories[1].decode(block)
     assert entry is not None and 0 in entry.sharers
 
 
@@ -49,7 +49,7 @@ def test_writeback_transitions_modified_to_shared():
     block = block_homed_at(system, home=1)
     write(system, socket_id=0, block=block)
     spill_from_llc(system, socket_id=0, block=block)
-    entry = system.directories[1].peek(block)
+    entry = system.directories[1].decode(block)
     assert entry is not None
     assert entry.state is DirectoryState.SHARED
     assert entry.sharers == {0}

@@ -29,14 +29,14 @@ def test_read_in_invalid_state_is_not_tracked(c3d_system):
     block = block_homed_at(system, home=1)
     _latency, source = read(system, socket_id=0, block=block)
     assert source is ServiceSource.REMOTE_MEMORY
-    assert system.directories[1].peek(block) is None
+    assert system.directories[1].decode(block) is None
 
 
 def test_dirty_llc_eviction_writes_through_and_keeps_clean_copy(c3d_system):
     system = c3d_system
     block = block_homed_at(system, home=1)
     write(system, socket_id=0, block=block)
-    assert system.directories[1].peek(block).state is DirectoryState.MODIFIED
+    assert system.directories[1].decode(block).state is DirectoryState.MODIFIED
     writes_before = system.stats.memory_writes_remote
     spill_from_llc(system, socket_id=0, block=block)
     # The data reached memory (write-through, PutX) ...
@@ -45,7 +45,7 @@ def test_dirty_llc_eviction_writes_through_and_keeps_clean_copy(c3d_system):
     # ... a clean copy is retained in the local DRAM cache ...
     assert system.sockets[0].dram_cache.dirty_of(block) is False
     # ... and the directory transitions Modified -> Invalid (untracked).
-    assert system.directories[1].peek(block) is None
+    assert system.directories[1].decode(block) is None
 
 
 def test_remote_read_after_writethrough_avoids_remote_dram_cache(c3d_system):
@@ -88,7 +88,7 @@ def test_read_of_remote_modified_block_forwarded_from_owner_llc(c3d_system):
     write(system, socket_id=1, block=block)
     _latency, source = read(system, socket_id=0, block=block)
     assert source is ServiceSource.REMOTE_LLC
-    entry = system.directories[0].peek(block)
+    entry = system.directories[0].decode(block)
     assert entry.state is DirectoryState.SHARED
     assert entry.sharers == {0, 1}
     assert system.check_invariants() == []
@@ -107,7 +107,7 @@ def test_write_to_untracked_block_broadcasts_invalidations(c3d_system):
     # Every remote copy (LLC and DRAM cache) is gone.
     assert not system.sockets[1].llc.contains(block)
     assert not system.sockets[1].dram_cache.contains(block)
-    assert system.directories[0].peek(block).state is DirectoryState.MODIFIED
+    assert system.directories[0].decode(block).state is DirectoryState.MODIFIED
     assert system.check_invariants() == []
 
 
@@ -168,5 +168,5 @@ def test_stale_local_dram_copy_allowed_while_llc_modified():
     write(system, socket_id=0, block=block)
     # The local DRAM cache may still hold the (now stale) copy; correctness is
     # preserved because the directory tracks the on-chip Modified copy.
-    assert system.directories[0].peek(block).state is DirectoryState.MODIFIED
+    assert system.directories[0].decode(block).state is DirectoryState.MODIFIED
     assert system.check_invariants() == []

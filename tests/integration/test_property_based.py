@@ -74,7 +74,7 @@ def test_directory_modified_entries_always_have_an_owner_copy(sequence):
         )
         # Invariant must hold after *every* transaction, not just at the end.
         for directory in system.directories:
-            for entry in directory.entries():
+            for block, entry in directory.entries():
                 if entry.state.value == "M":
                     assert entry.owner is not None
-                    assert system.sockets[entry.owner].llc.contains(entry.block)
+                    assert system.sockets[entry.owner].llc.contains(block)

@@ -2,6 +2,7 @@
 
 import weakref
 
+from repro.caches.sram_cache import DIRTY, MODIFIED
 from repro.coherence.baseline import BaselineProtocol
 from repro.core.c3d_protocol import C3DProtocol
 from repro.system.numa_system import PROTOCOL_REGISTRY, build_system
@@ -84,9 +85,7 @@ def test_check_invariants_detects_swmr_violation():
     block = block_homed_at(system, home=0)
     write(system, socket_id=0, block=block)
     # Corrupt the state: force a second socket to also hold the block Modified.
-    from repro.caches.block import CacheBlockState
-
-    system.sockets[1].llc.insert(block, CacheBlockState.MODIFIED, dirty=True)
+    system.sockets[1].llc.insert(block, MODIFIED | DIRTY)
     violations = system.check_invariants()
     assert any("Modified in multiple sockets" in v for v in violations)
 
@@ -106,6 +105,59 @@ def test_check_invariants_detects_stale_directory_owner():
     system.directories[0].set_modified(99, owner=1)
     violations = system.check_invariants()
     assert any("no on-chip copy" in v for v in violations)
+
+
+def test_check_invariants_detects_l1_block_missing_from_llc():
+    system = tiny_system("c3d")
+    block = block_homed_at(system, home=0)
+    system.sockets[0].access(0.0, 0, block)
+    # Corrupt the state: drop the LLC copy without back-invalidating the L1.
+    system.sockets[0].llc.invalidate(block)
+    violations = system.check_invariants()
+    assert any("in the L1 of core 0 of socket 0 but not in its LLC" in v for v in violations)
+
+
+def test_check_invariants_detects_local_entry_without_holder():
+    system = tiny_system("c3d")
+    block = block_homed_at(system, home=0)
+    system.sockets[0].access(0.0, 0, block)
+    # Corrupt the state: the L1 drops the block behind the local directory.
+    system.sockets[0].l1s[0].invalidate(block)
+    violations = system.check_invariants()
+    assert any("which no L1 holds" in v for v in violations)
+
+
+def test_check_invariants_detects_wrong_local_sharers():
+    system = tiny_system("c3d")
+    block = block_homed_at(system, home=0)
+    socket = system.sockets[0]
+    socket.access(0.0, 0, block)
+    # Corrupt the state: a second L1 fills without the local directory.
+    socket.l1s[1].insert(block)
+    violations = system.check_invariants()
+    assert any("lists sharers [0]" in v and "cores [0, 1] hold it" in v for v in violations)
+
+
+def test_check_invariants_detects_local_owner_without_modified_copy():
+    system = tiny_system("c3d")
+    block = block_homed_at(system, home=0)
+    socket = system.sockets[0]
+    socket.access(0.0, 0, block, is_write=True)
+    # Corrupt the state: the owner's L1 line loses its Modified bit.
+    socket.l1s[0].downgrade(block)
+    violations = system.check_invariants()
+    assert any("says core 0 owns block" in v for v in violations)
+
+
+def test_check_invariants_detects_two_modified_l1_copies():
+    system = tiny_system("c3d")
+    block = block_homed_at(system, home=0)
+    socket = system.sockets[0]
+    socket.access(0.0, 0, block, is_write=True)
+    # Corrupt the state: a peer L1 also holds the block Modified.
+    socket.l1s[1].insert(block, MODIFIED | DIRTY)
+    violations = system.check_invariants()
+    assert any("Modified in several L1s of socket 0: [0, 1]" in v for v in violations)
 
 
 def test_socket_of_core_accessor():

@@ -149,7 +149,7 @@ def dram_cache_state(cache):
 
 def directory_state(directory):
     return (
-        [(e.block, e.state, e.owner, set(e.sharers)) for e in directory.entries()],
+        list(directory.entries()),
         directory.lookups, directory.allocations, directory.deallocations,
         directory.peak_entries, list(directory.transitions.items()),
     )
@@ -220,8 +220,8 @@ def test_prewarm_matches_per_socket_reference(protocol, num_sockets, monkeypatch
     if system.protocol.tracks_dram_cache_in_directory:
         fill_blocks = {block for blocks in prewarm_fill(system, workload) for block in blocks}
         assert any(
-            entry.block in fill_blocks and len(entry.sharers) < num_sockets
-            for directory in system.directories for entry in directory.entries()
+            block in fill_blocks and len(entry.sharers) < num_sockets
+            for directory in system.directories for block, entry in directory.entries()
         )
     assert Simulator(system, workload).prewarm_dram_caches() == reference_prewarm(
         reference, workload
@@ -262,17 +262,16 @@ def test_shared_prewarm_sharer_sets_are_never_mutated():
     system = NumaSystem(tiny_config("c3d-full-dir", num_sockets=2, cores_per_socket=1))
     Simulator(system, workload).prewarm_dram_caches()
     directory = next(d for d in system.directories if len(d) >= 3)
-    first, second, third = list(directory.entries())[:3]
-    assert first.sharers is second.sharers is third.sharers
-    assert first.sharers == {0, 1}
+    (first, entry), (second, _), (third, _) = list(directory.entries())[:3]
+    assert entry.sharers == {0, 1}
 
-    directory.remove_sharer(first.block, 1)
-    directory.add_sharer(first.block, 1)
-    directory.remove_sharer(first.block, 0)
-    directory.set_modified(third.block, owner=1)
-    assert first.sharers == {1}
-    assert third.sharers == {1} and third.state is DirectoryState.MODIFIED
-    assert second.sharers == {0, 1} and second.state is DirectoryState.SHARED
+    directory.remove_sharer(first, 1)
+    directory.add_sharer(first, 1)
+    directory.remove_sharer(first, 0)
+    directory.set_modified(third, owner=1)
+    assert directory.decode(first).sharers == {1}
+    assert directory.decode(third) == (DirectoryState.MODIFIED, 1, frozenset({1}))
+    assert directory.decode(second) == (DirectoryState.SHARED, None, frozenset({0, 1}))
 
 
 @pytest.mark.parametrize("cores_per_socket", [1, 2])

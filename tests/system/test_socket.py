@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.caches.sram_cache import DIRTY, MODIFIED
 from repro.coherence.messages import ServiceSource
 
 from ..conftest import block_homed_at, tiny_system
@@ -72,7 +73,7 @@ def test_invalidate_onchip_and_downgrade():
     block = block_homed_at(system, home=0)
     socket.access(0.0, 0, block, is_write=True, thread_id=0)
     assert socket.downgrade_block(block) is True          # dirty at downgrade time
-    assert socket.llc.peek(block).state.value == "S"
+    assert socket.llc.peek(block) == 0  # clean Shared
     assert socket.invalidate_onchip(block) is True
     assert not socket.llc.contains(block)
     assert socket.invalidate_onchip(block) is False
@@ -86,4 +87,4 @@ def test_upgrade_write_on_shared_llc_line_goes_global():
     upgrades_before = system.stats.upgrades
     socket.access(0.0, 0, block, is_write=True, thread_id=0)
     assert system.stats.upgrades == upgrades_before + 1
-    assert socket.llc.peek(block).state.value == "M"
+    assert socket.llc.peek(block) == MODIFIED | DIRTY

@@ -2,7 +2,9 @@
 
 The model is functional (hit/miss, MSI state, dirty bits, LRU) with latency
 left to the owning socket, which knows the configured tag/data latencies.
-It maintains the hit/miss/eviction statistics the experiments report.
+Hits and misses are counted in :class:`~repro.stats.counters.SimulationStats`
+by the socket and the engines; the cache counts only its evictions and
+invalidations.
 
 A resident line is one int of state bits, stored in its set's dict under
 the block number: :data:`MODIFIED` and :data:`DIRTY`.  A clean Shared line
@@ -75,8 +77,6 @@ class SetAssociativeCache:
         self._track_changes = False
         self._changes: List[int] = []
 
-        self.hits = 0
-        self.misses = 0
         self.evictions = 0
         self.dirty_evictions = 0
         self.invalidations = 0
@@ -90,7 +90,7 @@ class SetAssociativeCache:
     # -- queries ------------------------------------------------------------
 
     def contains(self, block: int) -> bool:
-        """True if ``block`` is resident (does not update recency or stats)."""
+        """True if ``block`` is resident (does not update recency)."""
         cache_set = self._sets.get(block % self.num_sets)
         return cache_set is not None and block in cache_set
 
@@ -102,20 +102,18 @@ class SetAssociativeCache:
         return cache_set.get(block)
 
     def lookup(self, block: int) -> Optional[int]:
-        """Access ``block``: update recency and hit/miss statistics.
+        """Access ``block``: move it to the MRU end if resident.
 
         Returns the line's state bits, or None on a miss.
         """
         cache_set = self._sets.get(block % self.num_sets)
-        if cache_set is not None:
-            # Pop and re-add: an O(1) move to the MRU end.
-            bits = cache_set.pop(block, None)
-            if bits is not None:
-                cache_set[block] = bits
-                self.hits += 1
-                return bits
-        self.misses += 1
-        return None
+        if cache_set is None:
+            return None
+        # Pop and re-add: an O(1) move to the MRU end.
+        bits = cache_set.pop(block, None)
+        if bits is not None:
+            cache_set[block] = bits
+        return bits
 
     def lines(self) -> Iterator[Tuple[int, int]]:
         """Iterate ``(block, state bits)`` over every resident line, each set
@@ -206,17 +204,13 @@ class SetAssociativeCache:
 
     # -- batch-engine helpers -------------------------------------------------
 
-    def record_bulk_hits(self, count: int) -> None:
-        """Credit ``count`` lookups that hit, without touching recency."""
-        self.hits += count
-
     def bulk_touch(self, blocks: Iterable[int]) -> None:
         """Refresh recency for ``blocks`` in order (absent blocks skipped).
 
-        Equivalent to the move-to-end a hitting :meth:`lookup` performs, but
-        without statistics: batch engines replay only the *last* touch of each
-        block in a window, in window order, which yields the same final
-        recency order as per-access touches.
+        Equivalent to the move-to-end a hitting :meth:`lookup` performs:
+        batch engines replay only the *last* touch of each block in a
+        window, in window order, which yields the same final recency order
+        as per-access touches.
         """
         sets = self._sets
         num_sets = self.num_sets
@@ -238,16 +232,6 @@ class SetAssociativeCache:
         """Iterate over the block numbers of all resident lines."""
         for cache_set in self._sets.values():
             yield from cache_set.keys()
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    def hit_rate(self) -> float:
-        """Hit fraction over all lookups (0.0 when never accessed)."""
-        if not self.accesses:
-            return 0.0
-        return self.hits / self.accesses
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

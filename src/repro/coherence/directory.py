@@ -14,7 +14,9 @@ the sharers mask is socket ``s``, and the state is :data:`DIR_SHARED` or
 :data:`DIR_MODIFIED` (an untracked block, Invalid, has no entry).  The owner
 of a Modified entry is its only sharer, so it needs no field of its own.
 Protocols compare the ints directly; :meth:`GlobalDirectory.decode` turns
-one into a :class:`DecodedEntry` for tests, invariant checks and debugging.
+one into a :class:`DecodedEntry` for tests and debugging, and
+:meth:`GlobalDirectory.modified_entries` lists the Modified ones for the
+invariant checks.
 
 The module also provides :class:`DirectoryCostModel`, which reproduces the
 storage arithmetic of section III-B (a 2x-provisioned sparse directory for a
@@ -236,6 +238,13 @@ class GlobalDirectory:
         """Iterate ``(block, decoded entry)`` in allocation order."""
         for block, entry in self._entries.items():
             yield block, _decode(entry)
+
+    def modified_entries(self) -> Iterator[Tuple[int, int]]:
+        """Iterate ``(block, owner socket)`` over the Modified entries, in
+        allocation order, decoding nothing else."""
+        for block, entry in self._entries.items():
+            if entry & DIR_MODIFIED:
+                yield block, owner_of(entry)
 
 
 def _decode(entry: int) -> DecodedEntry:

@@ -74,9 +74,8 @@ class PrivateSharedClassifier:
     def record_access(self, thread_id: int, addr: int, *, core_id: Optional[int] = None) -> None:
         """Observe one memory access (read or write) by ``thread_id``.
 
-        This is the TLB-miss-time OS action of section IV-D; in the
-        simulation every access drives it (the TLB itself is modelled in
-        :mod:`repro.cpu.tlb` purely for latency/statistics purposes).
+        This is the OS action of section IV-D.  The simulator models no
+        address translation, so every access drives it.
         """
         self.stats.accesses += 1
         page = self.layout.page_of(addr)

@@ -1,7 +1,6 @@
-"""CPU substrate: timing cores, store buffers, TLBs."""
+"""CPU substrate: timing cores and store buffers."""
 
 from .processor import Core
-from .store_buffer import StoreBuffer, StorePushResult
-from .tlb import TLB
+from .store_buffer import StoreBuffer
 
-__all__ = ["Core", "StoreBuffer", "StorePushResult", "TLB"]
+__all__ = ["Core", "StoreBuffer"]

@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING, Optional
 from ..caches.sram_cache import DIRTY, MODIFIED
 from ..stats.counters import SimulationStats
 from .store_buffer import StoreBuffer
-from .tlb import TLB
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..system.socket import Socket
@@ -34,7 +33,6 @@ class Core:
         *,
         clock_ghz: float = 3.0,
         store_buffer_entries: int = 32,
-        tlb_entries: int = 64,
         thread_id: Optional[int] = None,
     ) -> None:
         self.core_id = core_id
@@ -43,10 +41,6 @@ class Core:
         self.cycle_ns = 1.0 / clock_ghz
         self.time = 0.0
         self.store_buffer = StoreBuffer(store_buffer_entries)
-        self.tlb = TLB(tlb_entries)
-        self.instructions = 0
-        self.loads = 0
-        self.stores = 0
         #: Socket-local L1 index, fixed at construction (hot-loop fast path).
         self.local_index = socket.local_index_of(core_id)
         #: This core's L1, whose hit path :meth:`execute_fast` inlines.
@@ -67,17 +61,13 @@ class Core:
         """Model ``count`` non-memory instructions at 1 IPC."""
         if count > 0:
             self.time += count * self.cycle_ns
-            self.instructions += count
 
     # -- the per-access execution loop ------------------------------------------
 
     def execute(self, access: "MemoryAccess") -> float:
         """Execute one trace record; returns the core's new local time."""
         self.advance_instructions(access.gap)
-        layout = self.socket.layout
-        block = layout.block_of(access.addr)
-        self.tlb.access(layout.page_of(access.addr))
-        self.instructions += 1
+        block = self.socket.layout.block_of(access.addr)
         self.stats.instructions += 1
 
         if access.is_write:
@@ -86,35 +76,21 @@ class Core:
             self._execute_load(block)
         return self.time
 
-    def execute_fast(self, block: int, page: int, is_write: bool, gap: int) -> float:
+    def execute_fast(self, block: int, is_write: bool, gap: int) -> float:
         """Hot-loop variant of :meth:`execute` for compiled traces.
 
-        Takes precomputed block/page numbers, hoists the attribute and
-        property lookups of the legacy path into locals and inlines the TLB,
-        the store buffer's ``forwards``/``push`` and the L1 hit path (the
-        same LRU move-to-end and counters as ``SetAssociativeCache.lookup``;
-        a store hit sets the dirty bit in place).  The sequence of
-        architectural and statistics updates is identical to ``execute``,
-        which still calls the store-buffer methods (the engine equivalence
-        tests compare the two), only the Python-level indirection differs.
+        Takes a precomputed block number, hoists the attribute and property
+        lookups of the legacy path into locals and inlines the store
+        buffer's ``forwards``/``push`` and the L1 hit path (the same LRU
+        move-to-end as ``SetAssociativeCache.lookup``; a store hit sets the
+        dirty bit in place).  The sequence of architectural and statistics
+        updates is identical to ``execute``, which still calls the
+        store-buffer methods (the engine equivalence tests compare the two),
+        only the Python-level indirection differs.
         """
         time = self.time
         if gap > 0:
             time += gap * self.cycle_ns
-            self.instructions += gap
-        # Inlined TLB access (the charged latency is zero by default and the
-        # legacy path discards it; only the hit/miss accounting matters here).
-        tlb = self.tlb
-        tlb_pages = tlb._pages
-        if page in tlb_pages:
-            tlb_pages.move_to_end(page)
-            tlb.hits += 1
-        else:
-            tlb.misses += 1
-            if len(tlb_pages) >= tlb.entries:
-                tlb_pages.popitem(last=False)
-            tlb_pages[page] = None
-        self.instructions += 1
         socket = self.socket
         stats = socket.stats
         stats.instructions += 1
@@ -122,7 +98,6 @@ class Core:
         entries = store_buffer._entries
 
         if is_write:
-            self.stores += 1
             stats.writes += 1
             while entries and entries[0][0] <= time:
                 entries.popleft()
@@ -132,17 +107,14 @@ class Core:
             line = cache_set.pop(block, None) if cache_set is not None else None
             if line is not None and line & MODIFIED:
                 # Store hit: the LRU move and the dirty bit in one store.
-                l1.hits += 1
+                # The LLC line is Modified and dirty already (an invariant
+                # NumaSystem.check_invariants checks), so it is not touched.
                 cache_set[block] = line | DIRTY
                 stats.l1_hits += 1
-                socket.llc.mark_dirty(block)
                 latency = socket.l1_latency_ns
             else:
-                if line is None:
-                    l1.misses += 1
-                else:
+                if line is not None:
                     # A hit on a Shared line still lacks write permission.
-                    l1.hits += 1
                     cache_set[block] = line
                 stats.l1_misses += 1
                 latency, _source = socket.access_l1_missed(
@@ -154,8 +126,6 @@ class Core:
             if len(entries) >= store_buffer.capacity:
                 stall_ns = max(0.0, entries[0][0] - time)
                 issue_time = time + stall_ns
-                store_buffer.stalls += 1
-                store_buffer.total_stall_ns += stall_ns
                 while entries and entries[0][0] <= issue_time:
                     entries.popleft()
                 if issue_time > completion:
@@ -167,11 +137,9 @@ class Core:
             if entries and entries[-1][0] > completion:
                 completion = entries[-1][0]
             entries.append((completion, block))
-            store_buffer.pushes += 1
             time += self.cycle_ns
             acc = stats.write_latency
         else:
-            self.loads += 1
             stats.reads += 1
             forwarded = False
             if entries:
@@ -180,7 +148,6 @@ class Core:
                     entries.popleft()
                 for _completion, pending_block in entries:
                     if pending_block == block:
-                        store_buffer.forward_hits += 1
                         forwarded = True
                         break
             if forwarded:
@@ -192,12 +159,10 @@ class Core:
                 cache_set = l1._sets.get(block % l1.num_sets)
                 line = cache_set.pop(block, None) if cache_set is not None else None
                 if line is not None:
-                    l1.hits += 1
                     cache_set[block] = line
                     stats.l1_hits += 1
                     latency = socket.l1_latency_ns
                 else:
-                    l1.misses += 1
                     stats.l1_misses += 1
                     latency, _source = socket.access_l1_missed(
                         time, self.local_index, block, False, self.thread_id
@@ -212,7 +177,6 @@ class Core:
         return time
 
     def _execute_load(self, block: int) -> None:
-        self.loads += 1
         self.stats.reads += 1
         if self.store_buffer.forwards(block, self.time):
             # TSO store-to-load forwarding: the youngest matching store's data
@@ -228,7 +192,6 @@ class Core:
         self.stats.read_latency.add(latency)
 
     def _execute_store(self, block: int) -> None:
-        self.stores += 1
         self.stats.writes += 1
         self.store_buffer.drain(self.time)
         latency, _source = self.socket.access(
@@ -238,11 +201,11 @@ class Core:
         # The store retires into the buffer; completion is serialised behind
         # older stores (TSO in-order drain), which throttles store bursts by
         # filling the buffer and stalling the core.
-        result = self.store_buffer.push(self.time, block, self.time + latency)
-        if result.stall_ns > 0:
+        stall_ns = self.store_buffer.push(self.time, block, self.time + latency)
+        if stall_ns > 0:
             self.stats.store_buffer_stalls += 1
-            self.stats.store_buffer_stall_ns += result.stall_ns
-            self.time += result.stall_ns
+            self.stats.store_buffer_stall_ns += stall_ns
+            self.time += stall_ns
         # The store itself occupies the pipeline for one cycle; its memory
         # latency is hidden by the store buffer.
         self.time += self.cycle_ns

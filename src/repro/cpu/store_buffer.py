@@ -14,18 +14,9 @@ affects performance in two ways the paper relies on:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Tuple
 
-__all__ = ["StoreBuffer", "StorePushResult"]
-
-
-@dataclass
-class StorePushResult:
-    """Outcome of pushing a store into the buffer."""
-
-    stall_ns: float
-    issue_time: float
+__all__ = ["StoreBuffer"]
 
 
 class StoreBuffer:
@@ -37,10 +28,6 @@ class StoreBuffer:
         self.capacity = capacity
         # entries: (completion_time, block)
         self._entries: Deque[Tuple[float, int]] = deque()
-        self.pushes = 0
-        self.stalls = 0
-        self.total_stall_ns = 0.0
-        self.forward_hits = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -73,19 +60,18 @@ class StoreBuffer:
             entries.popleft()
         for _completion, pending_block in entries:
             if pending_block == block:
-                self.forward_hits += 1
                 return True
         return False
 
-    def push(self, now: float, block: int, completion_time: float) -> StorePushResult:
+    def push(self, now: float, block: int, completion_time: float) -> float:
         """Insert a store that will complete no earlier than ``completion_time``.
 
         Stores drain in order and one at a time, so the effective completion
         time of the new store is at least the completion time of the store in
         front of it -- this is what throttles bursts of stores to the memory
         system.  If the buffer is full, the core stalls until the oldest
-        entry retires; the returned ``issue_time`` is when the store actually
-        entered the buffer and ``stall_ns`` the stall charged to the core.
+        entry retires and the store enters the buffer then.  Returns the
+        stall charged to the core, in ns (0.0 when the buffer had room).
         """
         entries = self._entries
         while entries and entries[0][0] <= now:
@@ -96,8 +82,6 @@ class StoreBuffer:
             oldest_completion = entries[0][0]
             stall_ns = max(0.0, oldest_completion - now)
             issue_time = now + stall_ns
-            self.stalls += 1
-            self.total_stall_ns += stall_ns
             while entries and entries[0][0] <= issue_time:
                 entries.popleft()
         completion = max(completion_time, issue_time)
@@ -106,8 +90,7 @@ class StoreBuffer:
             # before the store ahead of it.
             completion = max(completion, entries[-1][0])
         entries.append((completion, block))
-        self.pushes += 1
-        return StorePushResult(stall_ns=stall_ns, issue_time=issue_time)
+        return stall_ns
 
     def occupancy(self) -> int:
         """Number of in-flight stores currently buffered."""

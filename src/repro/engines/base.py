@@ -463,7 +463,7 @@ class EngineContext:
                 touched_pages[page] = home_of_page(page, socket_id)
             if record_access is not None:
                 record_access(thread_id, addrs[i])
-            new_time = execute_fast(blocks[i], page, writes[i], gaps[i])
+            new_time = execute_fast(blocks[i], writes[i], gaps[i])
             cursors[core_id] = i + 1
             return new_time
 
@@ -517,7 +517,7 @@ class EngineContext:
                 touched_pages[page] = home_of_page(page, socket_id)
             if record_access is not None:
                 record_access(thread_id, addrs[i])
-            new_time = execute_fast(blocks[i], page, writes[i], gaps[i])
+            new_time = execute_fast(blocks[i], writes[i], gaps[i])
             i += 1
             cursors[cid] = i
             executed += 1

@@ -414,7 +414,6 @@ class SampledEngine(ExecutionEngine):
                 l1._sets,
                 l1.num_sets,
                 socket.socket_id,
-                socket.llc.mark_dirty,
             ))
 
         executed = 0
@@ -425,7 +424,7 @@ class SampledEngine(ExecutionEngine):
             for state in active:
                 (core_id, blocks, pages, addrs, writes, end,
                  local_index, thread_id, access_functional, l1_sets,
-                 num_sets, socket_id, llc_mark_dirty) = state
+                 num_sets, socket_id) = state
                 i = cursors[core_id]
                 stop = min(end, i + chunk)
                 executed += stop - i
@@ -446,10 +445,10 @@ class SampledEngine(ExecutionEngine):
                             del cache_set[block]
                             cache_set[block] = line
                         elif line & MODIFIED:
-                            # Inlined L1 write-hit path: recency + dirty bits.
+                            # Inlined L1 write-hit path: recency + dirty bit
+                            # (the LLC line is Modified and dirty already).
                             del cache_set[block]
                             cache_set[block] = line | DIRTY
-                            llc_mark_dirty(block)
                         else:
                             access_functional(local_index, block, True, thread_id)
                 else:
@@ -468,7 +467,6 @@ class SampledEngine(ExecutionEngine):
                         elif line & MODIFIED:
                             del cache_set[block]
                             cache_set[block] = line | DIRTY
-                            llc_mark_dirty(block)
                         else:
                             access_functional(local_index, block, True, thread_id)
                 cursors[core_id] = stop

@@ -4,26 +4,27 @@ The exact engines execute one access per Python iteration.  This engine
 executes compiled traces in *batch windows*: for each core it classifies a
 chunk of upcoming accesses with numpy column operations, proving which prefix
 of them is **architecturally fast** -- L1 hits (reads and already-Modified
-writes), store-buffer forwards, TLB activity, page-classifier no-ops -- and
-then *defers* that prefix's bookkeeping.  Only the first non-fast access of
-each core (an L1 miss, a store needing coherence permission, a first-touch
-page, a store-buffer stall) drops into the per-access protocol path, via the
-very same ``Core.execute_fast`` the ``compiled`` engine uses.
+writes), store-buffer forwards, page-classifier no-ops -- and then *defers*
+that prefix's bookkeeping.  Only the first non-fast access of each core (an
+L1 miss, a store needing coherence permission, a first-touch page, a
+store-buffer stall) drops into the per-access protocol path, via the very
+same ``Core.execute_fast`` the ``compiled`` engine uses.
 
 Bit identity with ``compiled``/``object`` (asserted by
 ``tests/engines/test_differential.py`` and the equivalence matrix) follows
 from two invariants:
 
 * **Classification is conservative and exact.**  An access is classified
-  fast only when its entire observable effect is its own core's counters,
-  its own L1 recency/dirty bits, its TLB/store-buffer state, and a
-  constant-``L`` latency-accumulator fold -- all computed from the same
-  state the scalar path would see.  Anything uncertain (and every
-  classified-slow access) runs through ``execute_fast`` unchanged.
+  fast only when its entire observable effect is the shared counters, its
+  own L1 recency/dirty bits, its store-buffer state, and a constant-``L``
+  latency-accumulator fold -- all computed from the same state the scalar
+  path would see.  Anything uncertain (and every classified-slow access)
+  runs through ``execute_fast`` unchanged.
 * **Deferred effects are applied in observation order.**  The only fast-path
-  state another core can *read* is a dirty bit (own L1 line, LLC line), so
-  dirty bits are applied eagerly when an access is consumed; everything else
-  (counters, clocks, recency, TLB, store-buffer contents, latency folds) is
+  state another core can *read* is the dirty bit of its own L1 line (a store
+  hit needs a Modified line, whose LLC line is already Modified and dirty),
+  so dirty bits are applied eagerly when an access is consumed; everything
+  else (counters, clocks, recency, store-buffer contents, latency folds) is
   flushed before the owning core -- or, for the shared latency accumulators,
   before *any* core -- next executes a slow access.  Float accumulation
   order is preserved exactly: deferred fast accesses fold the constant L1
@@ -62,7 +63,6 @@ import numpy as np
 from ..caches.sram_cache import DIRTY, MODIFIED, SetAssociativeCache
 from ..core.page_classifier import PrivateSharedClassifier
 from ..cpu.store_buffer import StoreBuffer
-from ..cpu.tlb import TLB
 from ..memory.allocation import FirstTouchPolicy, InterleavePolicy
 from ..memory.page_table import PageClassification, PageTable
 from .base import EngineContext, ExecutionEngine, SimulationResult
@@ -78,7 +78,7 @@ def _vectorizable(system, core_ids) -> bool:
 
     The classifier replicates the inlined fast paths of
     :meth:`Core.execute_fast` exactly; any substituted component (an L1
-    that is not a ``SetAssociativeCache``, a subclassed store buffer/TLB/page
+    that is not a ``SetAssociativeCache``, a subclassed store buffer or page
     classifier, an exotic allocation policy) voids that proof, so the engine
     falls back to the scalar loop.
     """
@@ -108,8 +108,6 @@ def _vectorizable(system, core_ids) -> bool:
         core = cores[core_id]
         if type(core.store_buffer) is not StoreBuffer:
             return False
-        if type(core.tlb) is not TLB:
-            return False
         if not isinstance(core.l1, SetAssociativeCache):
             return False
     return True
@@ -121,13 +119,13 @@ class _CoreState:
     __slots__ = (
         # identity / fast-path handles
         "core_id", "core", "execute_fast", "socket_id", "thread_id",
-        "l1", "l1_sets", "l1_nsets", "llc", "tlb", "sb", "cycle_ns",
+        "l1", "l1_sets", "l1_nsets", "sb", "cycle_ns",
         # trace columns (Python lists for the scalar path, numpy for batches)
         "blocks_l", "pages_l", "addrs_l", "writes_l", "gaps_l",
         "nb", "npg", "nw", "ng",
         "end",
         # chunk-static classification (valid from c0 for cn accesses)
-        "c0", "cn", "blk_ch", "pg_ch", "wr_ch", "gp_ch",
+        "c0", "cn", "blk_ch", "wr_ch",
         "gap_ns", "inc2", "pok", "res", "mod", "binv", "bmap",
         "lastw", "log_pos", "page_true",
         # derived prefix (origin d0 within the chunk, kd fast entries)
@@ -259,8 +257,6 @@ class _VectorPhase:
             st.l1 = core.l1
             st.l1_sets = core.l1._sets
             st.l1_nsets = core.l1.num_sets
-            st.llc = core.socket.llc
-            st.tlb = core.tlb
             st.sb = core.store_buffer
             st.cycle_ns = core.cycle_ns
             st.blocks_l = trace.blocks
@@ -393,11 +389,11 @@ class _VectorPhase:
         preserves the exact execution-order prefix -- a per-core limit would
         let leading cores run past lagging ones and diverge.  The burst is
         segmented: after every ``burst_accesses`` accesses the L1 miss
-        fraction over that segment decides whether the workload is still
-        miss-dominated (keep bursting, up to ``burst_cap``) or warm enough
-        to re-enter batch mode.  All deferred state is flushed first;
-        afterwards every chunk is rebuilt (the scalar stretch invalidated
-        the residency probes wholesale).
+        fraction over that segment (``stats.l1_misses``) decides whether the
+        workload is still miss-dominated (keep bursting, up to
+        ``burst_cap``) or warm enough to re-enter batch mode.  All deferred
+        state is flushed first; afterwards every chunk is rebuilt (the
+        scalar stretch invalidated the residency probes wholesale).
         """
         for o in self.live:
             if not o.done:
@@ -415,15 +411,13 @@ class _VectorPhase:
         heapq.heapify(entries)
         heapreplace = heapq.heapreplace
         heappop = heapq.heappop
-        caches = [o.l1 for o in self.live if not o.done]
+        stats = self.system.stats
         seg = max(1, int(engine.burst_accesses))
         cap = max(seg, int(engine.burst_cap))
         miss_limit = 1.0 - engine.bail_fast_frac
         total = 0
         while entries and total < cap:
-            misses0 = 0
-            for cache in caches:
-                misses0 += cache.misses
+            misses0 = stats.l1_misses
             remaining = seg
             while entries and remaining:
                 cid = entries[0][1]
@@ -435,9 +429,7 @@ class _VectorPhase:
                     touched_pages[page] = home
                 if record_access is not None:
                     record_access(st.thread_id, st.addrs_l[i])
-                new_time = st.execute_fast(
-                    st.blocks_l[i], page, st.writes_l[i], st.gaps_l[i]
-                )
+                new_time = st.execute_fast(st.blocks_l[i], st.writes_l[i], st.gaps_l[i])
                 i += 1
                 cursors[cid] = i
                 remaining -= 1
@@ -447,10 +439,7 @@ class _VectorPhase:
                     heappop(entries)
             ran = seg - remaining
             total += ran
-            misses1 = 0
-            for cache in caches:
-                misses1 += cache.misses
-            if misses1 - misses0 <= miss_limit * ran:
+            if stats.l1_misses - misses0 <= miss_limit * ran:
                 break
         self.executed += total
         # Re-enter batch mode: rebuild every chunk from the new cursors.
@@ -484,7 +473,7 @@ class _VectorPhase:
             self.touched_pages[page] = home
         if self.record_access is not None:
             self.record_access(st.thread_id, st.addrs_l[i])
-        st.execute_fast(st.blocks_l[i], page, st.writes_l[i], st.gaps_l[i])
+        st.execute_fast(st.blocks_l[i], st.writes_l[i], st.gaps_l[i])
         self.cursors[st.core_id] = i + 1
 
     def _advance(self, st) -> None:
@@ -515,7 +504,7 @@ class _VectorPhase:
     def _consume_range(self, st, cut: int) -> None:
         """Mark entries ``[j, cut)`` of the derived prefix as executed.
 
-        Applies the only cross-core-visible effect (dirty bits) eagerly;
+        Applies the only cross-core-visible effect (L1 dirty bits) eagerly;
         everything else waits for :meth:`_flush`.
         """
         j = st.j
@@ -530,12 +519,10 @@ class _VectorPhase:
         if wi < len(wrel) and wrel[wi] < cut:
             sets_ = st.l1_sets
             nsets = st.l1_nsets
-            llc = st.llc
             wblocks = st.wblocks
             while wi < len(wrel) and wrel[wi] < cut:
                 block = wblocks[wi]
                 sets_[block % nsets][block] |= DIRTY
-                llc.mark_dirty(block)
                 wi += 1
             st.wi = wi
         st.j = cut
@@ -561,10 +548,6 @@ class _VectorPhase:
             r = m - w
             cf = st.cf
             f = int(cf[j] - cf[aj]) if cf is not None else 0
-            gapsum = int(st.gp_ch[lo:hi].sum())
-            core.instructions += gapsum + m
-            core.loads += r
-            core.stores += w
             stats = self.system.stats
             stats.instructions += m
             stats.reads += r
@@ -572,58 +555,8 @@ class _VectorPhase:
             stats.l1_hits += m - f
             if f:
                 stats.store_forward_hits += f
-            st.l1.record_bulk_hits(m - f)
             if self.classifier is not None:
                 self.classifier.stats.accesses += m
-
-            # TLB: replay runs of equal consecutive pages (a run's first
-            # access hits or misses exactly as the scalar path would; the
-            # rest of the run are guaranteed hits on the just-touched entry).
-            # Fast path: when every page of the window is already resident,
-            # no run can miss or evict, so the whole window hits and only
-            # the final recency order (last touch per page, in window
-            # order) needs replaying.
-            tlb = st.tlb
-            pages_ = st.pg_ch[lo:hi]
-            tlb_pages = tlb._pages
-            if m == 1:
-                page = st.pages_l[st.c0 + lo]
-                if page in tlb_pages:
-                    tlb_pages.move_to_end(page)
-                    tlb.hits += 1
-                else:
-                    tlb.misses += 1
-                    if len(tlb_pages) >= tlb.entries:
-                        tlb_pages.popitem(last=False)
-                    tlb_pages[page] = None
-            else:
-                rev_p = pages_[::-1]
-                _, pfirst = np.unique(rev_p, return_index=True)
-                last_order = rev_p[np.sort(pfirst)][::-1].tolist()
-                if all(page in tlb_pages for page in last_order):
-                    tlb.hits += m
-                    for page in last_order:
-                        tlb_pages.move_to_end(page)
-                else:
-                    cap = tlb.entries
-                    cuts = (np.flatnonzero(pages_[1:] != pages_[:-1]) + 1).tolist()
-                    runs = []
-                    prev = 0
-                    for c in cuts:
-                        runs.append((int(pages_[prev]), c - prev))
-                        prev = c
-                    runs.append((int(pages_[prev]), m - prev))
-                    for page, cnt in runs:
-                        if page in tlb_pages:
-                            tlb_pages.move_to_end(page)
-                            tlb.hits += cnt
-                        else:
-                            tlb.misses += 1
-                            if len(tlb_pages) >= cap:
-                                tlb_pages.popitem(last=False)
-                            tlb_pages[page] = None
-                            if cnt > 1:
-                                tlb.hits += cnt - 1
 
             # Store buffer: rebuild the deque as the scalar path would have
             # left it (entries retired by ``t`` may linger in the scalar
@@ -631,10 +564,6 @@ class _VectorPhase:
             # can never forward or stall again, so dropping it early is
             # unobservable).
             sb = st.sb
-            if w:
-                sb.pushes += w
-            if f:
-                sb.forward_hits += f
             a_i = bisect_left(st.wrel, aj)
             b_i = bisect_left(st.wrel, j)
             entries = sb._entries
@@ -702,12 +631,9 @@ class _VectorPhase:
         sl = slice(start, start + cn)
         blk = st.nb[sl]
         st.blk_ch = blk
-        st.pg_ch = st.npg[sl]
         wr = st.nw[sl]
         st.wr_ch = wr
-        gp = st.ng[sl]
-        st.gp_ch = gp
-        st.gap_ns = gp * st.cycle_ns
+        st.gap_ns = st.ng[sl] * st.cycle_ns
         st.inc2 = np.where(wr, st.cycle_ns, self.L)
 
         # Blocks: one stable argsort yields the sorted unique blocks, the
@@ -751,7 +677,7 @@ class _VectorPhase:
         if ratio:
             upg, pinv = np.unique(ubk // ratio, return_inverse=True)
         else:
-            upg, pinv = np.unique(st.pg_ch, return_inverse=True)
+            upg, pinv = np.unique(st.npg[sl], return_inverse=True)
         pvals = np.empty(upg.size, dtype=bool)
         page_true = st.page_true
         thread_id = st.thread_id

@@ -5,8 +5,7 @@ the owner thread's id and a classification bit.  The OS handles the first
 touch of a page by marking it *private* to the toucher; a later access by a
 different thread either re-homes the page (thread migration) or re-classifies
 it as *shared*.  The classifier built on top of this table lives in
-:mod:`repro.core.page_classifier`; this module provides the underlying table
-shared by the TLB and the OS model.
+:mod:`repro.core.page_classifier`; this module provides the underlying table.
 """
 
 from __future__ import annotations

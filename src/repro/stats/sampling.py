@@ -8,7 +8,7 @@ periods and each period is simulated as
 * a **fast-forward** segment -- functional-only state updates (cache,
   directory and DRAM-cache contents advance; no timing, no statistics),
 * a **warmup** segment -- full detailed simulation whose statistics are
-  discarded (it re-establishes timing state: store buffers, TLBs, channel
+  discarded (it re-establishes timing state: store buffers, channel
   occupancy) after the un-timed fast-forward, and
 * a **detail** segment -- full detailed simulation that is measured.
 

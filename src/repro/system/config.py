@@ -115,6 +115,9 @@ class ProcessorConfig:
 
     clock_ghz: float = 3.0
     store_buffer_entries: int = 32
+    #: Sizes nothing: the model has no TLB (the paper charges nothing for
+    #: translation).  Kept only because ``as_dict()`` is hashed into every
+    #: stored result's key; it goes at the next deliberate re-key.
     tlb_entries: int = 64
 
 

@@ -24,9 +24,9 @@ import copy
 import weakref
 from typing import Dict, List, Optional, Type
 
-from ..caches.sram_cache import MODIFIED
+from ..caches.sram_cache import DIRTY, MODIFIED
 from ..coherence.baseline import BaselineProtocol
-from ..coherence.directory import DirectoryState, GlobalDirectory
+from ..coherence.directory import GlobalDirectory
 from ..coherence.full_directory import FullDirectoryProtocol
 from ..coherence.protocol_base import GlobalCoherenceProtocol
 from ..coherence.snoopy import SnoopyProtocol
@@ -106,7 +106,6 @@ class NumaSystem:
                 self.sockets[config.socket_of_core(core_id)],
                 clock_ghz=config.processor.clock_ghz,
                 store_buffer_entries=config.processor.store_buffer_entries,
-                tlb_entries=config.processor.tlb_entries,
                 thread_id=core_id,
             )
             for core_id in range(config.total_cores)
@@ -203,8 +202,9 @@ class NumaSystem:
     def check_invariants(self) -> List[str]:
         """Return a list of invariant violations (empty when consistent).
 
-        Checks, inside each socket, that the LLC includes the L1s and that
-        the local directory matches the L1s; across sockets, the
+        Checks, inside each socket, that the LLC includes the L1s, that a
+        Modified L1 line has a Modified and dirty LLC line, and that the
+        local directory matches the L1s; across sockets, the
         socket-granularity Single-Writer/Multiple-Reader property, the
         clean-DRAM-cache property for clean designs, and directory
         Modified-state consistency.
@@ -251,10 +251,8 @@ class NumaSystem:
         # the block: on chip for the clean/no-DRAM-cache designs, on chip or in
         # the DRAM cache for the dirty-DRAM-cache designs (full-dir).
         for directory in self.directories:
-            for block, entry in directory.entries():
-                if entry.state is not DirectoryState.MODIFIED:
-                    continue
-                owner_socket = self.sockets[entry.owner]
+            for block, owner in directory.modified_entries():
+                owner_socket = self.sockets[owner]
                 has_copy = owner_socket.llc.contains(block)
                 if not has_copy and not self.protocol.clean_dram_cache:
                     has_copy = (
@@ -264,14 +262,20 @@ class NumaSystem:
                 if not has_copy:
                     violations.append(
                         f"directory[{directory.home_socket}] says block "
-                        f"{block:#x} is Modified at socket {entry.owner}, "
+                        f"{block:#x} is Modified at socket {owner}, "
                         "which has no on-chip copy"
                     )
         return violations
 
     @staticmethod
     def _socket_violations(sock: Socket) -> List[str]:
-        """Inclusion and local-directory consistency inside one socket."""
+        """Inclusion and local-directory consistency inside one socket.
+
+        A store that hits a Modified L1 line sets only the L1 dirty bit, so
+        the LLC line must already be Modified and dirty: every fill that
+        makes an L1 line Modified makes its LLC line so, and whatever takes
+        those bits off the LLC line downgrades or drops the L1 copies too.
+        """
         violations: List[str] = []
         name = f"socket {sock.socket_id}"
         llc = sock.llc
@@ -280,13 +284,19 @@ class NumaSystem:
         for core, l1 in enumerate(sock.l1s):
             for block, line in l1.lines():
                 holders.setdefault(block, []).append(core)
-                if line & MODIFIED:
-                    modified_in.setdefault(block, []).append(core)
-                if not llc.contains(block):
+                llc_line = llc.peek(block)
+                if llc_line is None:
                     violations.append(
                         f"block {block:#x} in the L1 of core {core} of {name} "
                         "but not in its LLC"
                     )
+                if line & MODIFIED:
+                    modified_in.setdefault(block, []).append(core)
+                    if llc_line is not None and llc_line != MODIFIED | DIRTY:
+                        violations.append(
+                            f"block {block:#x} Modified in the L1 of core {core} "
+                            f"of {name} but not Modified and dirty in its LLC"
+                        )
         for block, cores in modified_in.items():
             if len(cores) > 1:
                 violations.append(

@@ -156,8 +156,9 @@ class Socket:
         if l1_line is not None and (not is_write or l1_line & MODIFIED):
             stats.l1_hits += 1
             if is_write:
+                # The LLC line is Modified and dirty already (an invariant
+                # NumaSystem.check_invariants checks), so it is not touched.
                 l1.mark_dirty(block)
-                self.llc.mark_dirty(block)
             return self.l1_latency_ns, ServiceSource.L1
         stats.l1_misses += 1
         return self.access_l1_missed(now, core_index, block, is_write, thread_id)
@@ -169,7 +170,7 @@ class Socket:
 
         Split out of :meth:`access` so the compiled engine can inline the L1
         hit path into the core and enter the memory system here.  The caller
-        has already performed the L1 lookup (recency + cache and stats hit
+        has already performed the L1 lookup (recency + stats hit
         accounting).
         """
         stats = self.stats
@@ -267,7 +268,6 @@ class Socket:
         if line is not None and (not is_write or line & MODIFIED):
             if is_write:
                 l1.mark_dirty(block)
-                self.llc.mark_dirty(block)
             return
         llc = self.llc
         llc_line = llc.lookup(block)

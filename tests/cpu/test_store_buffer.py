@@ -23,17 +23,15 @@ def test_store_to_load_forwarding():
     assert not buffer.forwards(8, now=1.0)
     # After the store completes and drains, no forwarding.
     assert not buffer.forwards(7, now=200.0)
-    assert buffer.forward_hits == 1
 
 
 def test_full_buffer_stalls_until_oldest_retires():
     buffer = StoreBuffer(capacity=2)
-    buffer.push(0.0, block=0, completion_time=50.0)
-    buffer.push(0.0, block=1, completion_time=60.0)
-    result = buffer.push(10.0, block=2, completion_time=70.0)
-    assert result.stall_ns == pytest.approx(40.0)
-    assert buffer.stalls == 1
-    assert buffer.total_stall_ns == pytest.approx(40.0)
+    assert buffer.push(0.0, block=0, completion_time=50.0) == 0.0
+    assert buffer.push(0.0, block=1, completion_time=60.0) == 0.0
+    assert buffer.push(10.0, block=2, completion_time=70.0) == pytest.approx(40.0)
+    # The oldest store retired at 50 ns to make room; the other two remain.
+    assert len(buffer) == 2
 
 
 def test_in_order_drain_serialises_completions():
@@ -69,9 +67,9 @@ def test_occupancy_never_exceeds_capacity_and_completions_monotone(stores):
     completions = []
     for delta_now, latency in stores:
         now += delta_now
-        result = buffer.push(now, block=0, completion_time=now + latency)
+        stall_ns = buffer.push(now, block=0, completion_time=now + latency)
         assert len(buffer) <= 8
-        assert result.issue_time >= now
+        assert stall_ns >= 0.0
         if buffer._entries:
             completions.append(buffer._entries[-1][0])
     assert completions == sorted(completions)

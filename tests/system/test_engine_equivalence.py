@@ -2,8 +2,10 @@
 
 The ``object`` engine is the semantic reference (the seed-style
 one-``MemoryAccess``-at-a-time path).  Every *exact* engine in the registry
-must match it bit for bit -- every reported counter, and the derived floats,
-which are sensitive to operation order.  *Sampling* engines
+must match it bit for bit -- every reported counter, the derived floats,
+which are sensitive to operation order, and the machine state the run
+leaves behind (:func:`machine_state`), so a path that drops a dirty bit or
+reorders an LRU set without moving a counter fails too.  *Sampling* engines
 (``supports_sampling``) cannot be bit-identical by design; they instead
 prove that the exact run's value lies inside every reported confidence
 interval (the same containment contract ``tools/check_sampling.py``
@@ -83,7 +85,37 @@ def run_engine(protocol: str, engine: str, *, warmup: int = 0, prewarm: bool = T
     )
     simulator = Simulator(system, workload, engine=engine, sample_plan=sample_plan)
     result = simulator.run(prewarm=prewarm, warmup_accesses_per_core=warmup)
-    return result
+    return result, machine_state(system)
+
+
+def machine_state(system):
+    """Everything a run leaves in the machine, in a comparable form.
+
+    Per socket: each L1's and the LLC's lines (block and state bits, each
+    set in LRU order), the local-directory entries, and the DRAM cache's
+    resident and dirty blocks.  Then the global-directory entries, and per
+    core its clock and the stores still in flight at that clock (a store
+    whose completion time has passed can never forward or stall again, and
+    the scalar path drops it only at its next purge).
+    """
+    sockets = [
+        (
+            [list(l1.lines()) for l1 in sock.l1s],
+            list(sock.llc.lines()),
+            list(sock.local_directory.entries()),
+            None if sock.dram_cache is None else (
+                list(sock.dram_cache.resident_blocks()),
+                list(sock.dram_cache.dirty_blocks()),
+            ),
+        )
+        for sock in system.sockets
+    ]
+    directories = [list(directory.entries()) for directory in system.directories]
+    cores = [
+        (core.time, [entry for entry in core.store_buffer._entries if entry[0] > core.time])
+        for core in system.cores
+    ]
+    return sockets, directories, cores
 
 
 def reference_run(protocol: str, *, warmup: int = 0, broadcast_filter: bool = False):
@@ -96,12 +128,15 @@ def reference_run(protocol: str, *, warmup: int = 0, broadcast_filter: bool = Fa
 
 
 def assert_bit_identical(reference, other):
+    """Compare two ``(result, machine state)`` runs."""
+    (reference, reference_state), (other, other_state) = reference, other
     assert other.accesses_executed == reference.accesses_executed
     assert other.inter_socket_bytes == reference.inter_socket_bytes
     # Exact float equality is intended: same operation order, same results.
     assert other.total_time_ns == reference.total_time_ns
     assert other.stats.as_dict() == reference.stats.as_dict()
     assert other.stats.core_finish_ns == reference.stats.core_finish_ns
+    assert other_state == reference_state
 
 
 # ----------------------------------------------------------------------
@@ -120,30 +155,34 @@ def test_exact_engines_produce_identical_statistics(protocol, engine):
 @pytest.mark.parametrize("protocol", ["baseline", "c3d"])
 def test_exact_engines_identical_across_warmup_reset(protocol, engine):
     """The warm-up phase boundary (stats reset) must not diverge either."""
-    reference = reference_run(protocol, warmup=WARMUP)
-    other = run_engine(protocol, engine, warmup=WARMUP)
+    reference, reference_state = reference_run(protocol, warmup=WARMUP)
+    other, other_state = run_engine(protocol, engine, warmup=WARMUP)
     assert other.stats.as_dict() == reference.stats.as_dict()
     assert other.inter_socket_bytes == reference.inter_socket_bytes
+    assert other_state == reference_state
 
 
 @pytest.mark.parametrize("engine", engines_under_test())
 @pytest.mark.parametrize("protocol", ["full-dir", "snoopy", "c3d-full-dir"])
 def test_exact_engines_identical_for_other_designs(protocol, engine):
     """The remaining evaluated designs ride on the same access path."""
-    reference = reference_run(protocol)
-    other = run_engine(protocol, engine)
+    reference, reference_state = reference_run(protocol)
+    other, other_state = run_engine(protocol, engine)
     assert other.stats.as_dict() == reference.stats.as_dict()
     assert other.inter_socket_bytes == reference.inter_socket_bytes
+    assert other_state == reference_state
 
 
 @pytest.mark.parametrize("engine", engines_under_test())
 def test_exact_engines_identical_with_broadcast_filter(engine):
     """c3d with the broadcast filter, prewarmed: the filter's input is the
     page classifier, and each engine loop feeds it in its own way."""
-    reference = reference_run("c3d", broadcast_filter=True)
+    reference, reference_state = reference_run("c3d", broadcast_filter=True)
     # The filter must actually elide broadcasts here, or this proves nothing.
     assert reference.stats.broadcasts_elided > 0
-    assert_bit_identical(reference, run_engine("c3d", engine, broadcast_filter=True))
+    assert_bit_identical(
+        (reference, reference_state), run_engine("c3d", engine, broadcast_filter=True)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -199,11 +238,13 @@ def _run_matrix(kind: str, engine: str, trace_dir: str, sample_plan=None):
 
 @pytest.fixture(scope="module")
 def matrix_references(recorded_trace_dir):
-    """One shared reference run per workload frontend (deterministic)."""
-    return {
-        kind: _run_matrix(kind, REFERENCE_ENGINE, recorded_trace_dir)[0]
-        for kind in WORKLOAD_KINDS
-    }
+    """One shared reference run and its machine state per workload frontend
+    (deterministic)."""
+    references = {}
+    for kind in WORKLOAD_KINDS:
+        result, system = _run_matrix(kind, REFERENCE_ENGINE, recorded_trace_dir)
+        references[kind] = result, machine_state(system)
+    return references
 
 
 def matrix_engines():
@@ -215,7 +256,7 @@ def matrix_engines():
 @pytest.mark.parametrize("kind", WORKLOAD_KINDS)
 def test_engine_matrix_over_workload_frontends(kind, engine, recorded_trace_dir,
                                                matrix_references):
-    reference = matrix_references[kind]
+    reference, reference_state = matrix_references[kind]
     engine_cls = engines.get(engine)
     if engine_cls.supports_sampling:
         sampled, system = _run_matrix(
@@ -230,7 +271,7 @@ def test_engine_matrix_over_workload_frontends(kind, engine, recorded_trace_dir,
     else:
         result, system = _run_matrix(kind, engine, recorded_trace_dir)
         assert system.check_invariants() == []
-        assert_bit_identical(reference, result)
+        assert_bit_identical((reference, reference_state), (result, machine_state(system)))
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import weakref
 
+import pytest
+
 from repro.caches.sram_cache import DIRTY, MODIFIED
 from repro.coherence.baseline import BaselineProtocol
 from repro.core.c3d_protocol import C3DProtocol
@@ -158,6 +160,24 @@ def test_check_invariants_detects_two_modified_l1_copies():
     socket.l1s[1].insert(block, MODIFIED | DIRTY)
     violations = system.check_invariants()
     assert any("Modified in several L1s of socket 0: [0, 1]" in v for v in violations)
+
+
+@pytest.mark.parametrize("llc_bits", [MODIFIED, DIRTY])
+def test_check_invariants_detects_modified_l1_line_over_a_stale_llc_line(llc_bits):
+    system = tiny_system("c3d")
+    block = block_homed_at(system, home=0)
+    socket = system.sockets[0]
+    socket.access(0.0, 0, block, is_write=True)
+    # Corrupt the state: the LLC line loses its dirty (or Modified) bit
+    # while the L1 keeps the block Modified, so a store hit would leave the
+    # LLC copy stale.
+    socket.llc.set_state(block, llc_bits)
+    violations = system.check_invariants()
+    assert any(
+        "Modified in the L1 of core 0 of socket 0 but not Modified and dirty "
+        "in its LLC" in v
+        for v in violations
+    )
 
 
 def test_socket_of_core_accessor():

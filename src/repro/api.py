@@ -15,8 +15,7 @@ Five verbs cover the workflows:
 
 plus re-exports of the types those verbs consume and produce
 (``SystemConfig``, ``make_workload``, ``ExperimentContext``, ...), resolved
-lazily so ``import repro`` stays cheap.  Old import sites keep working for
-one release through ``DeprecationWarning`` shims.
+lazily so ``import repro`` stays cheap.
 """
 
 from __future__ import annotations
@@ -134,7 +133,7 @@ def simulate(
     synthetic-workload name, which is then built at the same ``scale`` with
     ``accesses_per_thread`` accesses on every core of ``config``.
     ``engine`` names an execution engine from the :mod:`repro.engines`
-    registry (``compiled``, ``object``, ``vector``, ``sampled``).  Machine
+    registry (``compiled``, ``object``, ``sampled``, ``sampled-par``).  Machine
     invariants are checked after the run (``check_invariants=False`` skips).
     """
     from .system.config import SystemConfig

@@ -257,14 +257,6 @@ def run_benchmark(
             record[f"sampled_speedup_{protocol}"] = round(
                 compiled["seconds_best"] / sampled_row["seconds_best"], 2
             )
-        vector_row = measurements.get(f"{protocol}/vector")
-        if legacy and vector_row and vector_row["seconds_best"] > 0:
-            # Wall-clock ratio against the per-object reference engine over
-            # the same trace: what columnar batching buys (docs/performance.md,
-            # "Vectorized execution"; floors in benchmarks/baseline.json).
-            record[f"vector_speedup_{protocol}"] = round(
-                legacy["seconds_best"] / vector_row["seconds_best"], 2
-            )
         par_row = measurements.get(f"{protocol}/sampled-par")
         if sampled_row and par_row and par_row["seconds_best"] > 0:
             # Serial-vs-parallel wall clock of the *same* sampled run: what

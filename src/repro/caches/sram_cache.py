@@ -3,8 +3,8 @@
 The model is functional (hit/miss, MSI state, dirty bits, LRU) with latency
 left to the owning socket, which knows the configured tag/data latencies.
 Hits and misses are counted in :class:`~repro.stats.counters.SimulationStats`
-by the socket and the engines; the cache counts only its evictions and
-invalidations.
+by the socket and the engines; the cache keeps no counters, and its
+mutators change only line state.
 
 A resident line is one int of state bits, stored in its set's dict under
 the block number: :data:`MODIFIED` and :data:`DIRTY`.  A clean Shared line
@@ -16,7 +16,7 @@ a resident line assigns to the existing key, which keeps its position.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 __all__ = ["SetAssociativeCache", "MODIFIED", "DIRTY", "VICTIM_SHIFT"]
 
@@ -67,19 +67,6 @@ class SetAssociativeCache:
         self.num_sets = total_blocks // associativity
         #: Set index -> {block: state bits}, each dict in LRU order.
         self._sets: Dict[int, Dict[int, int]] = {}
-        # Change log for batch engines (see ``repro.engines.vector``): when
-        # tracking is enabled, every mutation that can change which blocks are
-        # resident or their Modified bit appends the affected block number (or
-        # ``-1`` for a wholesale ``clear``).  Recency-only moves and dirty
-        # bits are not state changes and are not logged.  The flag is off by
-        # default so the per-access engines pay only a predicted-not-taken
-        # branch.
-        self._track_changes = False
-        self._changes: List[int] = []
-
-        self.evictions = 0
-        self.dirty_evictions = 0
-        self.invalidations = 0
 
     # -- geometry -----------------------------------------------------------
 
@@ -137,8 +124,6 @@ class SetAssociativeCache:
             cache_set = self._sets[index] = {}
         old = cache_set.pop(block, None)
         if old is not None:
-            if self._track_changes and (old ^ bits) & MODIFIED:
-                self._changes.append(block)
             cache_set[block] = bits | (old & DIRTY)
             return None
 
@@ -146,16 +131,8 @@ class SetAssociativeCache:
         if len(cache_set) >= self.associativity:
             # The front of the LRU-ordered set is the least recently used.
             victim_block = next(iter(cache_set))
-            victim_bits = cache_set.pop(victim_block)
-            self.evictions += 1
-            if victim_bits & DIRTY:
-                self.dirty_evictions += 1
-            victim = victim_block << VICTIM_SHIFT | victim_bits
+            victim = victim_block << VICTIM_SHIFT | cache_set.pop(victim_block)
         cache_set[block] = bits
-        if self._track_changes:
-            self._changes.append(block)
-            if victim is not None:
-                self._changes.append(victim >> VICTIM_SHIFT)
         return victim
 
     def invalidate(self, block: int) -> Optional[int]:
@@ -163,12 +140,7 @@ class SetAssociativeCache:
         cache_set = self._sets.get(block % self.num_sets)
         if not cache_set:
             return None
-        bits = cache_set.pop(block, None)
-        if bits is not None:
-            self.invalidations += 1
-            if self._track_changes:
-                self._changes.append(block)
-        return bits
+        return cache_set.pop(block, None)
 
     def downgrade(self, block: int) -> Optional[int]:
         """Make ``block`` a clean Shared line; returns its previous bits."""
@@ -177,8 +149,6 @@ class SetAssociativeCache:
         if bits is None:
             return None
         cache_set[block] = 0
-        if self._track_changes:
-            self._changes.append(block)
         return bits
 
     def set_state(self, block: int, bits: int) -> None:
@@ -187,8 +157,6 @@ class SetAssociativeCache:
         if cache_set is None or block not in cache_set:
             raise KeyError(f"{self.name}: block {block:#x} not resident")
         cache_set[block] = bits
-        if self._track_changes:
-            self._changes.append(block)
 
     def mark_dirty(self, block: int) -> None:
         """Set the dirty bit of ``block`` if it is resident (recency unchanged)."""
@@ -197,30 +165,8 @@ class SetAssociativeCache:
             cache_set[block] |= DIRTY
 
     def clear(self) -> None:
-        """Drop all contents and reset statistics-independent state."""
+        """Drop all contents."""
         self._sets.clear()
-        if self._track_changes:
-            self._changes.append(-1)
-
-    # -- batch-engine helpers -------------------------------------------------
-
-    def bulk_touch(self, blocks: Iterable[int]) -> None:
-        """Refresh recency for ``blocks`` in order (absent blocks skipped).
-
-        Equivalent to the move-to-end a hitting :meth:`lookup` performs:
-        batch engines replay only the *last* touch of each block in a
-        window, in window order, which yields the same final recency order
-        as per-access touches.
-        """
-        sets = self._sets
-        num_sets = self.num_sets
-        for block in blocks:
-            cache_set = sets.get(block % num_sets)
-            if cache_set is None:
-                continue
-            bits = cache_set.pop(block, None)
-            if bits is not None:
-                cache_set[block] = bits
 
     # -- statistics -----------------------------------------------------------
 

@@ -19,10 +19,6 @@ Built-ins (names are part of the results-store key contract and stable):
 ``sampled``    SMARTS-style statistical sampling: batched functional
                fast-forward + measured detail windows with per-metric
                confidence intervals (docs/sampling.md).
-``vector``     Batched columnar execution: numpy-classified windows of
-               L1 hits applied in bulk, per-access protocol path only on
-               misses; bit-identical to ``compiled``/``object``
-               (docs/performance.md, "Vectorized execution").
 ``sampled-par``  Sampled execution with measurement windows partitioned
                across worker processes (``jobs`` engine option /
                ``--engine-jobs``); bit-identical to ``sampled`` at any
@@ -45,7 +41,6 @@ from .exact import CompiledEngine, ObjectEngine
 from .registry import get, names, register, unregister, validate
 from .sampled import SampledEngine
 from .sampled_par import SampledParEngine
-from .vector import VectorEngine
 
 __all__ = [
     "ExecutionEngine",
@@ -55,7 +50,6 @@ __all__ = [
     "ObjectEngine",
     "SampledEngine",
     "SampledParEngine",
-    "VectorEngine",
     "WORKER_ENV",
     "register",
     "unregister",
@@ -66,10 +60,9 @@ __all__ = [
     "functional_timing",
 ]
 
-# Built-in registration order defines the default listing order (and the
-# historical ENGINES tuple order the CLI help shows).
+# Built-in registration order defines the listing order of ``names()``
+# (and so of the CLI help).
 register(CompiledEngine)
 register(ObjectEngine)
 register(SampledEngine)
-register(VectorEngine)
 register(SampledParEngine)

@@ -41,20 +41,3 @@ __all__ = [
     "speedup",
 ]
 
-
-def __getattr__(name):
-    # Deprecated aliases of the repro.api facade verbs, kept one release
-    # so `from repro.experiments import run_campaign` keeps working.
-    if name in ("run_campaign", "campaign_status"):
-        import warnings
-
-        warnings.warn(
-            f"importing {name!r} from repro.experiments is deprecated; "
-            f"use repro.api (docs/architecture.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from . import campaign
-
-        return getattr(campaign, name)
-    raise AttributeError(f"module 'repro.experiments' has no attribute {name!r}")

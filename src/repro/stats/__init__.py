@@ -74,19 +74,3 @@ __all__ = [
     "SampledSimulationStats",
 ]
 
-
-def __getattr__(name):
-    # Deprecated alias of the repro.api facade, kept one release.
-    if name == "open_store":
-        import warnings
-
-        warnings.warn(
-            "importing 'open_store' from repro.stats is deprecated; "
-            "use repro.api.open_store (docs/architecture.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from ..api import open_store
-
-        return open_store
-    raise AttributeError(f"module 'repro.stats' has no attribute {name!r}")

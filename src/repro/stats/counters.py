@@ -34,34 +34,6 @@ class LatencyAccumulator:
         if value > self.maximum:
             self.maximum = value
 
-    def add_constant(self, value: float, count: int) -> None:
-        """Fold ``count`` consecutive :meth:`add` calls of the same ``value``.
-
-        Bit-identical to the sequential loop: float addition of a constant is
-        still folded left-to-right (``count * value`` would round
-        differently), so batch engines can defer a run of equal-latency hits
-        and apply them in one call without perturbing ``total``.
-        """
-        if count <= 0:
-            return
-        if count > 512:
-            # np.cumsum folds left-to-right in float64, matching the loop
-            # bit-for-bit (verified by tests/stats/test_counters.py).
-            import numpy as np
-
-            seq = np.empty(count + 1, dtype=np.float64)
-            seq[0] = self.total
-            seq[1:] = value
-            self.total = float(np.cumsum(seq)[-1])
-        else:
-            total = self.total
-            for _ in range(count):
-                total += value
-            self.total = total
-        self.count += count
-        if value > self.maximum:
-            self.maximum = value
-
     def merge(self, other: "LatencyAccumulator") -> None:
         """Fold another accumulator's distribution into this one."""
         self.total += other.total

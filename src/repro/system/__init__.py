@@ -33,19 +33,3 @@ __all__ = [
     "SimulationResult",
 ]
 
-
-def __getattr__(name):
-    # Deprecated alias of the repro.api facade, kept one release.
-    if name == "simulate":
-        import warnings
-
-        warnings.warn(
-            "importing 'simulate' from repro.system is deprecated; "
-            "use repro.api.simulate (docs/architecture.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from ..api import simulate
-
-        return simulate
-    raise AttributeError(f"module 'repro.system' has no attribute {name!r}")

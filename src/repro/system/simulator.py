@@ -22,15 +22,7 @@ from .. import engines
 from ..engines import EngineContext, SimulationResult
 from ..stats.sampling import SamplingPlan
 
-__all__ = ["Simulator", "SimulationResult", "ENGINES"]
-
-
-def __getattr__(name: str):
-    # ``ENGINES`` predates the registry; keep it importable (and live) for
-    # backward compatibility.  New code should call ``engines.names()``.
-    if name == "ENGINES":
-        return engines.names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["Simulator", "SimulationResult"]
 
 
 class Simulator:

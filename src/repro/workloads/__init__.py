@@ -106,19 +106,3 @@ __all__ = [
     "spec_names",
 ]
 
-
-def __getattr__(name):
-    # Deprecated alias of the repro.api facade, kept one release.
-    if name == "analyze":
-        import warnings
-
-        warnings.warn(
-            "importing 'analyze' from repro.workloads is deprecated; "
-            "use repro.api.analyze (docs/architecture.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from ..api import analyze
-
-        return analyze
-    raise AttributeError(f"module 'repro.workloads' has no attribute {name!r}")

@@ -1,14 +1,14 @@
-"""Compiled (array-backed) trace representation: the default engine's input.
+"""Compiled (array-backed) trace representation: the engines' input.
 
-Since PR 1 the ``compiled`` engine is the simulator's *default* execution
-path: every per-thread access stream is materialised into a
-:class:`CompiledTrace` -- flat parallel columns of byte address, write flag
-and instruction gap, plus *precomputed* block and page numbers -- that
+The ``compiled`` engine (the default) and the sampled engines materialise
+every per-thread access stream into a :class:`CompiledTrace` -- flat
+parallel columns of byte address, write flag and instruction gap, plus
+*precomputed* block and page numbers -- that
 :meth:`EngineContext.run_phase_compiled` consumes by index.  The columns are
-plain Python lists of ints/bools (converted once from vectorised numpy
-batches), which is the fastest indexed representation for a pure-Python
-consumer.  The one-``MemoryAccess``-dataclass-at-a-time generator path
-survives as the ``object`` engine, kept as the readable reference
+plain Python lists of ints/bools, the fastest indexed representation for a
+pure-Python consumer; a trace built from numpy batches converts them once
+and keeps no array.  The one-``MemoryAccess``-dataclass-at-a-time generator
+path survives as the ``object`` engine, kept as the readable reference
 implementation and for equivalence testing.
 
 Every workload frontend can produce a :class:`CompiledTrace`:
@@ -51,7 +51,7 @@ class CompiledTrace:
         Number of accesses in the trace.
     """
 
-    __slots__ = ("addrs", "writes", "gaps", "blocks", "pages", "length", "_columns")
+    __slots__ = ("addrs", "writes", "gaps", "blocks", "pages", "length")
 
     def __init__(
         self,
@@ -67,26 +67,6 @@ class CompiledTrace:
         self.blocks = blocks
         self.pages = pages
         self.length = len(addrs)
-        self._columns: Optional[Dict[str, np.ndarray]] = None
-
-    def columns(self) -> Dict[str, np.ndarray]:
-        """Columnar numpy views of the trace, built once and cached.
-
-        Returns ``{"blocks": int64, "pages": int64, "writes": bool,
-        "gaps": int64}`` arrays of length :attr:`length`.  The vectorized
-        engine (:mod:`repro.engines.vector`) classifies batch windows from
-        these; the per-access engines keep indexing the Python lists, which
-        remain the canonical columns.
-        """
-        cols = self._columns
-        if cols is None:
-            cols = self._columns = {
-                "blocks": np.asarray(self.blocks, dtype=np.int64),
-                "pages": np.asarray(self.pages, dtype=np.int64),
-                "writes": np.asarray(self.writes, dtype=bool),
-                "gaps": np.asarray(self.gaps, dtype=np.int64),
-            }
-        return cols
 
     @classmethod
     def empty(cls) -> "CompiledTrace":
@@ -119,22 +99,13 @@ class CompiledTrace:
         gaps = np.asarray(gaps, dtype=np.int64)
         blocks = addrs // layout.block_size
         pages = addrs // layout.page_size
-        trace = cls(
+        return cls(
             addrs.tolist(),
             writes.tolist(),
             gaps.tolist(),
             blocks.tolist(),
             pages.tolist(),
         )
-        # The arrays already exist here; seed the columns() cache so batch
-        # engines don't round-trip the lists back through numpy.
-        trace._columns = {
-            "blocks": blocks,
-            "pages": pages,
-            "writes": writes,
-            "gaps": gaps,
-        }
-        return trace
 
     def __len__(self) -> int:
         return self.length

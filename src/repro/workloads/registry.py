@@ -37,14 +37,15 @@ __all__ = [
     "get_spec",
 ]
 
-#: Microbenchmarks used by the performance harness (``repro bench``), not
-#: part of the paper's evaluation set.  ``hotset`` is deliberately
-#: cache-resident: every region fits in an unscaled L1 and the shared hot
-#: region is read-only, so after the cold fills virtually every access is an
-#: L1 hit.  That is the regime the vectorized engine accelerates (the paper's
-#: own workloads are DRAM-cache studies and therefore miss-dominated by
-#: design -- see docs/performance.md), which makes ``hotset`` the workload
-#: behind the ``vector_speedup_*`` floors in ``benchmarks/baseline.json``.
+#: Microbenchmarks used by the performance harnesses (perfbench, ``repro
+#: bench``), not part of the paper's evaluation set.  ``hotset`` is
+#: deliberately cache-resident: every region fits in an unscaled L1 and the
+#: shared hot region is read-only, so after the cold fills virtually every
+#: access is an L1 hit.  The paper's own workloads are DRAM-cache studies and
+#: therefore miss-dominated by design, so ``hotset`` isolates the per-access
+#: hit path: it is perfbench's ``l1-resident`` control (BENCHMARK.json) and
+#: the window-dominated workload behind the ``parallel_speedup_*`` floors in
+#: ``benchmarks/baseline.json``.
 MICRO_SPECS: Dict[str, WorkloadSpec] = {
     "hotset": WorkloadSpec(
         name="hotset",
@@ -63,7 +64,7 @@ MICRO_SPECS: Dict[str, WorkloadSpec] = {
         mean_gap=2,
         spatial_accesses_per_block=4,
         best_policy="ft2",
-        description="L1-resident microbenchmark for the vectorized hot path "
+        description="L1-resident microbenchmark for the per-access hit path "
         "(one private page per thread plus one read-only shared page)",
     ),
 }

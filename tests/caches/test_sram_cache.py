@@ -72,7 +72,6 @@ def test_dirty_eviction_reported():
     victim = cache.insert(4)
     assert victim >> VICTIM_SHIFT == 0
     assert victim & DIRTY
-    assert cache.dirty_evictions == 1
 
 
 def test_invalidate_removes_line():
@@ -81,7 +80,6 @@ def test_invalidate_removes_line():
     line = cache.invalidate(7)
     assert line == 0
     assert not cache.contains(7)
-    assert cache.invalidations == 1
     assert cache.invalidate(7) is None
 
 
@@ -155,7 +153,6 @@ class ReferenceCache:
         self.num_sets = num_sets
         self.ways = ways
         self.sets = {}
-        self.counters = dict(evictions=0, dirty_evictions=0, invalidations=0)
 
     def _find(self, block):
         lines = self.sets.setdefault(block % self.num_sets, [])
@@ -181,9 +178,6 @@ class ReferenceCache:
         victim = None
         if len(lines) >= self.ways:
             victim = lines.pop(0)
-            self.counters["evictions"] += 1
-            if victim[2]:
-                self.counters["dirty_evictions"] += 1
         lines.append((block, modified, dirty))
         return victim
 
@@ -191,7 +185,6 @@ class ReferenceCache:
         lines, position = self._find(block)
         if position is None:
             return None
-        self.counters["invalidations"] += 1
         return lines.pop(position)[1:]
 
     def rewrite(self, block, modified=None, dirty=None):
@@ -248,7 +241,7 @@ _cache_ops = st.lists(
 @example([("insert", 0, True, True), ("insert", 2, False, False),
           ("insert", 0, False, False), ("insert", 4, False, False)])
 def test_int_lines_match_a_reference_model(ops):
-    """Residency in LRU order, Modified/dirty bits, victims and every counter
+    """Residency in LRU order, Modified/dirty bits, victims and returned bits
     equal a model written with tuples, after every operation."""
     cache = SetAssociativeCache(4 * 64, 2, block_size=64)  # 2 sets x 2 ways
     ref = ReferenceCache(cache.num_sets, 2)
@@ -277,4 +270,3 @@ def test_int_lines_match_a_reference_model(ops):
             cache.mark_dirty(block)
             ref.rewrite(block, dirty=True)
         assert _cache_state(cache) == ref.state()
-        assert {name: getattr(cache, name) for name in ref.counters} == ref.counters

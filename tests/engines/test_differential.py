@@ -1,4 +1,4 @@
-"""Differential harness: vector == object == compiled, byte for byte.
+"""Differential harness: compiled == object, byte for byte.
 
 Property-based counterpart to ``tests/system/test_engine_equivalence.py``:
 instead of a handful of curated workloads, hypothesis composes random
@@ -6,14 +6,9 @@ per-thread traces from adversarial building blocks -- dwell runs that sit
 on one block (long hit runs), sweeps that walk fresh blocks (miss trains),
 ping-pongs over a shared block pair (coherence traffic), store bursts that
 overflow the store buffer, and write-then-read pairs that exercise
-store-to-load forwarding -- then runs all three exact engines over the
-same trace and requires bit-identical statistics.
-
-The vector engine's batching constants are pinned tiny for the duration of
-the module so that even short traces cross chunk boundaries, exhaust
-derive windows at awkward offsets, trigger the fast-fraction probe and
-take scalar bursts: the run lengths hypothesis draws (1..48) straddle
-every one of those seams.
+store-to-load forwarding -- then runs the default ``compiled`` engine and
+the ``object`` reference engine over the same trace and requires
+bit-identical statistics and a coherent machine after each run.
 """
 
 import pytest
@@ -23,7 +18,6 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is in the CI test env
     pytest.skip("hypothesis not installed", allow_module_level=True)
 
-from repro.engines.vector import VectorEngine, _vectorizable
 from repro.system.config import SystemConfig
 from repro.system.numa_system import NumaSystem
 from repro.system.simulator import Simulator
@@ -34,33 +28,12 @@ BLOCK = 64
 NUM_THREADS = 4  # dual-socket, 2 cores per socket
 
 #: Region bases: one private region per thread plus two regions shared by
-#: every thread (the shared ones generate invalidations/downgrades that
-#: land in other cores' change logs mid-batch).
+#: every thread (the shared ones generate invalidations and downgrades of
+#: other cores' lines).
 _PRIVATE_BASE = 0x400_0000
 _SHARED_A = 0x10_0000
 _SHARED_B = 0x20_0000
 _REGION_BLOCKS = 96
-
-
-@pytest.fixture(autouse=True, scope="module")
-def tiny_batches():
-    """Pin the vector engine's batching constants to adversarial values."""
-    saved = {
-        name: getattr(VectorEngine, name)
-        for name in (
-            "chunk_size", "chunk_initial", "derive_window",
-            "bail_after", "burst_accesses", "burst_cap",
-        )
-    }
-    VectorEngine.chunk_size = 32
-    VectorEngine.chunk_initial = 8
-    VectorEngine.derive_window = 4
-    VectorEngine.bail_after = 16
-    VectorEngine.burst_accesses = 8
-    VectorEngine.burst_cap = 24
-    yield
-    for name, value in saved.items():
-        setattr(VectorEngine, name, value)
 
 
 class _ListWorkload:
@@ -107,7 +80,7 @@ _segment = st.tuples(
     st.sampled_from(("dwell", "sweep", "pingpong", "forward")),
     st.sampled_from(("private", "shared-a", "shared-b")),
     st.integers(min_value=0, max_value=_REGION_BLOCKS - 1),
-    st.integers(min_value=1, max_value=48),  # crosses chunk_size=32 windows
+    st.integers(min_value=1, max_value=48),
     st.booleans(),
     st.integers(min_value=0, max_value=3),
 )
@@ -151,20 +124,4 @@ def test_engines_bit_identical_on_random_interleavings(protocol, traces, warmup)
     ]
     reference = _run(protocol, "object", per_thread, warmup)
     assert _run(protocol, "compiled", per_thread, warmup) == reference
-    assert _run(protocol, "vector", per_thread, warmup) == reference
 
-
-def test_differential_config_takes_the_batch_path():
-    """Guard the harness against silently testing the scalar fallback."""
-    config = SystemConfig.dual_socket(
-        protocol="c3d", num_sockets=2, cores_per_socket=2
-    ).scaled(1024)
-    system = NumaSystem(config)
-    assert _vectorizable(system, range(config.total_cores))
-
-
-def test_bench_gate_config_takes_the_batch_path():
-    """The CI vector-bench gate must measure batching, not the fallback."""
-    config = SystemConfig.quad_socket(protocol="baseline").scaled(1)
-    system = NumaSystem(config)
-    assert _vectorizable(system, range(config.total_cores))

@@ -73,7 +73,7 @@ def test_simulator_rejects_sample_plan_for_non_sampling_engine():
         Simulator(system, workload, engine="compiled", sample_plan=SamplingPlan())
 
 
-def test_third_party_engine_plugs_into_simulator_and_legacy_alias():
+def test_third_party_engine_plugs_into_simulator():
     """A registered engine is valid everywhere at once -- the subsystem's point."""
 
     class TracingEngine(engines.CompiledEngine):
@@ -86,9 +86,6 @@ def test_third_party_engine_plugs_into_simulator_and_legacy_alias():
 
     engines.register(TracingEngine)
     try:
-        # Live through the legacy alias too.
-        from repro.system import simulator
-        assert "test-tracing" in simulator.ENGINES
         assert "test-tracing" in engines.names()
 
         def run(engine):

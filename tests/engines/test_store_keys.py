@@ -26,19 +26,11 @@ PINNED_SWEEP_KEYS = {
         "206cba204ea870578ae7172eea52431cc49ad0df999ef5d3d7a3705308e17d09",
     ("scenario", "compiled"):
         "3aa16f280ee2144279c2b2a5bc6729b945971fa76432de65e810049a27325eb0",
-    # vector points hash to their own keys (captured when the engine
-    # landed): results computed by the batch path are cached separately
-    # from object/compiled results even though they are bit-identical.
-    ("default", "vector"):
-        "339f0224a6e8d85a81a464e40af52e17c16f59306d358d3a4d994c309562d59c",
-    ("scenario", "vector"):
-        "c3ba9428e021d62d7db0d02f874518a87c315b17d77dfc1ff434583c75e30219",
 }
 
 PINNED_CONTEXT_KEYS = {
     "object": "976441b0ec85f44673c2a65150bee7cd01fb69a2e32267b101c57df439e6299d",
     "compiled": "2e921aa77677b244c3fc1de0c584542563fe7917396de6483c7b1fab9d021ec2",
-    "vector": "d5e0c9ed344218932608a8990bc1678144296f461a54ec85d7e48672f6aa19fe",
 }
 
 
@@ -68,10 +60,10 @@ def test_context_run_keys_are_byte_identical_to_pre_refactor():
 
 def test_every_engine_hashes_to_a_distinct_key():
     """No two engines may share a store key: bit-identical results are
-    still cached per engine, so a vector run never aliases an object run."""
+    still cached per engine, so a compiled run never aliases an object run."""
     sweep_keys = {
         engine: sweep_point_key(SweepPoint(), engine)
-        for engine in ("object", "compiled", "vector")
+        for engine in ("object", "compiled")
     }
     assert len(set(sweep_keys.values())) == len(sweep_keys)
 

@@ -72,45 +72,3 @@ def test_as_dict_contains_key_quantities():
     assert "amat_ns" in flattened
     assert "remote_memory_fraction" in flattened
     assert flattened["extra.ablation"] == 1.5
-
-
-@pytest.mark.parametrize("count", [1, 2, 511, 512, 513, 2000])
-def test_add_constant_is_bit_identical_to_the_sequential_loop(count):
-    """Both the <=512 loop and the >512 numpy path must fold exactly like
-    repeated add() -- batch engines rely on this for bit-identity."""
-    value = 0.1  # not exactly representable: rounding order matters
-    reference = LatencyAccumulator()
-    reference.add(3.7)  # non-zero starting total
-    batched = LatencyAccumulator()
-    batched.add(3.7)
-    for _ in range(count):
-        reference.add(value)
-    batched.add_constant(value, count)
-    assert batched.total == reference.total  # exact, not approx
-    assert batched.count == reference.count
-    assert batched.maximum == reference.maximum
-
-
-def test_add_constant_differs_from_naive_multiplication():
-    """Guard the guard: count * value WOULD round differently, so a future
-    'simplification' to multiplication must fail this test."""
-    acc = LatencyAccumulator()
-    acc.add_constant(0.1, 2000)
-    assert acc.total != 2000 * 0.1
-
-
-def test_add_constant_with_nonpositive_count_is_a_noop():
-    acc = LatencyAccumulator()
-    acc.add(5.0)
-    acc.add_constant(1.0, 0)
-    acc.add_constant(1.0, -3)
-    assert acc.total == 5.0
-    assert acc.count == 1
-    assert acc.maximum == 5.0
-
-
-def test_add_constant_updates_the_maximum():
-    acc = LatencyAccumulator()
-    acc.add(5.0)
-    acc.add_constant(9.0, 600)
-    assert acc.maximum == 9.0

@@ -78,24 +78,6 @@ def test_analyze_and_import_trace_are_wired(tmp_path):
     assert profile["total_accesses"] > 0
 
 
-@pytest.mark.parametrize(
-    "module, name",
-    [
-        ("repro.experiments", "run_campaign"),
-        ("repro.experiments", "campaign_status"),
-        ("repro.stats", "open_store"),
-        ("repro.workloads", "analyze"),
-        ("repro.system", "simulate"),
-    ],
-)
-def test_old_import_sites_warn_but_work(module, name):
-    import importlib
-
-    with pytest.deprecated_call():
-        value = getattr(importlib.import_module(module), name)
-    assert callable(value)
-
-
 def test_unknown_attribute_still_raises():
     with pytest.raises(AttributeError):
         api.no_such_thing

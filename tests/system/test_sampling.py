@@ -15,10 +15,11 @@ from pathlib import Path
 
 import pytest
 
+from repro import engines
 from repro.stats.sampling import SamplingPlan
 from repro.system.config import SystemConfig
 from repro.system.numa_system import NumaSystem
-from repro.system.simulator import ENGINES, Simulator
+from repro.system.simulator import Simulator
 from repro.workloads.registry import make_workload
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -61,7 +62,7 @@ PLAN = SamplingPlan(
 
 
 def test_sampled_engine_registered():
-    assert "sampled" in ENGINES
+    assert "sampled" in engines.names()
 
 
 @pytest.mark.parametrize("protocol", ["baseline", "snoopy", "full-dir", "c3d",

@@ -84,7 +84,7 @@ def test_check_ignores_record_keys_absent_from_the_baseline():
         **{
             "baseline/compiled": 100_000.0,
             "c3d/compiled": 50_000.0,
-            "baseline/vector": 1.0,  # no baseline entry -> ungated
+            "baseline/sampled": 1.0,  # no baseline entry -> ungated
         }
     )
     assert gate.check(record, _baseline()) == []
@@ -97,8 +97,8 @@ def test_check_ignores_record_keys_absent_from_the_baseline():
 _FLOORS = {
     "sampled_speedup_baseline": 1.15,
     "sampled_speedup_c3d": 1.15,
-    "vector_speedup_baseline": 5.0,
-    "vector_speedup_c3d": 5.0,
+    "parallel_speedup_baseline": 5.0,
+    "parallel_speedup_c3d": 5.0,
 }
 
 
@@ -110,8 +110,8 @@ def test_speedups_pass_at_and_above_the_floor():
     record = _speedup_record(
         sampled_speedup_baseline=1.15,
         sampled_speedup_c3d=2.0,
-        vector_speedup_baseline=5.0,
-        vector_speedup_c3d=6.1,
+        parallel_speedup_baseline=5.0,
+        parallel_speedup_c3d=6.1,
     )
     assert gate.check_speedups(record, _baseline(speedups=_FLOORS)) == []
 
@@ -120,20 +120,21 @@ def test_speedups_fail_below_the_floor():
     record = _speedup_record(
         sampled_speedup_baseline=1.14,
         sampled_speedup_c3d=1.2,
-        vector_speedup_baseline=4.99,
-        vector_speedup_c3d=6.0,
+        parallel_speedup_baseline=4.99,
+        parallel_speedup_c3d=6.0,
     )
     failures = gate.check_speedups(record, _baseline(speedups=_FLOORS))
     assert len(failures) == 2
     assert any(f.startswith("sampled_speedup_baseline:") for f in failures)
-    assert any(f.startswith("vector_speedup_baseline:") for f in failures)
+    assert any(f.startswith("parallel_speedup_baseline:") for f in failures)
 
 
 def test_speedups_prefix_gates_only_one_engine_family():
-    """The vector CI job must not fail on absent sampled_* ratios."""
-    record = _speedup_record(vector_speedup_baseline=7.1, vector_speedup_c3d=6.1)
+    """A prefixed gate ignores floors with other prefixes: a parallel_ gate
+    passes although the record has no sampled_* ratios."""
+    record = _speedup_record(parallel_speedup_baseline=7.1, parallel_speedup_c3d=6.1)
     baseline = _baseline(speedups=_FLOORS)
-    assert gate.check_speedups(record, baseline, prefix="vector_") == []
+    assert gate.check_speedups(record, baseline, prefix="parallel_") == []
     # Without the filter, the missing sampled_* ratios fail the gate.
     failures = gate.check_speedups(record, baseline)
     assert len(failures) == 2
@@ -142,11 +143,11 @@ def test_speedups_prefix_gates_only_one_engine_family():
 
 def test_speedups_prefix_matching_nothing_is_a_failure():
     """A typo'd prefix must fail loudly, not gate an empty set."""
-    record = _speedup_record(vector_speedup_baseline=7.1)
+    record = _speedup_record(parallel_speedup_baseline=7.1)
     failures = gate.check_speedups(
-        record, _baseline(speedups=_FLOORS), prefix="vectr_"
+        record, _baseline(speedups=_FLOORS), prefix="paralel_"
     )
-    assert failures == ["baseline has no 'speedups' entries matching prefix 'vectr_'"]
+    assert failures == ["baseline has no 'speedups' entries matching prefix 'paralel_'"]
 
 
 def test_speedups_without_baseline_section_is_a_failure():
@@ -267,14 +268,14 @@ def test_main_exits_one_on_a_regression(tmp_path, capsys):
 def test_main_speedups_prefix_implies_the_speedups_gate(tmp_path):
     """--speedups-prefix alone must select the speedup gate (as CI relies on)."""
     record = _write(
-        tmp_path, "bench.json", [_speedup_record(vector_speedup_baseline=7.1)]
+        tmp_path, "bench.json", [_speedup_record(parallel_speedup_baseline=7.1)]
     )
     baseline = _write(
         tmp_path, "baseline.json",
-        _baseline(speedups={"vector_speedup_baseline": 5.0}),
+        _baseline(speedups={"parallel_speedup_baseline": 5.0}),
     )
     assert (
-        gate.main([record, "--baseline", baseline, "--speedups-prefix", "vector_"])
+        gate.main([record, "--baseline", baseline, "--speedups-prefix", "parallel_"])
         == 0
     )
     # Same invocation without the prefix flag gates the measurements
@@ -284,15 +285,15 @@ def test_main_speedups_prefix_implies_the_speedups_gate(tmp_path):
 
 def test_main_speedup_regression_exits_one(tmp_path):
     record = _write(
-        tmp_path, "bench.json", [_speedup_record(vector_speedup_baseline=4.2)]
+        tmp_path, "bench.json", [_speedup_record(parallel_speedup_baseline=4.2)]
     )
     baseline = _write(
         tmp_path, "baseline.json",
-        _baseline(speedups={"vector_speedup_baseline": 5.0}),
+        _baseline(speedups={"parallel_speedup_baseline": 5.0}),
     )
     assert (
         gate.main([record, "--baseline", baseline, "--speedups", "--speedups-prefix",
-                   "vector_"])
+                   "parallel_"])
         == 1
     )
 

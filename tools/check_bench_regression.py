@@ -11,14 +11,13 @@ Compares the most recent record of a bench output file (the JSON list
   an accidentally quadratic change) lands well below it.
 * **speedups** (``--speedups``): every key of the baseline's ``speedups``
   section -- the ``sampled_speedup_*`` exact-vs-sampled ratios ``repro
-  bench --sampled`` records, the ``vector_speedup_*`` object-vs-vector
-  ratios recorded whenever both engines are benched, and the
-  ``parallel_speedup_*`` serial-vs-parallel sampled ratios recorded when
-  ``sampled`` and ``sampled-par`` are benched together -- must reach its
+  bench --sampled`` records and the ``parallel_speedup_*``
+  serial-vs-parallel sampled ratios recorded when ``sampled`` and
+  ``sampled-par`` are benched together -- must reach its
   committed floor.  Ratios of two runs on the same machine are largely
   noise-immune, so the floors are applied directly (no tolerance factor).
   ``--speedups-prefix`` limits the gate to one engine family's floors, so
-  the sampling, vector and parallel CI jobs each gate only the ratios
+  the sampling and parallel CI jobs each gate only the ratios
   their own bench invocation produced.
 
 By default the gate reads the *latest* record of the history file;
@@ -37,12 +36,6 @@ Usage::
         --output bench_sampled.json
     python tools/check_bench_regression.py bench_sampled.json \
         --speedups --speedups-prefix sampled_
-
-    PYTHONPATH=src python -m repro bench --workload hotset --scale 1 \
-        --accesses 24000 --rounds 2 --protocols baseline c3d \
-        --engines compiled object vector --output bench_vector.json
-    python tools/check_bench_regression.py bench_vector.json \
-        --speedups --speedups-prefix vector_
 
     PYTHONPATH=src python -m repro bench --workload hotset --scale 1 \
         --accesses 2500 --rounds 2 --protocols baseline c3d \
@@ -144,7 +137,7 @@ def check_speedups(
     """Gate the record's top-level speedup ratios against committed floors.
 
     The baseline's ``speedups`` section maps record keys (e.g.
-    ``sampled_speedup_c3d``, ``vector_speedup_baseline``) to minimum
+    ``sampled_speedup_c3d``, ``parallel_speedup_baseline``) to minimum
     acceptable ratios.  Ratios compare two runs of the same invocation on
     the same machine, so the floors are enforced directly -- no noise
     tolerance factor.  ``prefix`` restricts the gate to floors whose key
@@ -197,14 +190,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--speedups",
         action="store_true",
         help="gate the baseline's 'speedups' section (sampled_speedup_*, "
-        "vector_speedup_*) instead of the throughput measurements",
+        "parallel_speedup_*) instead of the throughput measurements",
     )
     parser.add_argument(
         "--speedups-prefix",
         default=None,
         metavar="PREFIX",
         help="with --speedups (implied), gate only floors whose key starts "
-        "with PREFIX (e.g. 'sampled_', 'vector_' or 'parallel_')",
+        "with PREFIX (e.g. 'sampled_' or 'parallel_')",
     )
     selector = parser.add_mutually_exclusive_group()
     selector.add_argument(

@@ -51,14 +51,11 @@ REQUIRED_DOCS = (
 #: substrings of the page text.
 REQUIRED_SECTIONS = {
     "docs/performance.md": (
-        "## Vectorized execution",
-        "vector_speedup_",
         "## Parallel windows",
         "parallel_speedup_",
     ),
     "docs/architecture.md": (
         "## Execution engines",
-        "| `vector` |",
         "| `sampled-par` |",
         "## Serving layer",
         "`repro.api`",

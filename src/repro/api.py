@@ -21,7 +21,7 @@ lazily so ``import repro`` stays cheap.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Dict, Mapping, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .experiments.campaign import CampaignSpec, CampaignSummary

@@ -97,13 +97,6 @@ class DRAMCache:
         self._lines: Dict[int, int] = {}
         self._sets: Dict[int, Dict[int, bool]] = {}
 
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.dirty_evictions = 0
-        self.invalidations = 0
-        self.predictor_bypasses = 0
-
     # -- geometry -----------------------------------------------------------
 
     def set_index(self, block: int) -> int:
@@ -113,7 +106,7 @@ class DRAMCache:
     # -- queries ------------------------------------------------------------
 
     def contains(self, block: int) -> bool:
-        """True if ``block`` is resident (no statistics update)."""
+        """True if ``block`` is resident (no LRU update)."""
         if self.associativity == 1:
             tag = self._lines.get(block % self.num_sets)
             return tag is not None and tag >> 1 == block
@@ -136,9 +129,10 @@ class DRAMCache:
     def probe(self, block: int) -> DRAMCacheProbe:
         """Look up ``block``, consulting the miss predictor first.
 
-        Updates hit/miss statistics.  When the predictor predicts a miss the
-        DRAM array is not accessed; the caller should charge only the
-        predictor latency in that case.
+        When the predictor predicts a miss the DRAM array is not accessed;
+        the caller should charge only the predictor latency in that case.
+        The cache counts nothing: callers record the outcome in
+        ``SimulationStats``.
         """
         # The tag is read once, inline; the predictor's bookkeeping below
         # neither depends on nor changes it.  ``dirty`` is None on a miss.
@@ -151,34 +145,21 @@ class DRAMCache:
         predictor = self.miss_predictor
         if predictor is not None:
             # Inlined RegionMissPredictor.predicts_miss.
-            predictor.lookups += 1
             table = predictor._table
             region = (block * predictor._block_size) // predictor.region_size
             bits = table.get(region)
-            if bits is None:
-                predictor.untracked_lookups += 1
-                predictor.predicted_miss += 1
-                predicted_miss = True
-            else:
+            if bits is not None:
                 table.move_to_end(region)
-                if bits & (1 << (block % predictor._blocks_per_region)):
-                    predictor.predicted_present += 1
-                    predicted_miss = False
-                else:
-                    predictor.predicted_miss += 1
-                    predicted_miss = True
-            if predicted_miss and dirty is None:
-                self.predictor_bypasses += 1
-                self.misses += 1
+            if dirty is None and (
+                bits is None or not bits & (1 << (block % predictor._blocks_per_region))
+            ):
                 return _PROBE_MISS_BYPASS
             # A predicted miss on a resident line is a mis-prediction (the
             # predictor lost this region's residency information): fall
             # through to the array access so that a resident -- possibly
             # dirty -- line is never silently ignored.
         if dirty is None:
-            self.misses += 1
             return _PROBE_MISS_ARRAY
-        self.hits += 1
         if self.associativity > 1:
             # Intrusive LRU touch: move the block to the back of its set.
             del cache_set[block]
@@ -212,9 +193,6 @@ class DRAMCache:
                         lines[index] = tag | 1
                     return None
                 victim = (victim_block, (tag & 1) == 1)
-                self.evictions += 1
-                if tag & 1:
-                    self.dirty_evictions += 1
                 if predictor is not None:
                     predictor.note_evict(victim_block)
 
@@ -235,9 +213,6 @@ class DRAMCache:
         if len(cache_set) >= self.associativity:
             victim_block = next(iter(cache_set))
             victim = (victim_block, cache_set.pop(victim_block))
-            self.evictions += 1
-            if victim[1]:
-                self.dirty_evictions += 1
             if predictor is not None:
                 predictor.note_evict(victim_block)
         cache_set[block] = stored_dirty
@@ -249,8 +224,8 @@ class DRAMCache:
         """Insert an iterable of block numbers clean (prewarm fast path).
 
         Semantically identical to calling ``insert(block, dirty=False)`` for
-        each block in order -- same eviction counters, same final cache and
-        predictor state -- but vectorised: contiguous ranges fill the tag
+        each block in order -- same final tags, same predictor table in the
+        same LRU order -- but vectorised: contiguous ranges fill the tag
         store with one ``dict.update`` from a ``zip`` of set indices and
         clean tags (``range(2 * start, 2 * stop, 2)``, as each tag is
         ``block << 1``), and predictor presence bits are OR-ed per *region*
@@ -292,9 +267,9 @@ class DRAMCache:
         else:
             idx_list = [b % num_sets for b in blocks]
 
-        # Eviction accounting for set conflicts with already-resident lines,
-        # in block order (rare relative to n).  ``same_block`` entries keep
-        # their existing tag (dirty bit preserved).
+        # Set conflicts with already-resident lines (rare relative to n).
+        # ``same_block`` entries keep their existing tag (dirty bit
+        # preserved); the displaced victims are noted in the predictor below.
         victims_by_region = {}
         same_block = []
         predictor = self.miss_predictor
@@ -307,9 +282,6 @@ class DRAMCache:
                 if tag >> 1 == block:
                     same_block.append((index, tag, block))
                     continue
-                self.evictions += 1
-                if tag & 1:
-                    self.dirty_evictions += 1
                 evicted.append((block, tag >> 1))
             if predictor is not None and evicted:
                 evicted.sort()
@@ -390,8 +362,6 @@ class DRAMCache:
             block_size = predictor._block_size
             region_size = predictor.region_size
             blocks_per_region = predictor._blocks_per_region
-        evictions = 0
-        dirty_evictions = 0
         count = 0
         for block in blocks:
             count += 1
@@ -400,9 +370,6 @@ class DRAMCache:
                 victim_block = tag >> 1
                 if victim_block == block:
                     continue
-                evictions += 1
-                if tag & 1:
-                    dirty_evictions += 1
                 if predictor is not None:
                     # Inlined RegionMissPredictor.note_evict(victim_block).
                     region = (victim_block * block_size) // region_size
@@ -417,15 +384,11 @@ class DRAMCache:
                 bits = table_get(region)
                 if bits is None:
                     if len(table) >= entries:
-                        _victim, victim_bits = table.popitem(last=False)
-                        if victim_bits:
-                            predictor.region_displacements += 1
+                        table.popitem(last=False)
                     bits = 0
                 else:
                     move_to_end(region)
                 table[region] = bits | (1 << (block % blocks_per_region))
-        self.evictions += evictions
-        self.dirty_evictions += dirty_evictions
         return count
 
     def invalidate(self, block: int) -> bool:
@@ -441,7 +404,6 @@ class DRAMCache:
             cache_set = self._sets.get(block % self.num_sets)
             if cache_set is None or cache_set.pop(block, None) is None:
                 return False
-        self.invalidations += 1
         if self.miss_predictor is not None:
             self.miss_predictor.note_evict(block)
         return True
@@ -472,12 +434,6 @@ class DRAMCache:
             predictor is None or not predictor._table
         )
 
-    def fill_counts(self) -> Tuple[int, int]:
-        """``(evictions, predictor region displacements)``: what a clean fill adds to."""
-        predictor = self.miss_predictor
-        displaced = predictor.region_displacements if predictor is not None else 0
-        return self.evictions, displaced
-
     def _geometry(self) -> Tuple:
         predictor = self.miss_predictor
         return (
@@ -489,32 +445,27 @@ class DRAMCache:
             ),
         )
 
-    def share_fill(self, source: "DRAMCache", counts_before: Tuple[int, int]) -> None:
+    def share_fill(self, source: "DRAMCache") -> None:
         """Adopt the clean fill ``source`` received, instead of repeating it.
 
         This cache must be empty (:meth:`is_empty`) and share ``source``'s
-        geometry; ``source`` must have been empty before its fill, and
-        ``counts_before`` is its :meth:`fill_counts` from then.  Afterwards
-        the tag store and predictor table equal ``source``'s, in the same
-        order, and the eviction and region-displacement counters have
-        advanced by what the fill cost ``source``: the state a replay of the
-        same inserts would leave.  The tags are ints, so the copies share
-        nothing a later change to either cache could reach.
+        geometry, and ``source`` must have been empty before its fill.
+        Afterwards the tag store and predictor table equal ``source``'s, in
+        the same order: the state a replay of the same inserts would leave.
+        The tags are ints, so the copies share nothing a later change to
+        either cache could reach.
         """
         if not self.is_empty():
             raise ValueError(f"{self.name}: share_fill needs an empty cache")
         if self._geometry() != source._geometry():
             raise ValueError(f"{self.name}: geometry differs from {source.name}")
-        evictions, displaced = source.fill_counts()
-        self.evictions += evictions - counts_before[0]
         self._lines = source._lines.copy()
         self._sets = {index: lines.copy() for index, lines in source._sets.items()}
         predictor = self.miss_predictor
         if predictor is not None:
             predictor._table = source.miss_predictor._table.copy()
-            predictor.region_displacements += displaced - counts_before[1]
 
-    # -- statistics -----------------------------------------------------------
+    # -- state queries --------------------------------------------------------
 
     def occupancy(self) -> int:
         """Number of valid resident blocks."""
@@ -539,16 +490,6 @@ class DRAMCache:
             for block, dirty in cache_set.items()
             if dirty
         )
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    def hit_rate(self) -> float:
-        """Hit fraction over all probes (0.0 when never probed)."""
-        if not self.accesses:
-            return 0.0
-        return self.hits / self.accesses
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -51,12 +51,6 @@ class RegionMissPredictor:
         # region number -> bitmask of resident blocks, in LRU order.
         self._table: "OrderedDict[int, int]" = OrderedDict()
 
-        self.lookups = 0
-        self.predicted_miss = 0
-        self.predicted_present = 0
-        self.untracked_lookups = 0
-        self.region_displacements = 0
-
     # -- geometry -----------------------------------------------------------
 
     def region_of_block(self, block: int) -> int:
@@ -75,9 +69,7 @@ class RegionMissPredictor:
         bits = table.get(region)
         if bits is None:
             if len(table) >= self.entries:
-                _victim, victim_bits = table.popitem(last=False)
-                if victim_bits:
-                    self.region_displacements += 1
+                table.popitem(last=False)
             bits = 0
         else:
             table.move_to_end(region)
@@ -102,22 +94,15 @@ class RegionMissPredictor:
         The answer can be wrong only for blocks whose region entry was
         displaced from the table (see the module docstring).
         """
-        self.lookups += 1
         table = self._table
         region = (block * self._block_size) // self.region_size
         bits = table.get(region)
         if bits is None:
-            self.untracked_lookups += 1
-            self.predicted_miss += 1
             return True
         table.move_to_end(region)
-        if bits & (1 << (block % self._blocks_per_region)):
-            self.predicted_present += 1
-            return False
-        self.predicted_miss += 1
-        return True
+        return not bits & (1 << (block % self._blocks_per_region))
 
-    # -- statistics -----------------------------------------------------------
+    # -- state queries --------------------------------------------------------
 
     def tracked_regions(self) -> int:
         """Number of regions currently tracked."""
@@ -126,9 +111,3 @@ class RegionMissPredictor:
     def tracked_blocks(self) -> int:
         """Number of presence bits currently set across all tracked regions."""
         return sum(bin(bits).count("1") for bits in self._table.values())
-
-    def coverage(self) -> float:
-        """Fraction of lookups answered from a tracked region."""
-        if not self.lookups:
-            return 0.0
-        return 1.0 - self.untracked_lookups / self.lookups

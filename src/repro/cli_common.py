@@ -7,18 +7,15 @@ from the one parent parser built here:
 * ``--store PATH`` -- the results-store directory (docs/serving.md).
 * ``--json``       -- machine-readable JSON on stdout instead of prose.
 
-Old per-command spellings (e.g. the positional directory of
-``repro store verify DIR``) are kept as hidden aliases for one release;
-:func:`resolve_store_path` folds them into the unified flag.
+Each is the only spelling: no command takes the store as a positional.
 """
 
 from __future__ import annotations
 
 import argparse
-from pathlib import Path
 from typing import Optional
 
-__all__ = ["store_options", "engine_jobs_options", "resolve_store_path"]
+__all__ = ["store_options", "engine_jobs_options"]
 
 
 def store_options(*, store_help: Optional[str] = None,
@@ -65,23 +62,3 @@ def engine_jobs_options() -> argparse.ArgumentParser:
     )
     return parent
 
-
-def resolve_store_path(flag_value: Optional[str],
-                       positional_value: Optional[str] = None,
-                       *, command: str = "repro") -> Path:
-    """Fold the unified ``--store`` flag and a legacy positional into one path.
-
-    The flag wins; the hidden positional (old spelling) is accepted for one
-    release.  Raises ``SystemExit`` with a usage message when neither was
-    given or the two disagree.
-    """
-    if flag_value and positional_value and str(flag_value) != str(positional_value):
-        raise SystemExit(
-            f"{command}: --store {flag_value} conflicts with positional "
-            f"store {positional_value!r}; pass --store only"
-        )
-    chosen = flag_value or positional_value
-    if not chosen:
-        raise SystemExit(f"{command}: a store directory is required "
-                         f"(pass --store PATH)")
-    return Path(chosen)

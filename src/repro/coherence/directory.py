@@ -57,11 +57,8 @@ class DirectoryState(enum.Enum):
     MODIFIED = "M"
 
 
-#: Entry state bits -> state, and ``[old][new]`` -> transition label.
+#: Entry state bits -> state.
 _STATES = (DirectoryState.INVALID, DirectoryState.SHARED, DirectoryState.MODIFIED)
-_TRANSITION_KEYS = tuple(
-    tuple(f"{old.value}->{new.value}" for new in _STATES) for old in _STATES
-)
 
 
 def members(mask: int) -> List[int]:
@@ -110,50 +107,28 @@ class GlobalDirectory:
         self.name = name or f"directory[{home_socket}]"
         #: Block -> entry int, in allocation order.
         self._entries: Dict[int, int] = {}
-
-        self.lookups = 0
-        self.allocations = 0
-        self.deallocations = 0
-        self.transitions: Dict[str, int] = {}
+        #: The slice's only counter: experiments/directory_cost.py reads it.
         self.peak_entries = 0
 
     # -- lookup ---------------------------------------------------------------
 
     def lookup(self, block: int) -> Optional[int]:
-        """Return the entry int for ``block`` (None when untracked); counts a lookup."""
-        self.lookups += 1
-        return self._entries.get(block)
-
-    def peek(self, block: int) -> Optional[int]:
-        """Return the entry int without counting a lookup."""
+        """Return the entry int for ``block`` (None when untracked)."""
         return self._entries.get(block)
 
     def decode(self, block: int) -> Optional[DecodedEntry]:
-        """Decode the entry for ``block`` (None when untracked); counts nothing."""
+        """Decode the entry for ``block`` (None when untracked)."""
         entry = self._entries.get(block)
         return None if entry is None else _decode(entry)
 
     # -- state changes -------------------------------------------------------
 
-    def _transition(self, old: int, new: int) -> None:
-        key = _TRANSITION_KEYS[old & 3][new]
-        self.transitions[key] = self.transitions.get(key, 0) + 1
-
-    def _allocated(self) -> None:
-        """Count an entry just added to ``_entries``."""
-        self.allocations += 1
-        if len(self._entries) > self.peak_entries:
-            self.peak_entries = len(self._entries)
-
     def set_modified(self, block: int, owner: int) -> None:
         """Transition ``block`` to Modified with the given owner socket."""
         entries = self._entries
-        old = entries.get(block)
         entries[block] = 1 << owner + SHARER_SHIFT | DIR_MODIFIED
-        if old is None:
-            old = 0
-            self._allocated()
-        self._transition(old, DIR_MODIFIED)
+        if len(entries) > self.peak_entries:
+            self.peak_entries = len(entries)
 
     def set_shared(self, block: int, sharers: Iterable[int]) -> None:
         """Transition ``block`` to Shared with the given sharing vector."""
@@ -161,12 +136,9 @@ class GlobalDirectory:
         if not mask:
             raise ValueError("shared state requires at least one sharer")
         entries = self._entries
-        old = entries.get(block)
         entries[block] = mask << SHARER_SHIFT | DIR_SHARED
-        if old is None:
-            old = 0
-            self._allocated()
-        self._transition(old, DIR_SHARED)
+        if len(entries) > self.peak_entries:
+            self.peak_entries = len(entries)
 
     def add_sharer(self, block: int, socket: int) -> None:
         """Add ``socket`` to the sharing vector (allocating a Shared entry)."""
@@ -174,8 +146,8 @@ class GlobalDirectory:
         old = entries.get(block)
         if old is None:
             entries[block] = 1 << socket + SHARER_SHIFT | DIR_SHARED
-            self._allocated()
-            self._transition(0, DIR_SHARED)
+            if len(entries) > self.peak_entries:
+                self.peak_entries = len(entries)
         elif old & DIR_MODIFIED:
             raise ValueError(f"add_sharer on Modified block {block:#x}")
         else:
@@ -184,9 +156,9 @@ class GlobalDirectory:
     def add_shared_entries(self, blocks: Iterable[int], sharers: Iterable[int]) -> None:
         """``add_sharer(block, socket)`` for each block of ``blocks`` and socket of ``sharers``.
 
-        Leaves the same entries (new ones in ``blocks`` order), ``allocations``,
-        ``peak_entries`` and transition counts as those calls, one dict
-        update for all the new entries.
+        Leaves the same entries (new ones in ``blocks`` order) and
+        ``peak_entries`` as those calls, with one dict update for all the
+        new entries.
         """
         sharers = tuple(sharers)
         mask = _mask(sharers) << SHARER_SHIFT
@@ -201,11 +173,8 @@ class GlobalDirectory:
         if not added:
             return
         entries.update(added)
-        self.allocations += len(added)
         if len(entries) > self.peak_entries:
             self.peak_entries = len(entries)
-        key = _TRANSITION_KEYS[0][DIR_SHARED]
-        self.transitions[key] = self.transitions.get(key, 0) + len(added)
 
     def remove_sharer(self, block: int, socket: int) -> None:
         """Drop ``socket`` from the sharing vector; deallocate when empty.
@@ -220,14 +189,11 @@ class GlobalDirectory:
         if entry >> SHARER_SHIFT:
             entries[block] = entry
         else:
-            self.invalidate(block)
+            del entries[block]
 
     def invalidate(self, block: int) -> None:
         """Remove the entry for ``block`` (transition to Invalid / untracked)."""
-        old = self._entries.pop(block, None)
-        if old is not None:
-            self._transition(old, 0)
-            self.deallocations += 1
+        self._entries.pop(block, None)
 
     # -- inspection ----------------------------------------------------------
 

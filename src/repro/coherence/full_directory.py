@@ -202,7 +202,7 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
 
     def _on_dram_cache_dirty_victim(self, block: int, socket_id: int) -> None:
         directory = self.directories[self._home_of_block(block)]
-        entry = directory.peek(block)
+        entry = directory.lookup(block)
         if entry is None:
             return
         llc_line = self.sockets[socket_id].llc.peek(block)

@@ -37,9 +37,6 @@ class LocalDirectory:
         self._owner_mask = (1 << self._owner_bits) - 1
         self._entries: Dict[int, int] = {}
 
-        self.peer_interventions = 0
-        self.peer_invalidations = 0
-
     # -- queries ------------------------------------------------------------
 
     def sharers_of(self, block: int) -> Set[int]:
@@ -92,8 +89,6 @@ class LocalDirectory:
         """Record a write by ``core``; returns the peer cores to invalidate."""
         shift = self._owner_bits
         peers = members(self._entries.get(block, 0) >> shift & ~(1 << core))
-        if peers:
-            self.peer_invalidations += len(peers)
         self._entries[block] = 1 << core + shift | core + 1
         return peers
 
@@ -101,8 +96,7 @@ class LocalDirectory:
         """Source ``block`` for ``core`` from a peer L1 that owns it Modified.
 
         Returns the owner and clears the ownership (the owner keeps a Shared
-        copy), counting a peer intervention; returns None when no peer of
-        ``core`` owns the block.
+        copy); returns None when no peer of ``core`` owns the block.
         """
         entries = self._entries
         entry = entries.get(block, 0)
@@ -110,7 +104,6 @@ class LocalDirectory:
         if not owner or owner == core + 1:
             return None
         entries[block] = entry & ~self._owner_mask
-        self.peer_interventions += 1
         return owner - 1
 
     def downgrade(self, block: int) -> List[int]:

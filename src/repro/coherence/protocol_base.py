@@ -116,12 +116,13 @@ class GlobalCoherenceProtocol(ABC):
     # without timing (docs/sampling.md).  These entry points perform exactly
     # the state mutations of their timed counterparts -- directory
     # transitions, peer invalidations/downgrades, DRAM-cache probes and
-    # inserts -- while skipping the latency arithmetic, message accounting
-    # and result allocation.  The defaults below simply run the timed entry
-    # points; they are only correct when the caller has installed functional
-    # timing (zero-latency interconnect/memory stubs, scratch statistics --
-    # see ``EngineContext.functional_timing``), which the sampled engine
-    # always does, so a design without a lean override stays state-exact.
+    # inserts -- while skipping the latency arithmetic, network sends (and
+    # so ``bytes_sent``) and result allocation.  The defaults below simply
+    # run the timed entry points; they are only correct when the caller has
+    # installed functional timing (zero-latency interconnect/memory stubs,
+    # scratch statistics -- see ``EngineContext.functional_timing``), which
+    # the sampled engine always does, so a design without a lean override
+    # stays state-exact.
     # Subclasses override them with lean state-only mirrors for speed;
     # tests/engines/test_functional_mirrors.py asserts every lean mirror
     # leaves bit-identical state behind by re-running the same sampled
@@ -312,7 +313,7 @@ class GlobalCoherenceProtocol(ABC):
         Handles the (defensive) case of a stale Modified entry by degrading
         it to Shared rather than violating the directory's M-state invariant.
         """
-        entry = directory.peek(block)
+        entry = directory.lookup(block)
         if entry is not None and entry & DIR_MODIFIED:
             directory.set_shared(block, members(entry >> SHARER_SHIFT | 1 << requester))
         else:

@@ -12,7 +12,7 @@ from .clean_dram_cache import (
     DirtyVictimCachePolicy,
     EvictionDecision,
 )
-from .page_classifier import ClassifierStats, PrivateSharedClassifier
+from .page_classifier import PrivateSharedClassifier
 
 __all__ = [
     "C3DProtocol",
@@ -21,5 +21,4 @@ __all__ = [
     "DirtyVictimCachePolicy",
     "EvictionDecision",
     "PrivateSharedClassifier",
-    "ClassifierStats",
 ]

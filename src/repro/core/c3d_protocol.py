@@ -269,8 +269,9 @@ class C3DProtocol(GlobalCoherenceProtocol):
     # ------------------------------------------------------------------
 
     def read_miss_functional(self, requester: int, block: int) -> None:
-        # The DRAM-cache probe is stateful (predictor presence bits and LRU
-        # recency advance) and must run exactly as in the timed path.
+        # The DRAM-cache probe is stateful (the predictor's and an
+        # associative set's LRU order advance) and must run exactly as in
+        # the timed path.
         dram_cache = self.sockets[requester].dram_cache
         if dram_cache is not None and dram_cache.probe(block).hit:
             return
@@ -318,8 +319,7 @@ class C3DProtocol(GlobalCoherenceProtocol):
                 target_socket.invalidate_onchip(block)
         else:
             # Invalid / untracked: mirror of _broadcast_invalidations unless
-            # the broadcast filter classifies the page thread-private (the
-            # classifier query is stateful and must run either way).
+            # the broadcast filter classifies the page thread-private.
             skip_broadcast = False
             if self.broadcast_filter and self.classifier is not None:
                 skip_broadcast = self.classifier.write_is_private(thread_id, block)

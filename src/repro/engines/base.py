@@ -275,18 +275,17 @@ class EngineContext:
             num_blocks = max(1, region["size"] // layout.block_size)
             fill.append(range(base_block, base_block + min(num_blocks, num_sets)))
 
-        template = None  # (cache filled first from empty, its fill_counts() before)
+        template = None  # the first cache filled from empty
         for sock in sockets:
             cache = sock.dram_cache
             empty = cache.is_empty()
             if template is not None and empty:
-                cache.share_fill(*template)
+                cache.share_fill(template)
                 continue
-            counts_before = cache.fill_counts()
             for blocks in fill:
                 cache.bulk_insert_clean(blocks)
             if template is None and empty:
-                template = (cache, counts_before)
+                template = cache
 
         if system.protocol.tracks_dram_cache_in_directory:
             # Registered a page at a time (a page has a single home).

@@ -440,8 +440,7 @@ class SampledEngine(ExecutionEngine):
                         if line is None:
                             access_functional(local_index, block, write, thread_id)
                         elif not write:
-                            # Inlined L1 read-hit path (recency only; the
-                            # cache's own hit counters are skipped).
+                            # Inlined L1 read-hit path (recency only).
                             del cache_set[block]
                             cache_set[block] = line
                         elif line & MODIFIED:

@@ -25,9 +25,6 @@ class Link:
         self.infinite_bandwidth = infinite_bandwidth
         self.busy_until = 0.0
         self.last_arrival = 0.0
-        self.bytes_transferred = 0
-        self.packets = 0
-        self.busy_time = 0.0
 
     def occupy(self, now: float, size_bytes: int) -> float:
         """Reserve the link for ``size_bytes`` starting no earlier than ``now``.
@@ -37,25 +34,13 @@ class Link:
         an earlier idle slot and are charged no queueing delay -- see
         :meth:`repro.memory.main_memory.MemoryChannel.occupy` for why.
         """
-        self.bytes_transferred += size_bytes
-        self.packets += 1
-        if self.infinite_bandwidth:
-            return 0.0
-        service_time = size_bytes / self.bandwidth_bytes_per_ns
-        self.busy_time += service_time
-        if now < self.last_arrival:
+        if self.infinite_bandwidth or now < self.last_arrival:
             return 0.0
         self.last_arrival = now
         start = max(now, self.busy_until)
         queue_delay = start - now
-        self.busy_until = start + service_time
+        self.busy_until = start + size_bytes / self.bandwidth_bytes_per_ns
         return queue_delay
 
-    def utilisation(self, elapsed_ns: float) -> float:
-        """Fraction of time this link was busy over ``elapsed_ns``."""
-        if elapsed_ns <= 0:
-            return 0.0
-        return self.busy_time / elapsed_ns
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Link({self.src}->{self.dst}, {self.bytes_transferred} bytes)"
+        return f"Link({self.src}->{self.dst}, busy until {self.busy_until} ns)"

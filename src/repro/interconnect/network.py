@@ -1,5 +1,5 @@
 """Inter-socket network model combining a topology, per-link bandwidth and
-per-hop latency, with traffic accounting by message class.
+per-hop latency, counting the bytes it carries.
 
 Table II: 20 ns per hop one way (40 ns round trip per hop, as used by the
 methodology section), 25.6 GB/s per link, 16-byte control / 80-byte data
@@ -61,23 +61,15 @@ class Interconnect:
                   else self.control_packet_bytes)
             for cls in MessageClass
         }
-
-        self.messages_sent = 0
+        # The network's only counter: NumaSystem.inter_socket_bytes and the
+        # sampled engines' windows read it.
         self.bytes_sent = 0
-        # Per-class [bytes, messages] pairs: one dict lookup per send instead
-        # of four.  Exposed through the bytes_by_class / messages_by_class
-        # properties for the experiments and tests.
-        self._traffic: Dict[MessageClass, list] = {cls: [0, 0] for cls in MessageClass}
 
     # -- basic properties -----------------------------------------------------
 
     @property
     def num_sockets(self) -> int:
         return self.topology.num_sockets
-
-    def packet_size(self, message_class: MessageClass) -> int:
-        """Physical size in bytes of a packet of the given class."""
-        return self._packet_sizes[message_class]
 
     def hops(self, src: int, dst: int) -> int:
         """Hop count between two sockets."""
@@ -98,71 +90,20 @@ class Interconnect:
         arrival = now
         for link in links:
             # Inlined Link.occupy (busy-until bandwidth accounting).
-            link.bytes_transferred += size
-            link.packets += 1
-            if not link.infinite_bandwidth:
+            if not link.infinite_bandwidth and arrival >= link.last_arrival:
                 service_time = size / link.bandwidth_bytes_per_ns
-                link.busy_time += service_time
-                if arrival >= link.last_arrival:
-                    link.last_arrival = arrival
-                    busy_until = link.busy_until
-                    if busy_until > arrival:
-                        latency += busy_until - arrival
-                        link.busy_until = busy_until + service_time
-                    else:
-                        link.busy_until = arrival + service_time
+                link.last_arrival = arrival
+                busy_until = link.busy_until
+                if busy_until > arrival:
+                    latency += busy_until - arrival
+                    link.busy_until = busy_until + service_time
+                else:
+                    link.busy_until = arrival + service_time
             arrival = now + latency
 
-        self.messages_sent += 1
         self.bytes_sent += size
-        pair = self._traffic[message_class]
-        pair[0] += size
-        pair[1] += 1
         return latency
 
-    # -- statistics -----------------------------------------------------------
-
-    @property
-    def bytes_by_class(self) -> Dict[MessageClass, int]:
-        """Bytes sent per message class."""
-        return {cls: pair[0] for cls, pair in self._traffic.items()}
-
-    @property
-    def messages_by_class(self) -> Dict[MessageClass, int]:
-        """Messages sent per message class."""
-        return {cls: pair[1] for cls, pair in self._traffic.items()}
-
     def reset_counters(self) -> None:
-        """Zero the traffic counters (used when a warm-up phase ends)."""
-        self.messages_sent = 0
+        """Zero the byte counter (used when a warm-up phase ends)."""
         self.bytes_sent = 0
-        self._traffic = {cls: [0, 0] for cls in MessageClass}
-        for link in self._links.values():
-            link.bytes_transferred = 0
-            link.packets = 0
-            link.busy_time = 0.0
-
-    def data_bytes(self) -> int:
-        """Bytes sent in data-carrying packets."""
-        return sum(
-            pair[0] for cls, pair in self._traffic.items() if cls.kind is PacketKind.DATA
-        )
-
-    def control_bytes(self) -> int:
-        """Bytes sent in control packets."""
-        return self.bytes_sent - self.data_bytes()
-
-    def link_bytes(self) -> int:
-        """Bytes summed over every link traversal (counts each hop)."""
-        return sum(link.bytes_transferred for link in self._links.values())
-
-    def link_utilisations(self, elapsed_ns: float) -> Dict[Tuple[int, int], float]:
-        """Per-link utilisation over ``elapsed_ns``."""
-        return {key: link.utilisation(elapsed_ns) for key, link in self._links.items()}
-
-    def busiest_link_utilisation(self, elapsed_ns: float) -> float:
-        """Utilisation of the most loaded link (0 when there are no links)."""
-        utilisations = self.link_utilisations(elapsed_ns)
-        if not utilisations:
-            return 0.0
-        return max(utilisations.values())

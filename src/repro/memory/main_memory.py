@@ -45,8 +45,6 @@ class MemoryChannel:
         self.infinite_bandwidth = infinite_bandwidth
         self.busy_until = 0.0
         self.last_arrival = 0.0
-        self.bytes_transferred = 0
-        self.busy_time = 0.0
 
     def occupy(self, now: float, size_bytes: int) -> float:
         """Reserve the channel for ``size_bytes`` starting no earlier than ``now``.
@@ -62,17 +60,12 @@ class MemoryChannel:
         against ``busy_until`` would let small ordering skew snowball into
         large artificial queueing.
         """
-        self.bytes_transferred += size_bytes
-        if self.infinite_bandwidth:
-            return 0.0
-        service_time = size_bytes / self.bandwidth_bytes_per_ns
-        self.busy_time += service_time
-        if now < self.last_arrival:
+        if self.infinite_bandwidth or now < self.last_arrival:
             return 0.0
         self.last_arrival = now
         start = max(now, self.busy_until)
         queue_delay = start - now
-        self.busy_until = start + service_time
+        self.busy_until = start + size_bytes / self.bandwidth_bytes_per_ns
         return queue_delay
 
 
@@ -113,9 +106,6 @@ class MemoryController:
             MemoryChannel(channel_bandwidth_gbps, infinite_bandwidth=infinite_bandwidth)
             for _ in range(channels)
         ]
-        self.reads = 0
-        self.writes = 0
-        self.read_queue_delay = 0.0
 
     # -- channel selection --------------------------------------------------
 
@@ -131,24 +121,18 @@ class MemoryController:
 
     def read_fast(self, now: float, block: int) -> float:
         """Hot-path block read; returns just the critical-path latency (ns)."""
-        self.reads += 1
         channel = self.channels[block % len(self.channels)]
         # Inlined MemoryChannel.occupy.
-        size = self.block_size
-        channel.bytes_transferred += size
-        if channel.infinite_bandwidth:
-            return self.latency_ns
-        service_time = size / channel.bandwidth_bytes_per_ns
-        channel.busy_time += service_time
-        if now < channel.last_arrival:
+        if channel.infinite_bandwidth or now < channel.last_arrival:
             return self.latency_ns
         channel.last_arrival = now
+        service_time = self.block_size / channel.bandwidth_bytes_per_ns
         busy_until = channel.busy_until
         if busy_until > now:
             channel.busy_until = busy_until + service_time
-            queue_delay = busy_until - now
-            self.read_queue_delay += queue_delay
-            return self.latency_ns + queue_delay
+            # latency + (busy_until - now); write_fast adds left to right.
+            # The two round differently and both are pinned.
+            return self.latency_ns + (busy_until - now)
         channel.busy_until = now + service_time
         return self.latency_ns
 
@@ -165,37 +149,15 @@ class MemoryController:
 
     def write_fast(self, now: float, block: int) -> float:
         """Hot-path block write; returns just the latency (ns)."""
-        self.writes += 1
         channel = self.channels[block % len(self.channels)]
         # Inlined MemoryChannel.occupy.
-        size = self.block_size
-        channel.bytes_transferred += size
-        if channel.infinite_bandwidth:
-            return self.latency_ns
-        service_time = size / channel.bandwidth_bytes_per_ns
-        channel.busy_time += service_time
-        if now < channel.last_arrival:
+        if channel.infinite_bandwidth or now < channel.last_arrival:
             return self.latency_ns
         channel.last_arrival = now
+        service_time = self.block_size / channel.bandwidth_bytes_per_ns
         busy_until = channel.busy_until
         if busy_until > now:
             channel.busy_until = busy_until + service_time
             return self.latency_ns + busy_until - now
         channel.busy_until = now + service_time
         return self.latency_ns
-
-    # -- statistics -----------------------------------------------------------
-
-    @property
-    def accesses(self) -> int:
-        return self.reads + self.writes
-
-    def bytes_transferred(self) -> int:
-        return sum(channel.bytes_transferred for channel in self.channels)
-
-    def utilisation(self, elapsed_ns: float) -> float:
-        """Fraction of channel-time busy over ``elapsed_ns`` (0 when idle)."""
-        if elapsed_ns <= 0:
-            return 0.0
-        busy = sum(channel.busy_time for channel in self.channels)
-        return busy / (elapsed_ns * len(self.channels))

@@ -3,9 +3,9 @@
 The C3D broadcast-filtering optimisation extends each page-table entry with
 the owner thread's id and a classification bit.  The OS handles the first
 touch of a page by marking it *private* to the toucher; a later access by a
-different thread either re-homes the page (thread migration) or re-classifies
-it as *shared*.  The classifier built on top of this table lives in
-:mod:`repro.core.page_classifier`; this module provides the underlying table.
+different thread re-classifies it as *shared*.  The classifier built on top
+of this table lives in :mod:`repro.core.page_classifier`; this module
+provides the underlying table.
 """
 
 from __future__ import annotations
@@ -64,8 +64,6 @@ class PageTable:
 
     def __post_init__(self) -> None:
         self._entries: Dict[int, PageTableEntry] = {}
-        self.private_to_shared_transitions = 0
-        self.migrations = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -81,22 +79,16 @@ class PageTable:
         """Return the entry for the page containing byte address ``addr``."""
         return self.lookup(self.layout.page_of(addr))
 
-    def touch(
-        self,
-        page: int,
-        thread_id: int,
-        *,
-        migrated: bool = False,
-    ) -> Tuple[PageTableEntry, bool]:
+    def touch(self, page: int, thread_id: int) -> Tuple[PageTableEntry, bool]:
         """Record an access to ``page`` by ``thread_id``.
 
         Implements the OS actions of section IV-D:
 
         * first touch: create a PRIVATE entry owned by the toucher;
-        * owner mismatch caused by *thread migration*: update the owner and
-          keep the PRIVATE classification (the caller is responsible for the
-          shoot-down side effects);
-        * owner mismatch caused by *sharing*: re-classify as SHARED.
+        * a touch by a thread other than the owner: re-classify as SHARED.
+          The reproduction models no thread migration, so every owner
+          mismatch is sharing, the paper's conservative choice for
+          multi-threaded workloads.
 
         Returns ``(entry, reclassified)`` where ``reclassified`` is True when
         this touch performed the private-to-shared transition.
@@ -115,13 +107,7 @@ class PageTable:
         if entry.owner_thread == thread_id:
             return entry, False
 
-        if migrated:
-            entry.owner_thread = thread_id
-            self.migrations += 1
-            return entry, False
-
         entry.classification = PageClassification.SHARED
-        self.private_to_shared_transitions += 1
         return entry, True
 
     def mark_shared(self, pages: Iterable[int]) -> None:
@@ -129,9 +115,8 @@ class PageTable:
 
         For pages whose data other sockets may already hold without any
         thread having touched them, such as DRAM-cache prewarm content: a
-        first touch must not classify those private.  A private page
-        marked here counts as a private-to-shared transition; an untouched
-        one gets an entry without an owner.
+        first touch must not classify those private.  An untouched page
+        gets an entry without an owner.
         """
         entries = self._entries
         shared = PageClassification.SHARED
@@ -139,9 +124,8 @@ class PageTable:
             entry = entries.get(page)
             if entry is None:
                 entries[page] = PageTableEntry(page, None, shared)
-            elif entry.classification is not shared:
+            else:
                 entry.classification = shared
-                self.private_to_shared_transitions += 1
 
     def classify(self, page: int) -> PageClassification:
         """Return the classification of ``page`` (SHARED if unknown).

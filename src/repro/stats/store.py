@@ -51,9 +51,8 @@ counts (and warns about) corrupt/torn lines instead of silently dropping
 them (:attr:`ResultsStore.corrupt_records`), :meth:`ResultsStore.verify`
 locates corrupt, torn and duplicate records without touching the files, and
 :meth:`ResultsStore.compact` rewrites each shard to a clean, fully
-checksummed file (atomic replace, fsync'd, last-wins preserved) --
-:meth:`ResultsStore.repair` is the same operation and also covers legacy
-single-file stores.  Quarantined sweep points live next to the results in a
+checksummed file (atomic replace, fsync'd, last-wins preserved), legacy
+single-file stores included.  Quarantined sweep points live next to the results in a
 ``failures.jsonl`` sidecar (:class:`FailureLog`), one JSON record per
 failed point with its key, payload, attempt count and captured traceback.
 """
@@ -618,7 +617,7 @@ class ResultsStore:
         if plan is not None:
             # Chaos hooks (docs/robustness.md): an injected OSError models a
             # full disk / revoked handle; a mangled line models a torn or
-            # bit-rotted append that verify/repair must catch.
+            # bit-rotted append that verify/compact must catch.
             plan.inject_store_append_fault(record.key)
             mangled = plan.mangle_append(record.key, line + "\n")
             if mangled != line + "\n":
@@ -667,7 +666,7 @@ class ResultsStore:
         return self._failure_log
 
     # ------------------------------------------------------------------
-    # Integrity: verify, compact (repair), migrate
+    # Integrity: verify, compact, migrate
     # ------------------------------------------------------------------
 
     def _scan_file(
@@ -761,8 +760,8 @@ class ResultsStore:
         every shard either old or new -- never a mix.
 
         Works on both layouts; on a legacy store it compacts the single
-        file in place (the pre-shard ``repair`` behaviour) without
-        converting the layout -- use :meth:`migrate` for that.
+        file in place without converting the layout -- use :meth:`migrate`
+        for that.
         """
         report, per_file = self._scan()
         out = StoreRepairReport(
@@ -783,10 +782,6 @@ class ResultsStore:
         self.corrupt_records = 0
         self.corrupt_locations = []
         return out
-
-    def repair(self) -> "StoreRepairReport":
-        """Alias of :meth:`compact` (the historical name; docs/robustness.md)."""
-        return self.compact()
 
     def migrate(self) -> "StoreMigrateReport":
         """Convert a legacy single-file store to the sharded layout, in place.
@@ -1100,14 +1095,14 @@ class FailureLog:
 
 
 # ----------------------------------------------------------------------
-# CLI (`repro store verify|compact|repair|migrate`)
+# CLI (`repro store verify|compact|migrate --store PATH`)
 # ----------------------------------------------------------------------
 
 
 def build_parser():
     import argparse
 
-    from ..cli_common import resolve_store_path, store_options  # noqa: F401
+    from ..cli_common import store_options
 
     parser = argparse.ArgumentParser(
         prog="repro store",
@@ -1119,25 +1114,18 @@ def build_parser():
         ("verify", "scan for corrupt/torn/duplicate records (read-only)"),
         ("compact", "rewrite every shard to a clean, checksummed file "
                     "(atomic per shard)"),
-        ("repair", "alias of compact (the historical name)"),
         ("migrate", "convert a legacy single-file store to the sharded "
                     "layout, in place, record bytes unchanged"),
     ):
-        command = sub.add_parser(name, help=text, parents=[store_options()])
-        # Old spelling (`repro store verify DIR`) kept as a hidden alias
-        # for one release; --store PATH is the unified form.
-        command.add_argument("store_positional", nargs="?", default=None,
-                             help=argparse.SUPPRESS)
+        sub.add_parser(name, help=text, parents=[store_options()])
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from ..cli_common import resolve_store_path
-
     args = build_parser().parse_args(argv)
-    directory = resolve_store_path(args.store, args.store_positional,
-                                   command="repro store")
-    store = ResultsStore(directory)
+    if not args.store:
+        raise SystemExit("repro store: a store directory is required (pass --store PATH)")
+    store = ResultsStore(Path(args.store))
 
     def emit(report) -> None:
         if args.json:
@@ -1149,7 +1137,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         report = store.verify()
         emit(report)
         return 0 if report.clean else 1
-    if args.command in ("compact", "repair"):
+    if args.command == "compact":
         emit(store.compact())
         after = store.verify()
         emit(after)

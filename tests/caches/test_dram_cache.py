@@ -54,7 +54,6 @@ def test_dirty_mode_stores_and_reports_dirty_victims():
     assert cache.dirty_of(5) is True
     victim = cache.insert(5 + cache.num_sets)
     assert victim == (5, True)
-    assert cache.dirty_evictions == 1
 
 
 def test_reinsert_same_block_keeps_dirty_bit():
@@ -70,10 +69,8 @@ def test_invalidate():
     assert cache.invalidate(9) is True
     assert not cache.contains(9)
     assert cache.dirty_of(9) is None
-    assert cache.invalidations == 1
     assert cache.invalidate(9) is False
     assert cache.invalidate(9 + cache.num_sets) is False  # same set, other block
-    assert cache.invalidations == 1
 
 
 def test_mark_clean():
@@ -109,7 +106,7 @@ def test_direct_mapped_tag_store_is_not_tracked_by_the_collector():
     source.insert(5, dirty=True)
     copy = DRAMCache(64 * 1024, clean=False,
                      miss_predictor=RegionMissPredictor(entries=64, region_size=4096))
-    copy.share_fill(source, (0, 0))
+    copy.share_fill(source)
     for cache in (source, copy):
         assert cache.occupancy() == 801
         assert not gc.is_tracked(cache._lines)
@@ -119,7 +116,6 @@ def test_predictor_skips_array_on_confident_miss():
     cache = make_cache(predictor=True)
     probe = cache.probe(7)
     assert not probe.hit and not probe.array_accessed
-    assert cache.predictor_bypasses == 1
 
 
 def test_predictor_mispredict_still_finds_resident_block():
@@ -136,9 +132,8 @@ def test_predictor_mispredict_still_finds_resident_block():
 def test_hit_rate_and_occupancy():
     cache = make_cache()
     cache.insert(1)
-    cache.probe(1)
-    cache.probe(2)
-    assert cache.hit_rate() == pytest.approx(0.5)
+    assert cache.probe(1).hit
+    assert not cache.probe(2).hit
     assert cache.occupancy() == 1
     assert list(cache.resident_blocks()) == [1]
     cache.clear()
@@ -173,14 +168,11 @@ def tag_snapshot(cache):
 
 
 def cache_state(cache):
-    """Tags (in storage order), eviction counters and predictor LRU table."""
+    """Tags (in storage order) and the predictor table (in LRU order)."""
     predictor = cache.miss_predictor
     return (
         tag_snapshot(cache),
-        cache.evictions,
-        cache.dirty_evictions,
-        None if predictor is None else (list(predictor._table.items()),
-                                        predictor.region_displacements),
+        None if predictor is None else list(predictor._table.items()),
     )
 
 
@@ -222,7 +214,7 @@ def test_bulk_insert_clean_matches_per_block_insert(
     num_sets, associativity, predictor_entries, region_blocks, before, fills
 ):
     """Randomized bulk-fill equivalence: ``bulk_insert_clean`` leaves the same
-    tags, predictor table (in LRU order) and counters as ``insert`` per block,
+    tags and predictor table (in LRU order) as ``insert`` per block,
     on empty and pre-populated (partly dirty) caches and tiny predictor tables."""
     bulk = build_cache(num_sets, associativity, predictor_entries, region_blocks)
     loop = build_cache(num_sets, associativity, predictor_entries, region_blocks)
@@ -244,19 +236,20 @@ def test_shared_fill_equals_a_replayed_fill(associativity):
                          miss_predictor=predictor)
 
     source, shared, replayed = build(), build(), build()
-    before = source.fill_counts()
     fill = [range(0, 40), range(64, 90), range(8, 12)]
     for blocks in fill:
         source.bulk_insert_clean(blocks)
         replayed.bulk_insert_clean(blocks)
     assert shared.is_empty()
-    shared.share_fill(source, before)
+    shared.share_fill(source)
     assert cache_state(shared) == cache_state(replayed) == cache_state(source)
-    assert shared.evictions > 0 and shared.miss_predictor.region_displacements > 0
+    # The fill displaced lines, and predictor regions with their presence bits.
+    assert shared.occupancy() < sum(len(blocks) for blocks in fill)
+    assert shared.miss_predictor.tracked_blocks() < shared.occupancy()
     with pytest.raises(ValueError):
-        shared.share_fill(source, before)  # no longer empty
+        shared.share_fill(source)  # no longer empty
     with pytest.raises(ValueError):
-        DRAMCache(64 * 64).share_fill(source, before)  # other geometry
+        DRAMCache(64 * 64).share_fill(source)  # other geometry
 
 
 @pytest.mark.parametrize("associativity", [1, 2])
@@ -268,7 +261,7 @@ def test_shared_line_is_unchanged_by_the_other_cache(associativity):
     source.insert(5, dirty=True)
     source.insert(6)
     copy = DRAMCache(64 * 16 * associativity, associativity=associativity, clean=False)
-    copy.share_fill(source, source.fill_counts())
+    copy.share_fill(source)
     before = tag_snapshot(source)
     assert tag_snapshot(copy) == before
     assert (source.dirty_of(5), source.dirty_of(6)) == (True, False)

@@ -73,10 +73,10 @@ def test_local_dram_hit_needs_no_global_transaction(full_dir_system):
     block = block_homed_at(system, home=1)
     read(system, socket_id=0, block=block)
     spill_from_llc(system, socket_id=0, block=block)
-    lookups_before = system.directories[1].lookups
+    lookups_before = system.stats.directory_lookups
     _latency, source = read(system, socket_id=0, block=block)
     assert source is ServiceSource.LOCAL_DRAM_CACHE
-    assert system.directories[1].lookups == lookups_before
+    assert system.stats.directory_lookups == lookups_before
 
 
 def test_dram_cache_dirty_victim_reaches_memory_and_directory(full_dir_system):

@@ -37,7 +37,6 @@ def test_record_write_returns_peers_to_invalidate():
     assert set(peers) == {1}
     assert ld.sharers_of(5) == {0}
     assert ld.owner_of(5) == 0
-    assert ld.peer_invalidations == 1
 
 
 def test_record_eviction_removes_core_and_entry():
@@ -74,7 +73,6 @@ def test_intervene_clears_a_peer_owner_once():
     assert ld.intervene(5, core=2) is None  # the owner itself
     assert ld.intervene(5, core=0) == 2
     assert ld.owner_of(5) is None
-    assert ld.peer_interventions == 1
     assert ld.intervene(5, core=0) is None
     assert ld.intervene(9, core=0) is None
 

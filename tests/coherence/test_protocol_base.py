@@ -3,6 +3,7 @@
 import pytest
 
 from repro.coherence.directory import DirectoryState
+from repro.interconnect.packet import DATA_PACKET_BYTES
 
 from ..conftest import block_homed_at, tiny_system
 
@@ -18,8 +19,8 @@ def test_memory_read_and_write_update_local_remote_counters():
     protocol._memory_write(0.0, home=1, block=block, requester=0)
     assert system.stats.memory_writes_remote == 1
     assert system.stats.writebacks == 1
-    # The remote write shipped a data packet across the interconnect.
-    assert system.interconnect.data_bytes() > 0
+    # The remote write shipped one data packet across the interconnect.
+    assert system.interconnect.bytes_sent == DATA_PACKET_BYTES
 
 
 def test_probe_local_dram_cache_counts_hits_and_misses():

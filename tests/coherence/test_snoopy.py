@@ -1,8 +1,9 @@
 """Protocol tests for the snoopy coherent DRAM cache design."""
 
 from repro.coherence.messages import ServiceSource
+from repro.interconnect.packet import MessageClass
 
-from ..conftest import block_homed_at, read, write
+from ..conftest import block_homed_at, read, record_sends, write
 
 
 def test_snoopy_uses_dirty_dram_caches(snoopy_system):
@@ -24,10 +25,10 @@ def test_local_dram_cache_hit_requires_no_snoop(snoopy_system):
 def test_miss_snoops_every_other_socket(snoopy_system):
     system = snoopy_system
     block = block_homed_at(system, home=0)
+    sent = record_sends(system)
     read(system, socket_id=0, block=block)
-    from repro.interconnect.packet import MessageClass
-
-    assert system.interconnect.messages_by_class[MessageClass.SNOOP] == system.num_sockets - 1
+    snooped = [dst for _src, dst, cls in sent if cls is MessageClass.SNOOP]
+    assert sorted(snooped) == list(range(1, system.num_sockets))
 
 
 def test_snoop_pays_remote_dram_probe_even_when_absent(snoopy_system):

@@ -101,3 +101,17 @@ def write(system: NumaSystem, socket_id: int, block: int, *, core: int = 0, now:
     return system.sockets[socket_id].access(
         now, core, block, is_write=True, thread_id=core
     )
+
+
+def record_sends(system: NumaSystem) -> list:
+    """Log each packet the protocol sends through its network entry point,
+    as ``(src, dst, message class)``, in the returned list."""
+    sent = []
+    send = system.protocol._net_send
+
+    def recording_send(now, src, dst, message_class):
+        sent.append((src, dst, message_class))
+        return send(now, src, dst, message_class)
+
+    system.protocol._net_send = recording_send
+    return sent

@@ -1,4 +1,4 @@
-"""Tests for the inter-socket network (links, packets, traffic accounting)."""
+"""Tests for the inter-socket network (links, packets, byte accounting)."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -44,7 +44,6 @@ def test_same_socket_send_is_free_and_untracked():
     network = make_network()
     assert network.send(0.0, 1, 1, MessageClass.REQUEST) == 0.0
     assert network.bytes_sent == 0
-    assert network.messages_sent == 0
 
 
 def test_traffic_accounting_by_class():
@@ -52,9 +51,6 @@ def test_traffic_accounting_by_class():
     network.send(0.0, 0, 1, MessageClass.REQUEST)
     network.send(0.0, 1, 0, MessageClass.DATA_RESPONSE)
     assert network.bytes_sent == 16 + 80
-    assert network.control_bytes() == 16
-    assert network.data_bytes() == 80
-    assert network.messages_by_class[MessageClass.REQUEST] == 1
 
 
 def test_zero_latency_idealisation():
@@ -85,17 +81,6 @@ def test_reset_counters():
     network.send(0.0, 0, 1, MessageClass.REQUEST)
     network.reset_counters()
     assert network.bytes_sent == 0
-    assert network.messages_sent == 0
-    assert network.link_bytes() == 0
-
-
-def test_link_utilisation_bounds():
-    network = make_network()
-    for _ in range(10):
-        network.send(0.0, 0, 1, MessageClass.DATA_RESPONSE)
-    utilisations = network.link_utilisations(1000.0)
-    assert all(0.0 <= value <= 1.0 for value in utilisations.values())
-    assert network.busiest_link_utilisation(1000.0) > 0.0
 
 
 # ----------------------------------------------------------------------
@@ -119,8 +104,7 @@ class ReferenceNetwork:
             pair: Link(*pair, link_bandwidth_gbps, infinite_bandwidth=infinite_bandwidth)
             for pair in topology.links()
         }
-        self.bytes_by_class = {cls: 0 for cls in MessageClass}
-        self.messages_by_class = {cls: 0 for cls in MessageClass}
+        self.bytes_sent = 0
 
     def send(self, now, src, dst, message_class):
         if src == dst:
@@ -134,14 +118,12 @@ class ReferenceNetwork:
         for hop in route:
             latency += self.links[hop].occupy(arrival, size)
             arrival = now + latency
-        self.bytes_by_class[message_class] += size
-        self.messages_by_class[message_class] += 1
+        self.bytes_sent += size
         return latency
 
 
 def _link_state(link):
-    return (link.bytes_transferred, link.packets, link.busy_time,
-            link.busy_until, link.last_arrival)
+    return (link.busy_until, link.last_arrival)
 
 
 _TOPOLOGIES = {"ring4": lambda: RingTopology(4), "p2p2": lambda: PointToPointTopology(2)}
@@ -191,10 +173,7 @@ def test_send_matches_hop_by_hop_link_reference(topology, bandwidth, infinite_ba
         )
     for pair, link in reference.links.items():
         assert _link_state(network._links[pair]) == _link_state(link)
-    assert network.bytes_by_class == reference.bytes_by_class
-    assert network.messages_by_class == reference.messages_by_class
-    assert network.bytes_sent == sum(reference.bytes_by_class.values())
-    assert network.messages_sent == sum(reference.messages_by_class.values())
+    assert network.bytes_sent == reference.bytes_sent
 
 
 def test_send_queues_at_a_routes_second_link():

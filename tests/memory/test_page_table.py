@@ -26,7 +26,6 @@ def test_other_thread_touch_reclassifies_as_shared():
     entry, reclassified = table.touch(5, thread_id=4)
     assert reclassified
     assert entry.classification is PageClassification.SHARED
-    assert table.private_to_shared_transitions == 1
 
 
 def test_shared_page_stays_shared():
@@ -36,16 +35,6 @@ def test_shared_page_stays_shared():
     entry, reclassified = table.touch(5, thread_id=3)
     assert not reclassified
     assert entry.classification is PageClassification.SHARED
-
-
-def test_migration_keeps_private_and_updates_owner():
-    table = PageTable()
-    table.touch(5, thread_id=3)
-    entry, reclassified = table.touch(5, thread_id=4, migrated=True)
-    assert not reclassified
-    assert entry.is_private
-    assert entry.owner_thread == 4
-    assert table.migrations == 1
 
 
 def test_classify_unknown_page_is_shared():

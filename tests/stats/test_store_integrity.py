@@ -1,8 +1,8 @@
-"""Store integrity: checksums, corruption accounting, verify/repair.
+"""Store integrity: checksums, corruption accounting, verify/compact.
 
 The property tests use hypothesis to corrupt a healthy JSONL log in
 arbitrary ways (truncation, garbage lines, in-place byte damage, duplicate
-appends) and assert that ``verify`` finds the damage and ``repair``
+appends) and assert that ``verify`` finds the damage and ``compact``
 round-trips the store to a clean state that still serves every record a
 plain load could salvage.
 """
@@ -84,7 +84,7 @@ def test_corrupt_records_counted_and_warned_once(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# verify / repair
+# verify / compact
 # ----------------------------------------------------------------------
 
 
@@ -117,7 +117,7 @@ def test_repair_compacts_to_clean_store(tmp_path):
     store = ResultsStore(tmp_path / "store")
     with pytest.warns(StoreCorruptionWarning):
         before = {record.key: record.stats.reads for record in store.records()}
-    repair = store.repair()
+    repair = store.compact()
     assert repair.kept == 3
     assert repair.dropped_corrupt == 2
     assert repair.collapsed_duplicates == 1
@@ -136,7 +136,7 @@ def test_repair_adds_checksums_to_legacy_records(tmp_path):
         encoding="utf-8",
     )
     assert store.verify().unchecksummed == 1
-    store.repair()
+    store.compact()
     report = ResultsStore(tmp_path / "store").verify()
     assert report.unchecksummed == 0 and report.clean
 
@@ -145,19 +145,19 @@ def test_store_cli_verify_and_repair(tmp_path, capsys):
     from repro.stats.store import main as store_main
 
     store = _populate(tmp_path / "store", n=2)
-    assert store_main(["verify", str(tmp_path / "store")]) == 0
+    assert store_main(["verify", "--store", str(tmp_path / "store")]) == 0
     with store.shard_path("k0").open("a", encoding="utf-8") as handle:
         handle.write("broken\n")
-    assert store_main(["verify", str(tmp_path / "store")]) == 1
+    assert store_main(["verify", "--store", str(tmp_path / "store")]) == 1
     assert "CORRUPT" in capsys.readouterr().out
-    assert store_main(["repair", str(tmp_path / "store")]) == 0
+    assert store_main(["compact", "--store", str(tmp_path / "store")]) == 0
     out = capsys.readouterr().out
     assert "repaired" in out and "verdict: clean" in out
-    assert store_main(["verify", str(tmp_path / "store")]) == 0
+    assert store_main(["verify", "--store", str(tmp_path / "store")]) == 0
 
 
 # ----------------------------------------------------------------------
-# Property tests: arbitrary corruption round-trips through repair
+# Property tests: arbitrary corruption round-trips through compact
 # ----------------------------------------------------------------------
 
 
@@ -213,7 +213,7 @@ def test_repair_round_trips_arbitrary_corruption(tmp_path_factory, operations):
     store = _populate(path, n=3)
     _apply_corruptions(store.shard_path("k0"), operations)
 
-    # Whatever a plain (lenient) load can salvage before repair...
+    # Whatever a plain (lenient) load can salvage before compacting...
     import warnings as warnings_module
 
     with warnings_module.catch_warnings():
@@ -222,9 +222,9 @@ def test_repair_round_trips_arbitrary_corruption(tmp_path_factory, operations):
         salvageable = {
             record.key: record.stats.to_json_dict() for record in damaged.records()
         }
-        damaged.repair()
+        damaged.compact()
 
-    # ...survives repair exactly, and the repaired store is clean.
+    # ...survives compaction exactly, and the repaired store is clean.
     repaired = ResultsStore(path)
     report = repaired.verify()
     assert report.clean
@@ -232,6 +232,6 @@ def test_repair_round_trips_arbitrary_corruption(tmp_path_factory, operations):
     assert {
         record.key: record.stats.to_json_dict() for record in repaired.records()
     } == salvageable
-    # Repairing a clean store is idempotent.
-    assert repaired.repair().dropped_corrupt == 0
+    # Compacting a clean store is idempotent.
+    assert repaired.compact().dropped_corrupt == 0
     assert ResultsStore(path).verify().clean

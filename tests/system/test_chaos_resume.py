@@ -14,7 +14,6 @@ Two escalations beyond ``test_campaign_resume``:
 import io
 import json
 import os
-import signal
 import subprocess
 import sys
 import time

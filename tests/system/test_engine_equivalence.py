@@ -92,11 +92,15 @@ def machine_state(system):
     """Everything a run leaves in the machine, in a comparable form.
 
     Per socket: each L1's and the LLC's lines (block and state bits, each
-    set in LRU order), the local-directory entries, and the DRAM cache's
-    resident and dirty blocks.  Then the global-directory entries, and per
-    core its clock and the stores still in flight at that clock (a store
-    whose completion time has passed can never forward or stall again, and
-    the scalar path drops it only at its next purge).
+    set in LRU order), the local-directory entries, the DRAM cache's
+    resident and dirty blocks and its miss predictor's table (in LRU
+    order), and each memory channel's ``busy_until`` and ``last_arrival``.
+    Then the global-directory entries, the same two times for each
+    inter-socket link, the page-table entries (page, owner thread,
+    classification) when the broadcast filter is on, and per core its clock
+    and the stores still in flight at that clock (a store whose completion
+    time has passed can never forward or stall again, and the scalar path
+    drops it only at its next purge).
     """
     sockets = [
         (
@@ -106,16 +110,28 @@ def machine_state(system):
             None if sock.dram_cache is None else (
                 list(sock.dram_cache.resident_blocks()),
                 list(sock.dram_cache.dirty_blocks()),
+                None if sock.dram_cache.miss_predictor is None
+                else list(sock.dram_cache.miss_predictor._table.items()),
             ),
+            [(channel.busy_until, channel.last_arrival) for channel in sock.memory.channels],
         )
         for sock in system.sockets
     ]
     directories = [list(directory.entries()) for directory in system.directories]
+    links = [
+        (pair, link.busy_until, link.last_arrival)
+        for pair, link in system.interconnect._links.items()
+    ]
+    classifier = system.page_classifier
+    pages = None if classifier is None else [
+        (entry.page, entry.owner_thread, entry.classification)
+        for entry in classifier.page_table
+    ]
     cores = [
         (core.time, [entry for entry in core.store_buffer._entries if entry[0] > core.time])
         for core in system.cores
     ]
-    return sockets, directories, cores
+    return sockets, directories, links, pages, cores
 
 
 def reference_run(protocol: str, *, warmup: int = 0, broadcast_filter: bool = False):

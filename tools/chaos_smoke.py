@@ -12,7 +12,7 @@ asserts the tentpole invariant of docs/robustness.md:
   fault-free run's over the same subset,
 
 then corrupts the store on purpose and checks that ``repro store verify``
-flags it and ``repro store repair`` restores it so every read succeeds.
+flags it and ``repro store compact`` restores it so every read succeeds.
 
 Usage::
 
@@ -162,14 +162,14 @@ def main(argv=None) -> int:
         fail("verify called a deliberately corrupted store clean")
     print(f"chaos-smoke: verify flagged the damage "
           f"({len(report.issues)} bad line(s))")
-    damaged_store.repair()
+    damaged_store.compact()
     after = ResultsStore(work / "chaos")
     if not after.verify().clean:
-        fail("store still not clean after repair")
+        fail("store still not clean after compact")
     for record in after.records():
         if after.get(record.key) is None:
-            fail(f"read of {record.key[:12]}... failed after repair")
-    print("chaos-smoke: repair restored the store (all reads succeed)")
+            fail(f"read of {record.key[:12]}... failed after compact")
+    print("chaos-smoke: compact restored the store (all reads succeed)")
 
     # The damaged record was dropped; the next campaign run re-executes it
     # (and the quarantined poison point is retried -- by design).

@@ -62,9 +62,7 @@ def test_ablation_miss_predictor(benchmark, context):
             config = replace(
                 config, dram_cache=replace(config.dram_cache, predictor_entries=1)
             )
-            without = context.run(
-                workload, "c3d", config=config, cache_key_extra=("no-predictor",)
-            )
+            without = context.run(workload, "c3d", config=config)
             results[workload] = (
                 with_predictor.total_time_ns,
                 without.total_time_ns,
@@ -88,9 +86,7 @@ def test_ablation_broadcast_filter_never_hurts(benchmark, context):
         for workload in ABLATION_WORKLOADS:
             plain = context.run(workload, "c3d")
             config = context.make_config("c3d", broadcast_filter=True)
-            filtered = context.run(
-                workload, "c3d", config=config, cache_key_extra=("filter-on",)
-            )
+            filtered = context.run(workload, "c3d", config=config)
             results[workload] = (plain.total_time_ns, filtered.total_time_ns)
         return results
 

@@ -26,9 +26,7 @@ from repro.api import ExperimentContext, ExperimentSettings, format_table
 def run_pair(context: ExperimentContext, workload: str):
     plain = context.run(workload, "c3d")
     filtered_config = context.make_config("c3d", broadcast_filter=True)
-    filtered = context.run(
-        workload, "c3d", config=filtered_config, cache_key_extra=("filtered",)
-    )
+    filtered = context.run(workload, "c3d", config=filtered_config)
     return plain, filtered
 
 

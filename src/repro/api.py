@@ -133,7 +133,7 @@ def simulate(
     synthetic-workload name, which is then built at the same ``scale`` with
     ``accesses_per_thread`` accesses on every core of ``config``.
     ``engine`` names an execution engine from the :mod:`repro.engines`
-    registry (``compiled``, ``object``, ``sampled``, ``sampled-par``).  Machine
+    registry (``compiled``, ``object``, ``sampled``).  Machine
     invariants are checked after the run (``check_invariants=False`` skips).
     """
     from .system.config import SystemConfig

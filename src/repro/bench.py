@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import platform
 import sys
 import time
@@ -55,7 +54,6 @@ def _run_once(
     trace_dir: Optional[str] = None,
     scenario: Optional[str] = None,
     sample_plan=None,
-    engine_jobs: Optional[int] = None,
 ) -> Dict:
     config = SystemConfig.quad_socket(protocol=protocol).scaled(scale)
     system = NumaSystem(config)
@@ -68,14 +66,10 @@ def _run_once(
         scale=scale,
         accesses_per_thread=accesses,
     )
-    engine_options = {"jobs": engine_jobs} if engine_jobs is not None else None
-    simulator = Simulator(
-        system, wl, engine=engine, sample_plan=sample_plan,
-        engine_options=engine_options,
-    )
+    simulator = Simulator(system, wl, engine=engine, sample_plan=sample_plan)
     # Collect before timing: garbage from earlier rounds otherwise inflates
     # both timing noise and the copy-on-write cost of forked measurement
-    # children (sampled/sampled-par).
+    # children (sampled).
     gc.collect()
     started = time.perf_counter()
     result = simulator.run(prewarm=True)
@@ -153,7 +147,6 @@ def run_benchmark(
     scenario: Optional[str] = None,
     sampled: bool = False,
     sample_plan: Optional[str] = None,
-    engine_jobs: Optional[int] = None,
     store=None,
 ) -> Dict:
     """Run the throughput microbenchmark; returns one JSON-ready record.
@@ -170,13 +163,6 @@ def run_benchmark(
     from the trace length) and records a ``sampled_speedup_<protocol>``
     wall-clock ratio against the exact compiled engine -- the number that
     shows what statistical sampling buys on this machine.
-
-    ``engine_jobs`` forwards a worker count to engines with their own
-    process pool (``sampled-par``); the record stores the machine's
-    ``cpu_count`` and the *effective* job count (after the
-    nested-parallelism clamp) so parallel numbers stay interpretable across
-    machines, and measuring both ``sampled`` and ``sampled-par`` records a
-    ``parallel_speedup_<protocol>`` serial-vs-parallel wall-clock ratio.
 
     The record's ``timestamp`` is read when the measurements complete (never
     at import time) and ``git_sha`` names the simulated tree when available,
@@ -205,8 +191,6 @@ def run_benchmark(
             engine_kwargs = dict(run_kwargs)
             if samples:
                 engine_kwargs["sample_plan"] = plan
-            if engine_jobs is not None:
-                engine_kwargs["engine_jobs"] = engine_jobs
             _run_once(protocol, engine, **engine_kwargs)
             runs: List[tuple] = [
                 _run_once(protocol, engine, **engine_kwargs) for _ in range(rounds)
@@ -228,7 +212,6 @@ def run_benchmark(
         workload_label = f"scenario:{scenario}"
     else:
         workload_label = workload
-    from .engines.sampled_par import effective_jobs
 
     record = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -237,11 +220,6 @@ def run_benchmark(
         "scale": scale,
         "accesses_per_core": accesses,
         "python": platform.python_version(),
-        # Parallel numbers are only interpretable with the machine size and
-        # the job count that actually ran (after the nested-parallelism
-        # clamp) next to them.
-        "cpu_count": os.cpu_count(),
-        "engine_jobs": effective_jobs(engine_jobs),
         "measurements": measurements,
     }
     for protocol in protocols:
@@ -256,15 +234,6 @@ def run_benchmark(
             # Wall-clock ratio over the same trace: what sampling saves.
             record[f"sampled_speedup_{protocol}"] = round(
                 compiled["seconds_best"] / sampled_row["seconds_best"], 2
-            )
-        par_row = measurements.get(f"{protocol}/sampled-par")
-        if sampled_row and par_row and par_row["seconds_best"] > 0:
-            # Serial-vs-parallel wall clock of the *same* sampled run: what
-            # window-parallel execution buys on this machine at the
-            # effective job count (docs/performance.md, "Parallel windows";
-            # floors in benchmarks/baseline.json).
-            record[f"parallel_speedup_{protocol}"] = round(
-                sampled_row["seconds_best"] / par_row["seconds_best"], 2
             )
     return record
 
@@ -292,7 +261,7 @@ def append_record(record: Dict, output: Path) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .cli_common import engine_jobs_options, store_options
+    from .cli_common import store_options
 
     parser = argparse.ArgumentParser(
         prog="repro bench",
@@ -302,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "this results store (docs/campaigns.md)",
             json_help="print the benchmark record as one JSON line "
                       "(default: indented)",
-        ), engine_jobs_options()],
+        )],
     )
     parser.add_argument("--scale", type=int, default=1024)
     parser.add_argument("--accesses", type=int, default=400,
@@ -358,7 +327,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # --sample-plan switches the engine).
         sampled=args.sampled or args.sample_plan is not None,
         sample_plan=args.sample_plan,
-        engine_jobs=args.engine_jobs,
         store=store,
     )
     if args.json:

@@ -57,9 +57,6 @@ class RegionMissPredictor:
         """Return the region number containing block number ``block``."""
         return (block * self.layout.block_size) // self.region_size
 
-    def _bit_of_block(self, block: int) -> int:
-        return 1 << (block % self._blocks_per_region)
-
     # -- maintenance ----------------------------------------------------------
 
     def note_insert(self, block: int) -> None:

@@ -63,7 +63,6 @@ import time
 from typing import List, Optional
 
 from . import engines
-from .cli_common import engine_jobs_options
 from .stats.amat import amat_breakdown
 from .stats.sampling import SamplingPlan
 from .system.config import PROTOCOL_NAMES, SystemConfig
@@ -80,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Simulate one workload on the C3D reproduction's NUMA machine.",
-        parents=[engine_jobs_options()],
     )
     parser.add_argument("--workload", default="streamcluster", choices=sorted(WORKLOAD_SPECS),
                         help="benchmark to simulate")
@@ -244,15 +242,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         record_workload(workload, args.record_trace, trace_format=args.trace_format)
         print(f"recorded : {workload.num_threads} per-core traces "
               f"({args.trace_format}) -> {args.record_trace}")
-    engine_options = (
-        {"jobs": args.engine_jobs} if args.engine_jobs is not None else None
-    )
     simulator = Simulator(
         system,
         workload,
         engine=engine or "compiled",
         sample_plan=sample_plan,
-        engine_options=engine_options,
     )
 
     print(f"machine  : {config.describe()}")

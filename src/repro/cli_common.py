@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 from typing import Optional
 
-__all__ = ["store_options", "engine_jobs_options"]
+__all__ = ["store_options"]
 
 
 def store_options(*, store_help: Optional[str] = None,
@@ -40,25 +40,3 @@ def store_options(*, store_help: Optional[str] = None,
         help=json_help or "emit machine-readable JSON instead of prose",
     )
     return parent
-
-
-def engine_jobs_options() -> argparse.ArgumentParser:
-    """The shared ``--engine-jobs N`` parent parser.
-
-    Worker-process count for engines that parallelise a single simulation
-    (``sampled-par``, docs/performance.md "Parallel windows").  Purely an
-    execution knob: output and store keys are bit-identical at any value,
-    and nested parallelism (campaign ``--jobs`` workers, ``repro serve``)
-    clamps it to 1.
-    """
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--engine-jobs",
-        type=int,
-        metavar="N",
-        default=None,
-        help="worker processes for parallel engines such as sampled-par "
-        "(default: serial)",
-    )
-    return parent
-

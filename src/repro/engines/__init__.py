@@ -19,10 +19,6 @@ Built-ins (names are part of the results-store key contract and stable):
 ``sampled``    SMARTS-style statistical sampling: batched functional
                fast-forward + measured detail windows with per-metric
                confidence intervals (docs/sampling.md).
-``sampled-par``  Sampled execution with measurement windows partitioned
-               across worker processes (``jobs`` engine option /
-               ``--engine-jobs``); bit-identical to ``sampled`` at any
-               job count (docs/performance.md, "Parallel windows").
 =============  ======================================================
 
 See docs/architecture.md ("Execution engines") for the interface and for
@@ -30,7 +26,6 @@ how to register a third-party engine.
 """
 
 from .base import (
-    WORKER_ENV,
     EngineContext,
     ExecutionEngine,
     SimulationResult,
@@ -40,7 +35,6 @@ from .base import (
 from .exact import CompiledEngine, ObjectEngine
 from .registry import get, names, register, unregister, validate
 from .sampled import SampledEngine
-from .sampled_par import SampledParEngine
 
 __all__ = [
     "ExecutionEngine",
@@ -49,8 +43,6 @@ __all__ = [
     "CompiledEngine",
     "ObjectEngine",
     "SampledEngine",
-    "SampledParEngine",
-    "WORKER_ENV",
     "register",
     "unregister",
     "get",
@@ -65,4 +57,3 @@ __all__ = [
 register(CompiledEngine)
 register(ObjectEngine)
 register(SampledEngine)
-register(SampledParEngine)

@@ -37,15 +37,7 @@ __all__ = [
     "ExecutionEngine",
     "scratch_stats",
     "functional_timing",
-    "WORKER_ENV",
 ]
-
-#: Environment marker set in every repro-owned worker process (isolated
-#: campaign points, ``run_all_parallel`` pool workers, ``repro serve``
-#: daemons, sampled-par range workers).  Engines that spawn their own
-#: processes (``sampled-par``) clamp their effective parallelism to 1 when
-#: it is set, so nested parallelism never oversubscribes the machine.
-WORKER_ENV = "REPRO_IN_WORKER"
 
 
 @dataclass
@@ -137,18 +129,12 @@ class EngineContext:
         workload,
         *,
         sample_plan: Optional["SamplingPlan"] = None,
-        engine_options: Optional[Dict[str, object]] = None,
     ) -> None:
         self.system = system
         self.workload = workload
         #: Plan for sampling engines; ``None`` lets the engine derive one
         #: from the measured-region length (:meth:`SamplingPlan.for_region`).
         self.sample_plan = sample_plan
-        #: Engine-specific execution knobs (``jobs``, ``timeout_s``, ...).
-        #: Strictly *how* a run executes, never *what* it computes: options
-        #: must not change any reported statistic, and they never enter
-        #: store payloads (see ``sweep_point_payload``).
-        self.engine_options: Dict[str, object] = dict(engine_options or {})
 
     # ------------------------------------------------------------------
     # Stream setup
@@ -556,12 +542,6 @@ class ExecutionEngine(ABC):
     supports_sampling: bool = False
     supports_trace_compile: bool = True
     deterministic: bool = True
-    #: Results-store alias: the engine name hashed into store payloads.
-    #: ``None`` means the registry name itself.  An engine that is
-    #: *bit-identical* to another one by contract (``sampled-par`` vs
-    #: ``sampled``) aliases to it so both share cached results and pinned
-    #: store keys stay byte-identical.
-    store_name: Optional[str] = None
 
     @abstractmethod
     def run(

@@ -26,10 +26,7 @@ start, shipping its counter deltas back as a
 detailed execution is state-exact with functional execution and nothing
 after the final window reads the chain again, so the outcome is identical
 and the fork is saved.  Every window is therefore a pure function of the
-functional prefix before it, which is what lets ``engine=sampled-par``
-measure windows on concurrent worker processes (see
-:mod:`repro.engines.sampled_par`) while staying bit-identical to this serial
-engine.
+functional prefix before it.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from __future__ import annotations
 import copy
 import os
 import pickle
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..caches.sram_cache import DIRTY, MODIFIED
 from ..stats.counters import SimulationStats
@@ -179,7 +176,7 @@ class SampledEngine(ExecutionEngine):
             plan = SamplingPlan.for_region(region)
         units = plan.units(region)
 
-        outcomes, executed = self._execute_units(context, traces, cursors, units)
+        outcomes, executed = self._walk_units(context, traces, cursors, units)
         samples, detail_total, inter_socket_bytes, _ = merge_window_outcomes(
             stats, outcomes, list(traces)
         )
@@ -204,80 +201,40 @@ class SampledEngine(ExecutionEngine):
     # Unit execution: the functional chain + isolated window measurement
     # ------------------------------------------------------------------
 
-    def _execute_units(
-        self,
-        context: EngineContext,
-        traces: Dict[int, CompiledTrace],
-        cursors: Dict[int, int],
-        units: Sequence[SamplingUnit],
-    ) -> Tuple[List[WindowOutcome], int]:
-        """Execute the plan's units; the serial strategy walks the chain once.
-
-        ``sampled-par`` overrides this hook to farm window ranges out to
-        worker processes; everything else (setup, merge, estimators) is
-        shared, which is what keeps the two engines bit-identical.
-        """
-        return self._walk_units(context, traces, cursors, units)
-
     def _walk_units(
         self,
         context: EngineContext,
         traces: Dict[int, CompiledTrace],
         cursors: Dict[int, int],
         units: Sequence[SamplingUnit],
-        *,
-        stop: Optional[int] = None,
-        count_from: int = 0,
-        measure: Optional[Set[int]] = None,
     ) -> Tuple[List[WindowOutcome], int]:
-        """Advance the functional chain over ``units[:stop]``.
+        """Advance the functional chain over ``units``, measuring each window.
 
         The chain itself is purely functional: every unit's fast-forward
         *and* its warmup+detail span advance as one ``run_phase_functional``
-        call each (the two-call-per-unit pattern is part of the bit-identity
-        contract -- prefix replays in range workers must interleave chunks
-        exactly like the serial walk).  Windows are measured on forked
-        copies of the chain state, never on the chain, so a window's outcome
-        does not depend on who walks the chain or how far it continues.
+        call each.  Windows are measured on forked copies of the chain
+        state, never on the chain, so a window's outcome does not depend on
+        how far the chain continues.
 
-        ``executed`` counts (and windows are measured) only from unit
-        ``count_from`` on -- a range worker replays its prefix without
-        re-counting units another worker owns.  ``measure`` optionally
-        restricts measurement to a set of unit indices (the parent's inline
-        retry of a failed worker's range).
-
-        The *last* measured window of a walk runs inline on the chain
+        The *last* measured window of the walk runs inline on the chain
         itself, no isolation: its outcome is computed by the same phase
         calls from the same state either way, and nothing after it reads
         the timing residue it leaves behind (detailed execution is
         state-exact with functional execution, so any trailing fast-forward
-        advances identically).  This is what makes a one-window-per-worker
-        partition fork-free.
+        advances identically).  A one-window plan is therefore fork-free.
         """
         executed = 0
         outcomes: List[WindowOutcome] = []
-        limit = len(units) if stop is None else stop
-
-        def measured(index: int) -> bool:
-            return bool(
-                units[index].detail
-                and index >= count_from
-                and (measure is None or index in measure)
-            )
-
         last_measured = next(
-            (index for index in range(limit - 1, -1, -1) if measured(index)), None
+            (index for index in range(len(units) - 1, -1, -1) if units[index].detail),
+            None,
         )
-        for index in range(limit):
-            unit = units[index]
-            counted = index >= count_from
+        for index, unit in enumerate(units):
             if unit.fastforward:
                 with context.scratch_stats(), context.functional_timing():
-                    advanced = self.run_phase_functional(
+                    executed += self.run_phase_functional(
                         context, traces, cursors, unit.fastforward
                     )
-                if counted:
-                    executed += advanced
             span = unit.warmup + unit.detail
             if not span:
                 continue
@@ -290,17 +247,14 @@ class SampledEngine(ExecutionEngine):
                 )
                 if outcome is not None:
                     outcomes.append(outcome)
-                if counted:
-                    executed += advanced
+                executed += advanced
                 continue
-            if measured(index):
+            if unit.detail:
                 outcome = self._measure_window(context, traces, cursors, unit, index)
                 if outcome is not None:
                     outcomes.append(outcome)
             with context.scratch_stats(), context.functional_timing():
-                advanced = self.run_phase_functional(context, traces, cursors, span)
-            if counted:
-                executed += advanced
+                executed += self.run_phase_functional(context, traces, cursors, span)
         return outcomes, executed
 
     def _measure_window(

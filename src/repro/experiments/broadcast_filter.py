@@ -45,9 +45,7 @@ def run_broadcast_filter(
     for workload in workload_list:
         plain = context.run(workload, "c3d")
         filtered_config = context.make_config("c3d", broadcast_filter=True)
-        filtered = context.run(
-            workload, "c3d", config=filtered_config, cache_key_extra=("tlb-filter",)
-        )
+        filtered = context.run(workload, "c3d", config=filtered_config)
         broadcasts = filtered.stats.broadcasts
         elided = filtered.stats.broadcasts_elided
         potential = broadcasts + elided

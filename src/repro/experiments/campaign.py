@@ -102,10 +102,7 @@ class SweepGrid:
     the grid and default to the campaign's settings profile.  A
     ``sample_plan`` spec string (docs/sampling.md) runs every point of the
     grid sampled; sampled points key separately from exact ones in the
-    results store, so mixed campaigns never collide.  ``engine_jobs`` sets
-    the per-point worker count for engines with their own process pool
-    (``sampled-par``); it never reaches store keys, and campaign-level
-    ``--jobs`` parallelism clamps it to 1 inside point workers.
+    results store, so mixed campaigns never collide.
     """
 
     protocols: Tuple[str, ...] = ("baseline", "c3d")
@@ -123,7 +120,6 @@ class SweepGrid:
     broadcast_filter: bool = False
     seed: Optional[int] = None
     sample_plan: Optional[str] = None
-    engine_jobs: Optional[int] = None
 
     def sources(self) -> List[Tuple[str, str]]:
         """The workload sources as ``(kind, value)`` pairs, in spec order."""
@@ -156,7 +152,6 @@ class SweepGrid:
                         scenario=value if kind == "scenario" else None,
                         clone=value if kind == "clone" else None,
                         sample_plan=self.sample_plan,
-                        engine_jobs=self.engine_jobs,
                     )
                     points.append(point)
         return points
@@ -330,17 +325,6 @@ def _parse_grid(payload: Mapping, settings: ExperimentSettings, index: int) -> S
         except ValueError as exc:
             raise CampaignError(f"{where}: bad sample_plan: {exc}") from None
 
-    engine_jobs = payload.get("engine_jobs")
-    if engine_jobs is not None:
-        try:
-            engine_jobs = int(engine_jobs)
-        except (TypeError, ValueError):
-            raise CampaignError(
-                f"{where}: engine_jobs must be an integer, got {engine_jobs!r}"
-            ) from None
-        if engine_jobs < 1:
-            raise CampaignError(f"{where}: engine_jobs must be >= 1")
-
     return SweepGrid(
         protocols=protocols,
         workloads=workloads,
@@ -362,7 +346,6 @@ def _parse_grid(payload: Mapping, settings: ExperimentSettings, index: int) -> S
         broadcast_filter=payload.get("broadcast_filter", False),
         seed=payload.get("seed", settings.seed),
         sample_plan=sample_plan,
-        engine_jobs=engine_jobs,
     )
 
 

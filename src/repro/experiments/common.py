@@ -64,8 +64,8 @@ class ExperimentSettings:
     same factor (hit rates, and therefore normalised results, are preserved);
     the access counts are per core, with ``warmup_accesses_per_thread``
     excluded from measurement.  Settings objects are frozen and hashable:
-    they are part of both the in-process memoisation key and the persistent
-    results-store key, so two runs with equal settings are interchangeable.
+    every field reaches the results-store key, which is also the in-process
+    memoisation key, so two runs with equal settings are interchangeable.
     """
 
     scale: int = 512
@@ -176,7 +176,7 @@ class ExperimentContext:
         self.store = store
         self.offline = offline
         self.engine = engine
-        self._cache: Dict[Tuple, RunRecord] = {}
+        self._cache: Dict[str, RunRecord] = {}
 
     # ------------------------------------------------------------------
     # Configuration / workload construction
@@ -268,37 +268,30 @@ class ExperimentContext:
     # Running
     # ------------------------------------------------------------------
 
-    def run(self, workload_name: str, protocol: str, *, config: Optional[SystemConfig] = None,
-            cache_key_extra: Tuple = ()) -> RunRecord:
+    def run(self, workload_name: str, protocol: str, *,
+            config: Optional[SystemConfig] = None) -> RunRecord:
         """Run one (workload, design) simulation, memoising the result.
 
         Lookup order: the in-process cache, then the results store (if any),
-        then a fresh simulation (which is persisted to the store).  In-process
-        memoisation of runs with an explicit ``config`` requires a
-        distinguishing ``cache_key_extra`` (otherwise two different ad-hoc
-        configurations could collide on the same key); the *store* key hashes
-        the full configuration content, so it needs no such discriminator.
+        then a fresh simulation (which is persisted to the store).  Both are
+        keyed on the content key of :meth:`store_payload`, which hashes the
+        full scaled configuration, so two configurations with equal content
+        share one record however the caller built them.
         """
-        key = (workload_name, protocol, self.settings, cache_key_extra)
-        memoisable = config is None or bool(cache_key_extra)
-        if memoisable and key in self._cache:
-            return self._cache[key]
-
         cfg = config if config is not None else self.make_config(protocol)
-
-        store_key = None
-        payload = None
+        payload = self.store_payload(workload_name, protocol, cfg)
+        key = content_key(payload)
+        record = self._cache.get(key)
+        if record is not None:
+            return record
         if self.store is not None:
-            payload = self.store_payload(workload_name, protocol, cfg)
-            store_key = content_key(payload)
-            stored = self.store.get(store_key)
+            stored = self.store.get(key)
             if stored is not None:
                 record = self._record_from_stored(workload_name, protocol, cfg, stored)
-                if memoisable:
-                    self._cache[key] = record
+                self._cache[key] = record
                 return record
         if self.offline:
-            raise MissingRunError(store_key or "", payload)
+            raise MissingRunError(key, payload)
 
         system = NumaSystem(cfg)
         workload = self.make_workload(workload_name)
@@ -313,15 +306,14 @@ class ExperimentContext:
         )
         if self.store is not None:
             self.store.put(StoredRun(
-                key=store_key,
+                key=key,
                 params=payload,
                 stats=result.stats,
                 total_time_ns=result.total_time_ns,
                 inter_socket_bytes=result.inter_socket_bytes,
                 accesses_executed=result.accesses_executed,
             ))
-        if memoisable:
-            self._cache[key] = record
+        self._cache[key] = record
         return record
 
     def run_designs(

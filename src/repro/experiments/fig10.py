@@ -45,9 +45,7 @@ def run_fig10(
                 config = replace(
                     config, dram_cache=replace(config.dram_cache, latency_ns=latency)
                 )
-                record = context.run(
-                    workload, design, config=config, cache_key_extra=("fig10", latency)
-                )
+                record = context.run(workload, design, config=config)
                 per_design[design].append(speedup(baseline, record))
         series[f"{latency:.0f}ns"] = {
             design: geometric_mean(values) for design, values in per_design.items()

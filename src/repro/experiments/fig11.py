@@ -42,19 +42,14 @@ def run_fig11(
                 baseline_config,
                 interconnect=replace(baseline_config.interconnect, hop_latency_ns=hop_latency),
             )
-            baseline = context.run(
-                workload, "baseline", config=baseline_config,
-                cache_key_extra=("fig11", hop_latency),
-            )
+            baseline = context.run(workload, "baseline", config=baseline_config)
             for design in designs:
                 config = context.make_config(design)
                 config = replace(
                     config,
                     interconnect=replace(config.interconnect, hop_latency_ns=hop_latency),
                 )
-                record = context.run(
-                    workload, design, config=config, cache_key_extra=("fig11", hop_latency)
-                )
+                record = context.run(workload, design, config=config)
                 per_design[design].append(speedup(baseline, record))
         series[f"{hop_latency:.0f}ns"] = {
             design: geometric_mean(values) for design, values in per_design.items()

@@ -44,9 +44,7 @@ def run_fig3(context: Optional[ExperimentContext] = None) -> Dict[str, Dict[str,
                 size_bytes=max(64 * 1024, capacity_mb * 1024 * 1024 // scale),
             )
             config = replace(base_config, llc=llc)
-            record = context.run(
-                workload, "baseline", config=config, cache_key_extra=("fig3", capacity_mb)
-            )
+            record = context.run(workload, "baseline", config=config)
             accesses[capacity_mb] = float(record.stats.memory_accesses)
         baseline_accesses = accesses[CACHE_POINTS_MB[0]] or 1.0
         series[workload] = {

@@ -36,7 +36,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import multiprocessing
-import os
 import sys
 import time
 import traceback as traceback_module
@@ -58,7 +57,6 @@ from . import (
     fig11,
     table1,
 )
-from ..engines.base import WORKER_ENV
 from ..stats.counters import SimulationStats
 from ..stats.store import (
     STORE_SCHEMA_VERSION,
@@ -108,13 +106,6 @@ class SweepPoint:
     the ``sampled`` engine (docs/sampling.md); sampled points hash to store
     keys distinct from exact ones, so the two never collide in a results
     store.
-
-    ``engine_jobs`` is the worker count for engines with their own process
-    pool (``sampled-par``).  It shapes *how* the point executes, never what
-    it computes -- bit-identical output at any value is the engine's
-    contract -- so it is stripped from store payloads
-    (:func:`sweep_point_payload`) and two points differing only in it share
-    one cached result.
     """
 
     workload: str = "facesim"
@@ -132,7 +123,6 @@ class SweepPoint:
     scenario: Optional[str] = None
     clone: Optional[str] = None
     sample_plan: Optional[str] = None
-    engine_jobs: Optional[int] = None
 
 
 @dataclass
@@ -171,16 +161,10 @@ def sweep_point_payload(point: SweepPoint, engine: str = "compiled") -> Dict:
     JSON form, so equivalent spec strings (key order, defaulted fields)
     share one key while any *semantic* plan difference -- and the
     exact/sampled distinction itself -- yields a different key.
-
-    ``engine_jobs`` never reaches the payload, and an engine declaring a
-    ``store_name`` (``sampled-par`` aliases to ``sampled``) is keyed under
-    that alias: execution knobs and bit-identical engine variants share one
-    cached result, and every pre-existing pinned key stays byte-identical.
     """
     from .. import engines
 
     payload = asdict(point)
-    payload.pop("engine_jobs")
     if point.trace_dir is not None or point.scenario is not None or point.clone is not None:
         payload["workload"] = None
     if point.clone is None:
@@ -198,13 +182,7 @@ def sweep_point_payload(point: SweepPoint, engine: str = "compiled") -> Dict:
         payload["sample_plan"] = SamplingPlan.from_spec(point.sample_plan).to_json_dict()
         if not engines.get(engine).supports_sampling:
             engine = "sampled"
-    try:
-        store_alias = engines.get(engine).store_name
-    except ValueError:
-        store_alias = None
-    payload.update(
-        kind="sweep-point", schema=STORE_SCHEMA_VERSION, engine=store_alias or engine
-    )
+    payload.update(kind="sweep-point", schema=STORE_SCHEMA_VERSION, engine=engine)
     return payload
 
 
@@ -264,17 +242,8 @@ def _run_sweep_point(
         # the executed engine always matches the store key).
         if not engines.get(engine).supports_sampling:
             engine = "sampled"
-    engine_options = (
-        {"jobs": point.engine_jobs} if point.engine_jobs is not None else None
-    )
     started = time.time()
-    result = Simulator(
-        system,
-        workload,
-        engine=engine,
-        sample_plan=sample_plan,
-        engine_options=engine_options,
-    ).run(
+    result = Simulator(system, workload, engine=engine, sample_plan=sample_plan).run(
         warmup_accesses_per_core=point.warmup_accesses_per_thread,
         prewarm=point.prewarm,
     )
@@ -428,9 +397,6 @@ class _PointTask:
 
 def _isolated_point_worker(conn, point: SweepPoint, engine: str, attempt: int) -> None:
     """Child-process entry: run one point, ship the outcome over the pipe."""
-    # Campaign-level parallelism owns the machine: engines with their own
-    # process pool (sampled-par) see this marker and clamp to one job.
-    os.environ[WORKER_ENV] = "1"
     try:
         outcome = ("ok", _run_sweep_point(point, engine, attempt=attempt))
     except BaseException as exc:  # noqa: BLE001 - the whole point is isolation
@@ -830,9 +796,6 @@ def _run_named_experiment(
     discard every completed report.
     """
     name, settings, store_path = task
-    # This process is one of run_all_parallel's pool workers; nested engine
-    # parallelism (sampled-par) must not oversubscribe the machine.
-    os.environ[WORKER_ENV] = "1"
     start = time.time()
     try:
         store = ResultsStore(store_path) if store_path is not None else None

@@ -107,11 +107,6 @@ class MemoryController:
             for _ in range(channels)
         ]
 
-    # -- channel selection --------------------------------------------------
-
-    def _channel_for(self, block: int) -> MemoryChannel:
-        return self.channels[block % len(self.channels)]
-
     # -- access paths ---------------------------------------------------------
 
     def read(self, now: float, block: int) -> MemoryAccessResult:

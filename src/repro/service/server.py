@@ -21,11 +21,9 @@ beyond localhost is an explicit operator decision (``--host``).
 from __future__ import annotations
 
 import json
-import os
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import List, Optional, Tuple
 
-from ..engines.base import WORKER_ENV
 from ..experiments.campaign import CampaignError
 from ..experiments.runner import FailurePolicy, sweep_point_key
 from ..stats.store import _canonical
@@ -168,13 +166,7 @@ def serve(
     ``server.server_address``.  The caller owns the loop: call
     ``serve_forever()`` (or poll ``handle_request()`` in tests) and
     ``shutdown_service()`` when done.
-
-    The daemon's job pool owns the machine's parallelism, so the
-    nested-parallelism marker is set process-wide here: any ``sampled-par``
-    point a campaign job runs (in-process or in its forked point workers,
-    which inherit the environment) clamps to one engine job.
     """
-    os.environ[WORKER_ENV] = "1"
     manager = JobManager(
         store_path,
         workers=workers,

@@ -45,7 +45,6 @@ __all__ = [
     "SAMPLED_METRICS",
     "estimate_metrics",
     "WindowOutcome",
-    "partition_units",
     "merge_window_outcomes",
 ]
 
@@ -363,11 +362,10 @@ class WindowOutcome:
     Windows are measured on an isolated copy of the architectural state at
     the window's start (the sampled engine forks a measurement child per
     window), so an outcome is a pure function of the functional chain up to
-    ``unit_index`` -- independent of which worker measured it or in what
-    order.  ``stats`` starts zeroed in the child, so its counters *are* the
-    window's deltas; ``detail_elapsed`` is each core's simulated detail time
-    and ``inter_socket_bytes`` the interconnect traffic of the detail phase.
-    Picklable, so workers ship outcomes back over pipes.
+    ``unit_index``.  ``stats`` starts zeroed in the child, so its counters
+    *are* the window's deltas; ``detail_elapsed`` is each core's simulated
+    detail time and ``inter_socket_bytes`` the interconnect traffic of the
+    detail phase.  Picklable, so the child ships it back over a pipe.
     """
 
     unit_index: int
@@ -375,84 +373,6 @@ class WindowOutcome:
     stats: SimulationStats
     inter_socket_bytes: int
     detail_elapsed: Dict[int, float]
-
-
-def partition_units(
-    units: Sequence["SamplingUnit"],
-    jobs: int,
-    *,
-    window_weight: float = 8.0,
-) -> List[Tuple[int, int]]:
-    """Split plan units into at most ``jobs`` contiguous ``[lo, hi)`` ranges.
-
-    Each range goes to one worker that fast-forwards from the region start,
-    so a range's cost is every access up to its *end* (functional, weight 1)
-    plus its own measured windows again (detailed, ``window_weight`` per
-    access -- the approximate detailed/functional cost ratio).  A dynamic
-    program minimises the most expensive range; ties resolve toward earlier
-    boundaries, so the partition is deterministic.  Ranges cover every unit
-    exactly once, in order.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    count = len(units)
-    if count == 0:
-        return []
-    jobs = min(jobs, count)
-    # Prefix sums: functional accesses through unit i, and windowed accesses
-    # inside a unit range.
-    functional = [0.0]
-    windowed = [0.0]
-    for unit in units:
-        functional.append(functional[-1] + unit.length)
-        windowed.append(windowed[-1] + (unit.warmup + unit.detail) * window_weight)
-
-    def cost(lo: int, hi: int) -> float:
-        return functional[hi] + (windowed[hi] - windowed[lo])
-
-    # best[j][i]: minimal makespan splitting units[:i] into j ranges.
-    inf = math.inf
-    best = [[inf] * (count + 1) for _ in range(jobs + 1)]
-    cut = [[0] * (count + 1) for _ in range(jobs + 1)]
-    best[0][0] = 0.0
-    for j in range(1, jobs + 1):
-        for i in range(1, count + 1):
-            for k in range(j - 1, i):
-                if best[j - 1][k] is inf:
-                    continue
-                candidate = max(best[j - 1][k], cost(k, i))
-                if candidate < best[j][i]:
-                    best[j][i] = candidate
-                    cut[j][i] = k
-    ranges: List[Tuple[int, int]] = []
-    i = count
-    j = jobs
-    while j > 0:
-        k = cut[j][i]
-        ranges.append((k, i))
-        i, j = k, j - 1
-    ranges.reverse()
-    # Degenerate splits (empty leading ranges) collapse away.
-    ranges = [(lo, hi) for lo, hi in ranges if hi > lo]
-    # A range with no measured window would be a worker that only
-    # fast-forwards -- pure overhead.  Fold such ranges into the next
-    # windowed range (whose prefix replay covers them anyway); a windowless
-    # tail extends the last range instead.
-    merged: List[Tuple[int, int]] = []
-    carry: Optional[int] = None
-    for lo, hi in ranges:
-        start = lo if carry is None else carry
-        if any(units[index].detail for index in range(lo, hi)):
-            merged.append((start, hi))
-            carry = None
-        else:
-            carry = start
-    if carry is not None:
-        if merged:
-            merged[-1] = (merged[-1][0], count)
-        else:
-            merged.append((carry, count))
-    return merged
 
 
 def merge_window_outcomes(
@@ -463,9 +383,9 @@ def merge_window_outcomes(
     """Fold window outcomes into ``stats`` in deterministic window order.
 
     Counters and latency accumulators merge window by window (ascending
-    ``unit_index``) regardless of the order workers delivered them, so the
-    float addition order -- and therefore every derived statistic -- is
-    bit-identical between serial and parallel execution.  Returns the
+    ``unit_index``) whatever order ``outcomes`` arrive in, so the float
+    addition order -- and therefore every derived statistic -- is fixed by
+    the plan alone.  Returns the
     per-window samples for the estimators, the total detail accesses, the
     summed inter-socket bytes, and each core's accumulated detail time
     (written into ``stats.core_finish_ns`` by the caller's contract here).

@@ -35,7 +35,6 @@ class Simulator:
         *,
         engine: str = "compiled",
         sample_plan: Optional[SamplingPlan] = None,
-        engine_options: Optional[dict] = None,
     ) -> None:
         #: Resolved engine instance (registry authority -- unknown names
         #: raise a ``ValueError`` listing the registered engines).
@@ -51,10 +50,6 @@ class Simulator:
         #: Plan for sampling engines; ``None`` derives one from the measured
         #: region length (:meth:`SamplingPlan.for_region`).
         self.sample_plan = sample_plan
-        #: Execution knobs forwarded to the engine (e.g. ``{"jobs": 4}`` for
-        #: ``sampled-par``).  Options shape *how* a run executes, never its
-        #: statistics, so they stay out of results-store keys.
-        self.engine_options = dict(engine_options or {})
 
     # ------------------------------------------------------------------
     # Public API
@@ -95,9 +90,4 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def _context(self) -> EngineContext:
-        return EngineContext(
-            self.system,
-            self.workload,
-            sample_plan=self.sample_plan,
-            engine_options=self.engine_options,
-        )
+        return EngineContext(self.system, self.workload, sample_plan=self.sample_plan)

@@ -43,9 +43,7 @@ __all__ = [
 #: shared hot region is read-only, so after the cold fills virtually every
 #: access is an L1 hit.  The paper's own workloads are DRAM-cache studies and
 #: therefore miss-dominated by design, so ``hotset`` isolates the per-access
-#: hit path: it is perfbench's ``l1-resident`` control (BENCHMARK.json) and
-#: the window-dominated workload behind the ``parallel_speedup_*`` floors in
-#: ``benchmarks/baseline.json``.
+#: hit path: it is perfbench's ``l1-resident`` control (BENCHMARK.json).
 MICRO_SPECS: Dict[str, WorkloadSpec] = {
     "hotset": WorkloadSpec(
         name="hotset",

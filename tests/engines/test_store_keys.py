@@ -68,37 +68,6 @@ def test_every_engine_hashes_to_a_distinct_key():
     assert len(set(sweep_keys.values())) == len(sweep_keys)
 
 
-def test_sampled_par_aliases_to_sampled_store_keys():
-    """``sampled-par`` is bit-identical to ``sampled`` by contract, so its
-    ``store_name`` aliases every key to the serial engine's: parallel runs
-    share the serial cache entries, and the pre-existing pinned sampled-plan
-    key stays byte-identical."""
-    point = _point("sampled-plan")
-    assert (
-        sweep_point_key(point, "sampled-par")
-        == PINNED_SWEEP_KEYS[("sampled-plan", "compiled")]
-    )
-    # Without a pinned plan the alias still holds (both derive the plan).
-    assert sweep_point_key(SweepPoint(), "sampled-par") == sweep_point_key(
-        SweepPoint(), "sampled"
-    )
-
-
-def test_engine_jobs_never_reaches_store_keys():
-    """The jobs knob shapes execution, not output: any value hashes to the
-    same key, for parallel and serial engines alike."""
-    for engine in ("sampled-par", "sampled", "compiled"):
-        keys = {
-            sweep_point_key(SweepPoint(engine_jobs=jobs), engine)
-            for jobs in (None, 1, 2, 4)
-        }
-        assert len(keys) == 1, engine
-    assert (
-        sweep_point_key(SweepPoint(engine_jobs=4))
-        == PINNED_SWEEP_KEYS[("default", "compiled")]
-    )
-
-
 #: Keys of broadcast-filter points from before the DRAM-cache prewarm
 #: classified its pages shared.
 PRE_MARK_SHARED_KEYS = {

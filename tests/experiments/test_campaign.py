@@ -77,6 +77,9 @@ def test_spec_default_store_directory(tmp_path):
         ({"sweeps": [{"workloads": ["facesim"],
                       "topologies": [{"sockets": "two"}]}]},
          "must be integers"),
+        ({"engine": "sampled-par"}, "unknown engine"),
+        ({"sweeps": [{"workloads": ["facesim"], "engine_jobs": 2}]},
+         r"unknown sweeps\[0\] field"),
     ],
 )
 def test_spec_validation_errors(mutation, fragment):

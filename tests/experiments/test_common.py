@@ -1,5 +1,7 @@
 """Tests for the experiment infrastructure (settings, context, memoisation)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.common import (
@@ -60,15 +62,21 @@ def test_run_returns_record_and_memoises():
     assert first.memory_accesses > 0
 
 
-def test_run_with_adhoc_config_not_memoised_without_key():
+def test_run_memoises_on_config_content():
+    """The memo is keyed on the store content key: configurations with equal
+    content share one record however they were built, and any difference
+    in content is a different run."""
     context = ExperimentContext(TINY)
+    default = context.run("streamcluster", "baseline")
     config = context.make_config("baseline")
-    a = context.run("streamcluster", "baseline", config=config)
-    b = context.run("streamcluster", "baseline", config=config)
-    assert a is not b
-    c = context.run("streamcluster", "baseline", config=config, cache_key_extra=("x",))
-    d = context.run("streamcluster", "baseline", config=config, cache_key_extra=("x",))
-    assert c is d
+    assert config is not default.config
+    assert context.run("streamcluster", "baseline", config=config) is default
+    llc = replace(config.llc, size_bytes=2 * config.llc.size_bytes)
+    bigger = context.run("streamcluster", "baseline", config=replace(config, llc=llc))
+    assert bigger is not default
+    assert bigger is context.run(
+        "streamcluster", "baseline", config=replace(config, llc=replace(llc))
+    )
 
 
 def test_speedup_definition():

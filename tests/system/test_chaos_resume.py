@@ -14,9 +14,11 @@ Two escalations beyond ``test_campaign_resume``:
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +53,28 @@ SPEC_DICT = {
 
 SPEC = CampaignSpec.from_dict(SPEC_DICT)
 
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+def _group_alive(pgid: int) -> bool:
+    """Whether process group ``pgid`` still has a member that is not a zombie."""
+    proc = Path("/proc")
+    if not proc.is_dir():
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+    for stat in proc.glob("[0-9]*/stat"):
+        try:
+            # "pid (comm) state ppid pgrp ..."; comm may contain spaces.
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue  # exited while we looked
+        if fields[0] != "Z" and int(fields[2]) == pgid:
+            return True
+    return False
+
 
 def test_sigkilled_campaign_resumes_bit_identically(tmp_path):
     """Kill -9 a live `repro campaign run` mid-point; resume must converge."""
@@ -77,14 +101,16 @@ def test_sigkilled_campaign_resumes_bit_identically(tmp_path):
     )
     env = dict(os.environ)
     env[faults.ENV_VAR] = plan.to_json()
-    env["PYTHONPATH"] = "src"
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    # Its own process group, so the kill below reaches the point worker too.
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "campaign", "run", str(spec_path),
          "--store", str(victim_dir)],
-        cwd="/root/repo",
+        cwd=REPO_ROOT,
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        start_new_session=True,
     )
     try:
         deadline = time.monotonic() + 120.0
@@ -96,9 +122,14 @@ def test_sigkilled_campaign_resumes_bit_identically(tmp_path):
         else:
             pytest.fail("campaign never persisted its first two points")
     finally:
-        # No SIGTERM first: the point is simulating an OOM-kill/power cut.
-        process.kill()
+        # No SIGTERM first: the point is simulating a power cut, which takes
+        # the hung point worker down with the campaign process.
+        os.killpg(process.pid, signal.SIGKILL)
         process.wait(timeout=30)
+    deadline = time.monotonic() + 30.0
+    while _group_alive(process.pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _group_alive(process.pid), "a campaign process outlived the kill"
 
     resumed_store = ResultsStore(victim_dir)
     status = campaign_status(SPEC, resumed_store)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.engines.sampled as sampled_module
 from repro import engines
 from repro.stats.sampling import SamplingPlan
 from repro.system.config import SystemConfig
@@ -88,6 +89,19 @@ def test_sampled_runs_are_deterministic():
     assert first.stats.to_json_dict() == second.stats.to_json_dict()
     assert first.accesses_executed == second.accesses_executed
     assert first.inter_socket_bytes == second.inter_socket_bytes
+
+
+def test_fork_and_deepcopy_window_isolation_are_state_identical(monkeypatch):
+    """The deepcopy fallback path (non-POSIX platforms) must produce the
+    same windows as the forked copy-on-write path."""
+    forked, _ = _run("baseline", "sampled", PLAN)
+    monkeypatch.setattr(sampled_module, "_FORCE_COPY_ISOLATION", True)
+    copied, system = _run("baseline", "sampled", PLAN)
+    assert system.check_invariants() == []
+    assert copied.stats.to_json_dict() == forked.stats.to_json_dict()
+    assert copied.total_time_ns == forked.total_time_ns
+    assert copied.inter_socket_bytes == forked.inter_socket_bytes
+    assert copied.accesses_executed == forked.accesses_executed
 
 
 def test_auto_plan_is_derived_when_absent():

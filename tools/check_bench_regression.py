@@ -11,19 +11,11 @@ Compares the most recent record of a bench output file (the JSON list
   an accidentally quadratic change) lands well below it.
 * **speedups** (``--speedups``): every key of the baseline's ``speedups``
   section -- the ``sampled_speedup_*`` exact-vs-sampled ratios ``repro
-  bench --sampled`` records and the ``parallel_speedup_*``
-  serial-vs-parallel sampled ratios recorded when ``sampled`` and
-  ``sampled-par`` are benched together -- must reach its
-  committed floor.  Ratios of two runs on the same machine are largely
-  noise-immune, so the floors are applied directly (no tolerance factor).
-  ``--speedups-prefix`` limits the gate to one engine family's floors, so
-  the sampling and parallel CI jobs each gate only the ratios
-  their own bench invocation produced.
+  bench --sampled`` records -- must reach its committed floor.  Ratios of
+  two runs on the same machine are largely noise-immune, so the floors are
+  applied directly (no tolerance factor).
 
-By default the gate reads the *latest* record of the history file;
-``--record-index`` (Python list indexing) or ``--timestamp`` pins a
-specific record instead, so a job appending to a shared history can gate
-exactly the record it just produced.
+The gate reads the *latest* record of the history file.
 
 Usage::
 
@@ -34,21 +26,13 @@ Usage::
     PYTHONPATH=src python -m repro bench --accesses 2500 --rounds 2 \
         --protocols baseline c3d --engines compiled --sampled \
         --output bench_sampled.json
-    python tools/check_bench_regression.py bench_sampled.json \
-        --speedups --speedups-prefix sampled_
-
-    PYTHONPATH=src python -m repro bench --workload hotset --scale 1 \
-        --accesses 2500 --rounds 2 --protocols baseline c3d \
-        --engines sampled sampled-par --engine-jobs 4 \
-        --sample-plan units=8,detail=250,warmup=25 \
-        --output bench_parallel.json
-    python tools/check_bench_regression.py bench_parallel.json \
-        --speedups-prefix parallel_ --record-index -1
+    python tools/check_bench_regression.py bench_sampled.json --speedups
 
 Exits 0 when every gated value clears, 1 otherwise (listing each
-regression).  The CI ``bench-regression`` job uploads the fresh output as a
-workflow artifact so the committed baseline can be refreshed from a healthy
-build (see the note inside ``benchmarks/baseline.json``).
+regression), and 2 when the record file holds no record.  The CI
+``bench-regression`` job uploads the fresh output as a workflow artifact
+so the committed baseline can be refreshed from a healthy build (see the
+note inside ``benchmarks/baseline.json``).
 """
 
 from __future__ import annotations
@@ -63,44 +47,17 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_BASELINE = REPO_ROOT / "benchmarks" / "baseline.json"
 
 
-def select_record(
-    path: Path, *, index: Optional[int] = None, timestamp: Optional[str] = None
-) -> dict:
-    """Pick one record of a ``repro bench`` output file.
+def latest_record(path: Path) -> dict:
+    """The most recent record of a ``repro bench`` output file.
 
-    By default the most recent record (``index=-1``); a CI job that just
-    appended its own record to a shared history pins the exact one it
-    produced with ``index`` (Python list semantics, negatives count from the
-    end) or with the record's ``timestamp`` field.  A single-record file (a
-    bare JSON object, not a list) is returned as-is for either selector.
+    A single-record file (a bare JSON object, not a list) is returned as-is.
     """
-    if index is not None and timestamp is not None:
-        raise ValueError("pass either index or timestamp, not both")
     history = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(history, list):
         return history
     if not history:
         raise ValueError(f"{path} contains an empty history")
-    if timestamp is not None:
-        matches = [r for r in history if r.get("timestamp") == timestamp]
-        if not matches:
-            stamps = [r.get("timestamp", "?") for r in history]
-            raise ValueError(
-                f"{path} has no record with timestamp {timestamp!r} "
-                f"(available: {stamps})"
-            )
-        return matches[-1]
-    try:
-        return history[index if index is not None else -1]
-    except IndexError:
-        raise ValueError(
-            f"{path} has {len(history)} record(s); index {index} is out of range"
-        ) from None
-
-
-def latest_record(path: Path) -> dict:
-    """The most recent record of a ``repro bench`` output file."""
-    return select_record(path)
+    return history[-1]
 
 
 def check(record: dict, baseline: dict, tolerance: Optional[float] = None) -> List[str]:
@@ -131,29 +88,18 @@ def check(record: dict, baseline: dict, tolerance: Optional[float] = None) -> Li
     return failures
 
 
-def check_speedups(
-    record: dict, baseline: dict, prefix: Optional[str] = None
-) -> List[str]:
+def check_speedups(record: dict, baseline: dict) -> List[str]:
     """Gate the record's top-level speedup ratios against committed floors.
 
     The baseline's ``speedups`` section maps record keys (e.g.
-    ``sampled_speedup_c3d``, ``parallel_speedup_baseline``) to minimum
-    acceptable ratios.  Ratios compare two runs of the same invocation on
-    the same machine, so the floors are enforced directly -- no noise
-    tolerance factor.  ``prefix`` restricts the gate to floors whose key
-    starts with it, so CI jobs that each bench one engine family gate only
-    the ratios their bench invocation produced.
+    ``sampled_speedup_c3d``) to minimum acceptable ratios.  Ratios compare
+    two runs of the same invocation on the same machine, so the floors are
+    enforced directly -- no noise tolerance factor.
     """
     failures: List[str] = []
     floors = baseline.get("speedups", {})
-    if prefix:
-        floors = {key: f for key, f in floors.items() if key.startswith(prefix)}
     if not floors:
-        failures.append(
-            f"baseline has no 'speedups' entries matching prefix {prefix!r}"
-            if prefix
-            else "baseline has no 'speedups' section to gate against"
-        )
+        failures.append("baseline has no 'speedups' section to gate against")
         return failures
     for key, floor in floors.items():
         value = record.get(key)
@@ -189,30 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--speedups",
         action="store_true",
-        help="gate the baseline's 'speedups' section (sampled_speedup_*, "
-        "parallel_speedup_*) instead of the throughput measurements",
-    )
-    parser.add_argument(
-        "--speedups-prefix",
-        default=None,
-        metavar="PREFIX",
-        help="with --speedups (implied), gate only floors whose key starts "
-        "with PREFIX (e.g. 'sampled_' or 'parallel_')",
-    )
-    selector = parser.add_mutually_exclusive_group()
-    selector.add_argument(
-        "--record-index",
-        type=int,
-        default=None,
-        metavar="I",
-        help="gate history record I instead of the latest (Python list "
-        "indexing; -1 = latest)",
-    )
-    selector.add_argument(
-        "--timestamp",
-        default=None,
-        metavar="TS",
-        help="gate the history record whose 'timestamp' field equals TS",
+        help="gate the baseline's 'speedups' section (sampled_speedup_*) "
+        "instead of the throughput measurements",
     )
     return parser
 
@@ -220,15 +144,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        record = select_record(
-            Path(args.record), index=args.record_index, timestamp=args.timestamp
-        )
+        record = latest_record(Path(args.record))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     baseline = json.loads(Path(args.baseline).read_text(encoding="utf-8"))
-    if args.speedups or args.speedups_prefix:
-        failures = check_speedups(record, baseline, args.speedups_prefix)
+    if args.speedups:
+        failures = check_speedups(record, baseline)
     else:
         failures = check(record, baseline, args.tolerance)
     stamp = record.get("timestamp", "?")

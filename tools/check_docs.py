@@ -50,13 +50,8 @@ REQUIRED_DOCS = (
 #: track the code (e.g. the registered-engine table).  Matched as literal
 #: substrings of the page text.
 REQUIRED_SECTIONS = {
-    "docs/performance.md": (
-        "## Parallel windows",
-        "parallel_speedup_",
-    ),
     "docs/architecture.md": (
         "## Execution engines",
-        "| `sampled-par` |",
         "## Serving layer",
         "`repro.api`",
     ),

@@ -30,12 +30,12 @@ import platform
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import engines as engine_registry
 from .system.config import SystemConfig
 from .system.numa_system import NumaSystem
-from .system.simulator import Simulator
+from .system.simulator import SimulationResult, Simulator
 from .workloads.scenario import build_workload
 
 __all__ = ["run_benchmark", "build_parser", "main"]
@@ -54,7 +54,7 @@ def _run_once(
     trace_dir: Optional[str] = None,
     scenario: Optional[str] = None,
     sample_plan=None,
-) -> Dict:
+) -> Tuple[Dict, SimulationResult]:
     config = SystemConfig.quad_socket(protocol=protocol).scaled(scale)
     system = NumaSystem(config)
     wl = build_workload(

@@ -32,10 +32,6 @@ class StoreBuffer:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def is_full(self) -> bool:
-        return len(self._entries) >= self.capacity
-
     def drain(self, now: float) -> None:
         """Retire every store whose memory transaction has completed by ``now``."""
         while self._entries and self._entries[0][0] <= now:

@@ -21,12 +21,17 @@ Measurement windows are *isolated*: the engine's persistent chain advances
 functionally through the whole region, and each warmup+detail window runs in
 a copy-on-write forked child seeded with the chain state at the window's
 start, shipping its counter deltas back as a
-:class:`~repro.stats.sampling.WindowOutcome`.  The one exception is the
-*last* measured window of a walk, which runs inline on the chain itself:
-detailed execution is state-exact with functional execution and nothing
-after the final window reads the chain again, so the outcome is identical
-and the fork is saved.  Every window is therefore a pure function of the
-functional prefix before it.
+:class:`~repro.stats.sampling.WindowOutcome`.  The parent does not wait for
+that child: it walks on over the window's span and the next unit's
+fast-forward while the child measures, so on a second CPU the detailed
+window costs the walk almost nothing.  At most one window child is
+outstanding; the parent collects its outcome just before it forks the next
+one, or after the last unit.  The one exception is the *last* measured
+window of a walk, which runs inline on the chain itself: detailed execution
+is state-exact with functional execution and nothing after the final window
+reads the chain again, so the outcome is identical and the fork is saved.
+Every window is therefore a pure function of the functional prefix before
+it, whenever its outcome arrives.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 import copy
 import os
 import pickle
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..caches.sram_cache import DIRTY, MODIFIED
 from ..stats.counters import SimulationStats
@@ -115,6 +120,30 @@ def _run_window(
 ) -> Optional[WindowOutcome]:
     """Measure one window on (an isolated copy of) ``context``."""
     return _run_window_counted(context, traces, cursors, unit, index)[0]
+
+
+def _run_window_on_copy(
+    context: EngineContext,
+    traces: Dict[int, CompiledTrace],
+    cursors: Dict[int, int],
+    unit: SamplingUnit,
+    index: int,
+) -> Optional[WindowOutcome]:
+    """Measure one window on a deep copy of the chain state: slower than a
+    forked child, but state-identical, which the equivalence tests assert."""
+    system_copy, cursors_copy = copy.deepcopy((context.system, cursors))
+    isolated = EngineContext(
+        system_copy, context.workload, sample_plan=context.sample_plan
+    )
+    return _run_window(isolated, traces, cursors_copy, unit, index)
+
+
+class _WindowChild(NamedTuple):
+    """A forked child measuring one window: its unit, pid and pipe read end."""
+
+    index: int
+    pid: int
+    read_fd: int
 
 
 class SampledEngine(ExecutionEngine):
@@ -213,8 +242,15 @@ class SampledEngine(ExecutionEngine):
         The chain itself is purely functional: every unit's fast-forward
         *and* its warmup+detail span advance as one ``run_phase_functional``
         call each.  Windows are measured on forked copies of the chain
-        state, never on the chain, so a window's outcome does not depend on
-        how far the chain continues.
+        state, never on the chain, so a window's outcome depends neither on
+        how far the chain continues nor on when it is collected.  The parent
+        walks while one window child measures: it forks the child at the
+        window's start (:meth:`_start_window`), walks the window's span and
+        the next unit's fast-forward, and collects the outcome
+        (:meth:`_measure_window`) just before the next fork or after the
+        last unit; outcomes are merged in unit order whatever order they
+        arrive in.  A child still outstanding when the walk raises is reaped
+        before the exception propagates.
 
         The *last* measured window of the walk runs inline on the chain
         itself, no isolation: its outcome is computed by the same phase
@@ -222,66 +258,79 @@ class SampledEngine(ExecutionEngine):
         the timing residue it leaves behind (detailed execution is
         state-exact with functional execution, so any trailing fast-forward
         advances identically).  A one-window plan is therefore fork-free.
+        Under deep-copy isolation (no ``os.fork``) every other window is
+        measured on a copy before the walk moves on.
         """
+        copy_isolation = _FORCE_COPY_ISOLATION or os.name != "posix"
         executed = 0
-        outcomes: List[WindowOutcome] = []
+        outcomes: List[Optional[WindowOutcome]] = []
         last_measured = next(
             (index for index in range(len(units) - 1, -1, -1) if units[index].detail),
             None,
         )
-        for index, unit in enumerate(units):
-            if unit.fastforward:
-                with context.scratch_stats(), context.functional_timing():
-                    executed += self.run_phase_functional(
-                        context, traces, cursors, unit.fastforward
+        child: Optional[_WindowChild] = None
+        try:
+            for index, unit in enumerate(units):
+                if unit.fastforward:
+                    with context.scratch_stats(), context.functional_timing():
+                        executed += self.run_phase_functional(
+                            context, traces, cursors, unit.fastforward
+                        )
+                span = unit.warmup + unit.detail
+                if not span:
+                    continue
+                if index == last_measured:
+                    # Inline: the window's warmup+detail advance the chain
+                    # cursors themselves, so the span is consumed -- no
+                    # functional pass over it.
+                    outcome, advanced = _run_window_counted(
+                        context, traces, cursors, unit, index
                     )
-            span = unit.warmup + unit.detail
-            if not span:
-                continue
-            if index == last_measured:
-                # Inline: the window's warmup+detail advance the chain
-                # cursors themselves, so the span is consumed -- no
-                # functional pass over it.
-                outcome, advanced = _run_window_counted(
-                    context, traces, cursors, unit, index
-                )
-                if outcome is not None:
                     outcomes.append(outcome)
-                executed += advanced
-                continue
-            if unit.detail:
-                outcome = self._measure_window(context, traces, cursors, unit, index)
-                if outcome is not None:
-                    outcomes.append(outcome)
-            with context.scratch_stats(), context.functional_timing():
-                executed += self.run_phase_functional(context, traces, cursors, span)
-        return outcomes, executed
+                    executed += advanced
+                    continue
+                if unit.detail:
+                    if child is not None:
+                        # Cleared first: _measure_window reaps the child even
+                        # when it raises, so the handler below must not.
+                        finished, child = child, None
+                        outcomes.append(self._measure_window(finished))
+                    if copy_isolation:
+                        outcomes.append(
+                            _run_window_on_copy(context, traces, cursors, unit, index)
+                        )
+                    else:
+                        child = self._start_window(context, traces, cursors, unit, index)
+                with context.scratch_stats(), context.functional_timing():
+                    executed += self.run_phase_functional(context, traces, cursors, span)
+        except BaseException:
+            if child is not None:
+                # Closing the pipe first ends a child blocked writing its
+                # payload (EPIPE), so the wait is at most one window long.
+                os.close(child.read_fd)
+                os.waitpid(child.pid, 0)
+            raise
+        if child is not None:
+            outcomes.append(self._measure_window(child))
+        return [outcome for outcome in outcomes if outcome is not None], executed
 
-    def _measure_window(
+    def _start_window(
         self,
         context: EngineContext,
         traces: Dict[int, CompiledTrace],
         cursors: Dict[int, int],
         unit: SamplingUnit,
         index: int,
-    ) -> Optional[WindowOutcome]:
-        """Measure one window on an isolated copy of the chain state.
+    ) -> _WindowChild:
+        """Fork a child that measures one window from the chain's state now.
 
-        On POSIX the copy is a forked child (copy-on-write, ~ms); the child
-        runs the window and pickles its :class:`WindowOutcome` back through
-        a pipe.  ``os.fork`` is used directly rather than
-        ``multiprocessing.Process`` so the measurement works inside daemonic
-        campaign workers too (daemons may not spawn multiprocessing
-        children).  Elsewhere -- or under ``_FORCE_COPY_ISOLATION`` -- the
-        system is deep-copied instead: slower, but state-identical, which
-        the equivalence tests assert.
+        The child runs the window on its copy-on-write image of the chain
+        and pickles its :class:`WindowOutcome` back through a pipe while the
+        parent walks on; :meth:`_measure_window` collects it.  ``os.fork``
+        is used directly rather than ``multiprocessing.Process`` so the
+        measurement works inside daemonic campaign workers too (daemons may
+        not spawn multiprocessing children).
         """
-        if _FORCE_COPY_ISOLATION or os.name != "posix":
-            system_copy, cursors_copy = copy.deepcopy((context.system, cursors))
-            isolated = EngineContext(
-                system_copy, context.workload, sample_plan=context.sample_plan
-            )
-            return _run_window(isolated, traces, cursors_copy, unit, index)
         read_fd, write_fd = os.pipe()
         pid = os.fork()
         if pid == 0:  # pragma: no cover - child process exits before coverage flush
@@ -299,12 +348,24 @@ class SampledEngine(ExecutionEngine):
                 # parent's atexit hooks or flush its inherited buffers.
                 os._exit(status)
         os.close(write_fd)
-        with os.fdopen(read_fd, "rb") as pipe:
-            payload = pipe.read()
-        _, status = os.waitpid(pid, 0)
+        return _WindowChild(index, pid, read_fd)
+
+    def _measure_window(self, child: _WindowChild) -> Optional[WindowOutcome]:
+        """Wait for a window child's :class:`WindowOutcome` and reap the child.
+
+        The parent blocks here, and only here, on a measuring child.  The
+        pipe is read to EOF before ``waitpid`` (a payload larger than the
+        pipe buffer keeps the child in its write until the parent reads),
+        and the child is reaped on every path, a failed child included.
+        """
+        try:
+            with os.fdopen(child.read_fd, "rb") as pipe:
+                payload = pipe.read()
+        finally:
+            _, status = os.waitpid(child.pid, 0)
         if status != 0 or not payload:
             raise RuntimeError(
-                f"window measurement child for unit {index} failed "
+                f"window measurement child for unit {child.index} failed "
                 f"(wait status {status})"
             )
         return pickle.loads(payload)

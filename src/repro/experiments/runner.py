@@ -546,6 +546,10 @@ def _run_points_isolated(
             completed = []
             for process, (task, conn, deadline) in inflight.items():
                 outcome = None
+                # Liveness first: a worker seen to have exited has already
+                # put any result it sent into the pipe, so the poll below
+                # cannot miss a result sent just before the exit.
+                exited = not process.is_alive()
                 if conn.poll(0):
                     try:
                         outcome = conn.recv()
@@ -556,7 +560,7 @@ def _run_points_isolated(
                             "", None,
                         )
                     process.join()
-                elif not process.is_alive():
+                elif exited:
                     process.join()
                     outcome = (
                         "error",

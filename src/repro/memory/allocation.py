@@ -105,10 +105,6 @@ class FirstTouchPolicy(AllocationPolicy):
         """Force the placement of ``page`` (used to model FT1 pre-touching)."""
         self._page_home[page] = socket % self.num_sockets
 
-    def placed_pages(self) -> Dict[int, int]:
-        """Return a copy of the page -> home-socket map decided so far."""
-        return dict(self._page_home)
-
     def reset(self) -> None:
         self._page_home.clear()
 

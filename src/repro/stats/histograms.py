@@ -102,13 +102,6 @@ class Log2Histogram:
                 return bucket_bounds(bucket)[0]
         return bucket_bounds(max(self.counts))[0]
 
-    def mean_lower_bound(self) -> float:
-        """Mean computed from bucket lower bounds (a deterministic summary)."""
-        total = self.total
-        if total == 0:
-            return 0.0
-        return sum(bucket_bounds(b)[0] * c for b, c in self.counts.items()) / total
-
     # -- serialisation ------------------------------------------------------
 
     def to_json_dict(self) -> Dict[str, int]:

@@ -6,6 +6,8 @@ execution path (docs/robustness.md).
 """
 
 import multiprocessing
+import time
+from multiprocessing.process import BaseProcess
 
 import pytest
 
@@ -133,6 +135,34 @@ def test_worker_death_propagates_without_policy():
                 [POINT, SweepPoint(workload="streamcluster", protocol="c3d", **TINY)],
                 jobs=2,
             )
+
+
+def test_result_sent_just_before_the_worker_exits_is_kept(monkeypatch, tmp_path):
+    """A worker that sends its result and exits while the executor is between
+    its pipe poll and its liveness check has not died without a result."""
+    is_alive = BaseProcess.is_alive
+
+    def slow_is_alive(self):
+        time.sleep(0.2)  # widens the gap between the poll and the check
+        return is_alive(self)
+
+    monkeypatch.setattr(BaseProcess, "is_alive", slow_is_alive)
+    tiny = dict(TINY, cores_per_socket=2)
+    points = [
+        SweepPoint(workload=workload, protocol=protocol, **tiny)
+        for workload in ("facesim", "streamcluster")
+        for protocol in ("baseline", "c3d")
+    ]
+    store = ResultsStore(tmp_path / "store")
+    failures = []
+    results = run_sweep(
+        points, store=store, failure_policy=FailurePolicy(),
+        on_failure=failures.append,
+    )
+    assert failures == []
+    assert len(store.failure_log) == 0
+    assert [result.attempts for result in results] == [1] * len(points)
+    assert all(result is not None for result in run_sweep(points, jobs=2))
 
 
 def test_fallback_reruns_sampled_point_on_exact_engine(tmp_path):

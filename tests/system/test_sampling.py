@@ -7,10 +7,12 @@ The contract under test:
   validated at full width by ``tools/check_sampling.py``),
 * sampled runs are deterministic (same plan -> bit-identical statistics),
 * fast-forward preserves the coherence invariants for every design,
-* the sampled statistics survive the results store bit-identically.
+* the sampled statistics survive the results store bit-identically,
+* no window child outlives its run, whether it or the walk fails.
 """
 
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -62,6 +64,18 @@ PLAN = SamplingPlan(
 )
 
 
+def _assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    """Fail any test that leaves a child process (a window child) behind."""
+    yield
+    _assert_no_child_process()
+
+
 def test_sampled_engine_registered():
     assert "sampled" in engines.names()
 
@@ -102,6 +116,35 @@ def test_fork_and_deepcopy_window_isolation_are_state_identical(monkeypatch):
     assert copied.total_time_ns == forked.total_time_ns
     assert copied.inter_socket_bytes == forked.inter_socket_bytes
     assert copied.accesses_executed == forked.accesses_executed
+
+
+def test_failed_window_child_raises_naming_its_unit(monkeypatch):
+    def broken_window(*args):
+        raise ValueError("window broke")
+
+    monkeypatch.setattr(sampled_module, "_run_window", broken_window)
+    with pytest.raises(RuntimeError, match=r"child for unit \d+ failed"):
+        _run("baseline", "sampled", PLAN)
+    _assert_no_child_process()
+
+
+def test_walk_failing_while_a_window_child_measures_reaps_the_child(monkeypatch):
+    functional = sampled_module.SampledEngine.run_phase_functional
+    calls = []
+
+    def fail_on_second_call(self, *args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise ValueError("walk broke")
+        return functional(self, *args)
+
+    monkeypatch.setattr(
+        sampled_module.SampledEngine, "run_phase_functional", fail_on_second_call
+    )
+    with pytest.raises(ValueError, match="walk broke"):
+        _run("baseline", "sampled", PLAN)
+    assert len(calls) == 2
+    _assert_no_child_process()
 
 
 def test_auto_plan_is_derived_when_absent():

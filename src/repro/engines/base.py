@@ -21,8 +21,10 @@ import heapq
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, Optional
+from typing import TYPE_CHECKING, Dict, Hashable, Iterator, Optional, Tuple
 
+from ..caches.dram_cache import DRAMCache
+from ..caches.miss_predictor import RegionMissPredictor
 from ..stats.counters import SimulationStats
 from ..workloads.compiled import CompiledTrace, compile_trace
 from ..workloads.trace import MemoryAccess
@@ -121,7 +123,23 @@ class EngineContext:
     opening/compilation, first-touch preparation, DRAM-cache pre-warm, the
     two exact phase loops and result assembly -- so concrete engines contain
     only their scheduling strategy.
+
+    The class also owns the set-up memo, one per process: the compiled
+    traces of the most recent keyed workload (:meth:`compile_streams`) and
+    the most recent prewarm fill (:meth:`prewarm_dram_caches`).  Each slot
+    holds one ``(key, value)`` entry, is reused only when the key is equal,
+    and drops its entry before the next one is built, so a figure that runs
+    one workload on several machines sets it up once.
     """
+
+    # Each slot changes by one assignment of a whole ``(key, value)`` tuple,
+    # so a run on another thread sees an old entry or a new one, never a
+    # key paired with another key's value; a race costs at most a second
+    # compile.
+    #: ``((workload trace key, layout, thread count), traces)``.
+    _trace_memo: Optional[Tuple[Hashable, Dict[int, CompiledTrace]]] = None
+    #: ``((fill ranges, DRAM-cache geometry), detached filled cache)``.
+    _fill_memo: Optional[Tuple[Hashable, DRAMCache]] = None
 
     def __init__(
         self,
@@ -149,13 +167,37 @@ class EngineContext:
         }
 
     def compile_streams(self) -> Dict[int, CompiledTrace]:
-        """Materialise one compiled trace per active core."""
+        """Materialise one compiled trace per active core.
+
+        A workload with a ``trace_key()``
+        (:meth:`~repro.workloads.synthetic.SyntheticWorkload.trace_key`)
+        reuses the traces of the last compile when that key, the system's
+        address layout and the thread count are all equal.  Engines only
+        read traces, so one set serves every run.  Any other workload (a
+        trace directory, a scenario, a third-party object) compiles afresh.
+        """
         num_threads = min(self.workload.num_threads, self.system.num_cores)
         layout = self.system.layout
-        return {
+        trace_key = getattr(self.workload, "trace_key", None)
+        key = None if trace_key is None else (trace_key(), layout, num_threads)
+        if key is not None:
+            memo = EngineContext._trace_memo
+            if memo is not None and memo[0] == key:
+                return dict(memo[1])
+            EngineContext._trace_memo = None  # dropped before the next is built
+        traces = {
             thread_id: compile_trace(self.workload, thread_id, layout=layout)
             for thread_id in range(num_threads)
         }
+        if key is not None:
+            EngineContext._trace_memo = (key, dict(traces))
+        return traces
+
+    @staticmethod
+    def clear_memo() -> None:
+        """Drop the set-up memo: the next run compiles and fills afresh."""
+        EngineContext._trace_memo = None
+        EngineContext._fill_memo = None
 
     # ------------------------------------------------------------------
     # Warm-up helpers
@@ -223,10 +265,13 @@ class EngineContext:
         16,384-set cache); the hotter regions, filled last, then win the
         direct-mapped conflicts.
 
-        The fill is computed once: the first empty cache receives it through
-        :meth:`DRAMCache.bulk_insert_clean` and every other empty cache
-        adopts a copy (:meth:`DRAMCache.share_fill`).  A cache that already
-        holds data gets a ``bulk_insert_clean`` fill of its own.
+        The fill is computed once per (fill ranges, cache geometry): a
+        detached template cache receives it from empty through
+        :meth:`DRAMCache.bulk_insert_clean`, and every empty socket cache
+        adopts a copy (:meth:`DRAMCache.share_fill`).  The template is kept
+        in the set-up memo, so the next machine with the same fill and
+        geometry only copies it.  A cache that already holds data gets a
+        ``bulk_insert_clean`` fill of its own.
 
         For directory designs that track DRAM-cache residency (full-dir and
         c3d-full-dir) every filled block -- displaced or not -- is
@@ -261,17 +306,13 @@ class EngineContext:
             num_blocks = max(1, region["size"] // layout.block_size)
             fill.append(range(base_block, base_block + min(num_blocks, num_sets)))
 
-        template = None  # the first cache filled from empty
         for sock in sockets:
             cache = sock.dram_cache
-            empty = cache.is_empty()
-            if template is not None and empty:
-                cache.share_fill(template)
+            if cache.is_empty():
+                cache.share_fill(self._fill_template(fill, cache))
                 continue
             for blocks in fill:
                 cache.bulk_insert_clean(blocks)
-            if template is None and empty:
-                template = cache
 
         if system.protocol.tracks_dram_cache_in_directory:
             # Registered a page at a time (a page has a single home).
@@ -296,6 +337,32 @@ class EngineContext:
                     range(page_of_block(blocks.start), page_of_block(blocks.stop - 1) + 1)
                 )
         return sum(len(blocks) for blocks in fill)
+
+    @staticmethod
+    def _fill_template(fill, cache: DRAMCache) -> DRAMCache:
+        """A detached cache of ``cache``'s geometry that received ``fill``
+        from empty, built once per (fill, geometry) and kept in the memo."""
+        key = (tuple(fill), cache._geometry())
+        memo = EngineContext._fill_memo
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        EngineContext._fill_memo = None  # dropped before the next is built
+        predictor = cache.miss_predictor
+        template = DRAMCache(
+            cache.size_bytes,
+            block_size=cache.block_size,
+            associativity=cache.associativity,
+            name="prewarm template",
+            miss_predictor=None if predictor is None else RegionMissPredictor(
+                entries=predictor.entries,
+                region_size=predictor.region_size,
+                layout=predictor.layout,
+            ),
+        )
+        for blocks in fill:
+            template.bulk_insert_clean(blocks)
+        EngineContext._fill_memo = (key, template)
+        return template
 
     # ------------------------------------------------------------------
     # Measurement-blackout helpers (re-exported for engines)

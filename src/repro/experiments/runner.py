@@ -554,11 +554,10 @@ def _run_points_isolated(
                     try:
                         outcome = conn.recv()
                     except (EOFError, OSError):
-                        outcome = (
-                            "error",
-                            "worker closed its pipe without a result",
-                            "", None,
-                        )
+                        # EOF: every write end is closed, so the worker is
+                        # gone (or going) without having sent a result.
+                        exited = True
+                if outcome is not None:
                     process.join()
                 elif exited:
                     process.join()

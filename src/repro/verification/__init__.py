@@ -6,7 +6,6 @@ from .protocol_model import (
     BlockState,
     C3DAbstractModel,
     DirectoryAbstractState,
-    Freshness,
     InvariantViolation,
     ProtocolVariant,
     SocketState,
@@ -18,7 +17,6 @@ __all__ = [
     "SocketState",
     "DirectoryAbstractState",
     "BlockState",
-    "Freshness",
     "ProtocolVariant",
     "InvariantViolation",
     "ModelChecker",

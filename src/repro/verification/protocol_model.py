@@ -35,15 +35,8 @@ import enum
 from dataclasses import dataclass
 from typing import FrozenSet, Iterator, List, Optional, Tuple
 
-__all__ = ["Freshness", "ProtocolVariant", "BlockState", "AbstractMachineState",
+__all__ = ["ProtocolVariant", "BlockState", "AbstractMachineState",
            "C3DAbstractModel", "InvariantViolation"]
-
-
-class Freshness(enum.Enum):
-    """Abstract data value: FRESH is the most recently written value."""
-
-    FRESH = "fresh"
-    STALE = "stale"
 
 
 class ProtocolVariant(enum.Enum):

@@ -23,9 +23,9 @@ to a profile so a recorded workload becomes a scalable generator.
 
 from .analyzer import analyze_trace_dir, analyze_workload, profile_to_markdown
 from .clone import fit_clone, load_clone, save_clone
-from .cloudsuite import CLOUDSUITE_SPECS, cloudsuite_names
-from .compiled import CompiledTrace, compile_trace, compile_workload
-from .parsec import PARSEC_SPECS, parsec_names
+from .cloudsuite import CLOUDSUITE_SPECS
+from .compiled import CompiledTrace, compile_trace
+from .parsec import PARSEC_SPECS
 from .registry import (
     EVALUATED_WORKLOADS,
     WORKLOAD_SPECS,
@@ -45,7 +45,7 @@ from .scenario import (
     scenario_names,
 )
 from .importers import IMPORTERS, ImportSummary, import_trace, importer_names
-from .spec_suite import SPEC_SPECS, spec_names
+from .spec_suite import SPEC_SPECS
 from .synthetic import REGION_NAMES, SyntheticWorkload, WorkloadSpec
 from .trace import MemoryAccess, materialise
 from .trace_io import (
@@ -63,7 +63,6 @@ __all__ = [
     "materialise",
     "CompiledTrace",
     "compile_trace",
-    "compile_workload",
     "TRACE_FORMATS",
     "TraceFormatError",
     "TraceDirWorkload",
@@ -101,8 +100,5 @@ __all__ = [
     "workload_names",
     "make_workload",
     "get_spec",
-    "parsec_names",
-    "cloudsuite_names",
-    "spec_names",
 ]
 

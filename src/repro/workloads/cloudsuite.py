@@ -26,7 +26,7 @@ from typing import Dict
 
 from .synthetic import WorkloadSpec
 
-__all__ = ["CLOUDSUITE_SPECS", "cloudsuite_names"]
+__all__ = ["CLOUDSUITE_SPECS"]
 
 MB = 2**20
 GB = 2**30
@@ -105,8 +105,3 @@ CLOUDSUITE_SPECS: Dict[str, WorkloadSpec] = {
         "partitions plus a large shared edge list.",
     ),
 }
-
-
-def cloudsuite_names():
-    """Names of the CloudSuite workloads in the order the paper plots them."""
-    return list(CLOUDSUITE_SPECS)

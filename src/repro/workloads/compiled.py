@@ -28,13 +28,13 @@ simulation statistics, which ``tests/system/test_engine_equivalence.py`` and
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from ..memory.address import DEFAULT_LAYOUT, AddressLayout
 
-__all__ = ["CompiledTrace", "compile_trace", "compile_workload"]
+__all__ = ["CompiledTrace", "compile_trace"]
 
 
 class CompiledTrace:
@@ -49,9 +49,12 @@ class CompiledTrace:
         hot loop never performs address arithmetic.
     length:
         Number of accesses in the trace.
+
+    Consumers only read the columns: one trace may serve many runs
+    (:meth:`~repro.engines.EngineContext.compile_streams` memoises them).
     """
 
-    __slots__ = ("addrs", "writes", "gaps", "blocks", "pages", "length")
+    __slots__ = ("addrs", "writes", "gaps", "blocks", "pages", "length", "__weakref__")
 
     def __init__(
         self,
@@ -145,13 +148,3 @@ def compile_trace(
     blocks = [a // block_size for a in addrs]
     pages = [a // page_size for a in addrs]
     return CompiledTrace(addrs, writes, gaps, blocks, pages)
-
-
-def compile_workload(
-    workload, num_threads: int, *, layout: Optional[AddressLayout] = None
-) -> Dict[int, CompiledTrace]:
-    """Compile the first ``num_threads`` per-thread streams of a workload."""
-    return {
-        thread_id: compile_trace(workload, thread_id, layout=layout)
-        for thread_id in range(num_threads)
-    }

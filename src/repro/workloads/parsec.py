@@ -25,7 +25,7 @@ from typing import Dict
 
 from .synthetic import WorkloadSpec
 
-__all__ = ["PARSEC_SPECS", "parsec_names"]
+__all__ = ["PARSEC_SPECS"]
 
 MB = 2**20
 GB = 2**30
@@ -122,8 +122,3 @@ PARSEC_SPECS: Dict[str, WorkloadSpec] = {
         "read-shared with bursts of tree construction writes.",
     ),
 }
-
-
-def parsec_names():
-    """Names of the PARSEC workloads in the order the paper plots them."""
-    return list(PARSEC_SPECS)

@@ -15,7 +15,7 @@ from typing import Dict
 
 from .synthetic import WorkloadSpec
 
-__all__ = ["SPEC_SPECS", "spec_names"]
+__all__ = ["SPEC_SPECS"]
 
 MB = 2**20
 GB = 2**30
@@ -41,8 +41,3 @@ SPEC_SPECS: Dict[str, WorkloadSpec] = {
         "with a ~1.7 GB pointer-heavy private working set.",
     ),
 }
-
-
-def spec_names():
-    """Names of the single-threaded SPEC workloads modelled."""
-    return list(SPEC_SPECS)

@@ -161,6 +161,16 @@ class SyntheticWorkload:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SyntheticWorkload({self.spec.name!r}, threads={self.num_threads})"
 
+    def trace_key(self) -> tuple:
+        """Everything the access streams depend on: equal keys, equal traces.
+
+        :meth:`~repro.engines.EngineContext.compile_streams` reuses the
+        traces it compiled last only under an equal key, so two instances
+        built from the same parameters (one per machine in a figure loop)
+        share one compile.
+        """
+        return (type(self), self.spec, self.accesses_per_thread, self.layout)
+
     # -- region geometry ---------------------------------------------------------
 
     def _private_base(self, thread_id: int) -> int:

@@ -6,6 +6,8 @@ execution path (docs/robustness.md).
 """
 
 import multiprocessing
+import os
+import signal
 import time
 from multiprocessing.process import BaseProcess
 
@@ -163,6 +165,28 @@ def test_result_sent_just_before_the_worker_exits_is_kept(monkeypatch, tmp_path)
     assert len(store.failure_log) == 0
     assert [result.attempts for result in results] == [1] * len(points)
     assert all(result is not None for result in run_sweep(points, jobs=2))
+
+
+@fork_only
+def test_killed_worker_is_quarantined_with_its_exit_code(monkeypatch, tmp_path):
+    """A SIGKILLed worker's pipe reads EOF at once; the failure still names
+    the signal that ended it."""
+    from repro.experiments import runner as runner_module
+
+    def killed(point, engine="compiled", attempt=1):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(runner_module, "_run_sweep_point", killed)
+    store = ResultsStore(tmp_path / "store")
+    failures = []
+    results = run_sweep(
+        [POINT], store=store, failure_policy=FailurePolicy(max_attempts=1),
+        on_failure=failures.append,
+    )
+    assert results == [None]
+    assert len(failures) == 1
+    assert "worker died without a result (exit code -9" in failures[0].error
+    assert [record.error for record in store.failure_log.records()] == [failures[0].error]
 
 
 def test_fallback_reruns_sampled_point_on_exact_engine(tmp_path):

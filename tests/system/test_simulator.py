@@ -4,6 +4,7 @@ import pytest
 
 from repro.caches.dram_cache import DRAMCache
 from repro.coherence.directory import DirectoryState
+from repro.engines import EngineContext
 from repro.memory.page_table import PageClassification
 from repro.system.config import SystemConfig
 from repro.system.numa_system import PROTOCOL_REGISTRY, NumaSystem
@@ -189,6 +190,7 @@ def test_prewarm_matches_per_socket_reference(protocol, num_sockets, monkeypatch
     workload = make_workload("facesim", scale=4096, accesses_per_thread=300,
                              num_threads=num_sockets, seed=3)
     system, reference = build(), build()
+    EngineContext.clear_memo()
     with monkeypatch.context() as patch:
         fills = record_fills(patch)
         inserted = Simulator(system, workload).prewarm_dram_caches()
@@ -196,8 +198,10 @@ def test_prewarm_matches_per_socket_reference(protocol, num_sockets, monkeypatch
     assert_same_memory_state(system, reference)
     if system.protocol.uses_dram_cache:
         names = [sock.dram_cache.name for sock in system.sockets]
-        # The fill really is shared, not repeated.
-        assert fills == [(names[0], None)] + [(name, names[0]) for name in names[1:]]
+        template = EngineContext._fill_memo[1].name
+        # The fill really is shared, not repeated: a detached template
+        # receives it once and every socket's cache adopts it.
+        assert fills == [(template, None)] + [(name, template) for name in names]
 
     # A second prewarm on a used system still matches: the caches are no
     # longer empty, so each gets a fill of its own, and the directories
@@ -226,12 +230,14 @@ def test_prewarm_fills_a_used_cache_alone_and_shares_with_the_rest(monkeypatch):
     for system in systems:
         system.sockets[0].dram_cache.insert(3)
     system, reference = systems
+    EngineContext.clear_memo()
     with monkeypatch.context() as patch:
         fills = record_fills(patch)
         Simulator(system, workload).prewarm_dram_caches()
     reference_prewarm(reference, workload)
     assert_same_memory_state(system, reference)
-    used, template, *rest = (sock.dram_cache.name for sock in system.sockets)
+    used, *rest = (sock.dram_cache.name for sock in system.sockets)
+    template = EngineContext._fill_memo[1].name
     assert fills == [(used, None), (template, None)] + [(name, template) for name in rest]
 
 

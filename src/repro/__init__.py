@@ -44,7 +44,6 @@ from .system import (
     SimulationResult,
     Simulator,
     SystemConfig,
-    build_system,
 )
 from .workloads import EVALUATED_WORKLOADS, make_workload, workload_names
 
@@ -60,7 +59,6 @@ __all__ = [
     "open_store",
     "SystemConfig",
     "NumaSystem",
-    "build_system",
     "Simulator",
     "SimulationResult",
     "SimulationStats",

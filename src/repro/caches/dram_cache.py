@@ -144,7 +144,7 @@ class DRAMCache:
             dirty = cache_set.get(block) if cache_set is not None else None
         predictor = self.miss_predictor
         if predictor is not None:
-            # Inlined RegionMissPredictor.predicts_miss.
+            # The predictor's lookup (miss_predictor's module docstring).
             table = predictor._table
             region = (block * predictor._block_size) // predictor.region_size
             bits = table.get(region)

@@ -12,6 +12,10 @@ consulted first:
   block is predicted absent and the slow DRAM-cache array access is skipped;
 * otherwise the block is predicted present and the array is probed.
 
+:meth:`~repro.caches.dram_cache.DRAMCache.probe` performs that lookup
+inline (a tracked region it consults becomes the most recently used);
+this class owns the table and its maintenance.
+
 Displacing a region entry from the finite table loses its presence bits, so
 a subsequent lookup may predict "absent" for a block that is actually
 resident.  The :class:`~repro.caches.dram_cache.DRAMCache` double-checks such
@@ -51,12 +55,6 @@ class RegionMissPredictor:
         # region number -> bitmask of resident blocks, in LRU order.
         self._table: "OrderedDict[int, int]" = OrderedDict()
 
-    # -- geometry -----------------------------------------------------------
-
-    def region_of_block(self, block: int) -> int:
-        """Return the region number containing block number ``block``."""
-        return (block * self.layout.block_size) // self.region_size
-
     # -- maintenance ----------------------------------------------------------
 
     def note_insert(self, block: int) -> None:
@@ -81,30 +79,3 @@ class RegionMissPredictor:
             return
         table[region] = bits & ~(1 << (block % self._blocks_per_region))
         table.move_to_end(region)
-
-    # -- prediction ---------------------------------------------------------
-
-    def predicts_miss(self, block: int) -> bool:
-        """True when the predictor believes ``block`` is absent.
-
-        A ``True`` answer lets the caller skip the DRAM-cache array access.
-        The answer can be wrong only for blocks whose region entry was
-        displaced from the table (see the module docstring).
-        """
-        table = self._table
-        region = (block * self._block_size) // self.region_size
-        bits = table.get(region)
-        if bits is None:
-            return True
-        table.move_to_end(region)
-        return not bits & (1 << (block % self._blocks_per_region))
-
-    # -- state queries --------------------------------------------------------
-
-    def tracked_regions(self) -> int:
-        """Number of regions currently tracked."""
-        return len(self._table)
-
-    def tracked_blocks(self) -> int:
-        """Number of presence bits currently set across all tracked regions."""
-        return sum(bin(bits).count("1") for bits in self._table.values())

@@ -19,7 +19,6 @@ Usage::
     python -m repro report --store results/demo     # tables, no simulation
     python -m repro store verify --store results/demo   # integrity scan
     python -m repro store compact --store results/demo  # per-shard compaction
-    python -m repro store migrate --store results/old   # legacy -> sharded
     python -m repro serve --store results/shared    # campaign HTTP daemon
     python -m repro submit spec.json --server http://127.0.0.1:8642 --wait
 
@@ -39,7 +38,7 @@ appends to ``BENCH_throughput.json``; ``campaign``
 experiment campaigns against a persistent results store; ``report``
 (:mod:`repro.experiments.report`) renders a populated store into
 Markdown/CSV tables without re-simulating; ``store``
-(:mod:`repro.stats.store`) verifies, compacts and migrates a store
+(:mod:`repro.stats.store`) verifies and compacts a store
 (docs/robustness.md, docs/serving.md); ``serve``
 (:mod:`repro.service.server`) exposes campaign submit/status/results
 over HTTP against a shared sharded store, and ``submit``
@@ -113,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "generating --workload (see docs/workloads.md)")
     parser.add_argument("--scenario", default=None, metavar="NAME_OR_JSON",
                         help="compose the workload from a scenario: a built-in "
-                             "name (repro.workloads.scenario_names()) or a "
+                             "name (repro.workloads.SCENARIO_SPECS) or a "
                              "scenario JSON file")
     parser.add_argument("--clone", default=None, metavar="JSON",
                         help="run a fitted synthetic clone from a clone-spec "
@@ -215,8 +214,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if engine is None:
             engine = "sampled"
         elif not engines.get(engine).supports_sampling:
-            # Capability flag, not a name comparison: a registered
-            # third-party sampling engine accepts --sample-plan too.
             raise SystemExit(
                 f"error: --sample-plan requires an engine with sampling "
                 f"support, but --engine {engine} does not sample"

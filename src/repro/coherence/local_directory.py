@@ -18,7 +18,7 @@ part of the coherence substrate rather than of any particular protocol.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .directory import members
 
@@ -38,9 +38,6 @@ class LocalDirectory:
         self._entries: Dict[int, int] = {}
 
     # -- queries ------------------------------------------------------------
-
-    def sharers_of(self, block: int) -> Set[int]:
-        return set(members(self._entries.get(block, 0) >> self._owner_bits))
 
     def owner_of(self, block: int) -> Optional[int]:
         owner = self._entries.get(block, 0) & self._owner_mask

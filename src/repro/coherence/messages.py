@@ -26,15 +26,3 @@ class ServiceSource(enum.Enum):
     STORE_BUFFER = "store_buffer"
 
     __hash__ = object.__hash__  # identity hashing, C-level
-
-    @property
-    def is_off_socket(self) -> bool:
-        return self in (
-            ServiceSource.REMOTE_LLC,
-            ServiceSource.REMOTE_DRAM_CACHE,
-            ServiceSource.REMOTE_MEMORY,
-        )
-
-    @property
-    def is_memory(self) -> bool:
-        return self in (ServiceSource.LOCAL_MEMORY, ServiceSource.REMOTE_MEMORY)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..memory.address import DEFAULT_LAYOUT, AddressLayout
-from ..memory.page_table import PageClassification, PageTable
+from ..memory.page_table import PageTable
 
 __all__ = ["PrivateSharedClassifier"]
 
@@ -56,16 +56,7 @@ class PrivateSharedClassifier:
         """
         self.page_table.touch(self.layout.page_of(addr), thread_id)
 
-    def record_block_access(self, thread_id: int, block: int) -> None:
-        """Convenience wrapper taking a block number instead of a byte address."""
-        self.record_access(thread_id, block * self.layout.block_size)
-
     # -- queries used by the C3D protocol -----------------------------------
-
-    def classification_of_block(self, block: int) -> PageClassification:
-        """Current classification of the page containing ``block``."""
-        page = self.layout.page_of_block(block)
-        return self.page_table.classify(page)
 
     def write_is_private(self, thread_id: int, block: int) -> bool:
         """True when a write by ``thread_id`` to ``block`` may skip the broadcast.
@@ -73,17 +64,10 @@ class PrivateSharedClassifier:
         The write may skip the broadcast only when the page is classified
         private *and* owned by the writing thread (a write by a non-owner is
         precisely the event that triggers re-classification, so it must not
-        skip).
+        skip).  A page with no entry counts as shared: the protocol then
+        broadcasts where it did not strictly need to, which is always
+        correct.
         """
         page = self.layout.page_of_block(block)
         entry = self.page_table.lookup(page)
         return entry is not None and entry.is_private and entry.owner_thread == thread_id
-
-    # -- reporting ------------------------------------------------------------
-
-    def private_page_fraction(self) -> float:
-        """Fraction of touched pages currently classified private."""
-        total = sum(1 for entry in self.page_table if entry.owner_thread is not None)
-        if not total:
-            return 0.0
-        return self.page_table.private_pages() / total

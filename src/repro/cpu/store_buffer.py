@@ -37,18 +37,6 @@ class StoreBuffer:
         while self._entries and self._entries[0][0] <= now:
             self._entries.popleft()
 
-    def next_drain_time(self, now: float) -> float:
-        """Earliest time a newly issued store can start its memory transaction.
-
-        Stores drain in order with one outstanding transaction, so a new
-        store starts no earlier than the completion of the store currently at
-        the tail of the buffer.
-        """
-        self.drain(now)
-        if not self._entries:
-            return now
-        return max(now, self._entries[-1][0])
-
     def forwards(self, block: int, now: float) -> bool:
         """True when a load to ``block`` can be forwarded from the buffer."""
         entries = self._entries

@@ -1,15 +1,15 @@
-"""Pluggable execution engines for the C3D reproduction's simulator.
+"""Execution engines for the C3D reproduction's simulator.
 
 An *execution engine* decides how a workload's access streams drive the
 simulated machine: the exact engines replay every access in full detail,
 the sampled engine alternates functional fast-forward with measured detail
 windows.  The :class:`~repro.engines.base.ExecutionEngine` interface plus
-the :class:`~repro.engines.base.EngineContext` (shared per-run setup) keep a
-new engine down to its scheduling strategy, and the registry makes its name
-valid across every layer at once (`Simulator(engine=...)`, ``--engine``,
+the :class:`~repro.engines.base.EngineContext` (shared per-run setup) keep
+each engine down to its scheduling strategy, and the registry resolves its
+name for every layer at once (`Simulator(engine=...)`, ``--engine``,
 ``repro bench --engines``, sweep points, campaign specs).
 
-Built-ins (names are part of the results-store key contract and stable):
+The engines (names are part of the results-store key contract and stable):
 
 =============  ======================================================
 ``compiled``   Array-backed traces through the lean dispatch loop
@@ -21,8 +21,7 @@ Built-ins (names are part of the results-store key contract and stable):
                confidence intervals (docs/sampling.md).
 =============  ======================================================
 
-See docs/architecture.md ("Execution engines") for the interface and for
-how to register a third-party engine.
+See docs/architecture.md ("Execution engines") for the interface.
 """
 
 from .base import (
@@ -33,7 +32,7 @@ from .base import (
     scratch_stats,
 )
 from .exact import CompiledEngine, ObjectEngine
-from .registry import get, names, register, unregister, validate
+from .registry import get, names, validate
 from .sampled import SampledEngine
 
 __all__ = [
@@ -43,17 +42,9 @@ __all__ = [
     "CompiledEngine",
     "ObjectEngine",
     "SampledEngine",
-    "register",
-    "unregister",
     "get",
     "names",
     "validate",
     "scratch_stats",
     "functional_timing",
 ]
-
-# Built-in registration order defines the listing order of ``names()``
-# (and so of the CLI help).
-register(CompiledEngine)
-register(ObjectEngine)
-register(SampledEngine)

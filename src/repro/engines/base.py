@@ -2,9 +2,8 @@
 
 An :class:`ExecutionEngine` is a strategy for driving a
 :class:`~repro.system.numa_system.NumaSystem` with a workload's access
-streams.  The repository ships three (``compiled``, ``object``, ``sampled``
--- see :mod:`repro.engines`), and third-party engines plug in through
-:func:`repro.engines.register` without touching the simulator.
+streams.  The repository has three (``compiled``, ``object``, ``sampled``
+-- see :mod:`repro.engines`).
 
 Engines are stateless: everything one *run* needs -- the system, the
 workload, stream opening/compilation, first-touch page placement, DRAM-cache
@@ -584,31 +583,19 @@ class EngineContext:
 class ExecutionEngine(ABC):
     """Strategy interface: how to drive a system with a workload.
 
-    Concrete engines declare themselves through three capability flags the
-    registry, the CLI and the test matrix read (no string comparisons
-    anywhere else):
+    Every engine is deterministic: identical inputs produce bit-identical
+    statistics, which the results store and the golden tests rely on.  One
+    capability flag tells the engines apart where it matters:
 
     ``supports_sampling``
         The engine consumes a :class:`~repro.stats.sampling.SamplingPlan`
         and reports :class:`~repro.stats.sampling.SampledSimulationStats`
         (per-metric confidence intervals) instead of bit-exact counters.
-    ``supports_trace_compile``
-        The engine materialises workload streams into
-        :class:`~repro.workloads.compiled.CompiledTrace` arrays (any
-        workload works either way; the flag describes the execution
-        representation).
-    ``deterministic``
-        Identical inputs produce bit-identical statistics.  Every built-in
-        engine is deterministic -- the results store and the golden tests
-        rely on it -- so a non-deterministic third-party engine must opt
-        out to be skipped by those layers.
     """
 
-    #: Registry name (``engine=`` string); unique per registered engine.
+    #: Registry name (``engine=`` string); unique per engine.
     name: str = "abstract"
     supports_sampling: bool = False
-    supports_trace_compile: bool = True
-    deterministic: bool = True
 
     @abstractmethod
     def run(
@@ -626,12 +613,3 @@ class ExecutionEngine(ABC):
         bounds the measured region.  First-touch preparation and DRAM-cache
         pre-warm have already been applied by the caller.
         """
-
-    @classmethod
-    def capabilities(cls) -> Dict[str, bool]:
-        """The engine's capability flags as a dict (CLI/docs convenience)."""
-        return {
-            "supports_sampling": cls.supports_sampling,
-            "supports_trace_compile": cls.supports_trace_compile,
-            "deterministic": cls.deterministic,
-        }

@@ -22,7 +22,6 @@ class CompiledEngine(ExecutionEngine):
     """Array-backed traces through the lean dispatch loop (the default)."""
 
     name = "compiled"
-    supports_trace_compile = True
 
     def run(
         self,
@@ -47,7 +46,6 @@ class ObjectEngine(ExecutionEngine):
     """One ``MemoryAccess`` object at a time (the legacy reference engine)."""
 
     name = "object"
-    supports_trace_compile = False
 
     def run(
         self,

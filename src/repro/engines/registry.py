@@ -2,26 +2,12 @@
 
 Every layer that accepts an ``engine=`` string -- the simulator, the CLI,
 ``repro bench``, the sweep runner, campaign specs -- resolves it here, so an
-engine registered once (built-in or third-party) is immediately valid
-everywhere and an unknown name fails everywhere with the same message
-listing what *is* registered.
-
-Registering a custom engine::
-
-    from repro import engines
-
-    class MyEngine(engines.ExecutionEngine):
-        name = "my-engine"
-        def run(self, context, *, max_accesses_per_core=None,
-                warmup_accesses_per_core=0):
-            ...
-
-    engines.register(MyEngine)
+unknown name fails everywhere with the same message listing the engines.
+The table is fixed: ``compiled``, ``object`` and ``sampled``.
 
 Store keys embed the engine *name* (see ``docs/campaigns.md``), so names are
 part of the persistence contract: renaming an engine invalidates its stored
-results, and the built-in names (``compiled``, ``object``, ``sampled``) are
-stable.
+results, and the names are stable.
 """
 
 from __future__ import annotations
@@ -29,46 +15,21 @@ from __future__ import annotations
 from typing import Dict, Tuple, Type
 
 from .base import ExecutionEngine
+from .exact import CompiledEngine, ObjectEngine
+from .sampled import SampledEngine
 
-__all__ = ["register", "unregister", "get", "names", "validate"]
+__all__ = ["get", "names", "validate"]
 
-#: Registration-ordered name -> engine class mapping.
-_REGISTRY: Dict[str, Type[ExecutionEngine]] = {}
-
-
-def register(
-    engine_cls: Type[ExecutionEngine], *, replace: bool = False
-) -> Type[ExecutionEngine]:
-    """Register an engine class under its ``name``; returns the class.
-
-    ``replace=True`` allows overriding an existing registration (e.g. a
-    faster drop-in implementation of a built-in name); without it a name
-    collision raises ``ValueError`` so two plugins cannot silently shadow
-    each other.
-    """
-    if not (isinstance(engine_cls, type) and issubclass(engine_cls, ExecutionEngine)):
-        raise TypeError(f"engines must subclass ExecutionEngine, got {engine_cls!r}")
-    name = engine_cls.name
-    if not name or name == ExecutionEngine.name:
-        raise ValueError(
-            f"engine class {engine_cls.__name__} needs a unique 'name' attribute"
-        )
-    if name in _REGISTRY and not replace:
-        raise ValueError(
-            f"engine {name!r} is already registered "
-            f"({_REGISTRY[name].__name__}); pass replace=True to override"
-        )
-    _REGISTRY[name] = engine_cls
-    return engine_cls
-
-
-def unregister(name: str) -> None:
-    """Remove a registered engine (primarily for tests and plugins)."""
-    _REGISTRY.pop(name, None)
+#: name -> engine class; this order is the listing order of ``names()``
+#: (and so of the CLI help).
+_REGISTRY: Dict[str, Type[ExecutionEngine]] = {
+    engine_cls.name: engine_cls
+    for engine_cls in (CompiledEngine, ObjectEngine, SampledEngine)
+}
 
 
 def names() -> Tuple[str, ...]:
-    """Registered engine names, in registration order."""
+    """The engine names, in listing order."""
     return tuple(_REGISTRY)
 
 
@@ -76,7 +37,7 @@ def validate(name: str) -> str:
     """Return ``name`` if registered; raise a listing ``ValueError`` otherwise."""
     if name not in _REGISTRY:
         raise ValueError(
-            f"unknown engine {name!r}; registered engines: {', '.join(_REGISTRY) or '(none)'}"
+            f"unknown engine {name!r}; registered engines: {', '.join(_REGISTRY)}"
         )
     return name
 

@@ -151,7 +151,6 @@ class SampledEngine(ExecutionEngine):
 
     name = "sampled"
     supports_sampling = True
-    supports_trace_compile = True
 
     #: Accesses each core advances per turn of the functional round-robin.
     #: Coarser than the timed engines' per-access interleave, which is fine:

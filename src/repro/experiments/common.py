@@ -23,7 +23,7 @@ Every experiment module (one per table/figure) builds on the same pieces:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .. import engines
 from ..stats.counters import SimulationStats
@@ -315,14 +315,6 @@ class ExperimentContext:
             ))
         self._cache[key] = record
         return record
-
-    def run_designs(
-        self,
-        workload_name: str,
-        designs: Iterable[str] = DESIGNS,
-    ) -> Dict[str, RunRecord]:
-        """Run one workload under several designs."""
-        return {design: self.run(workload_name, design) for design in designs}
 
     def workloads(self) -> List[str]:
         """The evaluated workloads, in the paper's plotting order."""

@@ -27,8 +27,9 @@ declarative sweep grids against the same store (docs/campaigns.md).
 The module also provides the generic sweep machinery the figures are built
 from: :func:`run_sweep` executes a list of :class:`SweepPoint` simulations --
 optionally in parallel worker processes, optionally through a results store
-that skips already-completed points -- and :func:`merge_stats` folds the
-per-point :class:`~repro.stats.counters.SimulationStats` into one aggregate.
+that skips already-completed points; :meth:`SimulationStats.merge
+<repro.stats.counters.SimulationStats.merge>` folds the per-point statistics
+into one aggregate.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ __all__ = [
     "sweep_point_payload",
     "sweep_point_key",
     "run_sweep",
-    "merge_stats",
 ]
 
 
@@ -154,16 +154,12 @@ def sweep_point_payload(point: SweepPoint, engine: str = "compiled") -> Dict:
     *path*, not file content -- editing a trace in place requires
     ``repro campaign clean`` (see docs/campaigns.md).
 
-    A ``sample_plan`` switches the payload to a sampling engine -- the
-    default ``sampled`` unless the caller already named one with sampling
-    support (capability flag, so registered third-party sampling engines
-    key under their own name) -- and is normalised to the plan's canonical
-    JSON form, so equivalent spec strings (key order, defaulted fields)
-    share one key while any *semantic* plan difference -- and the
-    exact/sampled distinction itself -- yields a different key.
+    A ``sample_plan`` switches the payload to the ``sampled`` engine, the one
+    engine that samples, and is normalised to the plan's canonical JSON
+    form, so equivalent spec strings (key order, defaulted fields) share one
+    key while any *semantic* plan difference -- and the exact/sampled
+    distinction itself -- yields a different key.
     """
-    from .. import engines
-
     payload = asdict(point)
     if point.trace_dir is not None or point.scenario is not None or point.clone is not None:
         payload["workload"] = None
@@ -180,8 +176,7 @@ def sweep_point_payload(point: SweepPoint, engine: str = "compiled") -> Dict:
         from ..stats.sampling import SamplingPlan
 
         payload["sample_plan"] = SamplingPlan.from_spec(point.sample_plan).to_json_dict()
-        if not engines.get(engine).supports_sampling:
-            engine = "sampled"
+        engine = "sampled"
     payload.update(kind="sweep-point", schema=STORE_SCHEMA_VERSION, engine=engine)
     return payload
 
@@ -232,16 +227,12 @@ def _run_sweep_point(
     )
     sample_plan = None
     if point.sample_plan is not None:
-        from .. import engines
         from ..stats.sampling import SamplingPlan
 
         sample_plan = SamplingPlan.from_spec(point.sample_plan)
-        # Capability flag, not a name comparison: a caller-selected sampling
-        # engine keeps running; only non-sampling engines fall back to the
-        # default 'sampled' implementation (mirrors sweep_point_payload, so
-        # the executed engine always matches the store key).
-        if not engines.get(engine).supports_sampling:
-            engine = "sampled"
+        # Mirrors sweep_point_payload, so the executed engine always matches
+        # the store key.
+        engine = "sampled"
     started = time.time()
     result = Simulator(system, workload, engine=engine, sample_plan=sample_plan).run(
         warmup_accesses_per_core=point.warmup_accesses_per_thread,
@@ -318,9 +309,8 @@ class FailurePolicy:
     #: Seed of the deterministic jitter.
     seed: int = 0
     #: ``"fail"`` quarantines after ``max_attempts``; ``"fallback"`` first
-    #: re-runs the point once on the exact fallback engine (capability
-    #: flags: deterministic, non-sampling) when the failing engine samples
-    #: or is non-deterministic -- graceful degradation for flaky engines.
+    #: re-runs the point once on the exact fallback engine when the failing
+    #: engine samples -- graceful degradation for the sampled engine.
     on_engine_error: str = "fail"
 
     def __post_init__(self) -> None:
@@ -362,20 +352,12 @@ class PointFailure:
         )
 
 
-def fallback_engine() -> Optional[str]:
-    """The engine degraded points re-run on: deterministic and non-sampling.
-
-    Resolved through the registry's capability flags -- not a hard-coded
-    name -- so a third-party exact engine registered ahead of the built-ins
-    is honoured.  Returns ``None`` when no registered engine qualifies.
-    """
+def fallback_engine() -> str:
+    """The engine degraded points re-run on: the first exact (non-sampling)
+    engine in the registry's listing order, ``compiled``."""
     from .. import engines
 
-    for name in engines.names():
-        engine_cls = engines.get(name)
-        if engine_cls.deterministic and not engine_cls.supports_sampling:
-            return name
-    return None
+    return next(name for name in engines.names() if not engines.get(name).supports_sampling)
 
 
 @dataclass
@@ -472,13 +454,11 @@ def _run_points_isolated(
             and task.engine != fallback
         ):
             # Graceful degradation: one extra attempt on the exact fallback
-            # engine.  Only engines that sample or declare themselves
-            # non-deterministic qualify -- a deterministic exact engine
+            # engine.  Only a sampling engine qualifies -- an exact engine
             # would fail the same way again.
             from .. import engines
 
-            failing = engines.get(task.engine)
-            if failing.supports_sampling or not failing.deterministic:
+            if engines.get(task.engine).supports_sampling:
                 task.fell_back = True
                 task.engine = fallback
                 # A pinned sampling plan would force the sampled engine
@@ -700,14 +680,6 @@ def run_sweep(
             quarantine=quarantine,
         )
     return results
-
-
-def merge_stats(results: Sequence[SweepResult]) -> SimulationStats:
-    """Fold the statistics of several sweep results into one aggregate."""
-    merged = SimulationStats()
-    for result in results:
-        merged.merge(result.stats)
-    return merged
 
 
 def _format_directory_cost(table) -> str:

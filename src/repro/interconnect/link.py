@@ -11,8 +11,13 @@ class Link:
     Table II gives 25.6 GB/s per link.  Like the memory channels, the link
     uses busy-until accounting: a packet arriving while the link is still
     serialising earlier packets waits for its turn, which is how QPI
-    congestion manifests as latency.  Fig. 2's ``inf_qpi_bw`` idealisation
-    disables the queueing term.
+    congestion manifests as latency.  Packets that arrive out of time order
+    (trace-driven core skew) are assumed to use an earlier idle slot and
+    are charged no queueing delay -- see
+    :class:`repro.memory.main_memory.MemoryChannel` for why.  Fig. 2's
+    ``inf_qpi_bw`` idealisation disables the queueing term.
+    :meth:`repro.interconnect.network.Interconnect.send` applies the rule
+    to each link of a packet's route.
     """
 
     def __init__(self, src: int, dst: int, bandwidth_bytes_per_ns: float,
@@ -25,22 +30,6 @@ class Link:
         self.infinite_bandwidth = infinite_bandwidth
         self.busy_until = 0.0
         self.last_arrival = 0.0
-
-    def occupy(self, now: float, size_bytes: int) -> float:
-        """Reserve the link for ``size_bytes`` starting no earlier than ``now``.
-
-        Returns the queueing delay experienced by this packet.  Packets that
-        arrive out of time order (trace-driven core skew) are assumed to use
-        an earlier idle slot and are charged no queueing delay -- see
-        :meth:`repro.memory.main_memory.MemoryChannel.occupy` for why.
-        """
-        if self.infinite_bandwidth or now < self.last_arrival:
-            return 0.0
-        self.last_arrival = now
-        start = max(now, self.busy_until)
-        queue_delay = start - now
-        self.busy_until = start + size_bytes / self.bandwidth_bytes_per_ns
-        return queue_delay
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Link({self.src}->{self.dst}, busy until {self.busy_until} ns)"

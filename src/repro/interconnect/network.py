@@ -89,7 +89,7 @@ class Interconnect:
         links, latency = self._route_table[src][dst]
         arrival = now
         for link in links:
-            # Inlined Link.occupy (busy-until bandwidth accounting).
+            # Busy-until bandwidth accounting (the Link class docstring).
             if not link.infinite_bandwidth and arrival >= link.last_arrival:
                 service_time = size / link.bandwidth_bytes_per_ns
                 link.last_arrival = arrival

@@ -70,7 +70,3 @@ class Packet:
     def data(cls, src: int, dst: int, message_class: MessageClass,
              size_bytes: int = DATA_PACKET_BYTES) -> "Packet":
         return cls(src=src, dst=dst, message_class=message_class, size_bytes=size_bytes)
-
-    @property
-    def is_data(self) -> bool:
-        return self.message_class.kind is PacketKind.DATA

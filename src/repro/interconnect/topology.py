@@ -34,14 +34,6 @@ class Topology(ABC):
         """Number of inter-socket hops between ``src`` and ``dst``."""
         return len(self.route(src, dst))
 
-    def max_hops(self) -> int:
-        """Largest hop count between any pair of sockets."""
-        return max(
-            self.hops(a, b)
-            for a in range(self.num_sockets)
-            for b in range(self.num_sockets)
-        )
-
     def links(self) -> List[Tuple[int, int]]:
         """All directed links present in the topology."""
         seen = set()

@@ -53,27 +53,11 @@ class AddressLayout:
         """Return the block *number* containing byte address ``addr``."""
         return addr // self.block_size
 
-    def block_base(self, addr: int) -> int:
-        """Return the first byte address of the block containing ``addr``."""
-        return addr - (addr % self.block_size)
-
-    def block_offset(self, addr: int) -> int:
-        """Return the byte offset of ``addr`` within its block."""
-        return addr % self.block_size
-
-    def block_to_addr(self, block: int) -> int:
-        """Return the base byte address of block number ``block``."""
-        return block * self.block_size
-
     # -- page granularity --------------------------------------------------
 
     def page_of(self, addr: int) -> int:
         """Return the page *number* containing byte address ``addr``."""
         return addr // self.page_size
-
-    def page_base(self, addr: int) -> int:
-        """Return the first byte address of the page containing ``addr``."""
-        return addr - (addr % self.page_size)
 
     def page_of_block(self, block: int) -> int:
         """Return the page number containing block number ``block``."""
@@ -88,10 +72,6 @@ class AddressLayout:
     def same_block(self, addr_a: int, addr_b: int) -> bool:
         """True if both byte addresses fall in the same cache block."""
         return self.block_of(addr_a) == self.block_of(addr_b)
-
-    def same_page(self, addr_a: int, addr_b: int) -> bool:
-        """True if both byte addresses fall in the same OS page."""
-        return self.page_of(addr_a) == self.page_of(addr_b)
 
 
 #: Layout matching the paper's Table II (64-byte blocks, 4 KiB pages).

@@ -57,9 +57,6 @@ class AllocationPolicy(ABC):
         by stateless policies.
         """
 
-    def reset(self) -> None:
-        """Forget any placement state (used between profiling runs)."""
-
 
 class InterleavePolicy(AllocationPolicy):
     """Round-robin page interleaving across sockets (policy ``INT``)."""
@@ -104,9 +101,6 @@ class FirstTouchPolicy(AllocationPolicy):
     def pin_page(self, page: int, socket: int) -> None:
         """Force the placement of ``page`` (used to model FT1 pre-touching)."""
         self._page_home[page] = socket % self.num_sockets
-
-    def reset(self) -> None:
-        self._page_home.clear()
 
 
 #: Policy names accepted by :func:`make_policy`, matching the paper's labels.
@@ -166,10 +160,6 @@ class AddressMapper:
             self._touched_pages[page] = home
         return home
 
-    def home_of_addr(self, addr: int) -> int:
-        """Return the home socket of ``addr`` without recording a touch."""
-        return self.policy.home_of_page(self.layout.page_of(addr))
-
     def home_of_block(self, block: int) -> int:
         """Return the home socket of block number ``block``."""
         page = block // self._blocks_per_page
@@ -184,14 +174,3 @@ class AddressMapper:
     def touched_pages(self) -> int:
         """Number of distinct pages touched so far."""
         return len(self._touched_pages)
-
-    def footprint_bytes(self) -> int:
-        """Total bytes of distinct pages touched so far."""
-        return len(self._touched_pages) * self.layout.page_size
-
-    def pages_per_socket(self) -> Dict[int, int]:
-        """Histogram of touched pages per home socket."""
-        histogram = {socket: 0 for socket in range(self.num_sockets)}
-        for home in self._touched_pages.values():
-            histogram[home] += 1
-        return histogram

@@ -36,7 +36,21 @@ class MemoryAccessResult:
 
 
 class MemoryChannel:
-    """A single DDR channel with busy-until bandwidth accounting."""
+    """A single DDR channel with busy-until bandwidth accounting.
+
+    An access reserves the channel for ``size / bandwidth`` ns starting no
+    earlier than its arrival, and waits while earlier transfers still hold
+    it (no wait when bandwidth is idealised as infinite).  The controller's
+    ``read_fast``/``write_fast`` apply this to the block's channel.
+
+    Trace-driven simulation presents accesses in approximately -- but not
+    exactly -- increasing time order (cores run slightly ahead of or behind
+    one another).  An access that arrives "in the past" relative to the
+    latest arrival seen so far is assumed to be slotted into an earlier idle
+    slot and is charged no queueing delay; charging it against
+    ``busy_until`` would let small ordering skew snowball into large
+    artificial queueing.
+    """
 
     def __init__(self, bandwidth_bytes_per_ns: float, *, infinite_bandwidth: bool = False) -> None:
         if bandwidth_bytes_per_ns <= 0:
@@ -45,28 +59,6 @@ class MemoryChannel:
         self.infinite_bandwidth = infinite_bandwidth
         self.busy_until = 0.0
         self.last_arrival = 0.0
-
-    def occupy(self, now: float, size_bytes: int) -> float:
-        """Reserve the channel for ``size_bytes`` starting no earlier than ``now``.
-
-        Returns the queueing delay experienced (0 when the channel is idle or
-        bandwidth is idealised as infinite).
-
-        Trace-driven simulation presents accesses in approximately -- but not
-        exactly -- increasing time order (cores run slightly ahead of or
-        behind one another).  An access that arrives "in the past" relative
-        to the latest arrival seen so far is assumed to be slotted into an
-        earlier idle slot and is charged no queueing delay; charging it
-        against ``busy_until`` would let small ordering skew snowball into
-        large artificial queueing.
-        """
-        if self.infinite_bandwidth or now < self.last_arrival:
-            return 0.0
-        self.last_arrival = now
-        start = max(now, self.busy_until)
-        queue_delay = start - now
-        self.busy_until = start + size_bytes / self.bandwidth_bytes_per_ns
-        return queue_delay
 
 
 class MemoryController:
@@ -117,7 +109,7 @@ class MemoryController:
     def read_fast(self, now: float, block: int) -> float:
         """Hot-path block read; returns just the critical-path latency (ns)."""
         channel = self.channels[block % len(self.channels)]
-        # Inlined MemoryChannel.occupy.
+        # Busy-until accounting (the MemoryChannel class docstring).
         if channel.infinite_bandwidth or now < channel.last_arrival:
             return self.latency_ns
         channel.last_arrival = now
@@ -145,7 +137,7 @@ class MemoryController:
     def write_fast(self, now: float, block: int) -> float:
         """Hot-path block write; returns just the latency (ns)."""
         channel = self.channels[block % len(self.channels)]
-        # Inlined MemoryChannel.occupy.
+        # Busy-until accounting (the MemoryChannel class docstring).
         if channel.infinite_bandwidth or now < channel.last_arrival:
             return self.latency_ns
         channel.last_arrival = now

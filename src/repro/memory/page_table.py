@@ -41,15 +41,11 @@ class PageTableEntry:
         their first touch; that touch records the toucher.
     classification:
         Current private/shared classification.
-    home_socket:
-        Home socket chosen by the NUMA allocation policy, cached here for
-        convenience once known.
     """
 
     page: int
     owner_thread: Optional[int]
     classification: PageClassification = PageClassification.PRIVATE
-    home_socket: Optional[int] = None
 
     @property
     def is_private(self) -> bool:
@@ -74,10 +70,6 @@ class PageTable:
     def lookup(self, page: int) -> Optional[PageTableEntry]:
         """Return the entry for ``page`` or ``None`` if never touched nor marked shared."""
         return self._entries.get(page)
-
-    def lookup_addr(self, addr: int) -> Optional[PageTableEntry]:
-        """Return the entry for the page containing byte address ``addr``."""
-        return self.lookup(self.layout.page_of(addr))
 
     def touch(self, page: int, thread_id: int) -> Tuple[PageTableEntry, bool]:
         """Record an access to ``page`` by ``thread_id``.
@@ -126,24 +118,6 @@ class PageTable:
                 entries[page] = PageTableEntry(page, None, shared)
             else:
                 entry.classification = shared
-
-    def classify(self, page: int) -> PageClassification:
-        """Return the classification of ``page`` (SHARED if unknown).
-
-        Treating unknown pages as shared is the conservative choice: the
-        protocol will broadcast where it did not strictly need to, which is
-        always correct.
-        """
-        entry = self._entries.get(page)
-        if entry is None:
-            return PageClassification.SHARED
-        return entry.classification
-
-    def set_home(self, page: int, socket: int) -> None:
-        """Cache the NUMA home socket of ``page`` in its entry (if present)."""
-        entry = self._entries.get(page)
-        if entry is not None:
-            entry.home_socket = socket
 
     def private_pages(self) -> int:
         """Number of pages currently classified private."""

@@ -55,9 +55,6 @@ class ServeClient:
 
     # -- endpoints -----------------------------------------------------
 
-    def healthz(self) -> Dict:
-        return self._json("/healthz")
-
     def submit(self, spec_payload: Mapping) -> Dict:
         """POST a CampaignSpec payload; returns the job descriptor."""
         body = json.dumps(dict(spec_payload)).encode("utf-8")

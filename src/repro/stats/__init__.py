@@ -3,7 +3,7 @@
 ``counters`` collects every event the simulated machine reports;
 ``amat`` decomposes them into the paper's average-memory-access-time
 argument; ``report`` renders rows/series as text or Markdown tables;
-``export`` writes them as JSON/CSV; ``store`` is the persistent
+``export`` writes them as CSV; ``store`` is the persistent
 append-only results store behind resumable campaigns (docs/campaigns.md);
 ``sampling`` is the SMARTS-style systematic-sampling machinery -- plans,
 per-metric confidence intervals and the sampled statistics extension
@@ -11,22 +11,15 @@ per-metric confidence intervals and the sampled statistics extension
 histogram shared with the workload analyzer (docs/ingestion.md).
 """
 
-from .amat import AMATBreakdown, amat_breakdown, estimate_amat
+from .amat import AMATBreakdown, amat_breakdown
 from .counters import LatencyAccumulator, SimulationStats
 from .histograms import Log2Histogram, bucket_bounds, bucket_of
-from .export import (
-    export_json,
-    export_series_csv,
-    export_table_csv,
-    flatten_series,
-    load_json,
-)
+from .export import export_series_csv, export_table_csv, flatten_series
 from .report import (
     format_markdown_table,
     format_series,
     format_table,
     geometric_mean,
-    normalise,
     series_to_markdown,
 )
 from .sampling import (
@@ -51,15 +44,11 @@ __all__ = [
     "bucket_bounds",
     "AMATBreakdown",
     "amat_breakdown",
-    "estimate_amat",
     "format_table",
     "format_series",
     "format_markdown_table",
     "series_to_markdown",
     "geometric_mean",
-    "normalise",
-    "export_json",
-    "load_json",
     "export_series_csv",
     "export_table_csv",
     "flatten_series",

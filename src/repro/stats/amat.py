@@ -15,7 +15,7 @@ from typing import Dict
 
 from .counters import SimulationStats
 
-__all__ = ["AMATBreakdown", "amat_breakdown", "estimate_amat"]
+__all__ = ["AMATBreakdown", "amat_breakdown"]
 
 
 @dataclass
@@ -53,17 +53,3 @@ def amat_breakdown(stats: SimulationStats) -> AMATBreakdown:
     return AMATBreakdown(
         amat_ns=stats.amat_ns(), total_reads=reads, fractions=fractions
     )
-
-
-def estimate_amat(
-    hit_fractions: Dict[str, float], latencies_ns: Dict[str, float]
-) -> float:
-    """Analytic AMAT from per-level hit fractions and latencies.
-
-    Used by the motivation example and by tests to sanity-check the
-    simulator's measured AMAT against a closed-form expectation.
-    """
-    missing = set(hit_fractions) - set(latencies_ns)
-    if missing:
-        raise ValueError(f"missing latencies for levels: {sorted(missing)}")
-    return sum(fraction * latencies_ns[level] for level, fraction in hit_fractions.items())

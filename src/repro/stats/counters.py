@@ -141,13 +141,6 @@ class SimulationStats:
             return 0.0
         return (self.memory_reads_remote + self.memory_writes_remote) / total
 
-    def remote_read_fraction(self) -> float:
-        """Fraction of main-memory reads served by a remote socket."""
-        reads = self.memory_reads
-        if not reads:
-            return 0.0
-        return self.memory_reads_remote / reads
-
     def l1_hit_rate(self) -> float:
         accesses = self.l1_hits + self.l1_misses
         return self.l1_hits / accesses if accesses else 0.0
@@ -169,10 +162,6 @@ class SimulationStats:
         if not self.core_finish_ns:
             return 0.0
         return max(self.core_finish_ns.values())
-
-    def off_socket_serves(self) -> int:
-        """LLC misses that had to leave the socket."""
-        return self.served_remote_memory + self.served_remote_llc + self.served_remote_dram_cache
 
     #: Scalar integer/float counters folded by :meth:`merge` (kept explicit so
     #: new counters must make a conscious choice about merge semantics).

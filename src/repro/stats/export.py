@@ -1,43 +1,24 @@
-"""Export helpers: persist experiment results as JSON or CSV.
+"""Export helpers: persist experiment results as CSV.
 
 The experiment modules return plain nested dictionaries
 (``{row: {column: value}}`` series or ``{name: value}`` tables).  These
-helpers write them to disk in formats that plotting scripts and spreadsheets
-can consume, and load them back for comparison across runs.
+helpers write them to disk in a format that plotting scripts and
+spreadsheets can consume.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
-from typing import Dict, Mapping, Union
+from typing import Mapping, Union
 
 __all__ = [
-    "export_json",
-    "load_json",
     "export_series_csv",
     "export_table_csv",
     "flatten_series",
 ]
 
 PathLike = Union[str, Path]
-
-
-def export_json(results: Mapping, path: PathLike, *, indent: int = 2) -> Path:
-    """Write ``results`` (any JSON-serialisable nested mapping) to ``path``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=indent, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def load_json(path: PathLike) -> Dict:
-    """Load a results file written by :func:`export_json`."""
-    with Path(path).open("r", encoding="utf-8") as handle:
-        return json.load(handle)
 
 
 def flatten_series(series: Mapping[str, Mapping[str, float]]) -> list:

@@ -16,7 +16,7 @@ layer without cycles.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 __all__ = ["Log2Histogram", "bucket_of", "bucket_bounds"]
 
@@ -57,10 +57,6 @@ class Log2Histogram:
         """Count one observation of ``value`` (optionally ``weight`` of them)."""
         bucket = bucket_of(value)
         self.counts[bucket] = self.counts.get(bucket, 0) + weight
-
-    def add_all(self, values: Iterable[int]) -> None:
-        for value in values:
-            self.add(value)
 
     def merge(self, other: "Log2Histogram") -> None:
         """Fold ``other``'s counts into this histogram."""

@@ -7,7 +7,7 @@ plus GitHub-flavoured Markdown equivalents, no external dependencies).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, List, Mapping, Optional, Sequence
 
 __all__ = [
     "format_table",
@@ -15,7 +15,6 @@ __all__ = [
     "format_markdown_table",
     "series_to_markdown",
     "geometric_mean",
-    "normalise",
 ]
 
 
@@ -120,11 +119,3 @@ def geometric_mean(values: Iterable[float]) -> float:
     if not usable:
         return 0.0
     return math.exp(sum(math.log(value) for value in usable) / len(usable))
-
-
-def normalise(values: Dict[str, float], baseline_key: str) -> Dict[str, float]:
-    """Divide every value by the baseline entry (baseline maps to 1.0)."""
-    baseline = values[baseline_key]
-    if baseline == 0:
-        raise ZeroDivisionError(f"baseline entry {baseline_key!r} is zero")
-    return {key: value / baseline for key, value in values.items()}

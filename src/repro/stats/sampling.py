@@ -38,8 +38,6 @@ __all__ = [
     "SampledSimulationStats",
     "WindowSample",
     "snapshot_counters",
-    "delta_counters",
-    "mean_and_half_width",
     "ratio_estimate",
     "t_critical",
     "SAMPLED_METRICS",
@@ -259,21 +257,6 @@ class SamplingPlan:
             seed=payload.get("seed"),
         )
 
-    def to_spec(self) -> str:
-        """Compact ``key=value`` spec string (the CLI/campaign format)."""
-        parts = [
-            f"units={self.num_units}",
-            f"detail={self.detail}",
-            f"warmup={self.warmup}",
-        ]
-        if self.confidence != 0.95:
-            parts.append(f"confidence={self.confidence}")
-        if self.bias_floor != 0.02:
-            parts.append(f"bias_floor={self.bias_floor}")
-        if self.seed is not None:
-            parts.append(f"seed={self.seed}")
-        return ",".join(parts)
-
     @classmethod
     def from_spec(cls, spec: str) -> "SamplingPlan":
         """Parse a ``units=8,detail=150,warmup=100`` spec string.
@@ -345,11 +328,6 @@ def snapshot_counters(stats: SimulationStats) -> WindowSample:
     return sample
 
 
-def delta_counters(before: WindowSample, after: WindowSample) -> WindowSample:
-    """Per-window counter deltas between two snapshots."""
-    return {name: after[name] - before[name] for name in after}
-
-
 # ----------------------------------------------------------------------
 # Window outcomes: one measured window's counters, position-independent
 # ----------------------------------------------------------------------
@@ -413,24 +391,6 @@ def merge_window_outcomes(
 # ----------------------------------------------------------------------
 # Estimators
 # ----------------------------------------------------------------------
-
-
-def mean_and_half_width(
-    values: Sequence[float], confidence: float = 0.95
-) -> Tuple[float, float]:
-    """Sample mean and t-interval half-width of ``values``.
-
-    Requires at least two observations (one observation has no variance
-    estimate).  The half-width is ``t * s / sqrt(n)`` with ``s`` the sample
-    standard deviation.
-    """
-    n = len(values)
-    if n < 2:
-        raise ValueError("need at least 2 observations for a confidence interval")
-    mean = sum(values) / n
-    variance = sum((v - mean) ** 2 for v in values) / (n - 1)
-    half = t_critical(confidence, n - 1) * math.sqrt(variance / n)
-    return mean, half
 
 
 def ratio_estimate(

@@ -29,13 +29,6 @@ in-memory index at a time (built once per open), so a ``get`` touches 1/16
 of the store and :meth:`ResultsStore.known_keys` answers *is this point
 done?* from a raw key scan without parsing any record body.
 
-Stores written before the sharded layout -- a bare ``results.jsonl`` in the
-directory -- open **read-only** through a compatibility path: every lookup
-works, but :meth:`ResultsStore.put` raises :class:`LegacyStoreError` until
-``repro store migrate`` converts the store in place (atomically, preserving
-every record line byte for byte -- keys and bodies are unchanged, only the
-file they live in moves).
-
 Statistics round-trip bit-identically (``SimulationStats.to_json_dict``),
 so results loaded from the store compare equal to freshly simulated ones.
 ``docs/campaigns.md`` documents the record format and the hash-key
@@ -46,13 +39,13 @@ and ``tests/engines/test_store_keys.py`` pins representative keys
 byte-for-byte.
 
 The store is also *verifiable and repairable* (docs/robustness.md): every
-appended line carries a checksum over its canonical JSON body, loading
-counts (and warns about) corrupt/torn lines instead of silently dropping
-them (:attr:`ResultsStore.corrupt_records`), :meth:`ResultsStore.verify`
-locates corrupt, torn and duplicate records without touching the files, and
-:meth:`ResultsStore.compact` rewrites each shard to a clean, fully
-checksummed file (atomic replace, fsync'd, last-wins preserved), legacy
-single-file stores included.  Quarantined sweep points live next to the results in a
+appended line carries a checksum over its canonical JSON body (a line
+without one is corrupt), loading counts (and warns about) corrupt/torn lines
+instead of silently dropping them (:attr:`ResultsStore.corrupt_records`),
+:meth:`ResultsStore.verify` locates corrupt, torn and duplicate records
+without touching the files, and :meth:`ResultsStore.compact` rewrites each
+shard to a clean, fully checksummed file (atomic replace, fsync'd, last-wins
+preserved).  Quarantined sweep points live next to the results in a
 ``failures.jsonl`` sidecar (:class:`FailureLog`), one JSON record per
 failed point with its key, payload, attempt count and captured traceback.
 """
@@ -78,7 +71,6 @@ __all__ = [
     "STORE_SCHEMA_VERSION",
     "STORE_LAYOUT",
     "NUM_SHARDS",
-    "LegacyStoreError",
     "MissingRunError",
     "StoreCorruptionWarning",
     "StoredRun",
@@ -88,7 +80,6 @@ __all__ = [
     "StoreIssue",
     "StoreVerifyReport",
     "StoreRepairReport",
-    "StoreMigrateReport",
     "shard_of",
     "content_key",
     "main",
@@ -101,14 +92,10 @@ PathLike = Union[str, Path]
 #: bump invalidates the whole store without touching any file).
 STORE_SCHEMA_VERSION = 1
 
-#: File name of the legacy (pre-shard) single-file record log.
-RESULTS_FILE = "results.jsonl"
-
 #: File name of the poison-point quarantine sidecar (docs/robustness.md).
 FAILURES_FILE = "failures.jsonl"
 
-#: Meta file marking a sharded store directory (its presence is the commit
-#: point of ``repro store migrate``).
+#: Meta file marking a store directory.
 META_FILE = "store.json"
 
 #: Directory of per-prefix shard files inside a sharded store.
@@ -139,18 +126,6 @@ class StoreCorruptionWarning(UserWarning):
     """Corrupt or torn record lines were skipped while loading a store."""
 
 
-class LegacyStoreError(RuntimeError):
-    """A write was attempted on a read-only legacy single-file store."""
-
-    def __init__(self, directory: Path) -> None:
-        super().__init__(
-            f"store {directory} uses the legacy single-file layout "
-            f"({RESULTS_FILE}) and opens read-only; convert it with "
-            f"`repro store migrate --store {directory}` (atomic, in place, "
-            f"record bytes unchanged -- docs/serving.md)"
-        )
-
-
 def _canonical(payload: Mapping) -> str:
     """The canonical JSON form (sorted keys, no whitespace) of a payload."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -162,21 +137,22 @@ def _checksum(body: str) -> str:
 
 
 class _ChecksumMismatch(ValueError):
-    """A record line parsed as JSON but its bytes were altered."""
+    """A record line parsed as JSON but lacks its checksum or fails it."""
 
 
 def _decode_record_payload(line: str) -> Dict:
     """Parse one record line into its payload dict, validating the checksum.
 
     Raises ``ValueError`` (including :class:`_ChecksumMismatch`) on any
-    corruption.  Records written before the checksum existed (no ``check``
-    field) are accepted as-is.
+    corruption, a line without a ``check`` field included.
     """
     payload = json.loads(line)
     if not isinstance(payload, dict):
         raise ValueError("record line is not a JSON object")
     check = payload.pop("check", None)
-    if check is not None and _checksum(_canonical(payload)) != check:
+    if check is None:
+        raise _ChecksumMismatch("record line has no checksum")
+    if _checksum(_canonical(payload)) != check:
         raise _ChecksumMismatch("checksum mismatch (record bytes were altered)")
     return payload
 
@@ -324,10 +300,8 @@ class StoredRun:
 class ResultsStore:
     """Sharded, append-only JSONL store of :class:`StoredRun` records.
 
-    ``ResultsStore(path)`` opens (or lazily creates) the store directory.
-    New stores use the sharded layout (module docstring); a directory
-    holding a bare legacy ``results.jsonl`` opens read-only through the
-    compatibility path until :meth:`migrate` converts it.
+    ``ResultsStore(path)`` opens (or lazily creates) the store directory
+    (layout in the module docstring).
 
     Lookups are served from per-shard in-memory indexes built on first
     access to each shard; :meth:`put` appends one line under the shard's
@@ -340,9 +314,7 @@ class ResultsStore:
 
     def __init__(self, path: PathLike) -> None:
         self.directory = Path(path)
-        #: Lazily resolved layout: ``"sharded"`` or ``"legacy"``.
-        self._layout: Optional[str] = None
-        #: Per-shard parsed indexes (legacy stores use the single key "").
+        #: Per-shard parsed indexes.
         self._shard_index: Dict[str, Dict[str, StoredRun]] = {}
         #: Lookup accounting for cache-hit reporting (`repro campaign`/CI).
         self.hits = 0
@@ -359,11 +331,6 @@ class ResultsStore:
     # ------------------------------------------------------------------
 
     @property
-    def results_path(self) -> Path:
-        """The *legacy* single-file record log (compatibility reads only)."""
-        return self.directory / RESULTS_FILE
-
-    @property
     def meta_path(self) -> Path:
         return self.directory / META_FILE
 
@@ -371,26 +338,8 @@ class ResultsStore:
     def shards_path(self) -> Path:
         return self.directory / SHARDS_DIR
 
-    @property
-    def layout(self) -> str:
-        """``"sharded"`` (the native layout) or ``"legacy"`` (read-only).
-
-        A directory containing ``store.json`` is sharded; one containing
-        only a bare ``results.jsonl`` is legacy.  A fresh/empty directory
-        becomes sharded on first write.  The meta file wins when both exist
-        (a migration that crashed after its commit point).
-        """
-        if self._layout is None:
-            if self.meta_path.exists():
-                self._layout = "sharded"
-            elif self.results_path.exists():
-                self._layout = "legacy"
-            else:
-                self._layout = "sharded"
-        return self._layout
-
     def shard_path(self, key: str) -> Path:
-        """The shard file holding ``key`` (sharded layout)."""
+        """The shard file holding ``key``."""
         return self.shards_path / f"{shard_of(key)}.jsonl"
 
     def _shard_file(self, name: str) -> Path:
@@ -405,16 +354,8 @@ class ResultsStore:
             return []
         return sorted(self.shards_path.glob("*.jsonl"))
 
-    def _data_files(self) -> List[Path]:
-        """Every record file of the store, in deterministic order."""
-        if self.layout == "legacy":
-            return [self.results_path] if self.results_path.exists() else []
-        return self.shard_paths()
-
     def _ensure_sharded(self) -> None:
         """Create the directory skeleton + meta file of a writable store."""
-        if self.layout == "legacy":
-            raise LegacyStoreError(self.directory)
         self.shards_path.mkdir(parents=True, exist_ok=True)
         if not self.meta_path.exists():
             self._write_meta()
@@ -481,23 +422,17 @@ class ResultsStore:
             )
         return index
 
-    def _shard_of_key(self, key: str) -> str:
-        return "" if self.layout == "legacy" else shard_of(key)
-
     def _index_for(self, shard: str) -> Dict[str, StoredRun]:
-        """The parsed index of one shard (``""`` = the legacy file)."""
+        """The parsed index of one shard."""
         index = self._shard_index.get(shard)
         if index is None:
-            path = self.results_path if shard == "" else self._shard_file(shard)
-            index = self._load_file(path)
+            index = self._load_file(self._shard_file(shard))
             self._shard_index[shard] = index
         return index
 
     def _load_all(self) -> Dict[str, StoredRun]:
         """Every shard's index folded into one mapping (loads all shards)."""
         merged: Dict[str, StoredRun] = {}
-        if self.layout == "legacy":
-            return dict(self._index_for(""))
         for path in self.shard_paths():
             merged.update(self._index_for(path.stem))
         return merged
@@ -505,7 +440,6 @@ class ResultsStore:
     def reload(self) -> None:
         """Drop the in-memory indexes; the next lookup re-reads the files."""
         self._shard_index = {}
-        self._layout = None
         self.corrupt_records = 0
         self.corrupt_locations = []
 
@@ -519,7 +453,7 @@ class ResultsStore:
         Only the shard holding ``key`` is read and indexed, so a lookup
         touches ~1/16 of a sharded store.
         """
-        record = self._index_for(self._shard_of_key(key)).get(key)
+        record = self._index_for(shard_of(key)).get(key)
         if record is None:
             self.misses += 1
         else:
@@ -527,7 +461,7 @@ class ResultsStore:
         return record
 
     def __contains__(self, key: str) -> bool:
-        return key in self._index_for(self._shard_of_key(key))
+        return key in self._index_for(shard_of(key))
 
     def __len__(self) -> int:
         return len(self._load_all())
@@ -540,9 +474,6 @@ class ResultsStore:
 
         Shards are indexed (and cached) one at a time, in shard order.
         """
-        if self.layout == "legacy":
-            yield from self._index_for("").values()
-            return
         for path in self.shard_paths():
             yield from self._index_for(path.stem).values()
 
@@ -557,10 +488,9 @@ class ResultsStore:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StoreCorruptionWarning)
             scratch = ResultsStore(self.directory)
-            for path in scratch._data_files():
-                shard = "" if scratch.layout == "legacy" else path.stem
-                yield from scratch._index_for(shard).values()
-                scratch._shard_index.pop(shard, None)
+            for path in scratch.shard_paths():
+                yield from scratch._index_for(path.stem).values()
+                scratch._shard_index.pop(path.stem, None)
 
     def known_keys(self) -> Set[str]:
         """Every key present in the store, from a raw scan -- no body parse.
@@ -574,7 +504,7 @@ class ResultsStore:
         pins that.
         """
         keys: Set[str] = set()
-        for path in self._data_files():
+        for path in self.shard_paths():
             try:
                 with path.open("r", encoding="utf-8", errors="replace") as handle:
                     for line in handle:
@@ -606,8 +536,7 @@ class ResultsStore:
         """Append ``record`` to its shard and index it (durable immediately).
 
         The append holds the shard's advisory writer lock, so concurrent
-        writer processes interleave whole lines, never bytes.  Raises
-        :class:`LegacyStoreError` on a read-only legacy store.
+        writer processes interleave whole lines, never bytes.
         """
         self._ensure_sharded()
         shard = shard_of(record.key)
@@ -635,12 +564,8 @@ class ResultsStore:
         Returns how many stored results were removed.
         """
         removed = len(self._load_all())
-        if self.layout == "legacy":
-            if self.results_path.exists():
-                self.results_path.unlink()
-        else:
-            for path in self.shard_paths():
-                path.unlink()
+        for path in self.shard_paths():
+            path.unlink()
         self.failure_log.clear()
         self._shard_index = {}
         self.hits = 0
@@ -666,7 +591,7 @@ class ResultsStore:
         return self._failure_log
 
     # ------------------------------------------------------------------
-    # Integrity: verify, compact, migrate
+    # Integrity: verify, compact
     # ------------------------------------------------------------------
 
     def _scan_file(
@@ -687,10 +612,7 @@ class ResultsStore:
                 continue
             report.total_lines += 1
             try:
-                payload = _decode_record_payload(line)
-                if '"check":' not in line:
-                    report.unchecksummed += 1
-                record = StoredRun.from_json_dict(payload)
+                record = StoredRun.from_json_dict(_decode_record_payload(line))
             except (ValueError, KeyError, TypeError) as exc:
                 if lineno == len(lines) and not ends_with_newline:
                     kind = "torn"       # an interrupted writer's final line
@@ -713,7 +635,7 @@ class ResultsStore:
         report = StoreVerifyReport(path=self.directory)
         key_counts: Dict[str, int] = {}
         per_file: Dict[Path, Dict[str, StoredRun]] = {}
-        for path in self._data_files():
+        for path in self.shard_paths():
             per_file[path] = self._scan_file(path, report, key_counts)
         report.files = len(per_file)
         report.unique_keys = len(key_counts)
@@ -754,14 +676,10 @@ class ResultsStore:
         Per file (shard by shard, each under its writer lock), every
         salvageable record is rewritten in file order with duplicates
         collapsed to their last occurrence (exactly the last-wins view
-        reads already had), corrupt/torn lines are dropped, and legacy
-        records gain checksums.  Each file is written to a temp path,
-        fsync'd and atomically renamed, so a crash mid-compaction leaves
-        every shard either old or new -- never a mix.
-
-        Works on both layouts; on a legacy store it compacts the single
-        file in place without converting the layout -- use :meth:`migrate`
-        for that.
+        reads already had) and corrupt/torn lines are dropped.  Each file
+        is written to a temp path, fsync'd and atomically renamed, so a
+        crash mid-compaction leaves every shard either old or new -- never
+        a mix.
         """
         report, per_file = self._scan()
         out = StoreRepairReport(
@@ -773,78 +691,12 @@ class ResultsStore:
         )
         for path, records in per_file.items():
             out.kept += len(records)
-            if self.layout == "legacy":
+            with _file_lock(self._shard_lock(path.stem)):
                 self._rewrite_file(path, records)
-            else:
-                with _file_lock(self._shard_lock(path.stem)):
-                    self._rewrite_file(path, records)
         self._shard_index = {}      # the next lookup re-reads the clean files
         self.corrupt_records = 0
         self.corrupt_locations = []
         return out
-
-    def migrate(self) -> "StoreMigrateReport":
-        """Convert a legacy single-file store to the sharded layout, in place.
-
-        Every *valid* record line of ``results.jsonl`` is copied to its
-        shard file **byte for byte** (keys, bodies and duplicate order all
-        preserved -- a migrated store serves bit-identical records);
-        corrupt/torn lines are dropped and counted.  The shard tree is
-        built under a temp name, fsync'd, renamed into place, and the
-        ``store.json`` meta file is the atomic commit point: a crash
-        leaves either a fully legacy or a fully sharded store.  Idempotent
-        on an already-sharded store (it only clears a leftover legacy
-        file).
-        """
-        report = StoreMigrateReport(path=self.directory)
-        if self.layout == "sharded":
-            # Already converted (or a migration crashed after its commit
-            # point): just clear any stale legacy remnant.
-            if self.results_path.exists():
-                self.results_path.unlink()
-                report.removed_legacy = True
-            return report
-
-        buckets: Dict[str, List[str]] = {}
-        text = self.results_path.read_text(encoding="utf-8", errors="replace")
-        lines = text.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        for line in lines:
-            if not line.strip():
-                continue
-            try:
-                payload = _decode_record_payload(line)
-                key = payload["key"]
-            except (ValueError, KeyError, TypeError):
-                report.dropped_corrupt += 1
-                continue
-            buckets.setdefault(shard_of(str(key)), []).append(line)
-            report.migrated += 1
-
-        tmp_dir = self.directory / (SHARDS_DIR + ".tmp")
-        if tmp_dir.exists():        # leftovers of an interrupted migration
-            for stale in tmp_dir.iterdir():
-                stale.unlink()
-            tmp_dir.rmdir()
-        tmp_dir.mkdir(parents=True)
-        for shard, shard_lines in sorted(buckets.items()):
-            shard_file = tmp_dir / f"{shard}.jsonl"
-            with shard_file.open("w", encoding="utf-8") as handle:
-                handle.write("\n".join(shard_lines) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-        if self.shards_path.exists():   # stale tree from a pre-commit crash
-            for stale in self.shards_path.iterdir():
-                stale.unlink()
-            self.shards_path.rmdir()
-        os.rename(tmp_dir, self.shards_path)
-        self._write_meta()              # commit point: layout flips here
-        self.results_path.unlink()
-        report.removed_legacy = True
-        report.shards = len(buckets)
-        self.reload()
-        return report
 
 
 # ----------------------------------------------------------------------
@@ -861,7 +713,7 @@ class StoreIssue:
     #: still parse) or ``unparsable`` (anything else).
     kind: str
     detail: str
-    #: The record file the line lives in (a shard file, or the legacy log).
+    #: The shard file the line lives in.
     path: Optional[Path] = None
 
 
@@ -870,13 +722,11 @@ class StoreVerifyReport:
     """What :meth:`ResultsStore.verify` found in one scan of the store."""
 
     path: Path
-    #: Record files scanned (shard files, or 1 for a legacy store).
+    #: Shard files scanned.
     files: int = 0
     total_lines: int = 0
     valid_records: int = 0
     unique_keys: int = 0
-    #: Legacy records written before per-record checksums existed.
-    unchecksummed: int = 0
     issues: List[StoreIssue] = field(default_factory=list)
     #: ``key -> occurrence count`` for keys appearing more than once.
     duplicate_keys: Dict[str, int] = field(default_factory=dict)
@@ -895,7 +745,6 @@ class StoreVerifyReport:
             "total_lines": self.total_lines,
             "valid_records": self.valid_records,
             "unique_keys": self.unique_keys,
-            "unchecksummed": self.unchecksummed,
             "duplicate_keys": dict(self.duplicate_keys),
             "issues": [
                 {"file": str(issue.path) if issue.path else None,
@@ -920,11 +769,6 @@ class StoreVerifyReport:
             lines.append(
                 f"  {len(self.duplicate_keys)} duplicated key(s) "
                 f"(last record wins): {duplicates}"
-            )
-        if self.unchecksummed:
-            lines.append(
-                f"  {self.unchecksummed} legacy record(s) without a checksum "
-                f"(compact adds them)"
             )
         for issue in self.issues:
             where = f"{issue.path.name}:" if issue.path is not None else "line "
@@ -959,39 +803,6 @@ class StoreRepairReport:
             f"repaired {self.path}: kept {self.kept} record(s), dropped "
             f"{self.dropped_corrupt} corrupt/torn line(s), collapsed "
             f"{self.collapsed_duplicates} duplicate(s)"
-        )
-
-
-@dataclass
-class StoreMigrateReport:
-    """What :meth:`ResultsStore.migrate` converted."""
-
-    path: Path
-    #: Record lines copied byte-identically into shard files.
-    migrated: int = 0
-    dropped_corrupt: int = 0
-    shards: int = 0
-    removed_legacy: bool = False
-
-    def to_json_dict(self) -> Dict:
-        return {
-            "path": str(self.path),
-            "migrated": self.migrated,
-            "dropped_corrupt": self.dropped_corrupt,
-            "shards": self.shards,
-            "removed_legacy": self.removed_legacy,
-        }
-
-    def format(self) -> str:
-        if self.migrated == 0 and not self.dropped_corrupt and not self.shards:
-            state = "already sharded"
-            if self.removed_legacy:
-                state += " (removed stale legacy file)"
-            return f"store {self.path}: {state}"
-        return (
-            f"migrated {self.path}: {self.migrated} record line(s) "
-            f"byte-identical into {self.shards} shard(s), dropped "
-            f"{self.dropped_corrupt} corrupt/torn line(s)"
         )
 
 
@@ -1060,7 +871,9 @@ class FailureLog:
         if not self.path.exists():
             return []
         records = []
-        with self.path.open("r", encoding="utf-8") as handle:
+        # errors="replace", as in keys(): an invalid UTF-8 byte must not
+        # abort the read; a line it leaves unparsable is skipped below.
+        with self.path.open("r", encoding="utf-8", errors="replace") as handle:
             for line in handle:
                 line = line.strip()
                 if not line:
@@ -1095,7 +908,7 @@ class FailureLog:
 
 
 # ----------------------------------------------------------------------
-# CLI (`repro store verify|compact|migrate --store PATH`)
+# CLI (`repro store verify|compact --store PATH`)
 # ----------------------------------------------------------------------
 
 
@@ -1106,7 +919,7 @@ def build_parser():
 
     parser = argparse.ArgumentParser(
         prog="repro store",
-        description="Verify, compact or migrate a results store "
+        description="Verify or compact a results store "
                     "(docs/robustness.md, docs/serving.md).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -1114,8 +927,6 @@ def build_parser():
         ("verify", "scan for corrupt/torn/duplicate records (read-only)"),
         ("compact", "rewrite every shard to a clean, checksummed file "
                     "(atomic per shard)"),
-        ("migrate", "convert a legacy single-file store to the sharded "
-                    "layout, in place, record bytes unchanged"),
     ):
         sub.add_parser(name, help=text, parents=[store_options()])
     return parser
@@ -1139,11 +950,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if report.clean else 1
     if args.command == "compact":
         emit(store.compact())
-        after = store.verify()
-        emit(after)
-        return 0 if after.clean else 1
-    if args.command == "migrate":
-        emit(store.migrate())
         after = store.verify()
         emit(after)
         return 0 if after.clean else 1

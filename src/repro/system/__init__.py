@@ -11,7 +11,7 @@ from .config import (
     SystemConfig,
     cycles_to_ns,
 )
-from .numa_system import PROTOCOL_REGISTRY, NumaSystem, build_system
+from .numa_system import PROTOCOL_REGISTRY, NumaSystem
 from .simulator import SimulationResult, Simulator
 from .socket import Socket
 
@@ -27,7 +27,6 @@ __all__ = [
     "PROTOCOL_REGISTRY",
     "cycles_to_ns",
     "NumaSystem",
-    "build_system",
     "Socket",
     "Simulator",
     "SimulationResult",

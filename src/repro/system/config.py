@@ -208,10 +208,6 @@ class SystemConfig:
             dram_cache=self.dram_cache.scaled(factor),
         )
 
-    def with_protocol(self, protocol: str, **overrides) -> "SystemConfig":
-        """Return a copy running a different coherence design."""
-        return replace(self, protocol=protocol, **overrides)
-
     def with_idealisation(
         self,
         *,

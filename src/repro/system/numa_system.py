@@ -42,7 +42,7 @@ from ..stats.counters import SimulationStats
 from .config import SystemConfig
 from .socket import Socket
 
-__all__ = ["NumaSystem", "PROTOCOL_REGISTRY", "build_system"]
+__all__ = ["NumaSystem", "PROTOCOL_REGISTRY"]
 
 
 #: Mapping from the paper's design names to protocol classes.
@@ -328,8 +328,3 @@ class NumaSystem:
                     f"{block:#x}, but the L1s of cores {cores} hold it"
                 )
         return violations
-
-
-def build_system(config: SystemConfig) -> NumaSystem:
-    """Convenience constructor mirroring the public API used in the examples."""
-    return NumaSystem(config)

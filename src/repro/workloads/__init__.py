@@ -42,12 +42,11 @@ from .scenario import (
     build_workload,
     get_scenario,
     load_scenario,
-    scenario_names,
 )
 from .importers import IMPORTERS, ImportSummary, import_trace, importer_names
 from .spec_suite import SPEC_SPECS
 from .synthetic import REGION_NAMES, SyntheticWorkload, WorkloadSpec
-from .trace import MemoryAccess, materialise
+from .trace import MemoryAccess
 from .trace_io import (
     TRACE_FORMATS,
     TraceDirWorkload,
@@ -60,7 +59,6 @@ from .trace_io import (
 
 __all__ = [
     "MemoryAccess",
-    "materialise",
     "CompiledTrace",
     "compile_trace",
     "TRACE_FORMATS",
@@ -84,7 +82,6 @@ __all__ = [
     "ScenarioEntry",
     "ScenarioWorkload",
     "SCENARIO_SPECS",
-    "scenario_names",
     "get_scenario",
     "load_scenario",
     "build_scenario_workload",

@@ -57,7 +57,6 @@ __all__ = [
     "Scenario",
     "ScenarioWorkload",
     "SCENARIO_SPECS",
-    "scenario_names",
     "get_scenario",
     "load_scenario",
     "build_scenario_workload",
@@ -537,11 +536,6 @@ SCENARIO_SPECS: Dict[str, Scenario] = {
         ),
     )
 }
-
-
-def scenario_names() -> List[str]:
-    """Names of the built-in scenarios, in registry order."""
-    return list(SCENARIO_SPECS)
 
 
 def get_scenario(name_or_path: Union[str, Path]) -> Scenario:

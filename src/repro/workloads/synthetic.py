@@ -358,12 +358,6 @@ class SyntheticWorkload:
             layout=self.layout,
         )
 
-    def with_accesses(self, accesses_per_thread: int) -> "SyntheticWorkload":
-        """Return a copy generating a different trace length."""
-        return SyntheticWorkload(
-            self.spec, accesses_per_thread=accesses_per_thread, layout=self.layout
-        )
-
     def with_threads(self, num_threads: int) -> "SyntheticWorkload":
         """Return a copy with a different thread count (e.g. for 2-socket runs)."""
         return SyntheticWorkload(

@@ -12,9 +12,8 @@ three fields as flat columns instead (:mod:`repro.workloads.compiled`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List
 
-__all__ = ["MemoryAccess", "materialise"]
+__all__ = ["MemoryAccess"]
 
 
 @dataclass(frozen=True)
@@ -35,22 +34,3 @@ class MemoryAccess:
     addr: int
     is_write: bool = False
     gap: int = 0
-
-
-def materialise(stream: Iterable[MemoryAccess], limit: int = None) -> List[MemoryAccess]:
-    """Collect (a prefix of) a trace stream into a list, mainly for tests.
-
-    Parameters
-    ----------
-    stream:
-        Any iterable of :class:`MemoryAccess`.
-    limit:
-        Stop after this many records (``None`` collects the whole stream --
-        beware of long traces).
-    """
-    out: List[MemoryAccess] = []
-    for i, access in enumerate(stream):
-        if limit is not None and i >= limit:
-            break
-        out.append(access)
-    return out

@@ -8,6 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from repro.caches.dram_cache import DRAMCache
 from repro.caches.miss_predictor import RegionMissPredictor
 
+from ..conftest import predicts_miss
+
 
 def make_cache(size=1024, clean=True, predictor=False):
     mp = RegionMissPredictor(entries=16, region_size=256) if predictor else None
@@ -245,7 +247,8 @@ def test_shared_fill_equals_a_replayed_fill(associativity):
     assert cache_state(shared) == cache_state(replayed) == cache_state(source)
     # The fill displaced lines, and predictor regions with their presence bits.
     assert shared.occupancy() < sum(len(blocks) for blocks in fill)
-    assert shared.miss_predictor.tracked_blocks() < shared.occupancy()
+    presence_bits = sum(bin(bits).count("1") for bits in shared.miss_predictor._table.values())
+    assert presence_bits < shared.occupancy()
     with pytest.raises(ValueError):
         shared.share_fill(source)  # no longer empty
     with pytest.raises(ValueError):
@@ -300,5 +303,5 @@ def test_predictor_and_cache_agree_on_absence(ops):
         else:
             cache.insert(block)
     for block, _ in ops:
-        if predictor.predicts_miss(block):
+        if predicts_miss(predictor, block):
             assert not cache.contains(block)

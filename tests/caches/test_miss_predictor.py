@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.caches.miss_predictor import RegionMissPredictor
 
+from ..conftest import predicts_miss
+
 
 def make_predictor(entries=8, region_size=256):
     # region_size=256 -> 4 blocks per region with 64-byte blocks.
@@ -12,63 +14,63 @@ def make_predictor(entries=8, region_size=256):
 
 def test_untracked_region_predicts_miss():
     predictor = make_predictor()
-    assert predictor.predicts_miss(0)
-    assert predictor.tracked_regions() == 0  # a lookup allocates nothing
+    assert predicts_miss(predictor, 0)
+    assert not predictor._table  # a lookup allocates nothing
 
 
 def test_inserted_block_predicts_present():
     predictor = make_predictor()
     predictor.note_insert(5)
-    assert not predictor.predicts_miss(5)
+    assert not predicts_miss(predictor, 5)
 
 
 def test_sibling_block_in_same_region_still_predicts_miss():
     predictor = make_predictor()
     predictor.note_insert(4)       # region 1 (blocks 4-7)
-    assert not predictor.predicts_miss(4)
-    assert predictor.predicts_miss(5)
+    assert not predicts_miss(predictor, 4)
+    assert predicts_miss(predictor, 5)
 
 
 def test_evicted_block_predicts_miss_again():
     predictor = make_predictor()
     predictor.note_insert(5)
     predictor.note_evict(5)
-    assert predictor.predicts_miss(5)
+    assert predicts_miss(predictor, 5)
 
 
 def test_evict_of_untracked_block_is_noop():
     predictor = make_predictor()
     predictor.note_evict(99)
-    assert predictor.tracked_regions() == 0
+    assert not predictor._table
 
 
 def test_region_displacement_is_lru():
     predictor = make_predictor(entries=2)
     predictor.note_insert(0)    # region 0
     predictor.note_insert(4)    # region 1
-    predictor.predicts_miss(1)  # touches region 0 (makes region 1 the LRU)
+    predicts_miss(predictor, 1)  # touches region 0 (makes region 1 the LRU)
     predictor.note_insert(8)    # region 2 displaces region 1
     assert list(predictor._table) == [0, 2]
     # Region 1's presence information is lost: block 4 now predicts miss.
-    assert predictor.predicts_miss(4)
+    assert predicts_miss(predictor, 4)
     # Region 0 survived.
-    assert not predictor.predicts_miss(0)
+    assert not predicts_miss(predictor, 0)
 
 
 def test_region_geometry():
     predictor = make_predictor(region_size=256)
-    assert predictor.region_of_block(0) == 0
-    assert predictor.region_of_block(3) == 0
-    assert predictor.region_of_block(4) == 1
+    for block in (0, 3, 4):
+        predictor.note_insert(block)
+    # Blocks 0-3 share region 0 (one presence bit each); block 4 opens region 1.
+    assert list(predictor._table.items()) == [(0, 0b1001), (1, 0b0001)]
 
 
 def test_counters_and_coverage():
     predictor = make_predictor()
     predictor.note_insert(0)
-    assert not predictor.predicts_miss(0)
-    assert predictor.predicts_miss(100)  # untracked region
-    assert predictor.tracked_regions() == 1
-    assert predictor.tracked_blocks() == 1
+    assert not predicts_miss(predictor, 0)
+    assert predicts_miss(predictor, 100)  # untracked region
+    assert list(predictor._table.items()) == [(0, 0b1)]  # one region, one bit
 
 
 def test_invalid_parameters():
@@ -95,4 +97,4 @@ def test_predictor_tracks_residency_exactly_without_displacement(ops):
             predictor.note_insert(block)
             resident.add(block)
     for block in range(64):
-        assert predictor.predicts_miss(block) == (block not in resident)
+        assert predicts_miss(predictor, block) == (block not in resident)

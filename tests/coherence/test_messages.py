@@ -1,17 +1,6 @@
-"""Tests for the coherence vocabulary and protocol metadata."""
-
-from repro.coherence.messages import ServiceSource
+"""Tests for the protocol metadata."""
 
 from ..conftest import tiny_system
-
-
-def test_service_source_classification():
-    assert ServiceSource.REMOTE_MEMORY.is_off_socket
-    assert ServiceSource.REMOTE_DRAM_CACHE.is_off_socket
-    assert not ServiceSource.LOCAL_DRAM_CACHE.is_off_socket
-    assert ServiceSource.LOCAL_MEMORY.is_memory
-    assert ServiceSource.REMOTE_MEMORY.is_memory
-    assert not ServiceSource.LLC.is_memory
 
 
 def test_protocol_describe_strings():

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.caches.dram_cache import DRAMCache
+from repro.caches.miss_predictor import RegionMissPredictor
 from repro.system.config import (
     CacheConfig,
     DirectoryConfig,
@@ -87,6 +89,14 @@ def block_homed_at(system: NumaSystem, home: int, index: int = 0) -> int:
     blocks_per_page = layout.blocks_per_page()
     page = home + index * system.num_sockets
     return page * blocks_per_page
+
+
+def predicts_miss(predictor: RegionMissPredictor, block: int) -> bool:
+    """The miss predictor's answer for ``block``, read through
+    :meth:`DRAMCache.probe`, the lookup the simulator runs: with no line
+    resident, a probe accesses the array only for a block predicted present
+    (and, like any probe, makes a tracked region the most recently used)."""
+    return not DRAMCache(64 * 64, miss_predictor=predictor).probe(block).array_accessed
 
 
 def read(system: NumaSystem, socket_id: int, block: int, *, core: int = 0, now: float = 0.0):

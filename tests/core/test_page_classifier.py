@@ -12,7 +12,7 @@ PAGE_BYTES = 4096
 def test_first_access_marks_page_private():
     classifier = PrivateSharedClassifier()
     classifier.record_access(thread_id=1, addr=0)
-    assert classifier.classification_of_block(0) is PageClassification.PRIVATE
+    assert classifier.page_table.lookup(0).classification is PageClassification.PRIVATE
     assert classifier.write_is_private(thread_id=1, block=0)
 
 
@@ -25,7 +25,7 @@ def test_access_by_second_thread_reclassifies():
     classifier = PrivateSharedClassifier()
     classifier.record_access(thread_id=1, addr=0)
     classifier.record_access(thread_id=2, addr=64)
-    assert classifier.classification_of_block(0) is PageClassification.SHARED
+    assert classifier.page_table.lookup(0).classification is PageClassification.SHARED
     assert not classifier.write_is_private(thread_id=1, block=0)
 
 
@@ -36,17 +36,15 @@ def test_write_by_non_owner_is_not_private_even_before_reclassification():
 
 
 def test_private_page_fraction():
+    """Half the touched pages stay private: the second page is shared."""
     classifier = PrivateSharedClassifier()
     classifier.record_access(thread_id=0, addr=0)
     classifier.record_access(thread_id=0, addr=PAGE_BYTES)
     classifier.record_access(thread_id=1, addr=PAGE_BYTES)
-    assert classifier.private_page_fraction() == 0.5
-
-
-def test_record_block_access_uses_block_addressing():
-    classifier = PrivateSharedClassifier()
-    classifier.record_block_access(thread_id=3, block=64)  # second page
-    assert classifier.page_table.lookup(1) is not None
+    assert len(classifier.page_table) == 2
+    assert classifier.page_table.private_pages() == 1
+    assert classifier.write_is_private(thread_id=0, block=0)
+    assert not classifier.write_is_private(thread_id=0, block=PAGE_BYTES // 64)
 
 
 def test_c3d_with_filter_elides_broadcasts_for_private_pages():

@@ -38,13 +38,13 @@ def test_in_order_drain_serialises_completions():
     buffer = StoreBuffer()
     buffer.push(0.0, block=0, completion_time=100.0)
     buffer.push(0.0, block=1, completion_time=20.0)
-    # The second store cannot complete before the first (TSO order).
-    assert buffer.next_drain_time(0.0) == pytest.approx(100.0)
-
-
-def test_next_drain_time_when_empty_is_now():
-    buffer = StoreBuffer()
-    assert buffer.next_drain_time(42.0) == 42.0
+    # The second store cannot complete before the first (TSO order): it is
+    # still buffered, and forwards, after its own completion time.
+    assert buffer.forwards(1, now=50.0)
+    buffer.drain(99.0)
+    assert len(buffer) == 2
+    buffer.drain(100.0)
+    assert len(buffer) == 0
 
 
 def test_capacity_validation():

@@ -85,9 +85,3 @@ def test_speedup_definition():
     c3d = context.run("streamcluster", "c3d")
     value = speedup(baseline, c3d)
     assert value == pytest.approx(baseline.total_time_ns / c3d.total_time_ns)
-
-
-def test_run_designs_covers_requested_designs():
-    context = ExperimentContext(TINY)
-    records = context.run_designs("streamcluster", designs=("baseline", "c3d"))
-    assert set(records) == {"baseline", "c3d"}

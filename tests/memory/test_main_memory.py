@@ -45,10 +45,11 @@ def test_writes_counted_and_consume_bandwidth():
 
 
 def test_out_of_order_arrival_is_not_charged_queueing():
-    channel = MemoryChannel(12.8)
-    channel.occupy(100.0, 64)
+    controller = MemoryController(latency_ns=50.0, channels=1)
+    controller.read(100.0, block=0)
     # An access that arrives "earlier" (trace skew) is not penalised.
-    assert channel.occupy(10.0, 64) == 0.0
+    assert controller.read(10.0, block=1).queue_delay == 0.0
+    assert controller.write(20.0, block=2).queue_delay == 0.0
 
 
 def test_queued_latency_float_order_is_pinned():

@@ -37,18 +37,6 @@ def test_shared_page_stays_shared():
     assert entry.classification is PageClassification.SHARED
 
 
-def test_classify_unknown_page_is_shared():
-    table = PageTable()
-    assert table.classify(99) is PageClassification.SHARED
-
-
-def test_lookup_addr_uses_layout():
-    table = PageTable()
-    table.touch(2, thread_id=0)
-    entry = table.lookup_addr(2 * 4096 + 100)
-    assert entry is not None and entry.page == 2
-
-
 def test_private_and_shared_counts():
     table = PageTable()
     table.touch(1, thread_id=0)
@@ -59,11 +47,3 @@ def test_private_and_shared_counts():
     assert table.shared_pages() == 1
 
 
-def test_set_home_is_recorded():
-    table = PageTable()
-    table.touch(1, thread_id=0)
-    table.set_home(1, 3)
-    assert table.lookup(1).home_socket == 3
-    # setting the home of an unknown page is a no-op
-    table.set_home(42, 1)
-    assert table.lookup(42) is None

@@ -60,7 +60,8 @@ def daemon(tmp_path):
 
 def test_healthz(daemon):
     client, store_path = daemon
-    health = client.healthz()
+    with urllib.request.urlopen(f"{client.base_url}/healthz", timeout=5) as response:
+        health = json.loads(response.read().decode("utf-8"))
     assert health["status"] == "ok"
     assert health["store"] == str(store_path)
     assert set(health["jobs"]) == {"queued", "running", "done", "failed"}

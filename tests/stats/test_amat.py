@@ -2,19 +2,8 @@
 
 import pytest
 
-from repro.stats.amat import amat_breakdown, estimate_amat
+from repro.stats.amat import amat_breakdown
 from repro.stats.counters import SimulationStats
-
-
-def test_estimate_amat_closed_form():
-    fractions = {"l1": 0.8, "memory": 0.2}
-    latencies = {"l1": 1.0, "memory": 100.0}
-    assert estimate_amat(fractions, latencies) == pytest.approx(0.8 + 20.0)
-
-
-def test_estimate_amat_missing_latency():
-    with pytest.raises(ValueError):
-        estimate_amat({"l1": 1.0}, {})
 
 
 def test_breakdown_fractions_sum_to_one():

@@ -25,13 +25,11 @@ def test_memory_access_aggregates():
     assert stats.memory_reads == 40
     assert stats.memory_writes == 20
     assert stats.remote_memory_fraction() == pytest.approx(45 / 60)
-    assert stats.remote_read_fraction() == pytest.approx(30 / 40)
 
 
 def test_fractions_with_no_accesses_are_zero():
     stats = SimulationStats()
     assert stats.remote_memory_fraction() == 0.0
-    assert stats.remote_read_fraction() == 0.0
     assert stats.l1_hit_rate() == 0.0
     assert stats.llc_hit_rate() == 0.0
     assert stats.dram_cache_hit_rate() == 0.0
@@ -53,14 +51,6 @@ def test_total_time_is_slowest_core():
     stats = SimulationStats()
     stats.core_finish_ns = {0: 100.0, 1: 250.0, 2: 50.0}
     assert stats.total_time_ns() == 250.0
-
-
-def test_off_socket_serves():
-    stats = SimulationStats()
-    stats.served_remote_memory = 2
-    stats.served_remote_llc = 3
-    stats.served_remote_dram_cache = 4
-    assert stats.off_socket_serves() == 9
 
 
 def test_as_dict_contains_key_quantities():

@@ -1,25 +1,14 @@
-"""Tests for the JSON/CSV export helpers."""
+"""Tests for the CSV export helpers."""
 
 import csv
-import json
 
-from repro.stats.export import export_json, export_series_csv, flatten_series, load_json
+from repro.stats.export import export_series_csv, flatten_series
 
 
 SERIES = {
     "streamcluster": {"c3d": 1.5, "snoopy": 0.9},
     "facesim": {"c3d": 1.1, "snoopy": 0.85},
 }
-
-
-def test_export_and_load_json_round_trip(tmp_path):
-    path = export_json(SERIES, tmp_path / "out" / "fig6.json")
-    assert path.exists()
-    assert load_json(path) == SERIES
-    # File is valid JSON with sorted keys and a trailing newline.
-    text = path.read_text()
-    assert text.endswith("\n")
-    json.loads(text)
 
 
 def test_flatten_series():

@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.stats.report import format_series, format_table, geometric_mean, normalise
+from repro.stats.report import format_series, format_table, geometric_mean
 
 
 def test_format_table_alignment_and_title():
@@ -33,14 +33,6 @@ def test_geometric_mean():
     assert geometric_mean([]) == 0.0
     assert geometric_mean([0.0, -1.0]) == 0.0
     assert geometric_mean([2.0, 0.0]) == pytest.approx(2.0)  # non-positive ignored
-
-
-def test_normalise():
-    values = {"baseline": 4.0, "c3d": 2.0}
-    normalised = normalise(values, "baseline")
-    assert normalised == {"baseline": 1.0, "c3d": 0.5}
-    with pytest.raises(ZeroDivisionError):
-        normalise({"baseline": 0.0}, "baseline")
 
 
 def test_format_table_non_float_cells():

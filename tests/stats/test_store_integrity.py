@@ -126,19 +126,24 @@ def test_repair_compacts_to_clean_store(tmp_path):
     assert {record.key: record.stats.reads for record in after.records()} == before
 
 
-def test_repair_adds_checksums_to_legacy_records(tmp_path):
-    store = ResultsStore(tmp_path / "store")
-    # A pre-checksum record: canonical body, no "check" field.
-    legacy = _record("legacy").to_json_dict()
-    store.results_path.parent.mkdir(parents=True)
-    store.results_path.write_text(
-        json.dumps(legacy, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
-    assert store.verify().unchecksummed == 1
-    store.compact()
-    report = ResultsStore(tmp_path / "store").verify()
-    assert report.unchecksummed == 0 and report.clean
+def test_record_without_checksum_is_corrupt(tmp_path):
+    store = _populate(tmp_path / "store", n=2)
+    # A canonical record body with no "check" field.
+    body = json.dumps(_record("k9").to_json_dict(), sort_keys=True, separators=(",", ":"))
+    with store.shard_path("k9").open("a", encoding="utf-8") as handle:
+        handle.write(body + "\n")
+    with pytest.warns(StoreCorruptionWarning) as caught:
+        reopened = ResultsStore(tmp_path / "store")
+        assert set(reopened.keys()) == {"k0", "k1"}
+    assert len(caught) == 1
+    assert "no checksum" in str(caught[0].message)
+    assert reopened.corrupt_records == 1
+    report = reopened.verify()
+    assert [(issue.lineno, issue.kind) for issue in report.issues] == [(3, "checksum")]
+    assert report.valid_records == 2
+    # Compaction drops the line like any other corrupt one.
+    assert reopened.compact().dropped_corrupt == 1
+    assert ResultsStore(tmp_path / "store").verify().clean
 
 
 def test_store_cli_verify_and_repair(tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""Sharded store layout: sharding, migration byte-identity, legacy
-read-only compatibility, and concurrent multi-process writers.
+"""Sharded store layout: sharding, the store CLI, and concurrent
+multi-process writers.
 
 docs/serving.md documents the layout these tests pin.
 """
@@ -11,7 +11,6 @@ import pytest
 
 from repro.stats.counters import SimulationStats
 from repro.stats.store import (
-    LegacyStoreError,
     ResultsStore,
     StoredRun,
     content_key,
@@ -56,7 +55,6 @@ def test_new_store_uses_sharded_layout(tmp_path):
     keys = [_hex_key(i) for i in range(32)]
     for key in keys:
         store.put(_record(key))
-    assert store.layout == "sharded"
     assert store.meta_path.exists()
     meta = json.loads(store.meta_path.read_text())
     assert meta["layout"] == "sharded/v1" and meta["shards"] == 16
@@ -94,98 +92,34 @@ def test_known_keys_scans_without_parsing_bodies(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Legacy compatibility + migration
+# The store CLI
 # ----------------------------------------------------------------------
 
 
-def _write_legacy(directory, records, extra_lines=()):
-    """Hand-build a pre-shard single-file store; returns its raw lines."""
-    directory.mkdir(parents=True, exist_ok=True)
-    lines = [ResultsStore.encode_record(record) for record in records]
-    # A pre-checksum legacy record: canonical body, no "check" field.
-    lines.extend(extra_lines)
-    (directory / "results.jsonl").write_text(
-        "\n".join(lines) + "\n", encoding="utf-8"
-    )
-    return lines
-
-
-def test_legacy_store_opens_read_only(tmp_path):
-    key = _hex_key(7)
-    _write_legacy(tmp_path / "legacy", [_record(key)])
-    store = ResultsStore(tmp_path / "legacy")
-    assert store.layout == "legacy"
-    assert store.get(key).stats.reads == 5      # reads work
-    assert store.verify().clean
-    with pytest.raises(LegacyStoreError) as exc:
-        store.put(_record(_hex_key(8)))
-    assert "repro store migrate" in str(exc.value)
-
-
-def test_migrate_is_byte_identical_and_atomic_commit(tmp_path):
-    records = [_record(_hex_key(i), reads=i + 1) for i in range(12)]
-    unchecksummed = json.dumps(
-        _record(_hex_key(50)).to_json_dict(), sort_keys=True,
-        separators=(",", ":"),
-    )
-    duplicate = ResultsStore.encode_record(_record(_hex_key(0), reads=99))
-    lines = _write_legacy(
-        tmp_path / "old", records,
-        extra_lines=[unchecksummed, duplicate, '{"torn-garbage'],
-    )
-    valid_lines = lines[:-1]                     # all but the torn line
-
-    store = ResultsStore(tmp_path / "old")
-    before = {r.key: r.to_json_dict() for r in store.records()}
-    report = store.migrate()
-    assert report.migrated == len(valid_lines)
-    assert report.dropped_corrupt == 1
-    assert report.removed_legacy
-
-    migrated = ResultsStore(tmp_path / "old")
-    assert migrated.layout == "sharded"
-    assert not migrated.results_path.exists()
-    # Every valid record line was copied byte for byte (keys *and* bodies;
-    # duplicates and the unchecksummed legacy record included).
-    shard_lines = []
-    for path in migrated.shard_paths():
-        shard_lines.extend(
-            line for line in path.read_text(encoding="utf-8").split("\n") if line
-        )
-    assert sorted(shard_lines) == sorted(valid_lines)
-    # Within a shard, original file order (hence last-wins) is preserved.
-    dup_shard = migrated.shard_path(_hex_key(0)).read_text()
-    assert dup_shard.index('"reads":1') < dup_shard.index('"reads":99')
-    assert migrated.get(_hex_key(0)).stats.reads == 99
-    # The migrated store verifies clean and serves identical records.
-    assert migrated.verify().clean
-    assert {r.key: r.to_json_dict() for r in migrated.records()} == before
-    # Migrated store is writable again.
-    migrated.put(_record(_hex_key(60)))
-    assert len(ResultsStore(tmp_path / "old")) == len(before) + 1
-
-
-def test_migrate_is_idempotent(tmp_path):
-    _write_legacy(tmp_path / "old", [_record(_hex_key(3))])
-    store = ResultsStore(tmp_path / "old")
-    assert store.migrate().migrated == 1
-    again = ResultsStore(tmp_path / "old").migrate()
-    assert again.migrated == 0 and "already sharded" in again.format()
-
-
-def test_store_cli_migrate(tmp_path, capsys):
+def test_store_cli_compact_json(tmp_path, capsys):
     from repro.stats.store import main as store_main
 
-    _write_legacy(tmp_path / "old", [_record(_hex_key(i)) for i in range(4)])
-    assert store_main(["migrate", "--store", str(tmp_path / "old")]) == 0
-    out = capsys.readouterr().out
-    assert "migrated" in out and "verdict: clean" in out
-    assert store_main(["compact", "--store", str(tmp_path / "old"),
+    store = ResultsStore(tmp_path / "store")
+    for i in range(4):
+        store.put(_record(_hex_key(i)))
+    assert store_main(["compact", "--store", str(tmp_path / "store"),
                        "--json"]) == 0
     out = capsys.readouterr().out
     decoder = json.JSONDecoder()
     payload, _ = decoder.raw_decode(out.strip())
     assert payload["kept"] == 4
+
+
+def test_store_cli_migrate(tmp_path, capsys):
+    """`repro store migrate --store P` is an argparse usage error: the
+    single-file layout it converted is gone."""
+    from repro.cli import main as repro_main
+
+    with pytest.raises(SystemExit) as exc:
+        repro_main(["store", "migrate", "--store", str(tmp_path / "store")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'migrate'" in capsys.readouterr().err
+    assert not (tmp_path / "store").exists()
 
 
 # ----------------------------------------------------------------------

@@ -72,8 +72,6 @@ def test_scaling_respects_floors():
 
 def test_with_protocol_and_idealisation():
     config = SystemConfig.quad_socket(protocol="baseline")
-    c3d = config.with_protocol("c3d")
-    assert c3d.protocol == "c3d"
     ideal = config.with_idealisation(zero_qpi_latency=True, infinite_memory_bandwidth=True)
     assert ideal.interconnect.zero_latency
     assert ideal.memory.infinite_bandwidth

@@ -291,7 +291,7 @@ def test_engine_matrix_over_workload_frontends(kind, engine, recorded_trace_dir,
 
 
 # ----------------------------------------------------------------------
-# Trace compilation (the representation behind supports_trace_compile)
+# Trace compilation (the representation the compiled and sampled engines run)
 # ----------------------------------------------------------------------
 
 

@@ -7,7 +7,7 @@ import pytest
 from repro.caches.sram_cache import DIRTY, MODIFIED
 from repro.coherence.baseline import BaselineProtocol
 from repro.core.c3d_protocol import C3DProtocol
-from repro.system.numa_system import PROTOCOL_REGISTRY, build_system
+from repro.system.numa_system import PROTOCOL_REGISTRY, NumaSystem
 
 from ..conftest import block_homed_at, read, tiny_config, tiny_system, write
 
@@ -17,7 +17,7 @@ def test_registry_contains_all_five_designs():
 
 
 def test_build_system_wires_components():
-    system = build_system(tiny_config("c3d", num_sockets=2, cores_per_socket=2))
+    system = NumaSystem(tiny_config("c3d", num_sockets=2, cores_per_socket=2))
     assert isinstance(system.protocol, C3DProtocol)
     assert len(system.sockets) == 2
     assert len(system.cores) == 4

@@ -62,6 +62,8 @@ def _run(protocol, engine, plan=None, **build_kwargs):
 PLAN = SamplingPlan(
     num_units=6, detail=60, warmup=40, confidence=0.99, bias_floor=0.03, seed=5
 )
+#: ``PLAN`` as a spec string, the form sweep points and campaigns carry.
+PLAN_SPEC = "units=6,detail=60,warmup=40,confidence=0.99,bias_floor=0.03,seed=5"
 
 
 def _assert_no_child_process():
@@ -176,8 +178,9 @@ def test_sampled_point_round_trips_through_store(tmp_path):
         workload="streamcluster", protocol="c3d", scale=SCALE,
         accesses_per_thread=ACCESSES, warmup_accesses_per_thread=WARMUP,
         num_sockets=2, cores_per_socket=2, seed=1,
-        sample_plan=PLAN.to_spec(),
+        sample_plan=PLAN_SPEC,
     )
+    assert SamplingPlan.from_spec(PLAN_SPEC) == PLAN
     store = ResultsStore(tmp_path / "store")
     [fresh] = run_sweep([point], store=store)
 

@@ -302,8 +302,8 @@ def test_prewarm_classifies_filled_pages_shared():
 
 
 def test_prewarmed_pages_count_as_touched_only_once_a_thread_touches_them():
-    """Page owners and ``private_page_fraction`` cover the touched pages,
-    not the untouched ones the prewarm marked shared."""
+    """Page owners cover the touched pages, not the untouched ones the
+    prewarm marked shared."""
     workload = make_workload("facesim", scale=4096, accesses_per_thread=40, num_threads=2)
     system = NumaSystem(tiny_config("c3d", num_sockets=2, cores_per_socket=1,
                                     broadcast_filter=True))
@@ -314,9 +314,6 @@ def test_prewarmed_pages_count_as_touched_only_once_a_thread_touches_them():
     assert len(classifier.page_table) > len(touched)
     assert {entry.page for entry in classifier.page_table
             if entry.owner_thread is not None} == touched
-    assert classifier.private_page_fraction() == (
-        classifier.page_table.private_pages() / len(touched)
-    )
 
 
 def test_ft2_pins_private_pages_to_owner_socket():

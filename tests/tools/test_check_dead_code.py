@@ -42,6 +42,18 @@ def make_tree(root: Path) -> None:
             return 3
 
 
+        def tested_only():
+            return 4
+
+
+        def docstring_only():
+            return 5
+
+
+        def silenced():
+            return 6
+
+
         class Handler:
             def __init__(self):
                 self.value = 0
@@ -50,20 +62,40 @@ def make_tree(root: Path) -> None:
                 return self.value
 
             def looked_up(self):
-                return 4
+                return 7
 
             def unnamed(self):
-                return 5
+                return 8
+        """)
+    write(root, "src/repro/cli.py", """\
+        from .mod import Handler
+
+
+        def main():
+            \"\"\"docstring_only\"\"\"
+            # documented, tested_only
+            return getattr(Handler(), "looked_up")()
+
+
+        if __name__ == "__main__":
+            main()
+        """)
+    write(root, "tools/run.py", """\
+        from repro.mod import used
+
+        print(used())
         """)
     write(root, "tests/test_mod.py", """\
-        from repro.mod import Handler, used
+        from repro.mod import Handler, documented, tested_only
 
 
-        def test_used():
-            assert used() == 1
-            assert getattr(Handler(), "looked_up")() == 4
+        def test_mod():
+            assert tested_only() == 4
+            assert documented() == 3
+            assert Handler().unnamed() == 8
         """)
-    write(root, "docs/mod.md", "`documented()` returns 3.\n")
+    write(root, "docs/mod.md", "`documented()` returns 3; see `docstring_only`.\n")
+    write(root, "README.md", "`silenced()` and `exported_only()` are documented here.\n")
 
 
 def test_the_tree_has_no_dead_definitions():
@@ -71,11 +103,26 @@ def test_the_tree_has_no_dead_definitions():
 
 
 def test_exports_imports_and_definitions_are_not_uses(tmp_path):
+    """Only code outside tests/ counts: a name in tests/, docs/, the README,
+    a docstring, a comment, ``__all__`` or an import is not a use, while a
+    call from tools/ and a ``getattr`` string in src/ are."""
     make_tree(tmp_path)
     assert tool.dead_definitions(tmp_path) == [
         "src/repro/mod.py:10: def exported_only",
-        "src/repro/mod.py:28: def unnamed",
+        "src/repro/mod.py:14: def documented",
+        "src/repro/mod.py:18: def tested_only",
+        "src/repro/mod.py:22: def docstring_only",
+        "src/repro/mod.py:26: def silenced",
+        "src/repro/mod.py:40: def unnamed",
     ]
+
+
+def test_an_allowlist_entry_silences_a_name(tmp_path, monkeypatch):
+    make_tree(tmp_path)
+    monkeypatch.setitem(tool.ALLOWLIST, "silenced", "framework callback: test")
+    dead = tool.dead_definitions(tmp_path)
+    assert "src/repro/mod.py:26: def silenced" not in dead
+    assert "src/repro/mod.py:40: def unnamed" in dead
 
 
 def test_main_lists_each_dead_definition_and_fails(tmp_path, capsys):
@@ -87,5 +134,10 @@ def test_main_lists_each_dead_definition_and_fails(tmp_path, capsys):
 
 
 def test_every_allowlist_entry_names_its_reason():
-    assert set(tool.ALLOWLIST) >= {"do_GET", "do_POST"}
-    assert all(reason.strip() for reason in tool.ALLOWLIST.values())
+    """Each reason starts with one of the three kinds a definition no code
+    calls may be kept for, and says more than the kind."""
+    assert set(tool.ALLOWLIST) >= {"do_GET", "do_POST", "clear_memo"}
+    for name, reason in tool.ALLOWLIST.items():
+        kind, _, detail = reason.partition(": ")
+        assert kind in tool.REASON_KINDS, name
+        assert detail.strip(), name

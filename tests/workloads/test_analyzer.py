@@ -85,7 +85,8 @@ def test_log2_histogram_buckets_and_bounds():
     assert bucket_bounds(-1) == (0, 0)
     assert bucket_bounds(3) == (8, 15)
     hist = Log2Histogram()
-    hist.add_all([0, 1, 7, 8])
+    for value in (0, 1, 7, 8):
+        hist.add(value)
     assert hist.to_json_dict() == {"-1": 1, "0": 1, "2": 1, "3": 1}
     assert Log2Histogram.from_json_dict(hist.to_json_dict()) == hist
 

@@ -14,7 +14,6 @@ from repro.workloads.scenario import (
     get_scenario,
     load_scenario,
     scenario_from_dict,
-    scenario_names,
 )
 from repro.workloads.trace_io import record_workload
 
@@ -208,7 +207,6 @@ def test_mixed_trace_and_synthetic_entries(tmp_path):
 
 
 def test_builtin_registry():
-    assert scenario_names() == list(SCENARIO_SPECS)
     assert get_scenario("het-quad") is SCENARIO_SPECS["het-quad"]
     with pytest.raises(KeyError, match="unknown scenario"):
         get_scenario("no-such-scenario")

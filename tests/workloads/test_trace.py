@@ -1,6 +1,6 @@
-"""Tests for the trace record helpers."""
+"""Tests for the trace record."""
 
-from repro.workloads.trace import MemoryAccess, materialise
+from repro.workloads.trace import MemoryAccess
 
 
 def test_memory_access_defaults():
@@ -14,11 +14,3 @@ def test_memory_access_is_hashable_and_comparable():
     b = MemoryAccess(addr=64, is_write=True, gap=2)
     assert a == b
     assert hash(a) == hash(b)
-
-
-def test_materialise_with_and_without_limit():
-    stream = (MemoryAccess(addr=i) for i in range(10))
-    assert len(materialise(stream)) == 10
-    stream = (MemoryAccess(addr=i) for i in range(10))
-    limited = materialise(stream, limit=3)
-    assert [access.addr for access in limited] == [0, 1, 2]

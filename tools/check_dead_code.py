@@ -1,79 +1,122 @@
 #!/usr/bin/env python3
-"""Fail on functions, classes and methods in ``src/repro`` that nothing names.
+"""Fail on functions, classes and methods in ``src/repro`` that no code calls.
 
-A definition is dead when its name occurs nowhere in the scanned tree except
-where it is defined.  The scan reads every word of the ``.py`` and ``.md``
-files under ``src/``, ``tests/``, ``tools/``, ``perfbench/``,
-``benchmarks/``, ``examples/`` and ``docs/``, and ``README.md``, so a call, an
-attribute access, a ``getattr`` string, a monkeypatch target and a mention in
-the docs all count as uses.  Three kinds of occurrence do not count:
+A definition is dead when no program code names it.  The check parses every
+``.py`` file under ``src/``, ``tools/``, ``perfbench/``, ``benchmarks/`` and
+``examples/`` and counts three kinds of node as uses:
 
-* the definitions themselves (``def name`` / ``class name`` in ``src/repro``);
-* the strings listed in a module's ``__all__``;
-* the names a ``from ... import`` statement imports (a re-export is not a use).
+* a name (``foo``, ``Foo(...)``);
+* an attribute (``obj.foo``);
+* a string constant that is exactly an identifier, so a ``getattr`` string
+  and a ``mock.patch`` target still count.
 
-Dunder methods are called by the runtime and are never reported; framework
-callbacks that only the standard library calls go on :data:`ALLOWLIST`, each
-with its reason.  ruff's F rules catch unused imports and locals, not unused
-methods; this check covers the rest.
+Everything else is not a use: ``tests/``, ``docs/`` and the README, comments,
+docstrings, the strings listed in a module's ``__all__`` and the names a
+``from ... import`` statement imports (a re-export is not a use).  So a
+definition that only a test or a page of prose names is reported too.
+
+Dunder methods are called by the runtime and are never reported.  A
+definition nothing calls that is kept on purpose goes on :data:`ALLOWLIST`
+with its reason, which starts with one of the three :data:`REASON_KINDS`:
+it resets process state for tests; it is a read-only view that hides an
+internal encoding and that the equivalence matrix or a reference-model test
+reads; or a framework calls it.  ruff's F rules catch unused imports and
+locals, not unused methods; this check covers the rest.
 
 Usage::
 
     python tools/check_dead_code.py            # from the repo root
     python tools/check_dead_code.py --root PATH
 
-Exits 0 when every definition is named somewhere, 1 otherwise (listing each
-dead definition as ``file:line: kind name``).  Used by the CI ``lint`` job and
-by ``tests/tools/test_check_dead_code.py``; stdlib-only on purpose.
+Exits 0 when every definition has a caller, 1 otherwise (listing each dead
+definition as ``file:line: kind name``).  Used by the CI ``lint`` job and by
+``tests/tools/test_check_dead_code.py``; stdlib-only on purpose.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
-import re
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 #: Where definitions are checked.
 DEFINITIONS = "src/repro"
 
-#: Where occurrences are counted (directories recursively, plus files).
-SCANNED = ("src", "tests", "tools", "perfbench", "benchmarks", "examples", "docs", "README.md")
+#: The code whose uses count (directories, scanned recursively for ``.py``).
+SCANNED = ("src", "tools", "perfbench", "benchmarks", "examples")
 
-#: Definitions nothing in the tree names, kept on purpose: name -> reason.
+#: The kinds of reason that keep a definition no code calls.
+REASON_KINDS = (
+    "resets process state for tests",
+    "read-only view of an internal encoding",
+    "framework callback",
+)
+
+#: Definitions no code calls, kept on purpose: name -> "kind: reason".
 ALLOWLIST: Dict[str, str] = {
-    "do_GET": "HTTP framework callback: http.server dispatches GET requests to it",
-    "do_POST": "HTTP framework callback: http.server dispatches POST requests to it",
+    "clear_memo": "resets process state for tests: empties EngineContext's "
+                  "per-process set-up memo, so a test times or counts set-up from scratch",
+    "resident_blocks": "read-only view of an internal encoding: the SRAM and DRAM "
+                       "caches' packed tags; the equivalence matrix compares them",
+    "set_index": "read-only view of an internal encoding: the caches' block-to-set "
+                 "mapping; the cache reference-model tests group lines by it",
+    "shard_path": "read-only view of an internal encoding: the store's key-to-shard "
+                  "mapping; the store corruption tests damage a record through it",
+    "do_GET": "framework callback: http.server dispatches GET requests to it",
+    "do_POST": "framework callback: http.server dispatches POST requests to it",
 }
-
-_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def scanned_files(root: Path) -> Iterator[Path]:
-    """Every ``.py`` and ``.md`` file the occurrence count reads."""
+    """Every ``.py`` file whose uses count, less this script (the names on
+    :data:`ALLOWLIST` are not uses)."""
+    this_script = Path(__file__).resolve()
     for entry in SCANNED:
         path = root / entry
-        if path.is_file():
-            yield path
-        elif path.is_dir():
-            for suffix in ("*.py", "*.md"):
-                yield from sorted(path.rglob(suffix))
+        if path.is_dir():
+            yield from (found for found in sorted(path.rglob("*.py"))
+                        if found.resolve() != this_script)
 
 
-def _not_uses(tree: ast.AST) -> Iterator[str]:
-    """Names in ``__all__`` strings and ``from ... import`` statements."""
+def _docstrings(tree: ast.AST) -> Set[int]:
+    """``id()`` of each docstring constant in ``tree``."""
+    found = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            yield from (alias.name for alias in node.names)
-        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if (body and isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                found.add(id(body[0].value))
+    return found
+
+
+def _exported(tree: ast.AST) -> Set[int]:
+    """``id()`` of each string constant in an ``__all__`` assignment."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
-                for item in ast.walk(node.value):
-                    if isinstance(item, ast.Constant) and isinstance(item.value, str):
-                        yield item.value
+                found.update(id(item) for item in ast.walk(node.value)
+                             if isinstance(item, ast.Constant))
+    return found
+
+
+def uses(tree: ast.AST) -> Iterator[str]:
+    """The names, attributes and identifier strings ``tree`` uses."""
+    skip = _docstrings(tree) | _exported(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier() and id(node) not in skip):
+            yield node.value
 
 
 def definitions(root: Path) -> List[Tuple[str, int, str, str]]:
@@ -93,28 +136,24 @@ def definitions(root: Path) -> List[Tuple[str, int, str, str]]:
 
 
 def occurrences(root: Path) -> Counter:
-    """Word counts over the scanned tree, less the occurrences that are not uses."""
+    """How often the scanned code uses each name."""
     counts: Counter = Counter()
     for path in scanned_files(root):
         text = path.read_text(encoding="utf-8", errors="replace")
-        counts.update(_WORD.findall(text))
-        if path.suffix == ".py":
-            try:
-                tree = ast.parse(text, filename=str(path))
-            except SyntaxError:
-                continue
-            counts.subtract(_not_uses(tree))
+        try:
+            tree = ast.parse(text, filename=str(path))
+        except SyntaxError:
+            continue
+        counts.update(uses(tree))
     return counts
 
 
 def dead_definitions(root: Path) -> List[str]:
-    """``file:line: kind name`` for each definition nothing else names."""
-    found = definitions(root)
+    """``file:line: kind name`` for each definition no code calls."""
     counts = occurrences(root)
-    counts.subtract(name for _path, _line, _kind, name in found)
     return [
         f"{path}:{line}: {kind} {name}"
-        for path, line, kind, name in found
+        for path, line, kind, name in definitions(root)
         if counts[name] <= 0
         and name not in ALLOWLIST
         and not (name.startswith("__") and name.endswith("__"))
@@ -130,7 +169,7 @@ def main(argv=None) -> int:
     for line in dead:
         print(line)
     if dead:
-        print(f"{len(dead)} definition(s) in {DEFINITIONS} are named nowhere else; "
+        print(f"{len(dead)} definition(s) in {DEFINITIONS} have no caller outside tests/; "
               f"delete them or add them to ALLOWLIST with a reason", file=sys.stderr)
         return 1
     print(f"no dead definitions in {DEFINITIONS}")

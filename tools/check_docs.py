@@ -63,7 +63,6 @@ REQUIRED_SECTIONS = {
     ),
     "docs/serving.md": (
         "## The sharded store layout (`sharded/v1`)",
-        "## Migrating a legacy store",
         "### HTTP API",
         "## Concurrency model",
         "sharded/v1",

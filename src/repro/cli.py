@@ -12,8 +12,6 @@ Usage::
     python -m repro import lackey trace.out traces/imported  # external trace
     python -m repro analyze traces/imported --clone-out clone.json
     python -m repro --clone clone.json              # run the fitted clone
-    python -m repro bench                 # throughput microbenchmark
-    python -m repro bench --accesses 100  # CI-sized smoke
     python -m repro campaign run spec.json          # resumable batch runs
     python -m repro campaign status spec.json
     python -m repro report --store results/demo     # tables, no simulation
@@ -31,9 +29,7 @@ composition (``--scenario``, a built-in name or a JSON file);
 ``--record-trace DIR`` captures the selected workload to a trace directory
 before simulating it.
 
-Eight subcommands sit in front of the single-run flags: ``bench``
-(:mod:`repro.bench`) runs the simulator-throughput microbenchmark and
-appends to ``BENCH_throughput.json``; ``campaign``
+Seven subcommands sit in front of the single-run flags: ``campaign``
 (:mod:`repro.experiments.campaign`) runs/inspects/cleans resumable
 experiment campaigns against a persistent results store; ``report``
 (:mod:`repro.experiments.report`) renders a populated store into
@@ -166,10 +162,6 @@ def _build_workload(args, config):
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "bench":
-        from .bench import main as bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "campaign":
         from .experiments.campaign import main as campaign_main
 

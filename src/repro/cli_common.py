@@ -1,7 +1,7 @@
 """Shared argparse conventions for every store-touching `repro` subcommand.
 
-``repro campaign``, ``repro report``, ``repro store``, ``repro bench``,
-``repro serve`` and ``repro submit`` all accept the same two flags, wired
+``repro campaign``, ``repro report``, ``repro store``, ``repro serve`` and
+``repro submit`` all accept the same two flags, wired
 from the one parent parser built here:
 
 * ``--store PATH`` -- the results-store directory (docs/serving.md).

@@ -39,10 +39,6 @@ class LocalDirectory:
 
     # -- queries ------------------------------------------------------------
 
-    def owner_of(self, block: int) -> Optional[int]:
-        owner = self._entries.get(block, 0) & self._owner_mask
-        return owner - 1 if owner else None
-
     def entries(self) -> Iterator[Tuple[int, List[int], Optional[int]]]:
         """Iterate ``(block, sharer cores, owner core or None)`` per entry."""
         shift = self._owner_bits

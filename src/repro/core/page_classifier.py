@@ -10,7 +10,7 @@ always sharing, never a re-homing.  A GetX for a block in a page still
 classified private can skip the broadcast because no other thread can have
 cached it.
 
-The classifier wraps the shared :class:`~repro.memory.page_table.PageTable`
+The classifier wraps its own :class:`~repro.memory.page_table.PageTable`
 and is consulted by :class:`~repro.core.c3d_protocol.C3DProtocol` when the
 ``broadcast_filter`` option is enabled.
 """
@@ -30,21 +30,14 @@ class PrivateSharedClassifier:
 
     Parameters
     ----------
-    page_table:
-        The page table extended with owner/classification fields.  A fresh
-        one is created when not supplied.
     layout:
         Address layout used to map addresses/blocks to pages.
     """
 
-    def __init__(
-        self,
-        page_table: Optional[PageTable] = None,
-        *,
-        layout: Optional[AddressLayout] = None,
-    ) -> None:
+    def __init__(self, *, layout: Optional[AddressLayout] = None) -> None:
         self.layout = layout or DEFAULT_LAYOUT
-        self.page_table = page_table if page_table is not None else PageTable(layout=self.layout)
+        #: The page table extended with owner/classification fields.
+        self.page_table = PageTable()
 
     # -- driving the classifier ------------------------------------------
 

@@ -7,7 +7,7 @@ windows.  The :class:`~repro.engines.base.ExecutionEngine` interface plus
 the :class:`~repro.engines.base.EngineContext` (shared per-run setup) keep
 each engine down to its scheduling strategy, and the registry resolves its
 name for every layer at once (`Simulator(engine=...)`, ``--engine``,
-``repro bench --engines``, sweep points, campaign specs).
+sweep points, campaign specs).
 
 The engines (names are part of the results-store key contract and stable):
 

@@ -1,7 +1,7 @@
 """The execution-engine registry: the single authority on engine names.
 
 Every layer that accepts an ``engine=`` string -- the simulator, the CLI,
-``repro bench``, the sweep runner, campaign specs -- resolves it here, so an
+the sweep runner, campaign specs -- resolves it here, so an
 unknown name fails everywhere with the same message listing the engines.
 The table is fixed: ``compiled``, ``object`` and ``sampled``.
 

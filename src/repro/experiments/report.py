@@ -1,9 +1,9 @@
 """``repro report``: render stored experiment results without re-simulating.
 
-Once a results store has been populated -- by ``repro campaign run``, by
-``python -m repro.experiments.runner --store DIR`` or incidentally by
-``repro bench --store DIR`` -- this module replays every figure module
-through an *offline* :class:`~repro.experiments.common.ExperimentContext`
+Once a results store has been populated -- by ``repro campaign run`` or
+by ``python -m repro.experiments.runner --store DIR`` -- this module replays
+every figure module through an *offline*
+:class:`~repro.experiments.common.ExperimentContext`
 (pure store lookups, zero simulation) and writes, per experiment:
 
 * ``<name>.md``  -- the table as GitHub-flavoured Markdown,

@@ -67,12 +67,6 @@ class AddressLayout:
         """Number of cache blocks per OS page."""
         return self.page_size // self.block_size
 
-    # -- convenience -------------------------------------------------------
-
-    def same_block(self, addr_a: int, addr_b: int) -> bool:
-        """True if both byte addresses fall in the same cache block."""
-        return self.block_of(addr_a) == self.block_of(addr_b)
-
 
 #: Layout matching the paper's Table II (64-byte blocks, 4 KiB pages).
 DEFAULT_LAYOUT = AddressLayout()

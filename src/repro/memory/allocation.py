@@ -170,7 +170,3 @@ class AddressMapper:
             home = page_home.get(page)
             return home if home is not None else page % self.policy.num_sockets
         return self.policy.home_of_page(page)
-
-    def touched_pages(self) -> int:
-        """Number of distinct pages touched so far."""
-        return len(self._touched_pages)

@@ -11,10 +11,8 @@ provides the underlying table.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Optional, Tuple
-
-from .address import DEFAULT_LAYOUT, AddressLayout
 
 __all__ = ["PageClassification", "PageTableEntry", "PageTable"]
 
@@ -52,13 +50,10 @@ class PageTableEntry:
         return self.classification is PageClassification.PRIVATE
 
 
-@dataclass
 class PageTable:
     """Simple flat page table keyed by page number."""
 
-    layout: AddressLayout = field(default_factory=lambda: DEFAULT_LAYOUT)
-
-    def __post_init__(self) -> None:
+    def __init__(self) -> None:
         self._entries: Dict[int, PageTableEntry] = {}
 
     def __len__(self) -> int:

@@ -171,9 +171,6 @@ class NumaSystem:
     def num_cores(self) -> int:
         return self.config.total_cores
 
-    def core(self, core_id: int) -> Core:
-        return self.cores[core_id]
-
     def socket_of_core(self, core_id: int) -> Socket:
         return self.sockets[self.config.socket_of_core(core_id)]
 

@@ -126,11 +126,6 @@ class Socket:
     # Identity helpers
     # ------------------------------------------------------------------
 
-    @property
-    def core_ids(self) -> List[int]:
-        """Global core ids housed by this socket."""
-        return list(self._core_ids)
-
     def local_index_of(self, core_id: int) -> int:
         """Map a global core id to the socket-local L1 index."""
         return core_id - self._core_ids[0]

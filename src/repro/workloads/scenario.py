@@ -18,8 +18,8 @@ Three layers:
 * :class:`ScenarioWorkload` -- the composed runtime object.  It implements
   the full workload protocol (``stream`` / ``compiled_trace`` /
   ``memory_regions`` / ``serial_init_pages``), delegating each global thread
-  to its entry's sub-workload, so both simulation engines, the sweep runner
-  and ``repro bench`` accept scenarios like any other workload.
+  to its entry's sub-workload, so every simulation engine and the sweep
+  runner accept scenarios like any other workload.
 * the **registry** (:data:`SCENARIO_SPECS`) of built-in named scenarios,
   mirroring :data:`~repro.workloads.registry.WORKLOAD_SPECS` for single
   benchmarks.
@@ -600,8 +600,8 @@ def build_workload(
     """Build a workload from whichever frontend is selected.
 
     The single dispatch point behind
-    ``repro --workload/--trace-dir/--scenario/--clone``,
-    :class:`~repro.experiments.runner.SweepPoint` and ``repro bench``:
+    ``repro --workload/--trace-dir/--scenario/--clone`` and
+    :class:`~repro.experiments.runner.SweepPoint`:
     ``trace_dir`` replays a recorded trace directory, ``scenario`` builds a
     composition (built-in name, JSON path or :class:`Scenario`), ``clone``
     instantiates a fitted clone-spec JSON (``repro analyze --clone-out``),

@@ -445,8 +445,8 @@ class TraceDirWorkload:
     :class:`~repro.workloads.synthetic.SyntheticWorkload` -- ``num_threads``,
     ``stream``, ``compiled_trace``, ``memory_regions``, ``serial_init_pages``
     -- so it is a drop-in workload for :class:`~repro.system.simulator.Simulator`
-    on either engine, for :class:`~repro.experiments.runner.SweepPoint`
-    sweeps and for ``repro bench``.
+    on every engine and for :class:`~repro.experiments.runner.SweepPoint`
+    sweeps.
 
     The directory must contain the ``manifest.json`` written by
     :func:`record_workload` (see ``docs/workloads.md`` for authoring one by

@@ -10,27 +10,32 @@ def sharers_of(ld, block):
     return next((set(cores) for b, cores, _owner in ld.entries() if b == block), set())
 
 
+def owner_of(ld, block):
+    """The owner core ``entries()`` lists for ``block`` (None if none)."""
+    return next((owner for b, _cores, owner in ld.entries() if b == block), None)
+
+
 def test_record_fill_and_sharers():
     ld = LocalDirectory(4)
     ld.record_fill(5, core=0)
     ld.record_fill(5, core=1)
     assert sharers_of(ld, 5) == {0, 1}
-    assert ld.owner_of(5) is None
+    assert owner_of(ld, 5) is None
 
 
 def test_modified_fill_sets_owner():
     ld = LocalDirectory(4)
     ld.record_fill(5, core=2, modified=True)
-    assert ld.owner_of(5) == 2
+    assert owner_of(ld, 5) == 2
     ld.record_fill(5, core=2, modified=False)
-    assert ld.owner_of(5) is None
+    assert owner_of(ld, 5) is None
 
 
 def test_shared_fill_by_another_core_keeps_the_owner():
     ld = LocalDirectory(4)
     ld.record_fill(5, core=2, modified=True)
     ld.record_fill(5, core=1)
-    assert ld.owner_of(5) == 2
+    assert owner_of(ld, 5) == 2
     assert sharers_of(ld, 5) == {1, 2}
 
 
@@ -41,7 +46,7 @@ def test_record_write_returns_peers_to_invalidate():
     peers = ld.record_write(5, core=0)
     assert set(peers) == {1}
     assert sharers_of(ld, 5) == {0}
-    assert ld.owner_of(5) == 0
+    assert owner_of(ld, 5) == 0
 
 
 def test_record_eviction_removes_core_and_entry():
@@ -50,10 +55,10 @@ def test_record_eviction_removes_core_and_entry():
     ld.record_fill(5, core=1, modified=True)
     ld.record_fill(6, core=0, evicted=5)
     assert sharers_of(ld, 5) == {1}
-    assert ld.owner_of(5) == 1
+    assert owner_of(ld, 5) == 1
     ld.record_fill(7, core=1, evicted=5)
     assert 5 not in ld
-    assert ld.owner_of(5) is None
+    assert owner_of(ld, 5) is None
     assert len(ld) == 2
 
 
@@ -77,7 +82,7 @@ def test_intervene_clears_a_peer_owner_once():
     ld.record_fill(5, core=2, modified=True)
     assert ld.intervene(5, core=2) is None  # the owner itself
     assert ld.intervene(5, core=0) == 2
-    assert ld.owner_of(5) is None
+    assert owner_of(ld, 5) is None
     assert ld.intervene(5, core=0) is None
     assert ld.intervene(9, core=0) is None
 
@@ -86,7 +91,7 @@ def test_downgrade_clears_the_owner_and_returns_the_sharers():
     ld = LocalDirectory(4)
     ld.record_fill(5, core=3, modified=True)
     assert set(ld.downgrade(5)) == {3}
-    assert ld.owner_of(5) is None
+    assert owner_of(ld, 5) is None
     assert sharers_of(ld, 5) == {3}
     assert list(ld.downgrade(9)) == []
 
@@ -97,9 +102,9 @@ def test_field_widths_follow_the_core_count(cores_per_socket):
     ld = LocalDirectory(cores_per_socket)
     top = cores_per_socket - 1
     ld.record_fill(1, core=top, modified=True)
-    assert ld.owner_of(1) == top and sharers_of(ld, 1) == {top}
+    assert owner_of(ld, 1) == top and sharers_of(ld, 1) == {top}
     for core in range(cores_per_socket):
         ld.record_fill(1, core=core)
     assert sharers_of(ld, 1) == set(range(cores_per_socket))
-    assert ld.owner_of(1) is None
+    assert owner_of(ld, 1) is None
     assert list(ld.entries()) == [(1, list(range(cores_per_socket)), None)]

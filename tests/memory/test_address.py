@@ -42,8 +42,8 @@ def test_block_to_addr_round_trip():
 
 def test_same_block_and_page():
     layout = AddressLayout()
-    assert layout.same_block(0, 63)
-    assert not layout.same_block(63, 64)
+    assert layout.block_of(0) == layout.block_of(63)
+    assert layout.block_of(63) != layout.block_of(64)
     assert layout.page_of(0) == layout.page_of(4095)
     assert layout.page_of(4095) != layout.page_of(4096)
 

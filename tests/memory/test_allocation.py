@@ -61,7 +61,6 @@ def test_mapper_touch_and_footprint():
     assert home == 1
     assert mapper.home_of_block(0x10000 // 64) == 1
     assert mapper.touch(0x10000 + 4095, socket=0) == 1   # same page, still pinned
-    assert mapper.touched_pages() == 1
 
 
 def test_mapper_home_of_block_matches_page():

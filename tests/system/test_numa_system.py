@@ -183,4 +183,3 @@ def test_check_invariants_detects_modified_l1_line_over_a_stale_llc_line(llc_bit
 def test_socket_of_core_accessor():
     system = tiny_system("c3d", num_sockets=2, cores_per_socket=2)
     assert system.socket_of_core(3).socket_id == 1
-    assert system.core(2).core_id == 2

@@ -42,7 +42,8 @@ def test_write_invalidates_peer_l1_copies():
     assert socket.l1s[0].contains(block) and socket.l1s[1].contains(block)
     socket.access(0.0, 1, block, is_write=True, thread_id=1)
     assert not socket.l1s[0].contains(block)
-    assert socket.local_directory.owner_of(block) == 1
+    assert [owner for b, _cores, owner in socket.local_directory.entries()
+            if b == block] == [1]
 
 
 def test_second_write_by_same_core_is_an_l1_hit():

@@ -117,6 +117,42 @@ def test_exports_imports_and_definitions_are_not_uses(tmp_path):
     ]
 
 
+def test_a_same_named_local_or_function_does_not_keep_a_method_alive(tmp_path):
+    """A method counts as used only through an attribute or an identifier
+    string: a local variable or a module function that shares its name is
+    another object, while a function is still used by its bare name."""
+    write(tmp_path, "src/repro/mod.py", """\
+        def owner_of(entry):
+            return entry
+
+
+        class Mapper:
+            def touched_pages(self):
+                return 1
+
+            def owner_of(self, block):
+                return block
+
+            def home(self):
+                return 2
+
+
+        def walk(mapper):
+            touched_pages = {}
+            touched_pages[0] = mapper.home()
+            return owner_of(touched_pages)
+        """)
+    write(tmp_path, "tools/run.py", """\
+        from repro.mod import Mapper, walk
+
+        print(walk(Mapper()))
+        """)
+    assert tool.dead_definitions(tmp_path) == [
+        "src/repro/mod.py:6: def touched_pages",
+        "src/repro/mod.py:9: def owner_of",
+    ]
+
+
 def test_an_allowlist_entry_silences_a_name(tmp_path, monkeypatch):
     make_tree(tmp_path)
     monkeypatch.setitem(tool.ALLOWLIST, "silenced", "framework callback: test")

@@ -10,6 +10,10 @@ A definition is dead when no program code names it.  The check parses every
 * a string constant that is exactly an identifier, so a ``getattr`` string
   and a ``mock.patch`` target still count.
 
+A method (a ``def`` directly in a class body) is only ever called through an
+object, so only the last two count for it: a local variable or a module
+function that shares a method's name does not keep the method alive.
+
 Everything else is not a use: ``tests/``, ``docs/`` and the README, comments,
 docstrings, the strings listed in a module's ``__all__`` and the names a
 ``from ... import`` statement imports (a re-export is not a use).  So a
@@ -106,24 +110,29 @@ def _exported(tree: ast.AST) -> Set[int]:
     return found
 
 
-def uses(tree: ast.AST) -> Iterator[str]:
-    """The names, attributes and identifier strings ``tree`` uses."""
+def uses(tree: ast.AST) -> Iterator[Tuple[str, bool]]:
+    """``(name, bare)`` for each name, attribute and identifier string
+    ``tree`` uses; ``bare`` is true for a plain name."""
     skip = _docstrings(tree) | _exported(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            yield node.id, True
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            yield node.attr, False
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and node.value.isidentifier() and id(node) not in skip):
-            yield node.value
+            yield node.value, False
 
 
-def definitions(root: Path) -> List[Tuple[str, int, str, str]]:
-    """``(path, line, kind, name)`` of every function, class and method."""
+def definitions(root: Path) -> List[Tuple[str, int, str, str, bool]]:
+    """``(path, line, kind, name, is_method)`` of every function, class and
+    method."""
     found = []
     for path in sorted((root / DEFINITIONS).rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   for item in node.body
+                   if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
                 kind = "class"
@@ -131,30 +140,36 @@ def definitions(root: Path) -> List[Tuple[str, int, str, str]]:
                 kind = "def"
             else:
                 continue
-            found.append((str(path.relative_to(root)), node.lineno, kind, node.name))
+            found.append((str(path.relative_to(root)), node.lineno, kind, node.name,
+                          id(node) in methods))
     return sorted(found)
 
 
-def occurrences(root: Path) -> Counter:
-    """How often the scanned code uses each name."""
+def occurrences(root: Path) -> Tuple[Counter, Counter]:
+    """How often the scanned code uses each name: every use, and the uses
+    through an attribute or an identifier string only."""
     counts: Counter = Counter()
+    member_counts: Counter = Counter()
     for path in scanned_files(root):
         text = path.read_text(encoding="utf-8", errors="replace")
         try:
             tree = ast.parse(text, filename=str(path))
         except SyntaxError:
             continue
-        counts.update(uses(tree))
-    return counts
+        for name, bare in uses(tree):
+            counts[name] += 1
+            if not bare:
+                member_counts[name] += 1
+    return counts, member_counts
 
 
 def dead_definitions(root: Path) -> List[str]:
     """``file:line: kind name`` for each definition no code calls."""
-    counts = occurrences(root)
+    counts, member_counts = occurrences(root)
     return [
         f"{path}:{line}: {kind} {name}"
-        for path, line, kind, name in definitions(root)
-        if counts[name] <= 0
+        for path, line, kind, name, is_method in definitions(root)
+        if (member_counts if is_method else counts)[name] <= 0
         and name not in ALLOWLIST
         and not (name.startswith("__") and name.endswith("__"))
     ]

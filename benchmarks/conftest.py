@@ -2,8 +2,9 @@
 
 Each benchmark regenerates one of the paper's tables/figures using the
 ``quick`` experiment settings (scale 1024, short traces) so the whole suite
-finishes in minutes.  Use ``python -m repro.experiments.runner --full`` for
-the higher-fidelity numbers recorded in EXPERIMENTS.md.
+finishes in minutes.  Use ``python -m repro.experiments.runner --full``
+(``ExperimentSettings.full()``; docs/experiments.md) for higher-fidelity
+numbers.
 
 The experiment context is session-scoped so runs are shared between figures
 (e.g. the Fig. 6 runs are reused by Fig. 8 and Fig. 9).

@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for C3D's individual design choices.
 
 These are not figures from the paper; they isolate the contribution of the
 individual C3D mechanisms:

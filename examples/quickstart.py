@@ -39,7 +39,8 @@ from repro.api import (
     simulate,
 )
 
-#: Scale factor applied to capacities and working sets (see DESIGN.md §5).
+#: Scale factor applied to capacities and working sets (docs/experiments.md,
+#: "Fidelity knobs").
 SCALE = 512
 ACCESSES_PER_CORE = 2000
 WARMUP_PER_CORE = 500

@@ -51,15 +51,13 @@ class DRAMCacheProbe:
 
     hit: bool
     array_accessed: bool
-    dirty: bool = False
 
 
 # Probe outcomes are immutable to callers, so the hot path returns shared
 # instances instead of allocating one per probe.
 _PROBE_MISS_BYPASS = DRAMCacheProbe(hit=False, array_accessed=False)
 _PROBE_MISS_ARRAY = DRAMCacheProbe(hit=False, array_accessed=True)
-_PROBE_HIT_CLEAN = DRAMCacheProbe(hit=True, array_accessed=True, dirty=False)
-_PROBE_HIT_DIRTY = DRAMCacheProbe(hit=True, array_accessed=True, dirty=True)
+_PROBE_HIT = DRAMCacheProbe(hit=True, array_accessed=True)
 
 
 class DRAMCache:
@@ -135,7 +133,8 @@ class DRAMCache:
         ``SimulationStats``.
         """
         # The tag is read once, inline; the predictor's bookkeeping below
-        # neither depends on nor changes it.  ``dirty`` is None on a miss.
+        # neither depends on nor changes it.  ``dirty`` is None on a miss,
+        # and an associative hit re-inserts the block with it.
         if self.associativity == 1:
             tag = self._lines.get(block % self.num_sets)
             dirty = tag & 1 if tag is not None and tag >> 1 == block else None
@@ -164,7 +163,7 @@ class DRAMCache:
             # Intrusive LRU touch: move the block to the back of its set.
             del cache_set[block]
             cache_set[block] = dirty
-        return _PROBE_HIT_DIRTY if dirty else _PROBE_HIT_CLEAN
+        return _PROBE_HIT
 
     # -- mutations ------------------------------------------------------------
 

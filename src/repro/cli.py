@@ -82,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--sockets", type=int, default=4, help="number of sockets")
     parser.add_argument("--cores-per-socket", type=int, default=8)
     parser.add_argument("--scale", type=int, default=512,
-                        help="capacity/working-set scale factor (DESIGN.md §5)")
+                        help="capacity/working-set scale factor "
+                             "(docs/experiments.md, Fidelity knobs)")
     parser.add_argument("--accesses", type=int, default=2000,
                         help="measured memory accesses per core")
     parser.add_argument("--warmup", type=int, default=500,

@@ -40,7 +40,7 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
     # ------------------------------------------------------------------
 
     def read_miss(self, now: float, requester: int, block: int) -> Tuple[float, ServiceSource]:
-        hit, local_latency, _dirty = self._probe_local_dram_cache(now, requester, block)
+        hit, local_latency = self._probe_local_dram_cache(now, requester, block)
         if hit:
             # The directory continues to track the requester (it already did,
             # by inclusivity), so no global transaction is needed.
@@ -123,7 +123,7 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
         local_hit = False
         local_latency = 0.0
         if not has_shared_copy:
-            local_hit, local_latency, _ = self._probe_local_dram_cache(now, requester, block)
+            local_hit, local_latency = self._probe_local_dram_cache(now, requester, block)
 
         home = self._home_of_block(block)
         directory = self.directories[home]
@@ -195,6 +195,63 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
         # directory keeps tracking the block at this socket (inclusive of the
         # DRAM cache), so no directory transition happens here.
         self._insert_into_dram_cache(now, requester, block, dirty=dirty)
+
+    # ------------------------------------------------------------------
+    # Functional (state-only) mirrors -- see GlobalCoherenceProtocol
+    # ------------------------------------------------------------------
+
+    def read_miss_functional(self, requester: int, block: int) -> None:
+        # The local probe is stateful (predictor and associative LRU).
+        dram_cache = self.sockets[requester].dram_cache
+        if dram_cache is not None and dram_cache.probe(block).hit:
+            return
+        directory = self.directories[self._home_of_block(block)]
+        entry = directory.lookup(block)
+        if (
+            entry is not None
+            and entry & DIR_MODIFIED
+            and entry >> SHARER_SHIFT != 1 << requester
+        ):
+            owner = owner_of(entry)
+            # Mirror of _fetch_from_owner_any_level: the owner's on-chip copy
+            # is downgraded, else its DRAM-cache copy is marked clean.
+            owner_socket = self.sockets[owner]
+            if owner_socket.llc.contains(block):
+                owner_socket.downgrade_block(block)
+            elif owner_socket.dram_cache is not None:
+                owner_socket.dram_cache.mark_clean(block)
+            directory.set_shared(block, (owner, requester))
+        else:
+            self._directory_note_read_sharer(directory, block, requester)
+
+    def write_miss_functional(
+        self, requester: int, block: int, *, thread_id: int = 0,
+        has_shared_copy: bool = False,
+    ) -> None:
+        if not has_shared_copy:
+            dram_cache = self.sockets[requester].dram_cache
+            if dram_cache is not None:
+                dram_cache.probe(block)
+        directory = self.directories[self._home_of_block(block)]
+        entry = directory.lookup(block)
+        if entry is not None:
+            # Mirror of _invalidate_remote_socket(include_dram_cache=True) per
+            # tracked holder.  A Modified entry's owner is its only sharer, so
+            # this covers write_miss's owner branch and its sharer branch.
+            sockets = self.sockets
+            for target in members(entry >> SHARER_SHIFT & ~(1 << requester)):
+                target_socket = sockets[target]
+                if target_socket.dram_cache is not None:
+                    target_socket.dram_cache.invalidate(block)
+                target_socket.invalidate_onchip(block)
+        directory.set_modified(block, requester)
+
+    def llc_eviction_functional(self, requester: int, block: int, *, dirty: bool) -> None:
+        if self.sockets[requester].dram_cache is None:
+            if dirty:
+                self.directories[self._home_of_block(block)].invalidate(block)
+            return
+        self._insert_into_dram_cache_functional(requester, block, dirty=dirty)
 
     # ------------------------------------------------------------------
     # DRAM-cache eviction hooks (directory bookkeeping)

@@ -113,20 +113,21 @@ class GlobalCoherenceProtocol(ABC):
     # ------------------------------------------------------------------
     #
     # The sampled engine's fast-forward phase advances architectural state
-    # without timing (docs/sampling.md).  These entry points perform exactly
-    # the state mutations of their timed counterparts -- directory
-    # transitions, peer invalidations/downgrades, DRAM-cache probes and
-    # inserts -- while skipping the latency arithmetic, network sends (and
-    # so ``bytes_sent``) and result allocation.  The defaults below simply
-    # run the timed entry points; they are only correct when the caller has
-    # installed functional timing (zero-latency interconnect/memory stubs,
-    # scratch statistics -- see ``EngineContext.functional_timing``), which
-    # the sampled engine always does, so a design without a lean override
-    # stays state-exact.
-    # Subclasses override them with lean state-only mirrors for speed;
-    # tests/engines/test_functional_mirrors.py asserts every lean mirror
-    # leaves bit-identical state behind by re-running the same sampled
-    # simulation with the mirrors forced back to these generic fallbacks.
+    # without timing (docs/sampling.md).  Every design overrides these entry
+    # points with its own lean mirror, which makes exactly the state changes
+    # of its timed counterpart, in the same order -- the requester's
+    # stateful DRAM-cache probe, peer invalidations/downgrades, directory
+    # transitions, DRAM-cache inserts and their victim hooks -- and nothing
+    # else: no network send (so no ``bytes_sent``), memory call, latency
+    # arithmetic, counter update or result.
+    # The generic defaults below run the timed entry points instead.  They
+    # are state-exact only under functional timing (zero-latency
+    # interconnect/memory stubs, scratch statistics -- see
+    # ``EngineContext.functional_timing``), which the sampled walk always
+    # installs, and no design ships them: they are the reference
+    # tests/engines/test_functional_mirrors.py compares every lean mirror
+    # against, re-running the same sampled simulation with the mirrors
+    # forced back to these fallbacks.
 
     def read_miss_functional(self, requester: int, block: int) -> None:
         """State-only mirror of :meth:`read_miss` (no timing, no result)."""
@@ -186,16 +187,16 @@ class GlobalCoherenceProtocol(ABC):
 
     def _probe_local_dram_cache(
         self, now: float, requester: int, block: int
-    ) -> Tuple[bool, float, bool]:
+    ) -> Tuple[bool, float]:
         """Probe the requester's own DRAM cache.
 
-        Returns ``(hit, latency, dirty)``.  The latency charges the miss
-        predictor and, unless the predictor confidently predicted a miss, the
-        DRAM array access.
+        Returns ``(hit, latency)``.  The latency charges the miss predictor
+        and, unless the predictor confidently predicted a miss, the DRAM
+        array access.
         """
         sock = self.sockets[requester]
         if sock.dram_cache is None:
-            return False, 0.0, False
+            return False, 0.0
         latency = sock.dram_predictor_latency_ns
         probe = sock.dram_cache.probe(block)
         if probe.array_accessed:
@@ -205,7 +206,7 @@ class GlobalCoherenceProtocol(ABC):
             stats.dram_cache_hits += 1
         else:
             stats.dram_cache_misses += 1
-        return probe.hit, latency, probe.dirty
+        return probe.hit, latency
 
     def _insert_into_dram_cache(self, now: float, socket_id: int, block: int, *, dirty: bool) -> None:
         """Insert an LLC victim into the socket's DRAM cache and handle its victim."""
@@ -221,6 +222,19 @@ class GlobalCoherenceProtocol(ABC):
             # (only possible in the non-clean designs).
             victim_home = self._home_of_block(victim_block)
             self._memory_write(now, victim_home, victim_block, socket_id)
+            self._on_dram_cache_dirty_victim(victim_block, socket_id)
+        else:
+            self._on_dram_cache_clean_victim(victim_block, socket_id)
+
+    def _insert_into_dram_cache_functional(self, socket_id: int, block: int, *,
+                                           dirty: bool) -> None:
+        """State-only :meth:`_insert_into_dram_cache` for a socket that has a
+        DRAM cache: the insert and its victim's directory hook, no write-back."""
+        victim = self.sockets[socket_id].dram_cache.insert(block, dirty=dirty)
+        if victim is None:
+            return
+        victim_block, victim_dirty = victim
+        if victim_dirty:
             self._on_dram_cache_dirty_victim(victim_block, socket_id)
         else:
             self._on_dram_cache_clean_victim(victim_block, socket_id)

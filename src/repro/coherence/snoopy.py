@@ -114,7 +114,7 @@ class SnoopyProtocol(GlobalCoherenceProtocol):
     # ------------------------------------------------------------------
 
     def read_miss(self, now: float, requester: int, block: int) -> Tuple[float, ServiceSource]:
-        hit, local_latency, _dirty = self._probe_local_dram_cache(now, requester, block)
+        hit, local_latency = self._probe_local_dram_cache(now, requester, block)
         if hit:
             return local_latency, ServiceSource.LOCAL_DRAM_CACHE
 
@@ -157,7 +157,7 @@ class SnoopyProtocol(GlobalCoherenceProtocol):
         local_hit = False
         local_latency = 0.0
         if not has_shared_copy:
-            local_hit, local_latency, _ = self._probe_local_dram_cache(now, requester, block)
+            local_hit, local_latency = self._probe_local_dram_cache(now, requester, block)
 
         home = self._home_of_block(block)
         start = now + local_latency
@@ -200,3 +200,47 @@ class SnoopyProtocol(GlobalCoherenceProtocol):
             self._insert_into_dram_cache(now, requester, block, dirty=dirty)
         elif dirty:
             self._memory_write(now, self._home_of_block(block), block, requester)
+
+    # ------------------------------------------------------------------
+    # Functional (state-only) mirrors -- see GlobalCoherenceProtocol
+    # ------------------------------------------------------------------
+
+    def read_miss_functional(self, requester: int, block: int) -> None:
+        # The local probe is stateful (predictor and associative LRU).
+        dram_cache = self.sockets[requester].dram_cache
+        if dram_cache is not None and dram_cache.probe(block).hit:
+            return
+        # Mirror of _snoop_socket(invalidate=False) per peer: a Modified LLC
+        # copy is downgraded, else a dirty DRAM-cache copy is marked clean
+        # (mark_clean leaves a clean or absent block alone).
+        for target_socket in self.sockets:
+            if target_socket.socket_id == requester:
+                continue
+            llc_line = target_socket.llc.peek(block)
+            if llc_line is not None:
+                if llc_line & MODIFIED:
+                    target_socket.downgrade_block(block)
+            elif target_socket.dram_cache is not None:
+                target_socket.dram_cache.mark_clean(block)
+
+    def write_miss_functional(
+        self, requester: int, block: int, *, thread_id: int = 0,
+        has_shared_copy: bool = False,
+    ) -> None:
+        if not has_shared_copy:
+            dram_cache = self.sockets[requester].dram_cache
+            if dram_cache is not None:
+                dram_cache.probe(block)
+        # Mirror of _snoop_socket(invalidate=True) per peer: every copy goes.
+        for target_socket in self.sockets:
+            if target_socket.socket_id == requester:
+                continue
+            if target_socket.dram_cache is not None:
+                target_socket.dram_cache.invalidate(block)
+            target_socket.invalidate_onchip(block)
+
+    def llc_eviction_functional(self, requester: int, block: int, *, dirty: bool) -> None:
+        dram_cache = self.sockets[requester].dram_cache
+        if dram_cache is not None:
+            # Snoopy keeps no directory: its DRAM-cache victim hooks do nothing.
+            dram_cache.insert(block, dirty=dirty)

@@ -24,7 +24,6 @@ from typing import Tuple
 
 from ..coherence.directory import DIR_MODIFIED, SHARER_SHIFT, members, owner_of
 from ..coherence.messages import ServiceSource
-from ..coherence.protocol_base import GlobalCoherenceProtocol
 from ..interconnect.packet import MessageClass
 from .c3d_protocol import C3DProtocol
 
@@ -36,14 +35,6 @@ class C3DFullDirectoryProtocol(C3DProtocol):
 
     name = "c3d-full-dir"
     tracks_dram_cache_in_directory = True
-
-    # The timed entry points below diverge from plain C3D (the ideal
-    # directory tracks DRAM-cache residency), so the lean functional mirrors
-    # inherited from C3DProtocol would drift; fall back to the generic
-    # state-exact mirrors, which wrap the timed paths.
-    read_miss_functional = GlobalCoherenceProtocol.read_miss_functional
-    write_miss_functional = GlobalCoherenceProtocol.write_miss_functional
-    llc_eviction_functional = GlobalCoherenceProtocol.llc_eviction_functional
 
     # ------------------------------------------------------------------
     # Reads
@@ -75,7 +66,7 @@ class C3DFullDirectoryProtocol(C3DProtocol):
         local_hit = False
         local_latency = 0.0
         if not has_shared_copy:
-            local_hit, local_latency, _ = self._probe_local_dram_cache(now, requester, block)
+            local_hit, local_latency = self._probe_local_dram_cache(now, requester, block)
 
         home = self._home_of_block(block)
         directory = self.directories[home]
@@ -141,6 +132,72 @@ class C3DFullDirectoryProtocol(C3DProtocol):
             self.stats.write_throughs += 1
             # Modified -> Shared on write-back: the (clean) copy retained in
             # the DRAM cache keeps the socket in the sharing vector.
+            if dram_cache is not None and dram_cache.contains(block):
+                directory.set_shared(block, (requester,))
+            else:
+                directory.invalidate(block)
+
+    # ------------------------------------------------------------------
+    # Functional (state-only) mirrors -- see GlobalCoherenceProtocol
+    # ------------------------------------------------------------------
+    #
+    # The timed entry points above diverge from plain C3D (the ideal
+    # directory tracks DRAM-cache residency), so this design does not
+    # inherit C3DProtocol's mirrors: it mirrors its own handlers.
+
+    def read_miss_functional(self, requester: int, block: int) -> None:
+        # The local probe is stateful (predictor and associative LRU).
+        dram_cache = self.sockets[requester].dram_cache
+        if dram_cache is not None and dram_cache.probe(block).hit:
+            return
+        directory = self.directories[self._home_of_block(block)]
+        entry = directory.lookup(block)
+        if (
+            entry is not None
+            and entry & DIR_MODIFIED
+            and entry >> SHARER_SHIFT != 1 << requester
+        ):
+            owner = owner_of(entry)
+            # Mirror of _fetch_from_remote_llc(downgrade=True).
+            self.sockets[owner].downgrade_block(block)
+            directory.set_shared(block, (owner, requester))
+        else:
+            # Served by memory: read_miss's note_read_sharer.  It repeats
+            # plain C3D's add_sharer on a Shared entry, which changes nothing
+            # the second time, so this one call covers both.
+            self._directory_note_read_sharer(directory, block, requester)
+
+    def write_miss_functional(
+        self, requester: int, block: int, *, thread_id: int = 0,
+        has_shared_copy: bool = False,
+    ) -> None:
+        if not has_shared_copy:
+            dram_cache = self.sockets[requester].dram_cache
+            if dram_cache is not None:
+                dram_cache.probe(block)
+        directory = self.directories[self._home_of_block(block)]
+        entry = directory.lookup(block)
+        # A Modified entry's owner is its only sharer, so the tracked targets
+        # cover write_miss's owner branch as well as its sharer branch.
+        if entry is not None:
+            targets = members(entry >> SHARER_SHIFT & ~(1 << requester))
+        else:
+            targets = self._sockets_with_any_copy(block, exclude=requester)
+        sockets = self.sockets
+        for target in targets:
+            # Mirror of _invalidate_remote_socket(include_dram_cache=True).
+            target_socket = sockets[target]
+            if target_socket.dram_cache is not None:
+                target_socket.dram_cache.invalidate(block)
+            target_socket.invalidate_onchip(block)
+        directory.set_modified(block, requester)
+
+    def llc_eviction_functional(self, requester: int, block: int, *, dirty: bool) -> None:
+        dram_cache = self.sockets[requester].dram_cache
+        if dram_cache is not None:
+            self._insert_into_dram_cache_functional(requester, block, dirty=False)
+        if dirty:
+            directory = self.directories[self._home_of_block(block)]
             if dram_cache is not None and dram_cache.contains(block):
                 directory.set_shared(block, (requester,))
             else:

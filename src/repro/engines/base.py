@@ -82,9 +82,9 @@ def functional_timing(system: "NumaSystem"):
     no busy-until bandwidth state, so the coherence protocols can run their
     normal (state-exact) transaction logic during fast-forward without
     polluting channel/link occupancy for the detailed windows that follow.
-    The protocols' lean ``*_functional`` mirrors skip the timing calls
-    entirely; this context is what keeps the *generic* mirror fallback (and
-    any protocol without a lean mirror) state-exact too.
+    Every design's lean ``*_functional`` mirrors skip the timing calls
+    entirely; this context is what keeps the *generic* mirror fallback, the
+    reference the mirror test runs, state-exact too.
     """
 
     def _zero_send(now, src, dst, message_class):

@@ -10,12 +10,15 @@ The fast-forward phase runs directly on the compiled-trace batches: each
 core's slice of the trace arrays is walked with the L1 hit paths (read *and*
 write) inlined, first-touch page placement short-circuited for
 already-placed pages, and everything below the L1 routed through
-:meth:`~repro.system.socket.Socket.access_functional`, which drives the
-coherence protocols' lean state-only ``*_functional`` mirrors.  This is what
-makes fast-forward substantially cheaper per access than a detail window
-while leaving bit-identical architectural state behind
-(``tests/system/test_sampling.py`` and ``tools/check_sampling.py`` validate
-the resulting estimates against exact runs).
+:meth:`~repro.system.socket.Socket.access_functional`, which drives each
+coherence design's own state-only ``*_functional`` mirrors: no send, memory
+call, latency arithmetic or counter per miss.  This is what makes
+fast-forward substantially cheaper per access than a detail window while
+leaving bit-identical architectural state behind
+(``tests/engines/test_functional_mirrors.py`` compares every design's
+mirrors against the timed handlers; ``tests/system/test_sampling.py`` and
+``tools/check_sampling.py`` validate the resulting estimates against exact
+runs).
 
 Measurement windows are *isolated*: the engine's persistent chain advances
 functionally through the whole region, and each warmup+detail window runs in
@@ -394,7 +397,8 @@ class SampledEngine(ExecutionEngine):
         :meth:`Socket.access_functional` -- the state-exact mirror of the
         demand path.  Callers wrap this phase in ``scratch_stats`` and
         ``functional_timing`` so neither statistics nor busy-until state
-        advance.
+        advance: the designs' lean mirrors send and count nothing, and the
+        generic fallback the mirror test swaps in runs the timed handlers.
         """
         system = context.system
         classifier = system.page_classifier

@@ -7,7 +7,8 @@ Every experiment module (one per table/figure) builds on the same pieces:
   per core on 32-core machines, which a pure-Python simulator cannot replay;
   the default settings scale capacities and working sets by 512x and replay a
   few thousand accesses per core after pre-warming the DRAM caches
-  (DESIGN.md section 5 explains why this preserves the normalised results).
+  (docs/experiments.md, "Fidelity knobs", explains why this preserves the
+  normalised results).
 * :class:`ExperimentContext` -- builds systems/workloads, runs simulations
   (on either execution engine) and memoises results at two levels: an
   in-process cache so that e.g. Fig. 8 and Fig. 9 reuse the runs performed
@@ -84,7 +85,7 @@ class ExperimentSettings:
 
     @classmethod
     def full(cls) -> "ExperimentSettings":
-        """Higher-fidelity settings used to produce EXPERIMENTS.md."""
+        """Higher-fidelity settings: the runner's ``--full`` (docs/experiments.md)."""
         return cls(scale=512, accesses_per_thread=6000, warmup_accesses_per_thread=2000)
 
     def dual_socket(self) -> "ExperimentSettings":

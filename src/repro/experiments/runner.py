@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.experiments.runner                  # default settings
     python -m repro.experiments.runner --quick          # CI-sized runs
-    python -m repro.experiments.runner --full           # EXPERIMENTS.md settings
+    python -m repro.experiments.runner --full           # ExperimentSettings.full()
     python -m repro.experiments.runner --jobs 4         # fan out over workers
     python -m repro.experiments.runner --store results  # persist every run
     python -m repro.experiments.runner --store results --jobs 4
@@ -855,7 +855,8 @@ def run_all_parallel(
 def main(argv: Optional[List[str]] = None) -> Dict[str, object]:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="CI-sized runs")
-    parser.add_argument("--full", action="store_true", help="EXPERIMENTS.md settings")
+    parser.add_argument("--full", action="store_true",
+                        help="higher fidelity: ExperimentSettings.full()")
     parser.add_argument(
         "--no-sensitivity", action="store_true", help="skip the Fig. 10/11 sweeps"
     )

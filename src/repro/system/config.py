@@ -15,7 +15,8 @@ The default values reproduce Table II of the paper:
 Because a pure-Python simulator cannot execute billions of accesses, the
 experiment harness uses :meth:`SystemConfig.scaled` to divide capacities by a
 common factor while keeping every latency and bandwidth at its Table II
-value; see DESIGN.md section 5 for why this preserves the paper's shapes.
+value; see docs/experiments.md, "Fidelity knobs", for why this preserves
+the paper's shapes.
 """
 
 from __future__ import annotations

@@ -244,26 +244,25 @@ class Socket:
 
     def access_functional(self, core_index: int, block: int, is_write: bool,
                           thread_id: int = 0) -> None:
-        """Functional-only access: advance cache/directory state, no timing.
+        """Functional-only access below the L1: advance cache/directory
+        state, no timing.
 
-        Used by the sampled engine's fast-forward segments
-        (:meth:`repro.engines.SampledEngine` drives it through
-        ``EngineContext.run_phase_functional``).  The *state* transitions
-        mirror :meth:`access` exactly -- L1/LLC recency and fills,
-        local-directory bookkeeping, and the global protocol's
-        directory/DRAM-cache updates, invoked through the protocol's
-        ``*_functional`` state-only mirrors (whose generic fallback runs the
-        timed entry points under the functional-timing stubs the caller has
-        installed).  Latencies are discarded and statistics land on the
-        scratch counters the caller installed, so a fast-forward leaves the
-        measured statistics untouched while every cache stays warm.
+        Used by the sampled engine's fast-forward walk
+        (:meth:`repro.engines.sampled.SampledEngine.run_phase_functional`),
+        its only caller, which inlines the L1 hit paths and calls this only
+        after its own L1 check found a miss, or a Shared line under a store.
+        So there is no L1 lookup here: on a miss it would change nothing, and
+        under a store to a Shared line the ``_fill_l1`` below moves the line
+        to MRU anyway (only peer L1s are touched in between).  The *state*
+        transitions mirror :meth:`access_l1_missed` exactly -- LLC recency
+        and fills, local-directory bookkeeping, and the global protocol's
+        directory/DRAM-cache updates through each design's state-only
+        ``*_functional`` mirrors, which send nothing, count nothing and
+        compute no latency.  The peer-intervention counter still lands on
+        the scratch statistics the caller installed, so a fast-forward
+        leaves the measured statistics untouched while every cache stays
+        warm.
         """
-        l1 = self.l1s[core_index]
-        line = l1.lookup(block)
-        if line is not None and (not is_write or line & MODIFIED):
-            if is_write:
-                l1.mark_dirty(block)
-            return
         llc = self.llc
         llc_line = llc.lookup(block)
         if llc_line is not None:

@@ -26,8 +26,9 @@ reproduces the ~75 % remote-access fractions of Table I under first-touch
 placement.
 
 All region sizes are expressed in *paper-scale* bytes and divided by the
-experiment's scale factor together with the cache capacities (DESIGN.md
-section 5), which preserves hit rates and therefore the normalised results.
+experiment's scale factor together with the cache capacities
+(docs/experiments.md, "Fidelity knobs"), which preserves hit rates and
+therefore the normalised results.
 """
 
 from __future__ import annotations

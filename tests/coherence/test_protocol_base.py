@@ -27,11 +27,11 @@ def test_probe_local_dram_cache_counts_hits_and_misses():
     system = tiny_system("c3d")
     protocol = system.protocol
     block = block_homed_at(system, home=0)
-    hit, latency, dirty = protocol._probe_local_dram_cache(0.0, 0, block)
-    assert not hit and not dirty
+    hit, latency = protocol._probe_local_dram_cache(0.0, 0, block)
+    assert not hit
     assert latency >= system.config.dram_cache.predictor_latency_ns
     system.sockets[0].dram_cache.insert(block)
-    hit, latency, _ = protocol._probe_local_dram_cache(0.0, 0, block)
+    hit, latency = protocol._probe_local_dram_cache(0.0, 0, block)
     assert hit
     assert latency == pytest.approx(
         system.config.dram_cache.predictor_latency_ns + system.config.dram_cache.latency_ns
@@ -42,8 +42,7 @@ def test_probe_local_dram_cache_counts_hits_and_misses():
 
 def test_probe_local_dram_cache_on_baseline_is_free():
     system = tiny_system("baseline")
-    hit, latency, dirty = system.protocol._probe_local_dram_cache(0.0, 0, 1234)
-    assert (hit, latency, dirty) == (False, 0.0, False)
+    assert system.protocol._probe_local_dram_cache(0.0, 0, 1234) == (False, 0.0)
 
 
 def test_sockets_with_copy_helpers():

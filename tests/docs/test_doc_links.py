@@ -62,3 +62,27 @@ def test_checker_accepts_anchored_relative_links(tmp_path):
     doc = tmp_path / "page.md"
     doc.write_text("[sect](other.md#section)\n")
     assert list(checker.broken_links(doc)) == []
+
+
+def test_checker_flags_mentions_of_missing_root_pages(tmp_path):
+    checker = _load_checker()
+    # Spelled in two parts, so that the scan of this repository does not
+    # read this file as a mention of a missing page.
+    gone, present = "GONE" + ".md", "PRESENT" + ".md"
+    (tmp_path / present).write_text("# here\n")
+    (tmp_path / "README.md").write_text(f"See {present} and {gone}.\n")
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "page.md").write_text(
+        f"[sibling](other.md), docs/{gone} and lower.md are no root pages.\n"
+    )
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "mod.py").write_text(f'"""\n\nNumbers in {gone}."""\n')
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_x.py").write_text(f"# {gone} and README.md\n")
+    # History pages at the root are not scanned.
+    (tmp_path / "CHANGES.md").write_text(f"{gone}\n")
+    assert checker.missing_root_pages(tmp_path) == [
+        f"README.md:1: {gone}",
+        f"src/pkg/mod.py:3: {gone}",
+        f"tests/test_x.py:1: {gone}",
+    ]

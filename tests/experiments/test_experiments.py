@@ -3,7 +3,8 @@
 These tests check that each experiment produces the right *structure* (rows,
 columns, normalisations) and the coarse directional properties that do not
 require long runs; the quantitative comparison against the paper lives in
-EXPERIMENTS.md and the benchmark harness.
+the benchmark harness (``benchmarks/``), which ``--full`` runs at
+``ExperimentSettings.full()`` (docs/experiments.md).
 """
 
 import math

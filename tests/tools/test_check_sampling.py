@@ -33,19 +33,27 @@ def fake_pairs(monkeypatch, timings):
 
 
 def test_a_protocol_under_the_floor_fails_the_run(monkeypatch, capsys):
+    """By default every design is gated, each on its own totals."""
+    assert tool.DEFAULT_PROTOCOLS == (
+        "baseline", "snoopy", "full-dir", "c3d", "c3d-full-dir",
+    )
     timings = {
-        ("streamcluster", "baseline"): (3.0, 1.0),
-        ("facesim", "baseline"): (1.0, 1.0),
-        ("streamcluster", "c3d"): (1.2, 1.0),
-        ("facesim", "c3d"): (1.0, 1.0),
+        (workload, protocol): (2.0, 1.0)
+        for workload in tool.DEFAULT_WORKLOADS
+        for protocol in tool.DEFAULT_PROTOCOLS
     }
+    timings["streamcluster", "baseline"] = (3.0, 1.0)
+    timings["facesim", "baseline"] = (1.0, 1.0)
+    timings["streamcluster", "full-dir"] = (1.2, 1.0)
+    timings["facesim", "full-dir"] = (1.0, 1.0)
     fake_pairs(monkeypatch, timings)
     assert tool.main([]) == 1
     out = capsys.readouterr().out
     assert "baseline: ok  exact 4.00s / sampled 2.00s = 2.00x" in out
-    assert "c3d: FAIL  exact 2.20s / sampled 2.00s = 1.10x" in out
+    assert "full-dir: FAIL  exact 2.20s / sampled 2.00s = 1.10x" in out
+    assert "c3d-full-dir: ok  exact 4.00s / sampled 2.00s = 2.00x" in out
     assert "1 protocol(s) below the 1.15x speed floor" in out
-    timings["facesim", "c3d"] = (1.2, 1.0)
+    timings["facesim", "full-dir"] = (1.2, 1.0)
     assert tool.main([]) == 0
 
 

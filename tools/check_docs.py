@@ -7,6 +7,12 @@ targets (``http(s)://``, ``mailto:``) and pure in-page anchors (``#...``)
 are ignored; every other target is resolved relative to the containing file
 (anchors and query strings stripped) and must exist in the working tree.
 
+Run without arguments, it also fails on a mention of a root-level page that
+does not exist: a bare upper-case page name such as ``README.md`` (the
+convention of the pages at the repository root) in README.md or any file
+under ``MENTION_DIRS``.  The history pages at the root (CHANGES.md,
+ROADMAP.md) are not scanned.
+
 Usage::
 
     python tools/check_docs.py            # from the repo root
@@ -29,6 +35,13 @@ from typing import Iterable, List, Tuple
 _LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 
 _EXTERNAL = ("http://", "https://", "mailto:")
+
+#: A bare upper-case page name, not part of a path: ``README.md``, not
+#: ``docs/README.md`` or ``experiments.md``.
+_ROOT_PAGE = re.compile(r"(?<![\w./-])([A-Z][A-Z0-9_-]*\.md)\b")
+
+#: Where a mention of a root-level page must resolve (besides README.md).
+MENTION_DIRS = ("docs", "src", "tools", "benchmarks", "tests", "examples")
 
 #: Documentation pages that must exist (the docs/*.md glob would silently
 #: shrink if one were deleted or renamed; this list pins the expected set).
@@ -99,6 +112,29 @@ def missing_required_docs(root: Path) -> List[str]:
     return [rel for rel in REQUIRED_DOCS if not (root / rel).is_file()]
 
 
+def missing_root_pages(root: Path) -> List[str]:
+    """``file:line: page`` for each mention of a root-level page absent
+    from ``root``, in README.md and every file under ``MENTION_DIRS``."""
+    files = [root / "README.md"]
+    for rel in MENTION_DIRS:
+        files.extend(sorted(
+            path for path in (root / rel).rglob("*")
+            if path.is_file() and "__pycache__" not in path.parts
+        ))
+    missing: List[str] = []
+    for path in files:
+        if not path.is_file():
+            continue
+        text = path.read_bytes().decode("utf-8", errors="replace")
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            for match in _ROOT_PAGE.finditer(line):
+                if not (root / match.group(1)).is_file():
+                    missing.append(
+                        f"{path.relative_to(root)}:{lineno}: {match.group(1)}"
+                    )
+    return missing
+
+
 def broken_links(document: Path) -> Iterable[Tuple[int, str]]:
     """Yield ``(line_number, target)`` for every unresolvable link."""
     for lineno, line in enumerate(document.read_text().splitlines(), start=1):
@@ -127,6 +163,12 @@ def main(argv: List[str]) -> int:
         if gone:
             print(f"{len(gone)} pinned documentation section(s) missing:")
             for entry in gone:
+                print(f"  {entry}")
+            return 1
+        absent = missing_root_pages(root)
+        if absent:
+            print(f"{len(absent)} mention(s) of a root-level page that does not exist:")
+            for entry in absent:
                 print(f"  {entry}")
             return 1
     documents = [Path(arg).resolve() for arg in argv] or default_documents(root)

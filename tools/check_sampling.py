@@ -34,13 +34,14 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.stats.sampling import SamplingPlan
-from repro.system.config import SystemConfig
+from repro.system.config import PROTOCOL_NAMES, SystemConfig
 from repro.system.numa_system import NumaSystem
 from repro.system.simulator import Simulator
 from repro.workloads.registry import make_workload
 
 DEFAULT_WORKLOADS = ("streamcluster", "facesim")
-DEFAULT_PROTOCOLS = ("baseline", "c3d")
+#: Every design: each fast-forwards through its own state-only mirrors.
+DEFAULT_PROTOCOLS = PROTOCOL_NAMES
 
 #: Per protocol, the least total exact seconds over total sampled seconds.
 MIN_SPEEDUP = 1.15

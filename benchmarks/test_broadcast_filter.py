@@ -11,9 +11,7 @@ from repro.experiments.broadcast_filter import (
 def test_broadcast_filter_study(benchmark, context):
     series = run_once(
         benchmark,
-        lambda: run_broadcast_filter(
-            context, workloads=["facesim", "cassandra"], include_mcf=True
-        ),
+        lambda: run_broadcast_filter(context, workloads=["facesim", "cassandra"]),
     )
     print("\n" + format_broadcast_filter(series))
 

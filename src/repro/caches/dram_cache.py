@@ -12,16 +12,11 @@ Two operating modes are supported, selected by ``clean``:
 
 A DRAM-cache line is only a block number and a dirty bit: coherence-wise it
 is always Shared, and no replacement decision reads a use time.  So the tag
-store holds plain ints, never line objects.  The paper's configuration is
-direct-mapped (``associativity=1``), stored as one flat dict
-``set index -> block << 1 | dirty``.  For sensitivity sweeps the cache can
-also be built set-associative, in which case each set is an insertion-ordered
-``{block: dirty}`` dict managed as an intrusive O(1) LRU (hits move the block
-to the back, the front block is the victim), mirroring
-:class:`~repro.caches.sram_cache.SetAssociativeCache`.  A dict of ints is not
-tracked by the cyclic garbage collector, however many lines a prewarm fills,
-and :meth:`DRAMCache.share_fill` hands one fill to several sockets' caches by
-copying it: no line is shared between two caches.  The encoding stays inside
+store holds plain ints, never line objects: the cache is direct-mapped, as
+in the paper, and stored as one flat dict ``set index -> block << 1 | dirty``.
+A dict of ints is not tracked by the cyclic garbage collector, however many
+lines a prewarm fills, and :meth:`DRAMCache.share_fill` hands one fill to
+several sockets' caches by copying it: no line is shared between two caches.  The encoding stays inside
 this class; callers read :meth:`DRAMCache.dirty_of`,
 :meth:`DRAMCache.resident_blocks` and :meth:`DRAMCache.dirty_blocks`.
 
@@ -61,39 +56,29 @@ _PROBE_HIT = DRAMCacheProbe(hit=True, array_accessed=True)
 
 
 class DRAMCache:
-    """Direct-mapped (or optionally set-associative) DRAM cache of 64-byte blocks."""
+    """Direct-mapped DRAM cache of 64-byte blocks."""
 
     def __init__(
         self,
         size_bytes: int,
         *,
         block_size: int = 64,
-        associativity: int = 1,
         clean: bool = True,
         name: str = "dram_cache",
         miss_predictor: Optional[RegionMissPredictor] = None,
     ) -> None:
-        if size_bytes <= 0 or block_size <= 0 or associativity <= 0:
+        if size_bytes <= 0 or block_size <= 0:
             raise ValueError("cache geometry parameters must be positive")
-        total_blocks = size_bytes // block_size
-        if total_blocks == 0:
+        self.num_sets = size_bytes // block_size
+        if self.num_sets == 0:
             raise ValueError(f"{name}: size {size_bytes} smaller than one block")
-        if total_blocks % associativity:
-            raise ValueError(
-                f"{name}: {total_blocks} blocks not divisible by associativity {associativity}"
-            )
-        self.num_sets = total_blocks // associativity
         self.name = name
         self.size_bytes = size_bytes
         self.block_size = block_size
-        self.associativity = associativity
         self.clean = clean
         self.miss_predictor = miss_predictor
-        # Direct-mapped storage: set index -> block << 1 | dirty.  Associative
-        # storage: set index -> insertion-ordered {block: dirty} (front = LRU
-        # victim).
+        #: set index -> block << 1 | dirty.
         self._lines: Dict[int, int] = {}
-        self._sets: Dict[int, Dict[int, bool]] = {}
 
     # -- geometry -----------------------------------------------------------
 
@@ -104,25 +89,17 @@ class DRAMCache:
     # -- queries ------------------------------------------------------------
 
     def contains(self, block: int) -> bool:
-        """True if ``block`` is resident (no LRU update)."""
-        if self.associativity == 1:
-            tag = self._lines.get(block % self.num_sets)
-            return tag is not None and tag >> 1 == block
-        cache_set = self._sets.get(block % self.num_sets)
-        return cache_set is not None and block in cache_set
+        """True if ``block`` is resident (no side effects)."""
+        tag = self._lines.get(block % self.num_sets)
+        return tag is not None and tag >> 1 == block
 
     def dirty_of(self, block: int) -> Optional[bool]:
         """Dirty bit of resident ``block``, or ``None`` when it is not
         resident (no side effects)."""
-        if self.associativity == 1:
-            tag = self._lines.get(block % self.num_sets)
-            if tag is not None and tag >> 1 == block:
-                return (tag & 1) == 1
-            return None
-        cache_set = self._sets.get(block % self.num_sets)
-        if cache_set is None:
-            return None
-        return cache_set.get(block)
+        tag = self._lines.get(block % self.num_sets)
+        if tag is not None and tag >> 1 == block:
+            return (tag & 1) == 1
+        return None
 
     def probe(self, block: int) -> DRAMCacheProbe:
         """Look up ``block``, consulting the miss predictor first.
@@ -133,14 +110,9 @@ class DRAMCache:
         ``SimulationStats``.
         """
         # The tag is read once, inline; the predictor's bookkeeping below
-        # neither depends on nor changes it.  ``dirty`` is None on a miss,
-        # and an associative hit re-inserts the block with it.
-        if self.associativity == 1:
-            tag = self._lines.get(block % self.num_sets)
-            dirty = tag & 1 if tag is not None and tag >> 1 == block else None
-        else:
-            cache_set = self._sets.get(block % self.num_sets)
-            dirty = cache_set.get(block) if cache_set is not None else None
+        # neither depends on nor changes it.
+        tag = self._lines.get(block % self.num_sets)
+        hit = tag is not None and tag >> 1 == block
         predictor = self.miss_predictor
         if predictor is not None:
             # The predictor's lookup (miss_predictor's module docstring).
@@ -149,7 +121,7 @@ class DRAMCache:
             bits = table.get(region)
             if bits is not None:
                 table.move_to_end(region)
-            if dirty is None and (
+            if not hit and (
                 bits is None or not bits & (1 << (block % predictor._blocks_per_region))
             ):
                 return _PROBE_MISS_BYPASS
@@ -157,13 +129,7 @@ class DRAMCache:
             # predictor lost this region's residency information): fall
             # through to the array access so that a resident -- possibly
             # dirty -- line is never silently ignored.
-        if dirty is None:
-            return _PROBE_MISS_ARRAY
-        if self.associativity > 1:
-            # Intrusive LRU touch: move the block to the back of its set.
-            del cache_set[block]
-            cache_set[block] = dirty
-        return _PROBE_HIT
+        return _PROBE_HIT if hit else _PROBE_MISS_ARRAY
 
     # -- mutations ------------------------------------------------------------
 
@@ -179,42 +145,22 @@ class DRAMCache:
         """
         stored_dirty = dirty and not self.clean
         predictor = self.miss_predictor
-        if self.associativity == 1:
-            index = block % self.num_sets
-            lines = self._lines
-            tag = lines.get(index)
+        index = block % self.num_sets
+        lines = self._lines
+        tag = lines.get(index)
 
-            victim: Optional[Tuple[int, bool]] = None
-            if tag is not None:
-                victim_block = tag >> 1
-                if victim_block == block:
-                    if stored_dirty:
-                        lines[index] = tag | 1
-                    return None
-                victim = (victim_block, (tag & 1) == 1)
-                if predictor is not None:
-                    predictor.note_evict(victim_block)
-
-            lines[index] = block << 1 | stored_dirty
-            if predictor is not None:
-                predictor.note_insert(block)
-            return victim
-
-        cache_set = self._sets.get(block % self.num_sets)
-        if cache_set is None:
-            cache_set = self._sets[block % self.num_sets] = {}
-        existing = cache_set.pop(block, None)
-        if existing is not None:
-            # Re-append: the block becomes the most recently used of its set.
-            cache_set[block] = existing or stored_dirty
-            return None
-        victim = None
-        if len(cache_set) >= self.associativity:
-            victim_block = next(iter(cache_set))
-            victim = (victim_block, cache_set.pop(victim_block))
+        victim: Optional[Tuple[int, bool]] = None
+        if tag is not None:
+            victim_block = tag >> 1
+            if victim_block == block:
+                if stored_dirty:
+                    lines[index] = tag | 1
+                return None
+            victim = (victim_block, (tag & 1) == 1)
             if predictor is not None:
                 predictor.note_evict(victim_block)
-        cache_set[block] = stored_dirty
+
+        lines[index] = block << 1 | stored_dirty
         if predictor is not None:
             predictor.note_insert(block)
         return victim
@@ -229,16 +175,11 @@ class DRAMCache:
         clean tags (``range(2 * start, 2 * stop, 2)``, as each tag is
         ``block << 1``), and predictor presence bits are OR-ed per *region*
         instead of per block.  Falls back to a faithful per-block loop for
-        non-contiguous inputs, associative organisations, wrap-around ranges
-        and predictor-displacement corner cases.  Returns the number of
+        non-contiguous inputs, ranges longer than the cache and
+        predictor-displacement corner cases.  Returns the number of
         blocks processed.
         """
-        if (
-            self.associativity == 1
-            and isinstance(blocks, range)
-            and blocks.step == 1
-            and 0 < len(blocks) <= self.num_sets
-        ):
+        if isinstance(blocks, range) and blocks.step == 1 and 0 < len(blocks) <= self.num_sets:
             predictor = self.miss_predictor
             if predictor is None:
                 return self._bulk_fill_range(blocks)
@@ -343,13 +284,6 @@ class DRAMCache:
 
     def _bulk_insert_clean_loop(self, blocks) -> int:
         """Faithful per-block loop behind :meth:`bulk_insert_clean`."""
-        if self.associativity != 1:
-            count = 0
-            for block in blocks:
-                self.insert(block, dirty=False)
-                count += 1
-            return count
-
         lines = self._lines
         num_sets = self.num_sets
         predictor = self.miss_predictor
@@ -393,51 +327,36 @@ class DRAMCache:
     def invalidate(self, block: int) -> bool:
         """Remove ``block`` (e.g. on a broadcast invalidation); return whether
         it was resident."""
-        if self.associativity == 1:
-            index = block % self.num_sets
-            tag = self._lines.get(index)
-            if tag is None or tag >> 1 != block:
-                return False
-            del self._lines[index]
-        else:
-            cache_set = self._sets.get(block % self.num_sets)
-            if cache_set is None or cache_set.pop(block, None) is None:
-                return False
+        index = block % self.num_sets
+        tag = self._lines.get(index)
+        if tag is None or tag >> 1 != block:
+            return False
+        del self._lines[index]
         if self.miss_predictor is not None:
             self.miss_predictor.note_evict(block)
         return True
 
     def mark_clean(self, block: int) -> None:
-        """Clear the dirty bit of a resident block (after a writeback), in
-        place: same slot and, when associative, the same LRU position."""
-        if self.associativity == 1:
-            index = block % self.num_sets
-            if self._lines.get(index) == block << 1 | 1:
-                self._lines[index] = block << 1
-        else:
-            cache_set = self._sets.get(block % self.num_sets)
-            if cache_set is not None and cache_set.get(block):
-                cache_set[block] = False
+        """Clear the dirty bit of a resident block (after a writeback)."""
+        index = block % self.num_sets
+        if self._lines.get(index) == block << 1 | 1:
+            self._lines[index] = block << 1
 
     def clear(self) -> None:
         """Drop all contents."""
         self._lines.clear()
-        self._sets.clear()
 
     # -- prewarm fill sharing ----------------------------------------------------
 
     def is_empty(self) -> bool:
         """True when no set holds a line and the predictor tracks no region."""
         predictor = self.miss_predictor
-        return not self._lines and not self._sets and (
-            predictor is None or not predictor._table
-        )
+        return not self._lines and (predictor is None or not predictor._table)
 
     def _geometry(self) -> Tuple:
         predictor = self.miss_predictor
         return (
             self.num_sets,
-            self.associativity,
             self.block_size,
             None if predictor is None else (
                 predictor.entries, predictor.region_size, predictor._block_size
@@ -459,39 +378,22 @@ class DRAMCache:
         if self._geometry() != source._geometry():
             raise ValueError(f"{self.name}: geometry differs from {source.name}")
         self._lines = source._lines.copy()
-        self._sets = {index: lines.copy() for index, lines in source._sets.items()}
         predictor = self.miss_predictor
         if predictor is not None:
             predictor._table = source.miss_predictor._table.copy()
 
     # -- state queries --------------------------------------------------------
 
-    def occupancy(self) -> int:
-        """Number of valid resident blocks."""
-        if self.associativity == 1:
-            return len(self._lines)
-        return sum(len(cache_set) for cache_set in self._sets.values())
-
     def resident_blocks(self) -> Iterator[int]:
-        """Resident block numbers, in tag-store order (set by set, each
-        associative set LRU first)."""
-        if self.associativity == 1:
-            return (tag >> 1 for tag in self._lines.values())
-        return (block for cache_set in self._sets.values() for block in cache_set)
+        """Resident block numbers, in tag-store order."""
+        return (tag >> 1 for tag in self._lines.values())
 
     def dirty_blocks(self) -> Iterator[int]:
         """Resident dirty block numbers, in tag-store order."""
-        if self.associativity == 1:
-            return (tag >> 1 for tag in self._lines.values() if tag & 1)
-        return (
-            block
-            for cache_set in self._sets.values()
-            for block, dirty in cache_set.items()
-            if dirty
-        )
+        return (tag >> 1 for tag in self._lines.values() if tag & 1)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DRAMCache(name={self.name!r}, size={self.size_bytes}, "
-            f"clean={self.clean}, occupancy={self.occupancy()})"
+            f"clean={self.clean}, occupancy={len(self._lines)})"
         )

@@ -168,11 +168,7 @@ class SetAssociativeCache:
         """Drop all contents."""
         self._sets.clear()
 
-    # -- statistics -----------------------------------------------------------
-
-    def occupancy(self) -> int:
-        """Number of resident blocks."""
-        return sum(len(cache_set) for cache_set in self._sets.values())
+    # -- state queries --------------------------------------------------------
 
     def resident_blocks(self) -> Iterator[int]:
         """Iterate over the block numbers of all resident lines."""

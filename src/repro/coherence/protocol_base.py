@@ -308,18 +308,6 @@ class GlobalCoherenceProtocol(ABC):
         self.stats.invalidations_sent += 1
         return out + probe + ack
 
-    def _sockets_with_any_copy(self, block: int, exclude: Optional[int] = None) -> List[int]:
-        """Sockets holding ``block`` in their LLC or DRAM cache."""
-        holders = []
-        for sock in self.sockets:
-            if exclude is not None and sock.socket_id == exclude:
-                continue
-            if sock.llc.contains(block) or (
-                sock.dram_cache is not None and sock.dram_cache.contains(block)
-            ):
-                holders.append(sock.socket_id)
-        return holders
-
     def _directory_note_read_sharer(self, directory: GlobalDirectory, block: int,
                                     requester: int) -> None:
         """Record ``requester`` as a sharer after a read served by memory.

@@ -13,9 +13,11 @@ Two behavioural changes relative to :class:`~repro.core.c3d_protocol.C3DProtocol
 * a block written back by the LLC (PutX) transitions the directory entry to
   *Shared* (owned by the writing socket's DRAM cache) instead of Invalid, so
   the block stays tracked;
-* reads and writes to blocks the plain C3D directory would consider
-  untracked consult the (idealised) full sharing information instead, so the
-  GetX-in-Invalid case sends directed invalidations only to actual holders.
+* a read served by memory allocates a sharer entry, so every LLC or
+  DRAM-cache copy is listed in its home directory entry
+  (:meth:`~repro.system.numa_system.NumaSystem.check_invariants` checks it),
+  and a write sends directed invalidations to the entry's sharers only --
+  none when the block has no entry.
 """
 
 from __future__ import annotations
@@ -90,13 +92,10 @@ class C3DFullDirectoryProtocol(C3DProtocol):
             latency += send(now + latency, owner, requester, MessageClass.DATA_RESPONSE)
             source = ServiceSource.REMOTE_LLC
         else:
-            # The idealised directory knows the exact holders: use the tracked
-            # sharing vector when present, otherwise fall back to the true
-            # holder set (equivalent, since the ideal directory is precise).
-            if entry is not None:
-                targets = members(entry >> SHARER_SHIFT & ~(1 << requester))
-            else:
-                targets = self._sockets_with_any_copy(block, exclude=requester)
+            # The idealised directory lists every holder, so a block with no
+            # entry has none to invalidate.
+            targets = (members(entry >> SHARER_SHIFT & ~(1 << requester))
+                       if entry is not None else ())
             invalidation_latency = 0.0
             for target in targets:
                 invalidation_latency = max(
@@ -179,10 +178,8 @@ class C3DFullDirectoryProtocol(C3DProtocol):
         entry = directory.lookup(block)
         # A Modified entry's owner is its only sharer, so the tracked targets
         # cover write_miss's owner branch as well as its sharer branch.
-        if entry is not None:
-            targets = members(entry >> SHARER_SHIFT & ~(1 << requester))
-        else:
-            targets = self._sockets_with_any_copy(block, exclude=requester)
+        targets = (members(entry >> SHARER_SHIFT & ~(1 << requester))
+                   if entry is not None else ())
         sockets = self.sockets
         for target in targets:
             # Mirror of _invalidate_remote_socket(include_dram_cache=True).

@@ -52,11 +52,6 @@ class Core:
     def stats(self) -> SimulationStats:
         return self.socket.stats
 
-    @property
-    def local_core_index(self) -> int:
-        """Index of this core within its socket."""
-        return self.local_index
-
     def advance_instructions(self, count: int) -> None:
         """Model ``count`` non-memory instructions at 1 IPC."""
         if count > 0:
@@ -185,7 +180,7 @@ class Core:
             self.stats.store_forward_hits += 1
         else:
             latency, _source = self.socket.access(
-                self.time, self.local_core_index, block,
+                self.time, self.local_index, block,
                 is_write=False, thread_id=self.thread_id,
             )
         self.time += latency
@@ -195,7 +190,7 @@ class Core:
         self.stats.writes += 1
         self.store_buffer.drain(self.time)
         latency, _source = self.socket.access(
-            self.time, self.local_core_index, block,
+            self.time, self.local_index, block,
             is_write=True, thread_id=self.thread_id,
         )
         # The store retires into the buffer; completion is serialised behind

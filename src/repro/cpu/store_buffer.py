@@ -75,7 +75,3 @@ class StoreBuffer:
             completion = max(completion, entries[-1][0])
         entries.append((completion, block))
         return stall_ns
-
-    def occupancy(self) -> int:
-        """Number of in-flight stores currently buffered."""
-        return len(self._entries)

@@ -277,7 +277,11 @@ class EngineContext:
         registered in its home slice as Shared by every socket with a DRAM
         cache, so the directory stays a superset of reality
         (:meth:`GlobalDirectory.add_shared_entries`: one int per new
-        entry).  With the broadcast filter on, every
+        entry).  Each registered page is pinned to the home it was
+        registered at: :meth:`prepare_first_touch` places only a region's
+        whole pages, and a first touch that moved a region's partial last
+        page would leave its copies listed in the wrong slice.  With the
+        broadcast filter on, every
         page of the filled blocks is classified shared: a socket other than
         a page's first toucher may already hold its blocks, so no write to
         it may skip the broadcast.
@@ -317,15 +321,17 @@ class EngineContext:
             # Registered a page at a time (a page has a single home).
             directories = system.directories
             home_of_block = system.mapper.home_of_block
+            pin = getattr(system.policy, "pin_page", None)
             sharers = [sock.socket_id for sock in sockets]
             per_page = layout.blocks_per_page()
             for blocks in fill:
                 start = blocks.start
                 while start < blocks.stop:
                     stop = min(blocks.stop, (start // per_page + 1) * per_page)
-                    directories[home_of_block(start)].add_shared_entries(
-                        range(start, stop), sharers
-                    )
+                    home = home_of_block(start)
+                    if pin is not None:
+                        pin(start // per_page, home)
+                    directories[home].add_shared_entries(range(start, stop), sharers)
                     start = stop
 
         classifier = system.page_classifier
@@ -350,7 +356,6 @@ class EngineContext:
         template = DRAMCache(
             cache.size_bytes,
             block_size=cache.block_size,
-            associativity=cache.associativity,
             name="prewarm template",
             miss_predictor=None if predictor is None else RegionMissPredictor(
                 entries=predictor.entries,

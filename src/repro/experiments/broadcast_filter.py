@@ -26,23 +26,20 @@ __all__ = ["run_broadcast_filter", "format_broadcast_filter", "main"]
 
 
 def run_broadcast_filter(
-    context: Optional[ExperimentContext] = None,
+    context: ExperimentContext,
     *,
     workloads: Optional[Iterable[str]] = None,
-    include_mcf: bool = True,
 ) -> Dict[str, Dict[str, float]]:
     """Measure the effect of the TLB broadcast filter on C3D.
 
-    Returns, per workload: the fraction of potential broadcasts elided and
-    the inter-socket traffic of filtered C3D relative to plain C3D.
+    Returns, per workload and for the single-threaded ``mcf``: the fraction
+    of potential broadcasts elided and the inter-socket traffic of filtered
+    C3D relative to plain C3D.
     """
-    context = context or ExperimentContext(ExperimentSettings())
     workload_list = list(workloads) if workloads is not None else context.workloads()
-    if include_mcf:
-        workload_list = workload_list + ["mcf"]
 
     series: Dict[str, Dict[str, float]] = {}
-    for workload in workload_list:
+    for workload in workload_list + ["mcf"]:
         plain = context.run(workload, "c3d")
         filtered_config = context.make_config("c3d", broadcast_filter=True)
         filtered = context.run(workload, "c3d", config=filtered_config)

@@ -396,7 +396,7 @@ def run_campaign(
     *,
     jobs: int = 1,
     stream=sys.stdout,
-    failure_policy: Optional[FailurePolicy] = FailurePolicy(),
+    failure_policy: FailurePolicy = FailurePolicy(),
 ) -> CampaignSummary:
     """Execute a campaign against a results store, resuming automatically.
 
@@ -406,13 +406,11 @@ def run_campaign(
     Figures run after the sweeps through store-backed contexts, so their
     simulations are cached and skipped the same way.
 
-    Sweep points run fault-tolerantly by default (docs/robustness.md): each
-    point is retried per ``failure_policy`` and, if it keeps failing, is
-    quarantined to the store's ``failures.jsonl`` while the campaign
-    completes the rest -- the summary reports them as ``failed_points``.
-    Pass ``failure_policy=None`` for the legacy fail-fast behaviour, where
-    the first failing point aborts the campaign.  A quarantined point is
-    *not* blacklisted: the next invocation retries it.
+    Sweep points run fault-tolerantly (docs/robustness.md): each point is
+    retried per ``failure_policy`` and, if it keeps failing, is quarantined
+    to the store's ``failures.jsonl`` while the campaign completes the rest
+    -- the summary reports them as ``failed_points``.  A quarantined point
+    is *not* blacklisted: the next invocation retries it.
     """
     started = time.time()
     points = spec.expand()
@@ -571,15 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="first retry delay in seconds, doubling per "
                                  "attempt with deterministic jitter "
                                  "(default: 0.25)")
-    run_parser.add_argument("--on-engine-error", choices=("fail", "fallback"),
-                            default="fail",
-                            help="'fallback' re-runs a point that keeps "
-                                 "failing on a sampled/non-deterministic "
-                                 "engine once on the exact engine "
-                                 "(default: fail)")
-    run_parser.add_argument("--no-fault-tolerance", action="store_true",
-                            help="legacy fail-fast mode: the first failing "
-                                 "point aborts the campaign")
 
     status_parser = sub.add_parser("status", parents=[common()],
                                    help="report completion without running")
@@ -601,15 +590,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     store = ResultsStore(spec.store_directory(args.store))
 
     if args.command == "run":
-        if args.no_fault_tolerance:
-            policy = None
-        else:
-            policy = FailurePolicy(
-                max_attempts=args.max_attempts,
-                timeout_s=args.timeout,
-                backoff_s=args.retry_backoff,
-                on_engine_error=args.on_engine_error,
-            )
+        policy = FailurePolicy(
+            max_attempts=args.max_attempts,
+            timeout_s=args.timeout,
+            backoff_s=args.retry_backoff,
+        )
         summary = run_campaign(spec, store, jobs=args.jobs, failure_policy=policy,
                                # keep stdout pure JSON; progress goes to stderr
                                stream=sys.stderr if args.json else sys.stdout)

@@ -39,7 +39,7 @@ def storage_cost_table(num_sockets: int = 4) -> Dict[str, float]:
 
 
 def run_directory_occupancy(
-    settings: Optional[ExperimentSettings] = None, workload: str = "facesim"
+    settings: ExperimentSettings, workload: str = "facesim"
 ) -> Dict[str, int]:
     """Measured peak directory entries (all slices): full-dir vs. C3D.
 
@@ -51,7 +51,6 @@ def run_directory_occupancy(
     from ..system.simulator import Simulator
     from ..workloads.registry import make_workload
 
-    settings = settings or ExperimentSettings()
     context = ExperimentContext(settings)
     occupancy: Dict[str, int] = {}
     for design in ("full-dir", "c3d"):

@@ -22,25 +22,23 @@ SENSITIVITY_DESIGNS = ("snoopy", "full-dir", "c3d")
 
 
 def run_fig10(
-    context: Optional[ExperimentContext] = None,
+    context: ExperimentContext,
     *,
     workloads: Optional[Iterable[str]] = None,
     latencies: Sequence[float] = LATENCY_POINTS_NS,
-    designs: Sequence[str] = SENSITIVITY_DESIGNS,
 ) -> Dict[str, Dict[str, float]]:
     """Average speedup of each design at each DRAM-cache latency.
 
     Returns ``{"30ns": {design: speedup}, "40ns": ..., "50ns": ...}``.
     """
-    context = context or ExperimentContext(ExperimentSettings())
     workload_list = list(workloads) if workloads is not None else context.workloads()
     series: Dict[str, Dict[str, float]] = {}
 
     for latency in latencies:
-        per_design: Dict[str, list] = {design: [] for design in designs}
+        per_design: Dict[str, list] = {design: [] for design in SENSITIVITY_DESIGNS}
         for workload in workload_list:
             baseline = context.run(workload, "baseline")
-            for design in designs:
+            for design in SENSITIVITY_DESIGNS:
                 config = context.make_config(design)
                 config = replace(
                     config, dram_cache=replace(config.dram_cache, latency_ns=latency)

@@ -23,19 +23,17 @@ HOP_LATENCY_POINTS_NS: Sequence[float] = (5.0, 10.0, 20.0, 30.0)
 
 
 def run_fig11(
-    context: Optional[ExperimentContext] = None,
+    context: ExperimentContext,
     *,
     workloads: Optional[Iterable[str]] = None,
     hop_latencies: Sequence[float] = HOP_LATENCY_POINTS_NS,
-    designs: Sequence[str] = SENSITIVITY_DESIGNS,
 ) -> Dict[str, Dict[str, float]]:
     """Average speedup of each design at each inter-socket hop latency."""
-    context = context or ExperimentContext(ExperimentSettings())
     workload_list = list(workloads) if workloads is not None else context.workloads()
     series: Dict[str, Dict[str, float]] = {}
 
     for hop_latency in hop_latencies:
-        per_design: Dict[str, list] = {design: [] for design in designs}
+        per_design: Dict[str, list] = {design: [] for design in SENSITIVITY_DESIGNS}
         for workload in workload_list:
             baseline_config = context.make_config("baseline")
             baseline_config = replace(
@@ -43,7 +41,7 @@ def run_fig11(
                 interconnect=replace(baseline_config.interconnect, hop_latency_ns=hop_latency),
             )
             baseline = context.run(workload, "baseline", config=baseline_config)
-            for design in designs:
+            for design in SENSITIVITY_DESIGNS:
                 config = context.make_config(design)
                 config = replace(
                     config,

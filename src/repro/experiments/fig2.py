@@ -39,9 +39,8 @@ def _idealisation_overrides(name: str) -> Dict[str, bool]:
     }[name]
 
 
-def run_fig2(context: Optional[ExperimentContext] = None) -> Dict[str, Dict[str, float]]:
+def run_fig2(context: ExperimentContext) -> Dict[str, Dict[str, float]]:
     """Measure idealisation speedups; returns {workload: {idealisation: speedup}}."""
-    context = context or ExperimentContext(ExperimentSettings())
     series: Dict[str, Dict[str, float]] = {}
     for workload in context.workloads():
         baseline = context.run(workload, "baseline")

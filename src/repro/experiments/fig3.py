@@ -26,12 +26,11 @@ __all__ = ["CACHE_POINTS_MB", "run_fig3", "format_fig3", "main"]
 CACHE_POINTS_MB = (16, 64, 256, 1024)
 
 
-def run_fig3(context: Optional[ExperimentContext] = None) -> Dict[str, Dict[str, float]]:
+def run_fig3(context: ExperimentContext) -> Dict[str, Dict[str, float]]:
     """Measure memory accesses vs. cache size, normalised to the 16 MB point.
 
     Returns ``{workload: {"64MB": ratio, "256MB": ratio, "1GB": ratio}}``.
     """
-    context = context or ExperimentContext(ExperimentSettings())
     series: Dict[str, Dict[str, float]] = {}
     scale = context.settings.scale
 

@@ -25,24 +25,20 @@ PAPER_C3D_SPEEDUP_RANGE = (1.064, 1.507)
 PAPER_C3D_SPEEDUP_AVG = 1.192
 
 
-def run_fig6(
-    context: Optional[ExperimentContext] = None,
-    *,
-    designs=DRAM_CACHE_DESIGNS,
-) -> Dict[str, Dict[str, float]]:
+def run_fig6(context: ExperimentContext) -> Dict[str, Dict[str, float]]:
     """Measure per-workload speedups over the baseline for each design."""
-    context = context or ExperimentContext(ExperimentSettings())
     series: Dict[str, Dict[str, float]] = {}
     for workload in context.workloads():
         baseline = context.run(workload, "baseline")
         series[workload] = {
-            design: speedup(baseline, context.run(workload, design)) for design in designs
+            design: speedup(baseline, context.run(workload, design))
+            for design in DRAM_CACHE_DESIGNS
         }
     series["geomean"] = {
         design: geometric_mean(
             row[design] for name, row in series.items() if name != "geomean"
         )
-        for design in designs
+        for design in DRAM_CACHE_DESIGNS
     }
     return series
 

@@ -19,25 +19,20 @@ __all__ = ["PAPER_C3D_SPEEDUP_AVG", "run_fig7", "format_fig7", "main"]
 PAPER_C3D_SPEEDUP_AVG = 1.241
 
 
-def run_fig7(
-    context: Optional[ExperimentContext] = None,
-    *,
-    designs=DRAM_CACHE_DESIGNS,
-) -> Dict[str, Dict[str, float]]:
+def run_fig7(context: ExperimentContext) -> Dict[str, Dict[str, float]]:
     """Measure per-workload speedups on the 2-socket machine."""
-    if context is None:
-        context = ExperimentContext(ExperimentSettings().dual_socket())
     series: Dict[str, Dict[str, float]] = {}
     for workload in context.workloads():
         baseline = context.run(workload, "baseline")
         series[workload] = {
-            design: speedup(baseline, context.run(workload, design)) for design in designs
+            design: speedup(baseline, context.run(workload, design))
+            for design in DRAM_CACHE_DESIGNS
         }
     series["geomean"] = {
         design: geometric_mean(
             row[design] for name, row in series.items() if name != "geomean"
         )
-        for design in designs
+        for design in DRAM_CACHE_DESIGNS
     }
     return series
 

@@ -21,13 +21,12 @@ __all__ = ["PAPER_AVERAGES", "run_fig8", "format_fig8", "main"]
 PAPER_AVERAGES = {"reads": 1 - 0.709, "writes": 1.0, "total": 1 - 0.49}
 
 
-def run_fig8(context: Optional[ExperimentContext] = None) -> Dict[str, Dict[str, float]]:
+def run_fig8(context: ExperimentContext) -> Dict[str, Dict[str, float]]:
     """Measure C3D's memory traffic relative to the baseline.
 
     Returns ``{workload: {"reads": r, "writes": w, "total": t}}`` with every
     value normalised to the baseline design's count.
     """
-    context = context or ExperimentContext(ExperimentSettings())
     series: Dict[str, Dict[str, float]] = {}
     for workload in context.workloads():
         baseline = context.run(workload, "baseline").stats

@@ -10,7 +10,7 @@ Snoopy is far worse because every miss broadcasts snoops to every socket.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 from ..stats.report import format_series
 from .common import DRAM_CACHE_DESIGNS, ExperimentContext, ExperimentSettings
@@ -21,25 +21,19 @@ __all__ = ["PAPER_C3D_REDUCTION", "run_fig9", "format_fig9", "main"]
 PAPER_C3D_REDUCTION = 0.359
 
 
-def run_fig9(
-    context: Optional[ExperimentContext] = None,
-    *,
-    designs: Iterable[str] = DRAM_CACHE_DESIGNS,
-) -> Dict[str, Dict[str, float]]:
+def run_fig9(context: ExperimentContext) -> Dict[str, Dict[str, float]]:
     """Measure normalised inter-socket bytes per design per workload."""
-    context = context or ExperimentContext(ExperimentSettings())
-    designs = tuple(designs)
     series: Dict[str, Dict[str, float]] = {}
     for workload in context.workloads():
         baseline_bytes = context.run(workload, "baseline").inter_socket_bytes or 1
         series[workload] = {
             design: context.run(workload, design).inter_socket_bytes / baseline_bytes
-            for design in designs
+            for design in DRAM_CACHE_DESIGNS
         }
     series["average"] = {
         design: sum(row[design] for name, row in series.items() if name != "average")
         / len(series)
-        for design in designs
+        for design in DRAM_CACHE_DESIGNS
     }
     return series
 

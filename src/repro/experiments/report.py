@@ -162,41 +162,27 @@ def _point_label(params: Mapping, key: str) -> str:
 
 
 def _reliability_markdown(store: ResultsStore) -> Optional[str]:
-    """Render the store's retried/degraded/quarantined points as a table.
+    """Render the store's retried and quarantined points as tables.
 
-    Stored records stamp ``attempts`` and ``engine_used`` when a point
-    needed retries or ran on a fallback engine (docs/robustness.md); the
-    store's ``failures.jsonl`` sidecar holds the points that exhausted their
-    attempts.  Returns ``None`` when every point completed first-try on its
-    requested engine and nothing is quarantined -- the common case, which
+    Stored records stamp ``attempts`` when a point needed retries
+    (docs/robustness.md); the store's ``failures.jsonl`` sidecar holds the
+    points that exhausted their attempts.  Returns ``None`` when every point
+    completed first-try and nothing is quarantined -- the common case, which
     keeps fault-free reports byte-stable.
     """
     lines = [
         "## reliability",
         "",
-        "Points that needed retries, ran degraded on a fallback engine, or "
-        "were quarantined (docs/robustness.md).",
+        "Points that needed retries or were quarantined (docs/robustness.md).",
     ]
-    degraded = []
-    for record in store.iter_records():
-        requested = record.params.get("engine")
-        fell_back = record.engine_used is not None and record.engine_used != requested
-        if record.attempts > 1 or fell_back:
-            degraded.append((record, requested, fell_back))
-    if degraded:
-        lines += [
-            "",
-            "| point | attempts | engine requested | engine used |",
-            "| --- | --- | --- | --- |",
-        ]
-        for record, requested, fell_back in sorted(
-            degraded, key=lambda row: _point_label(row[0].params, row[0].key)
-        ):
-            used = record.engine_used if fell_back else (requested or "?")
-            lines.append(
-                f"| {_point_label(record.params, record.key)} "
-                f"| {record.attempts} | {requested or '?'} | {used} |"
-            )
+    retried = sorted(
+        (_point_label(record.params, record.key), record.attempts)
+        for record in store.iter_records()
+        if record.attempts > 1
+    )
+    if retried:
+        lines += ["", "| point | attempts |", "| --- | --- |"]
+        lines += [f"| {label} | {attempts} |" for label, attempts in retried]
     failures = store.failure_log.records()
     if failures:
         lines += [
@@ -212,7 +198,7 @@ def _reliability_markdown(store: ResultsStore) -> Optional[str]:
                 f"| {_point_label(failure.params, failure.key)} "
                 f"| {failure.engine or '?'} | {failure.attempts} | {error} |"
             )
-    if not degraded and not failures:
+    if not retried and not failures:
         return None
     return "\n".join(lines)
 
@@ -224,15 +210,13 @@ def generate_report(
     out_dir: Optional[PathLike] = None,
     names: Optional[Sequence[str]] = None,
     include_sensitivity: bool = True,
-    workloads: Optional[Sequence[str]] = None,
     engine: str = "compiled",
     stream=sys.stdout,
 ) -> Dict[str, ReportEntry]:
     """Render every requested experiment from ``store`` (never simulates).
 
     ``names`` restricts the experiment set (default: the full runner
-    registry, minus Fig. 10/11 when ``include_sensitivity`` is false);
-    ``workloads`` restricts the per-figure workload list (tests use this).
+    registry, minus Fig. 10/11 when ``include_sensitivity`` is false).
     Returns one :class:`ReportEntry` per experiment; when ``out_dir`` is
     given the Markdown/CSV/text renderings are also written there, plus an
     ``index.md`` marking incomplete figures.
@@ -242,10 +226,6 @@ def generate_report(
     dual_context = ExperimentContext(
         settings.dual_socket(), store=store, offline=True, engine=engine
     )
-    if workloads is not None:
-        workload_list = list(workloads)
-        context.workloads = lambda: list(workload_list)        # type: ignore[assignment]
-        dual_context.workloads = lambda: list(workload_list)   # type: ignore[assignment]
 
     if names is None:
         names = runner_module._experiment_names(include_sensitivity)
@@ -303,8 +283,7 @@ def generate_report(
 
     reliability_markdown = _reliability_markdown(store)
     if reliability_markdown is not None:
-        print("reliability: retried/degraded/quarantined points present",
-              file=stream)
+        print("reliability: retried/quarantined points present", file=stream)
         if out_path is not None:
             (out_path / "reliability.md").write_text(
                 reliability_markdown + "\n", encoding="utf-8"
@@ -323,7 +302,7 @@ def generate_report(
                                "(mean ± CI per metric)")
         if reliability_markdown is not None:
             index_lines.append("- [reliability](reliability.md) "
-                               "(retried / degraded / quarantined points)")
+                               "(retried / quarantined points)")
         (out_path / "index.md").write_text("\n".join(index_lines) + "\n",
                                            encoding="utf-8")
     return entries

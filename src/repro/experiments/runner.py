@@ -42,7 +42,7 @@ import time
 import traceback as traceback_module
 import warnings
 from collections import deque
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import (
@@ -77,7 +77,6 @@ __all__ = [
     "SweepResult",
     "FailurePolicy",
     "PointFailure",
-    "fallback_engine",
     "sweep_point_payload",
     "sweep_point_key",
     "run_sweep",
@@ -137,9 +136,6 @@ class SweepResult:
     wall_clock_s: float = 0.0
     #: Execution attempts this result took (1 = first try; >1 = retried).
     attempts: int = 1
-    #: Engine that actually ran the point; ``None`` = the requested engine.
-    #: Differs only after an ``on_engine_error="fallback"`` degradation.
-    engine_used: Optional[str] = None
 
 
 def sweep_point_payload(point: SweepPoint, engine: str = "compiled") -> Dict:
@@ -258,7 +254,6 @@ def _stored_from_sweep(result: SweepResult, key: str, engine: str) -> StoredRun:
         accesses_executed=result.accesses_executed,
         wall_clock_s=result.wall_clock_s,
         attempts=result.attempts,
-        engine_used=result.engine_used,
     )
 
 
@@ -271,13 +266,18 @@ def _sweep_from_stored(point: SweepPoint, stored: StoredRun) -> SweepResult:
         accesses_executed=stored.accesses_executed,
         wall_clock_s=stored.wall_clock_s,
         attempts=stored.attempts,
-        engine_used=stored.engine_used,
     )
 
 
 # ----------------------------------------------------------------------
 # Failure-domain layer: per-point isolation, retries, quarantine
 # ----------------------------------------------------------------------
+
+
+#: Each retry waits this many times longer than the one before.
+BACKOFF_FACTOR = 2.0
+#: Relative jitter applied to every retry delay (0.1 = +/-10%).
+BACKOFF_JITTER = 0.1
 
 
 @dataclass(frozen=True)
@@ -301,33 +301,22 @@ class FailurePolicy:
     #: Per-point wall-clock budget in seconds; ``None`` disables the
     #: watchdog (a hung worker then blocks its slot forever, as before).
     timeout_s: Optional[float] = None
-    #: First retry delay; attempt ``n`` waits ``backoff_s * factor**(n-1)``.
+    #: First retry delay; attempt ``n`` waits
+    #: ``backoff_s * BACKOFF_FACTOR**(n-1)``, jittered by ``BACKOFF_JITTER``.
     backoff_s: float = 0.25
-    backoff_factor: float = 2.0
-    #: Relative jitter applied to every delay (0.1 = +/-10%).
-    jitter: float = 0.1
     #: Seed of the deterministic jitter.
     seed: int = 0
-    #: ``"fail"`` quarantines after ``max_attempts``; ``"fallback"`` first
-    #: re-runs the point once on the exact fallback engine when the failing
-    #: engine samples -- graceful degradation for the sampled engine.
-    on_engine_error: str = "fail"
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.on_engine_error not in ("fail", "fallback"):
-            raise ValueError(
-                f"on_engine_error must be 'fail' or 'fallback', "
-                f"got {self.on_engine_error!r}"
-            )
 
     def backoff(self, key: str, attempt: int) -> float:
         """Seconds to wait before retrying ``attempt`` (which just failed)."""
-        base = self.backoff_s * self.backoff_factor ** (attempt - 1)
+        base = self.backoff_s * BACKOFF_FACTOR ** (attempt - 1)
         token = f"{self.seed}|backoff|{key}|{attempt}".encode("utf-8")
         draw = int.from_bytes(hashlib.sha256(token).digest()[:8], "big") / 2.0**64
-        return max(0.0, base * (1.0 + self.jitter * (2.0 * draw - 1.0)))
+        return max(0.0, base * (1.0 + BACKOFF_JITTER * (2.0 * draw - 1.0)))
 
 
 @dataclass
@@ -352,27 +341,14 @@ class PointFailure:
         )
 
 
-def fallback_engine() -> str:
-    """The engine degraded points re-run on: the first exact (non-sampling)
-    engine in the registry's listing order, ``compiled``."""
-    from .. import engines
-
-    return next(name for name in engines.names() if not engines.get(name).supports_sampling)
-
-
 @dataclass
 class _PointTask:
     """One point's execution state inside the isolated executor."""
 
     index: int
     point: SweepPoint
-    #: Engine this attempt runs on (switches after a fallback decision).
-    engine: str
-    #: The point actually executed (fallback strips a pinned sample plan).
-    run_point: SweepPoint
     attempt: int = 1
     not_before: float = 0.0
-    fell_back: bool = False
     last_error: str = ""
     last_traceback: str = ""
 
@@ -429,13 +405,9 @@ def _run_points_isolated(
     ``propagate=True``, re-raised after in-flight workers are stopped).
     """
     context = multiprocessing.get_context()
-    ready = deque(
-        _PointTask(index=index, point=point, engine=engine, run_point=point)
-        for index, point in tasks
-    )
+    ready = deque(_PointTask(index=index, point=point) for index, point in tasks)
     waiting: List[_PointTask] = []      # backing off until ``not_before``
     inflight: Dict[object, Tuple[_PointTask, object, Optional[float]]] = {}
-    fallback = fallback_engine() if policy.on_engine_error == "fallback" else None
 
     def fail_attempt(task: _PointTask, error: str, trace: str, exc) -> None:
         task.last_error = error
@@ -448,37 +420,13 @@ def _run_points_isolated(
             task.attempt += 1
             waiting.append(task)
             return
-        if (
-            fallback is not None
-            and not task.fell_back
-            and task.engine != fallback
-        ):
-            # Graceful degradation: one extra attempt on the exact fallback
-            # engine.  Only a sampling engine qualifies -- an exact engine
-            # would fail the same way again.
-            from .. import engines
-
-            if engines.get(task.engine).supports_sampling:
-                task.fell_back = True
-                task.engine = fallback
-                # A pinned sampling plan would force the sampled engine
-                # right back on (see _run_sweep_point); degrade it to an
-                # exact run of the same access stream.
-                if task.run_point.sample_plan is not None:
-                    task.run_point = replace(task.run_point, sample_plan=None)
-                task.not_before = now + policy.backoff(
-                    sweep_point_key(task.point, engine), task.attempt
-                )
-                task.attempt += 1
-                waiting.append(task)
-                return
         failure = PointFailure(
             point=task.point,
             key=sweep_point_key(task.point, engine),
             attempts=task.attempt,
             error=error,
             traceback=trace,
-            engine=task.engine,
+            engine=engine,
         )
         if propagate:
             for process, (_task, conn, _deadline) in list(inflight.items()):
@@ -506,7 +454,7 @@ def _run_points_isolated(
                 parent_conn, child_conn = context.Pipe(duplex=False)
                 process = context.Process(
                     target=_isolated_point_worker,
-                    args=(child_conn, task.run_point, task.engine, task.attempt),
+                    args=(child_conn, task.point, engine, task.attempt),
                     daemon=True,
                 )
                 process.start()
@@ -564,7 +512,6 @@ def _run_points_isolated(
                 if outcome[0] == "ok":
                     result: SweepResult = outcome[1]
                     result.attempts = task.attempt
-                    result.engine_used = task.engine
                     finish(task.index, result)
                 else:
                     _tag, error, trace, exc = outcome
@@ -605,7 +552,7 @@ def run_sweep(
     Without a ``failure_policy`` a failing point propagates and aborts the
     sweep (completed points are already persisted when a store is in use).
     With one, every point -- even under ``jobs=1`` -- runs in an isolated
-    worker process governed by the policy's retries / timeout / fallback;
+    worker process governed by the policy's retries and timeout;
     points that exhaust their attempts are quarantined to the store's
     ``failures.jsonl`` (and reported through ``on_failure``), their result
     slots are returned as ``None``, and the sweep completes the rest

@@ -29,12 +29,11 @@ PAPER_TABLE1: Dict[str, float] = {
 }
 
 
-def run_table1(context: Optional[ExperimentContext] = None) -> Dict[str, float]:
+def run_table1(context: ExperimentContext) -> Dict[str, float]:
     """Measure the remote-memory access fraction per workload.
 
     Returns ``{workload: remote_fraction}`` using the baseline design.
     """
-    context = context or ExperimentContext(ExperimentSettings())
     fractions: Dict[str, float] = {}
     for workload in context.workloads():
         record = context.run(workload, "baseline")

@@ -10,7 +10,6 @@ from .packet import (
     PacketKind,
 )
 from .topology import (
-    FullMeshTopology,
     PointToPointTopology,
     RingTopology,
     Topology,
@@ -28,6 +27,5 @@ __all__ = [
     "Topology",
     "RingTopology",
     "PointToPointTopology",
-    "FullMeshTopology",
     "make_topology",
 ]

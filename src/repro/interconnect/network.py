@@ -71,10 +71,6 @@ class Interconnect:
     def num_sockets(self) -> int:
         return self.topology.num_sockets
 
-    def hops(self, src: int, dst: int) -> int:
-        """Hop count between two sockets."""
-        return self.topology.hops(src, dst)
-
     # -- transfers ------------------------------------------------------------
 
     def send(self, now: float, src: int, dst: int, message_class: MessageClass) -> float:

@@ -1,11 +1,10 @@
 """Inter-socket interconnect topologies.
 
 The paper models a ring for the 4-socket machine and a point-to-point link
-for the 2-socket machine (Table II).  A topology answers two questions:
-
-* how many hops separate two sockets (each hop costs the configured
-  round-trip latency contribution), and
-* which directed links a packet traverses (for bandwidth accounting).
+for the 2-socket machine (Table II).  A topology answers one question:
+which directed links a packet traverses from one socket to another.  Each
+link is one hop, costing the configured per-hop latency, and carries the
+packet's bytes for bandwidth accounting.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import List, Tuple
 
-__all__ = ["Topology", "RingTopology", "PointToPointTopology", "FullMeshTopology", "make_topology"]
+__all__ = ["Topology", "RingTopology", "PointToPointTopology", "make_topology"]
 
 
 class Topology(ABC):
@@ -29,10 +28,6 @@ class Topology(ABC):
     @abstractmethod
     def route(self, src: int, dst: int) -> List[Tuple[int, int]]:
         """Return the list of directed links ``(a, b)`` from ``src`` to ``dst``."""
-
-    def hops(self, src: int, dst: int) -> int:
-        """Number of inter-socket hops between ``src`` and ``dst``."""
-        return len(self.route(src, dst))
 
     def links(self) -> List[Tuple[int, int]]:
         """All directed links present in the topology."""
@@ -72,7 +67,7 @@ class RingTopology(Topology):
 
 
 class PointToPointTopology(Topology):
-    """Direct link between every pair of sockets (2-socket QPI, small gluelss systems)."""
+    """Direct link between every pair of sockets (the 2-socket machine's QPI)."""
 
     name = "p2p"
 
@@ -84,15 +79,13 @@ class PointToPointTopology(Topology):
         return [(src, dst)]
 
 
-#: Alias used when a fully connected system with more than two sockets is wanted.
-FullMeshTopology = PointToPointTopology
-
-
 def make_topology(name: str, num_sockets: int) -> Topology:
-    """Create a topology by name (``ring``, ``p2p``/``mesh``)."""
-    key = name.lower()
-    if key == "ring":
+    """Create a topology by name: ``ring`` or ``p2p``.
+
+    Each machine has one spelling, so it hashes to one store key.
+    """
+    if name == "ring":
         return RingTopology(num_sockets)
-    if key in ("p2p", "point-to-point", "mesh", "full-mesh"):
+    if name == "p2p":
         return PointToPointTopology(num_sockets)
-    raise ValueError(f"unknown topology {name!r}")
+    raise ValueError(f"unknown topology {name!r}; expected 'ring' or 'p2p'")

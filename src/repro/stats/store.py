@@ -251,10 +251,6 @@ class StoredRun:
     wall_clock_s: float = 0.0
     #: How many execution attempts produced this result (1 = first try).
     attempts: int = 1
-    #: Engine that actually produced the result; ``None`` means the keyed
-    #: engine (``params["engine"]``).  Differs only after an
-    #: ``on_engine_error="fallback"`` degradation (docs/robustness.md).
-    engine_used: Optional[str] = None
 
     def to_json_dict(self) -> Dict:
         payload = {
@@ -266,13 +262,11 @@ class StoredRun:
             "accesses_executed": self.accesses_executed,
             "wall_clock_s": self.wall_clock_s,
         }
-        # Reliability stamps are serialised only when informative, keeping
+        # The reliability stamp is serialised only when informative, keeping
         # first-try records byte-identical across runs (duplicate appends of
         # the same key stay bit-identical by construction).
         if self.attempts != 1:
             payload["attempts"] = self.attempts
-        if self.engine_used is not None and self.engine_used != self.params.get("engine"):
-            payload["engine_used"] = self.engine_used
         return payload
 
     @classmethod
@@ -293,7 +287,6 @@ class StoredRun:
             accesses_executed=payload["accesses_executed"],
             wall_clock_s=payload.get("wall_clock_s", 0.0),
             attempts=payload.get("attempts", 1),
-            engine_used=payload.get("engine_used"),
         )
 
 

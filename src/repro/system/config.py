@@ -45,6 +45,18 @@ def cycles_to_ns(cycles: float, clock_ghz: float = 3.0) -> float:
     return cycles / clock_ghz
 
 
+def _require_default(config, *names: str) -> None:
+    """Reject a value other than the default for fields the model ignores,
+    so no machine silently runs without the setting it was given."""
+    for name in names:
+        default = type(config).__dataclass_fields__[name].default
+        if getattr(config, name) != default:
+            raise ValueError(
+                f"{type(config).__name__}.{name} must be {default!r} "
+                f"(the model has no other), got {getattr(config, name)!r}"
+            )
+
+
 @dataclass(frozen=True)
 class CacheConfig:
     """Geometry and latency of an SRAM cache level."""
@@ -68,10 +80,15 @@ class DRAMCacheConfig:
     predictor_entries: int = 4096
     predictor_latency_ns: float = cycles_to_ns(2)
     region_size: int = 4096
+    #: These two configure nothing: every design that has a DRAM cache has
+    #: one, and it is direct-mapped.  They are kept, pinned to these values,
+    #: only because ``SystemConfig.as_dict()`` is hashed into every stored
+    #: result's key; they go at the next deliberate re-key.
     enabled: bool = True
-    #: 1 = the paper's direct-mapped organisation; >1 enables the intrusive
-    #: per-set LRU (sensitivity sweeps).
     associativity: int = 1
+
+    def __post_init__(self) -> None:
+        _require_default(self, "enabled", "associativity")
 
     def scaled(self, factor: int, *, floor_bytes: int = 1 << 16) -> "DRAMCacheConfig":
         new_size = max(floor_bytes, self.size_bytes // factor)
@@ -117,9 +134,13 @@ class ProcessorConfig:
     clock_ghz: float = 3.0
     store_buffer_entries: int = 32
     #: Sizes nothing: the model has no TLB (the paper charges nothing for
-    #: translation).  Kept only because ``as_dict()`` is hashed into every
-    #: stored result's key; it goes at the next deliberate re-key.
+    #: translation).  Kept, pinned to this value, only because ``as_dict()``
+    #: is hashed into every stored result's key; it goes at the next
+    #: deliberate re-key.
     tlb_entries: int = 64
+
+    def __post_init__(self) -> None:
+        _require_default(self, "tlb_entries")
 
 
 @dataclass(frozen=True)
@@ -167,10 +188,6 @@ class SystemConfig:
     def socket_of_core(self, core_id: int) -> int:
         """Socket housing global core id ``core_id``."""
         return core_id // self.cores_per_socket
-
-    def local_core_index(self, core_id: int) -> int:
-        """Index of global core id ``core_id`` within its socket."""
-        return core_id % self.cores_per_socket
 
     # -- canonical configurations ------------------------------------------------
 
@@ -232,7 +249,7 @@ class SystemConfig:
         """Human-readable one-line summary (used in reports)."""
         dram = (
             f"{self.dram_cache.size_bytes // (1024 * 1024)}MB DRAM$"
-            if self.dram_cache.enabled and self.protocol != "baseline"
+            if self.protocol != "baseline"
             else "no DRAM$"
         )
         return (

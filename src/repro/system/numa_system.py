@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Type
 
 from ..caches.sram_cache import DIRTY, MODIFIED
 from ..coherence.baseline import BaselineProtocol
-from ..coherence.directory import GlobalDirectory
+from ..coherence.directory import SHARER_SHIFT, GlobalDirectory
 from ..coherence.full_directory import FullDirectoryProtocol
 from ..coherence.protocol_base import GlobalCoherenceProtocol
 from ..coherence.snoopy import SnoopyProtocol
@@ -171,9 +171,6 @@ class NumaSystem:
     def num_cores(self) -> int:
         return self.config.total_cores
 
-    def socket_of_core(self, core_id: int) -> Socket:
-        return self.sockets[self.config.socket_of_core(core_id)]
-
     def inter_socket_bytes(self) -> int:
         """Total bytes injected into the inter-socket interconnect."""
         return self.interconnect.bytes_sent
@@ -203,8 +200,9 @@ class NumaSystem:
         Modified L1 line has a Modified and dirty LLC line, and that the
         local directory matches the L1s; across sockets, the
         socket-granularity Single-Writer/Multiple-Reader property, the
-        clean-DRAM-cache property for clean designs, and directory
-        Modified-state consistency.
+        clean-DRAM-cache property for clean designs, directory
+        Modified-state consistency and, for the designs whose directory
+        tracks DRAM-cache residency, that the directory lists every copy.
         """
         violations: List[str] = []
         for sock in self.sockets:
@@ -262,6 +260,33 @@ class NumaSystem:
                         f"{block:#x} is Modified at socket {owner}, "
                         "which has no on-chip copy"
                     )
+
+        if self.protocol.tracks_dram_cache_in_directory:
+            violations.extend(self._untracked_copies())
+        return violations
+
+    def _untracked_copies(self) -> List[str]:
+        """Each LLC or DRAM-cache copy its home directory entry does not
+        list as a sharer.  Streams over the tag stores, building nothing
+        per block: this runs after every point of a sweep."""
+        violations: List[str] = []
+        directories = self.directories
+        home_of_block = self.mapper.home_of_block
+        for sock in self.sockets:
+            bit = 1 << sock.socket_id
+            levels = [("LLC", sock.llc.resident_blocks())]
+            if sock.dram_cache is not None:
+                levels.append(("DRAM cache", sock.dram_cache.resident_blocks()))
+            for level, blocks in levels:
+                for block in blocks:
+                    home = home_of_block(block)
+                    entry = directories[home].lookup(block)
+                    if entry is None or not entry >> SHARER_SHIFT & bit:
+                        violations.append(
+                            f"block {block:#x} in the {level} of socket "
+                            f"{sock.socket_id}, but directory[{home}] does not "
+                            "list that socket as a sharer"
+                        )
         return violations
 
     @staticmethod

@@ -69,7 +69,7 @@ class Simulator:
         statistics or the measured execution time.  ``prewarm`` additionally
         pre-loads the DRAM caches with the workload's shared data before the
         run starts (the affordable equivalent of the paper's 100 M-access
-        warm-up phase; see :meth:`prewarm_dram_caches`).
+        warm-up phase; see :meth:`EngineContext.prewarm_dram_caches`).
         """
         context = self._context()
         context.prepare_first_touch()
@@ -80,10 +80,6 @@ class Simulator:
             max_accesses_per_core=max_accesses_per_core,
             warmup_accesses_per_core=warmup_accesses_per_core,
         )
-
-    def prewarm_dram_caches(self) -> int:
-        """Pre-load the DRAM caches (see :meth:`EngineContext.prewarm_dram_caches`)."""
-        return self._context().prewarm_dram_caches()
 
     # ------------------------------------------------------------------
     # Internals

@@ -93,7 +93,7 @@ class Socket:
 
         # -- optional DRAM cache ------------------------------------------------
         self.dram_cache: Optional[DRAMCache] = None
-        if with_dram_cache and config.dram_cache.enabled:
+        if with_dram_cache:
             predictor = RegionMissPredictor(
                 entries=config.dram_cache.predictor_entries,
                 region_size=config.dram_cache.region_size,
@@ -103,7 +103,6 @@ class Socket:
             self.dram_cache = DRAMCache(
                 config.dram_cache.size_bytes,
                 block_size=config.block_size,
-                associativity=config.dram_cache.associativity,
                 clean=clean,
                 name=f"socket{socket_id}.dram_cache",
                 miss_predictor=predictor,

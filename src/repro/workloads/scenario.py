@@ -424,15 +424,6 @@ class ScenarioWorkload:
             pages.extend(page + shift for page in pages_fn())
         return pages
 
-    def total_footprint_bytes(self) -> int:
-        """Sum of the entries' footprints (entries with no estimate count 0)."""
-        total = 0
-        for assignment in self.assignments:
-            footprint = getattr(assignment.workload, "total_footprint_bytes", None)
-            if footprint is not None:
-                total += footprint()
-        return total
-
 
 # ----------------------------------------------------------------------
 # JSON loading and the built-in registry

@@ -351,22 +351,6 @@ class SyntheticWorkload:
 
     # -- derived helpers -----------------------------------------------------------
 
-    def scaled(self, factor: int) -> "SyntheticWorkload":
-        """Return a copy with all region sizes scaled down by ``factor``."""
-        return SyntheticWorkload(
-            self.spec.scaled(factor),
-            accesses_per_thread=self.accesses_per_thread,
-            layout=self.layout,
-        )
-
-    def with_threads(self, num_threads: int) -> "SyntheticWorkload":
-        """Return a copy with a different thread count (e.g. for 2-socket runs)."""
-        return SyntheticWorkload(
-            self.spec.with_threads(num_threads),
-            accesses_per_thread=self.accesses_per_thread,
-            layout=self.layout,
-        )
-
     def total_footprint_bytes(self) -> int:
         """Approximate total data footprint of the workload."""
         return (

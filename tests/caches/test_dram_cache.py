@@ -84,9 +84,8 @@ def test_mark_clean():
     assert cache.dirty_of(4) is False and cache.dirty_of(4 + cache.num_sets) is None
 
 
-@pytest.mark.parametrize("associativity", [1, 2])
-def test_dirty_of_and_dirty_blocks(associativity):
-    cache = DRAMCache(64 * 8 * associativity, associativity=associativity, clean=False)
+def test_dirty_of_and_dirty_blocks():
+    cache = DRAMCache(64 * 8, clean=False)
     assert cache.dirty_of(3) is None
     cache.insert(3, dirty=True)
     cache.insert(4)
@@ -110,7 +109,7 @@ def test_direct_mapped_tag_store_is_not_tracked_by_the_collector():
                      miss_predictor=RegionMissPredictor(entries=64, region_size=4096))
     copy.share_fill(source)
     for cache in (source, copy):
-        assert cache.occupancy() == 801
+        assert len(list(cache.resident_blocks())) == 801
         assert not gc.is_tracked(cache._lines)
 
 
@@ -136,10 +135,9 @@ def test_hit_rate_and_occupancy():
     cache.insert(1)
     assert cache.probe(1).hit
     assert not cache.probe(2).hit
-    assert cache.occupancy() == 1
     assert list(cache.resident_blocks()) == [1]
     cache.clear()
-    assert cache.occupancy() == 0
+    assert list(cache.resident_blocks()) == []
 
 
 def test_invalid_geometry_rejected():
@@ -158,13 +156,13 @@ def test_clean_cache_invariant_holds_under_any_insertion_sequence(blocks, dirty)
         cache.insert(block, dirty=dirty)
     assert all(cache.dirty_of(b) is False for b in cache.resident_blocks())
     assert list(cache.dirty_blocks()) == []
-    assert cache.occupancy() <= cache.num_sets
+    assert len(list(cache.resident_blocks())) <= cache.num_sets
 
 
 def tag_snapshot(cache):
     """``(set index, block, dirty)`` of every resident line, in tag-store
-    order (set by set, each associative set LRU first), read through the
-    public queries so it does not depend on how tags are stored."""
+    order, read through the public queries so it does not depend on how
+    tags are stored."""
     return [(cache.set_index(block), block, cache.dirty_of(block))
             for block in cache.resident_blocks()]
 
@@ -178,13 +176,12 @@ def cache_state(cache):
     )
 
 
-def build_cache(num_sets, associativity, predictor_entries, region_blocks):
+def build_cache(num_sets, predictor_entries, region_blocks):
     predictor = (
         RegionMissPredictor(entries=predictor_entries, region_size=64 * region_blocks)
         if predictor_entries else None
     )
-    return DRAMCache(64 * num_sets * associativity, associativity=associativity,
-                     clean=False, miss_predictor=predictor)
+    return DRAMCache(64 * num_sets, clean=False, miss_predictor=predictor)
 
 
 fill_inputs = st.one_of(
@@ -201,7 +198,6 @@ fill_inputs = st.one_of(
     # Set counts that are not a multiple of the region size let one
     # predictor region straddle the wrap-around of a contiguous fill.
     num_sets=st.sampled_from([4, 6, 16, 24, 64]),
-    associativity=st.sampled_from([1, 1, 2]),
     predictor_entries=st.sampled_from([0, 1, 2, 4, 64]),
     region_blocks=st.sampled_from([1, 4, 16]),
     before=st.lists(st.tuples(st.integers(0, 300), st.booleans()), max_size=60),
@@ -209,17 +205,17 @@ fill_inputs = st.one_of(
 )
 # A wrapped fill whose straddling region evicts lines of four other regions:
 # the victims must reach the predictor in block order, not set order.
-@example(num_sets=6, associativity=1, predictor_entries=64, region_blocks=4,
+@example(num_sets=6, predictor_entries=64, region_blocks=4,
          before=[(100, False), (107, False), (108, False), (115, False)],
          fills=[range(4, 10)])
 def test_bulk_insert_clean_matches_per_block_insert(
-    num_sets, associativity, predictor_entries, region_blocks, before, fills
+    num_sets, predictor_entries, region_blocks, before, fills
 ):
     """Randomized bulk-fill equivalence: ``bulk_insert_clean`` leaves the same
     tags and predictor table (in LRU order) as ``insert`` per block,
     on empty and pre-populated (partly dirty) caches and tiny predictor tables."""
-    bulk = build_cache(num_sets, associativity, predictor_entries, region_blocks)
-    loop = build_cache(num_sets, associativity, predictor_entries, region_blocks)
+    bulk = build_cache(num_sets, predictor_entries, region_blocks)
+    loop = build_cache(num_sets, predictor_entries, region_blocks)
     for cache in (bulk, loop):
         for block, dirty in before:
             cache.insert(block, dirty=dirty)
@@ -230,12 +226,10 @@ def test_bulk_insert_clean_matches_per_block_insert(
         assert cache_state(bulk) == cache_state(loop)
 
 
-@pytest.mark.parametrize("associativity", [1, 2])
-def test_shared_fill_equals_a_replayed_fill(associativity):
+def test_shared_fill_equals_a_replayed_fill():
     def build():
         predictor = RegionMissPredictor(entries=4, region_size=256)
-        return DRAMCache(64 * 32, associativity=associativity, clean=False,
-                         miss_predictor=predictor)
+        return DRAMCache(64 * 32, clean=False, miss_predictor=predictor)
 
     source, shared, replayed = build(), build(), build()
     fill = [range(0, 40), range(64, 90), range(8, 12)]
@@ -246,24 +240,24 @@ def test_shared_fill_equals_a_replayed_fill(associativity):
     shared.share_fill(source)
     assert cache_state(shared) == cache_state(replayed) == cache_state(source)
     # The fill displaced lines, and predictor regions with their presence bits.
-    assert shared.occupancy() < sum(len(blocks) for blocks in fill)
+    resident = len(list(shared.resident_blocks()))
+    assert resident < sum(len(blocks) for blocks in fill)
     presence_bits = sum(bin(bits).count("1") for bits in shared.miss_predictor._table.values())
-    assert presence_bits < shared.occupancy()
+    assert presence_bits < resident
     with pytest.raises(ValueError):
         shared.share_fill(source)  # no longer empty
     with pytest.raises(ValueError):
         DRAMCache(64 * 64).share_fill(source)  # other geometry
 
 
-@pytest.mark.parametrize("associativity", [1, 2])
-def test_shared_line_is_unchanged_by_the_other_cache(associativity):
+def test_shared_line_is_unchanged_by_the_other_cache():
     """After ``share_fill`` two sockets' caches hold the same lines: an
     ``insert``, ``mark_clean`` or ``invalidate`` of a block through one
     cache leaves the other's blocks and dirty bits as they were."""
-    source = DRAMCache(64 * 16 * associativity, associativity=associativity, clean=False)
+    source = DRAMCache(64 * 16, clean=False)
     source.insert(5, dirty=True)
     source.insert(6)
-    copy = DRAMCache(64 * 16 * associativity, associativity=associativity, clean=False)
+    copy = DRAMCache(64 * 16, clean=False)
     copy.share_fill(source)
     before = tag_snapshot(source)
     assert tag_snapshot(copy) == before
@@ -274,20 +268,11 @@ def test_shared_line_is_unchanged_by_the_other_cache(associativity):
     assert copy.dirty_of(5) is False and copy.dirty_of(6) is True
     assert tag_snapshot(source) == before
     copy.invalidate(5)
-    copy.insert(6 + copy.num_sets * associativity)  # conflict in 6's set
-    copy.insert(6 + 2 * copy.num_sets * associativity)
+    copy.insert(6 + copy.num_sets)  # conflict in 6's set
+    copy.insert(6 + 2 * copy.num_sets)
     assert not copy.contains(5) and not copy.contains(6)
     assert tag_snapshot(source) == before
     assert (source.dirty_of(5), source.dirty_of(6)) == (True, False)
-
-
-def test_mark_clean_keeps_the_lru_position():
-    cache = DRAMCache(64 * 2, associativity=2, clean=False)
-    cache.insert(0, dirty=True)
-    cache.insert(1)
-    cache.mark_clean(0)
-    victim = cache.insert(2)
-    assert victim == (0, False)
 
 
 @settings(max_examples=50)

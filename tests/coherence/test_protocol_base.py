@@ -45,16 +45,6 @@ def test_probe_local_dram_cache_on_baseline_is_free():
     assert system.protocol._probe_local_dram_cache(0.0, 0, 1234) == (False, 0.0)
 
 
-def test_sockets_with_copy_helpers():
-    system = tiny_system("c3d")
-    protocol = system.protocol
-    block = block_homed_at(system, home=0)
-    system.sockets[0].llc.insert(block)  # a clean Shared line
-    system.sockets[1].dram_cache.insert(block)
-    assert protocol._sockets_with_any_copy(block) == [0, 1]
-    assert protocol._sockets_with_any_copy(block, exclude=0) == [1]
-
-
 def test_directory_note_read_sharer_degrades_stale_modified_entry():
     system = tiny_system("c3d")
     protocol = system.protocol

@@ -37,7 +37,7 @@ def test_store_latency_is_hidden_by_store_buffer():
     # The core only pays one cycle, not the full write transaction.
     assert core.time - before < 2 * core.cycle_ns + 1e-9
     assert system.stats.writes == 1
-    assert core.store_buffer.occupancy() == 1
+    assert len(core.store_buffer) == 1
 
 
 def test_store_to_load_forwarding_avoids_memory():
@@ -64,7 +64,7 @@ def test_cores_map_to_sockets():
     system = tiny_system("c3d", num_sockets=2, cores_per_socket=2)
     assert system.cores[0].socket.socket_id == 0
     assert system.cores[3].socket.socket_id == 1
-    assert system.cores[3].local_core_index == 1
+    assert system.cores[3].local_index == 1
 
 
 def test_repeated_stores_fill_and_stall_the_buffer():

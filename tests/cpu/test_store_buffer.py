@@ -54,9 +54,9 @@ def test_capacity_validation():
 
 def test_occupancy():
     buffer = StoreBuffer()
-    assert buffer.occupancy() == 0
+    assert len(buffer) == 0
     buffer.push(0.0, 1, 5.0)
-    assert buffer.occupancy() == 1
+    assert len(buffer) == 1
 
 
 @settings(max_examples=60)

@@ -86,3 +86,34 @@ def test_checker_flags_mentions_of_missing_root_pages(tmp_path):
         f"src/pkg/mod.py:3: {gone}",
         f"tests/test_x.py:1: {gone}",
     ]
+
+
+def test_checker_flags_mentions_of_flags_nothing_defines(tmp_path):
+    checker = _load_checker()
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "cli.py").write_text(
+        "import argparse\n"
+        "parser = argparse.ArgumentParser()\n"
+        "parser.add_argument('--kept', '-k')\n"
+        "parser.add_argument('spec')\n"
+    )
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "run.py").write_text(
+        "def options(parser):\n    parser.add_argument('--seconds', type=float)\n"
+    )
+    # A flag that only a test defines does not count.
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_x.py").write_text("parser.add_argument('--test-only')\n")
+    (tmp_path / "README.md").write_text(
+        "Run with `--kept` or --seconds 40; a--b and `---` are no flags.\n"
+        "`--gone` was deleted.\n"
+    )
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "page.md").write_text(
+        "valgrind --trace-mem=yes, then --test-only\n"
+    )
+    assert checker.stale_flags(tmp_path) == [
+        "README.md:2: --gone",
+        "docs/page.md:1: --test-only",
+    ]
+    assert all(reason for reason in checker.FLAG_ALLOWLIST.values())

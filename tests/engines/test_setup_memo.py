@@ -130,7 +130,8 @@ def test_the_trace_key_covers_every_stream_parameter():
     assert workload_for(config_for("baseline")).trace_key() == workload.trace_key()
     variants = [
         SyntheticWorkload(workload.spec, accesses_per_thread=100),
-        workload.with_threads(2),
+        SyntheticWorkload(workload.spec.with_threads(2), accesses_per_thread=200,
+                          layout=workload.layout),
         make_workload("facesim", scale=SCALE, accesses_per_thread=200, num_threads=4, seed=9),
         make_workload("facesim", scale=SCALE * 2, accesses_per_thread=200, num_threads=4),
         SyntheticWorkload(workload.spec, accesses_per_thread=200,

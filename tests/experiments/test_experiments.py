@@ -112,9 +112,7 @@ def test_fig11_inter_socket_latency_sensitivity(context):
 
 
 def test_broadcast_filter_experiment(context):
-    series = broadcast_filter.run_broadcast_filter(
-        context, workloads=["streamcluster"], include_mcf=True
-    )
+    series = broadcast_filter.run_broadcast_filter(context, workloads=["streamcluster"])
     assert set(series) == {"streamcluster", "mcf"}
     for row in series.values():
         assert 0.0 <= row["broadcasts_elided"] <= 1.0

@@ -1,4 +1,4 @@
-"""Fault-tolerant sweep execution: retries, quarantine, timeout, fallback.
+"""Fault-tolerant sweep execution: retries, quarantine, timeout.
 
 These tests drive the real per-point worker subprocesses through the
 deterministic fault harness (repro.testing.faults) -- no test doubles on the
@@ -16,7 +16,6 @@ import pytest
 from repro.experiments.runner import (
     FailurePolicy,
     SweepPoint,
-    fallback_engine,
     run_all_parallel,
     run_sweep,
     sweep_point_key,
@@ -44,26 +43,16 @@ fork_only = pytest.mark.skipif(
 def test_failure_policy_validates_itself():
     with pytest.raises(ValueError, match="max_attempts"):
         FailurePolicy(max_attempts=0)
-    with pytest.raises(ValueError, match="on_engine_error"):
-        FailurePolicy(on_engine_error="retry")
 
 
 def test_backoff_is_deterministic_and_bounded():
-    policy = FailurePolicy(backoff_s=0.5, backoff_factor=2.0, jitter=0.1, seed=3)
+    policy = FailurePolicy(backoff_s=0.5, seed=3)
     delays = [policy.backoff("some-key", attempt) for attempt in (1, 2, 3)]
     assert delays == [policy.backoff("some-key", attempt) for attempt in (1, 2, 3)]
     for attempt, delay in enumerate(delays, start=1):
         base = 0.5 * 2.0 ** (attempt - 1)
         assert base * 0.9 <= delay <= base * 1.1
     assert policy.backoff("other-key", 1) != delays[0]
-
-
-def test_fallback_engine_is_deterministic_and_exact():
-    from repro import engines
-
-    name = fallback_engine()
-    assert name == "compiled"
-    assert not engines.get(name).supports_sampling
 
 
 def test_transient_crash_recovers_via_retry(tmp_path):
@@ -186,37 +175,6 @@ def test_killed_worker_is_quarantined_with_its_exit_code(monkeypatch, tmp_path):
     assert len(failures) == 1
     assert "worker died without a result (exit code -9" in failures[0].error
     assert [record.error for record in store.failure_log.records()] == [failures[0].error]
-
-
-def test_fallback_reruns_sampled_point_on_exact_engine(tmp_path):
-    store = ResultsStore(tmp_path / "store")
-    sampled_point = SweepPoint(
-        workload="facesim", protocol="c3d",
-        sample_plan="units=4,detail=50,warmup=25", **TINY,
-    )
-    # Every attempt on the original engine crashes; the policy then degrades
-    # the point to the exact fallback engine, which runs fault-free because
-    # fallback execution strips the pinned sample plan (different payload).
-    plan = FaultPlan(poison=({"engine": "sampled"},))
-    with faults.injected(plan):
-        results = run_sweep(
-            [sampled_point],
-            store=store,
-            engine="sampled",
-            failure_policy=FailurePolicy(
-                max_attempts=1, backoff_s=0.01, on_engine_error="fallback"
-            ),
-        )
-    result = results[0]
-    assert result is not None
-    assert result.attempts == 2                    # 1 failed + 1 fallback
-    assert result.engine_used == fallback_engine()
-    # Stored under the ORIGINAL (sampled) key, stamped with the used engine.
-    stored = store.get(sweep_point_key(sampled_point, "sampled"))
-    assert stored is not None
-    assert stored.engine_used == fallback_engine()
-    assert stored.params["engine"] == "sampled"
-    assert len(store.failure_log) == 0
 
 
 def test_store_append_oserror_does_not_lose_the_result(tmp_path):

@@ -21,20 +21,23 @@ WORKLOADS = ["streamcluster", "facesim"]
 
 
 @pytest.fixture()
-def populated_store(tmp_path):
+def two_workloads(monkeypatch):
+    """Every experiment context runs only the two tiny workloads."""
+    monkeypatch.setattr(ExperimentContext, "workloads", lambda self: list(WORKLOADS))
+
+
+@pytest.fixture()
+def populated_store(tmp_path, two_workloads):
     """A store holding the table1 runs for the two tiny workloads."""
     store = ResultsStore(tmp_path / "store")
-    context = ExperimentContext(TINY, store=store)
-    context.workloads = lambda: list(WORKLOADS)
-    table1.run_table1(context)
+    table1.run_table1(ExperimentContext(TINY, store=store))
     return ResultsStore(tmp_path / "store")
 
 
 def test_report_matches_golden_table(populated_store, tmp_path):
     out_dir = tmp_path / "report"
     entries = generate_report(
-        populated_store, TINY, names=["table1"], workloads=WORKLOADS,
-        out_dir=out_dir, stream=io.StringIO(),
+        populated_store, TINY, names=["table1"], out_dir=out_dir, stream=io.StringIO(),
     )
     entry = entries["table1"]
     assert entry.complete
@@ -51,12 +54,12 @@ def test_report_matches_golden_table(populated_store, tmp_path):
     assert "[table1](table1.md)" in (out_dir / "index.md").read_text()
 
 
-def test_report_marks_missing_runs_incomplete(tmp_path):
+def test_report_marks_missing_runs_incomplete(tmp_path, two_workloads):
     empty = ResultsStore(tmp_path / "empty")
     out_dir = tmp_path / "report"
     entries = generate_report(
-        empty, TINY, names=["table1", "directory_cost"], workloads=WORKLOADS,
-        out_dir=out_dir, stream=io.StringIO(),
+        empty, TINY, names=["table1", "directory_cost"], out_dir=out_dir,
+        stream=io.StringIO(),
     )
     assert not entries["table1"].complete
     assert "streamcluster" in entries["table1"].missing

@@ -1,6 +1,7 @@
 """Tests for the persistent results store and the stats JSON round-trip."""
 
 import dataclasses
+import hashlib
 import json
 
 
@@ -146,6 +147,34 @@ def test_store_skips_torn_trailing_line(tmp_path):
     # The store stays appendable after the torn line.
     reopened.put(_record("k4"))
     assert set(ResultsStore(path).keys()) == {"k1", "k2", "k4"}
+
+
+def test_a_record_stamped_engine_used_loads_verifies_and_compacts(tmp_path):
+    """Stores written while a point could fall back to another engine hold
+    records with an ``engine_used`` stamp.  Such a line is read by its named
+    keys, its checksum covers it as written, and compaction rewrites it
+    without the stamp."""
+    path = tmp_path / "store"
+    store = ResultsStore(path)
+    store.put(_record("k1"))
+    payload = dataclasses.replace(_record("k2"), attempts=2).to_json_dict()
+    payload["engine_used"] = "compiled"
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    payload["check"] = hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
+    with store.shard_path("k2").open("a", encoding="utf-8") as handle:
+        handle.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+
+    reopened = ResultsStore(path)
+    loaded = reopened.get("k2")
+    assert loaded is not None and loaded.attempts == 2
+    assert loaded.stats.to_json_dict() == _record("k2").stats.to_json_dict()
+    report = reopened.verify()
+    assert report.clean and report.valid_records == 2
+    assert reopened.compact().kept == 2
+    assert "engine_used" not in reopened.shard_path("k2").read_text()
+    compacted = ResultsStore(path)
+    assert compacted.verify().clean
+    assert compacted.get("k2").attempts == 2
 
 
 def test_store_duplicate_keys_last_wins(tmp_path):

@@ -6,6 +6,7 @@ from repro.system.config import (
     PROTOCOL_NAMES,
     CacheConfig,
     DRAMCacheConfig,
+    ProcessorConfig,
     SystemConfig,
     cycles_to_ns,
 )
@@ -50,7 +51,6 @@ def test_core_to_socket_mapping():
     assert config.socket_of_core(0) == 0
     assert config.socket_of_core(7) == 0
     assert config.socket_of_core(8) == 1
-    assert config.local_core_index(9) == 1
 
 
 def test_scaling_divides_capacities_and_keeps_latencies():
@@ -104,3 +104,16 @@ def test_cache_config_scaled_floor():
     assert cache.scaled(10, floor_bytes=512).size_bytes == 512
     dram = DRAMCacheConfig(size_bytes=1 << 20)
     assert dram.scaled(1).size_bytes == 1 << 20
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DRAMCacheConfig(associativity=2),
+    lambda: DRAMCacheConfig(enabled=False),
+    lambda: ProcessorConfig(tlb_entries=128),
+], ids=["associativity", "enabled", "tlb_entries"])
+def test_fields_kept_only_for_the_store_key_reject_other_values(make):
+    """These fields configure nothing; they stay only because the machine's
+    ``as_dict()`` is hashed into every stored result's key.  A value the
+    model would silently ignore is refused."""
+    with pytest.raises(ValueError, match="must be"):
+        make()

@@ -180,6 +180,29 @@ def test_check_invariants_detects_modified_l1_line_over_a_stale_llc_line(llc_bit
     )
 
 
-def test_socket_of_core_accessor():
-    system = tiny_system("c3d", num_sockets=2, cores_per_socket=2)
-    assert system.socket_of_core(3).socket_id == 1
+
+@pytest.mark.parametrize("design", ["full-dir", "c3d-full-dir"])
+def test_check_invariants_detects_a_copy_the_directory_does_not_list(design):
+    system = tiny_system(design)
+    block = block_homed_at(system, home=0)
+    read(system, socket_id=1, block=block)
+    system.sockets[1].dram_cache.insert(block + 1)   # same page: no entry
+    violations = system.check_invariants()
+    assert violations == [
+        f"block {block + 1:#x} in the DRAM cache of socket 1, but "
+        "directory[0] does not list that socket as a sharer"
+    ]
+    # The socket's LLC copy of ``block`` is listed by its entry; once the
+    # entry is gone, that copy is untracked too.
+    system.directories[0].invalidate(block)
+    assert any(
+        f"block {block:#x} in the LLC of socket 1" in v
+        for v in system.check_invariants()
+    )
+
+
+def test_c3d_directory_need_not_list_dram_cache_copies():
+    """Plain C3D's directory is non-inclusive by design (section IV-C)."""
+    system = tiny_system("c3d")
+    system.sockets[1].dram_cache.insert(block_homed_at(system, home=0))
+    assert system.check_invariants() == []

@@ -55,7 +55,7 @@ def test_warmup_accesses_are_not_measured():
     assert result.accesses_executed == 30
     assert system.stats.reads == 30
     # Warm-up left architectural state behind (caches are warm).
-    assert system.sockets[0].llc.occupancy() > 0
+    assert list(system.sockets[0].llc.resident_blocks())
 
 
 def test_cores_interleave_in_time_order():
@@ -73,23 +73,46 @@ def test_cores_interleave_in_time_order():
 def test_prewarm_fills_dram_caches():
     workload = make_workload("streamcluster", scale=4096, accesses_per_thread=5, num_threads=2)
     system = NumaSystem(tiny_config("c3d", num_sockets=2, cores_per_socket=1))
-    simulator = Simulator(system, workload)
-    inserted = simulator.prewarm_dram_caches()
+    inserted = EngineContext(system, workload).prewarm_dram_caches()
     assert inserted > 0
-    assert system.sockets[0].dram_cache.occupancy() > 0
+    assert list(system.sockets[0].dram_cache.resident_blocks())
 
 
 def test_prewarm_is_noop_for_baseline():
     workload = make_workload("streamcluster", scale=4096, accesses_per_thread=5, num_threads=2)
     system = NumaSystem(tiny_config("baseline", num_sockets=2, cores_per_socket=1))
-    assert Simulator(system, workload).prewarm_dram_caches() == 0
+    assert EngineContext(system, workload).prewarm_dram_caches() == 0
 
 
 def test_prewarm_registers_sharers_for_full_dir():
     workload = make_workload("streamcluster", scale=4096, accesses_per_thread=5, num_threads=2)
     system = NumaSystem(tiny_config("full-dir", num_sockets=2, cores_per_socket=1))
-    Simulator(system, workload).prewarm_dram_caches()
+    EngineContext(system, workload).prewarm_dram_caches()
     assert sum(len(directory) for directory in system.directories) > 0
+
+
+@pytest.mark.parametrize("protocol", ["full-dir", "c3d-full-dir"])
+def test_prewarm_pins_the_partial_last_page_it_registers(protocol):
+    """First-touch placement pins only a region's whole pages.  The fill
+    registers the partial last page's blocks at its interleaved home, so
+    the prewarm pins the page there: a first touch from another socket
+    must not move it away from the slice that lists its copies."""
+    config = SystemConfig.dual_socket(protocol=protocol, cores_per_socket=2).scaled(4096)
+    system = NumaSystem(config)
+    workload = make_workload("streamcluster", scale=4096, accesses_per_thread=5, num_threads=4)
+    context = EngineContext(system, workload)
+    context.prepare_first_touch()
+    context.prewarm_dram_caches()
+    layout = system.layout
+    warm = next(region for region in workload.memory_regions() if region["kind"] == "warm")
+    assert warm["size"] % layout.page_size and warm["size"] // layout.block_size <= (
+        system.sockets[0].dram_cache.num_sets
+    )   # a partial last page, and the whole region is in the fill
+    last = layout.block_of(warm["base"] + warm["size"] - 1)
+    home = system.mapper.home_of_block(last)
+    system.mapper.touch_page(layout.page_of_block(last), 1 - home)
+    assert system.mapper.home_of_block(last) == home
+    assert system.check_invariants() == []
 
 
 # ----------------------------------------------------------------------
@@ -193,7 +216,7 @@ def test_prewarm_matches_per_socket_reference(protocol, num_sockets, monkeypatch
     EngineContext.clear_memo()
     with monkeypatch.context() as patch:
         fills = record_fills(patch)
-        inserted = Simulator(system, workload).prewarm_dram_caches()
+        inserted = EngineContext(system, workload).prewarm_dram_caches()
     assert inserted == reference_prewarm(reference, workload)
     assert_same_memory_state(system, reference)
     if system.protocol.uses_dram_cache:
@@ -217,7 +240,7 @@ def test_prewarm_matches_per_socket_reference(protocol, num_sockets, monkeypatch
             block in fill_blocks and len(entry.sharers) < num_sockets
             for directory in system.directories for block, entry in directory.entries()
         )
-    assert Simulator(system, workload).prewarm_dram_caches() == reference_prewarm(
+    assert EngineContext(system, workload).prewarm_dram_caches() == reference_prewarm(
         reference, workload
     )
     assert_same_memory_state(system, reference)
@@ -233,7 +256,7 @@ def test_prewarm_fills_a_used_cache_alone_and_shares_with_the_rest(monkeypatch):
     EngineContext.clear_memo()
     with monkeypatch.context() as patch:
         fills = record_fills(patch)
-        Simulator(system, workload).prewarm_dram_caches()
+        EngineContext(system, workload).prewarm_dram_caches()
     reference_prewarm(reference, workload)
     assert_same_memory_state(system, reference)
     used, *rest = (sock.dram_cache.name for sock in system.sockets)
@@ -246,7 +269,7 @@ def test_prewarm_shares_the_fill_at_figure_scale():
     config = SystemConfig.quad_socket(protocol="c3d-full-dir", num_sockets=2).scaled(1024)
     workload = make_workload("facesim", scale=1024, accesses_per_thread=10, num_threads=8)
     system, reference = NumaSystem(config), NumaSystem(config)
-    inserted = Simulator(system, workload).prewarm_dram_caches()
+    inserted = EngineContext(system, workload).prewarm_dram_caches()
     # The cap is per region: 4,096 cold + 16,384 warm + 2,560 hot blocks.
     assert inserted == reference_prewarm(reference, workload) == 23040
     assert system.sockets[0].dram_cache.num_sets == 16384
@@ -256,7 +279,7 @@ def test_prewarm_shares_the_fill_at_figure_scale():
 def test_shared_prewarm_sharer_sets_are_never_mutated():
     workload = make_workload("facesim", scale=4096, accesses_per_thread=5, num_threads=2)
     system = NumaSystem(tiny_config("c3d-full-dir", num_sockets=2, cores_per_socket=1))
-    Simulator(system, workload).prewarm_dram_caches()
+    EngineContext(system, workload).prewarm_dram_caches()
     directory = next(d for d in system.directories if len(d) >= 3)
     (first, entry), (second, _), (third, _) = list(directory.entries())[:3]
     assert entry.sharers == {0, 1}
@@ -292,7 +315,7 @@ def test_prewarm_classifies_filled_pages_shared():
     workload = make_workload("facesim", scale=4096, accesses_per_thread=5, num_threads=2)
     system = NumaSystem(tiny_config("c3d", num_sockets=2, cores_per_socket=1,
                                     broadcast_filter=True))
-    Simulator(system, workload).prewarm_dram_caches()
+    EngineContext(system, workload).prewarm_dram_caches()
     layout = system.layout
     pages = {layout.page_of_block(block)
              for blocks in prewarm_fill(system, workload) for block in blocks}

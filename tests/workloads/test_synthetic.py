@@ -64,13 +64,12 @@ def test_invalid_thread_id_rejected():
 
 
 def test_scaling_divides_region_sizes():
-    workload = SyntheticWorkload(small_spec(), accesses_per_thread=10)
-    scaled = workload.scaled(4)
-    assert scaled.spec.warm_shared_bytes == small_spec().warm_shared_bytes // 4
-    assert scaled.spec.hot_shared_bytes == small_spec().hot_shared_bytes // 4
+    scaled = small_spec().scaled(4)
+    assert scaled.warm_shared_bytes == small_spec().warm_shared_bytes // 4
+    assert scaled.hot_shared_bytes == small_spec().hot_shared_bytes // 4
     # Scaling never goes below one page.
-    tiny = workload.scaled(1 << 30)
-    assert tiny.spec.warm_shared_bytes == 4096
+    tiny = small_spec().scaled(1 << 30)
+    assert tiny.warm_shared_bytes == 4096
 
 
 def test_regions_do_not_overlap():
@@ -108,9 +107,9 @@ def test_addresses_fall_inside_their_regions():
 
 
 def test_with_threads_and_with_accesses():
-    workload = SyntheticWorkload(small_spec(), accesses_per_thread=10)
-    assert workload.with_threads(8).num_threads == 8
-    assert workload.with_threads(8).accesses_per_thread == 10
+    workload = SyntheticWorkload(small_spec().with_threads(8), accesses_per_thread=10)
+    assert workload.num_threads == 8
+    assert workload.accesses_per_thread == 10
     assert workload.total_footprint_bytes() > 0
 
 

@@ -11,7 +11,10 @@ Run without arguments, it also fails on a mention of a root-level page that
 does not exist: a bare upper-case page name such as ``README.md`` (the
 convention of the pages at the repository root) in README.md or any file
 under ``MENTION_DIRS``.  The history pages at the root (CHANGES.md,
-ROADMAP.md) are not scanned.
+ROADMAP.md) are not scanned.  It also fails on a ``--flag`` that README.md
+or a docs/*.md page mentions but no ``add_argument`` call under
+``FLAG_SOURCES`` defines, unless ``FLAG_ALLOWLIST`` names it with a reason:
+a page must not document an option that is gone.
 
 Usage::
 
@@ -25,10 +28,11 @@ Exits 0 when every link resolves, 1 otherwise (listing each broken link as
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Set, Tuple
 
 #: Markdown inline link/image: [text](target) or ![alt](target).  Nested
 #: parentheses inside targets are not supported (none are used in this repo).
@@ -42,6 +46,21 @@ _ROOT_PAGE = re.compile(r"(?<![\w./-])([A-Z][A-Z0-9_-]*\.md)\b")
 
 #: Where a mention of a root-level page must resolve (besides README.md).
 MENTION_DIRS = ("docs", "src", "tools", "benchmarks", "tests", "examples")
+
+#: A command-line flag in prose or a code block: ``--name``, not the middle
+#: of ``a--b`` or a ``---`` rule.
+_FLAG = re.compile(r"(?<![\w-])(--[a-z][a-z0-9-]*)")
+
+#: Where the flags the documentation may mention are defined (the code
+#: whose ``add_argument`` calls count, scanned recursively for ``.py``).
+FLAG_SOURCES = ("src", "tools", "perfbench")
+
+#: Flags the documentation may mention although no ``add_argument`` under
+#: ``FLAG_SOURCES`` defines them, each with the reason.
+FLAG_ALLOWLIST = {
+    "--trace-mem": "Valgrind's own flag, in docs/ingestion.md's recipe for "
+                   "recording a Lackey trace",
+}
 
 #: Documentation pages that must exist (the docs/*.md glob would silently
 #: shrink if one were deleted or renamed; this list pins the expected set).
@@ -135,6 +154,41 @@ def missing_root_pages(root: Path) -> List[str]:
     return missing
 
 
+def defined_flags(root: Path) -> Set[str]:
+    """Every ``--flag`` an ``add_argument`` call under ``FLAG_SOURCES`` defines."""
+    flags: Set[str] = set()
+    for rel in FLAG_SOURCES:
+        for path in sorted((root / rel).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_bytes(), filename=str(path))):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "add_argument"
+                ):
+                    flags.update(
+                        arg.value for arg in node.args
+                        if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                        and arg.value.startswith("--")
+                    )
+    return flags
+
+
+def stale_flags(root: Path) -> List[str]:
+    """``file:line: --flag`` for each flag README.md or a docs/*.md page
+    mentions that neither an ``add_argument`` call nor ``FLAG_ALLOWLIST``
+    accounts for."""
+    known = defined_flags(root) | set(FLAG_ALLOWLIST)
+    stale: List[str] = []
+    for document in default_documents(root):
+        for lineno, line in enumerate(document.read_text().splitlines(), start=1):
+            for match in _FLAG.finditer(line):
+                if match.group(1) not in known:
+                    stale.append(
+                        f"{document.relative_to(root)}:{lineno}: {match.group(1)}"
+                    )
+    return stale
+
+
 def broken_links(document: Path) -> Iterable[Tuple[int, str]]:
     """Yield ``(line_number, target)`` for every unresolvable link."""
     for lineno, line in enumerate(document.read_text().splitlines(), start=1):
@@ -169,6 +223,12 @@ def main(argv: List[str]) -> int:
         if absent:
             print(f"{len(absent)} mention(s) of a root-level page that does not exist:")
             for entry in absent:
+                print(f"  {entry}")
+            return 1
+        stale = stale_flags(root)
+        if stale:
+            print(f"{len(stale)} mention(s) of a flag that nothing defines:")
+            for entry in stale:
                 print(f"  {entry}")
             return 1
     documents = [Path(arg).resolve() for arg in argv] or default_documents(root)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from ..interconnect.packet import MessageClass
-from .directory import DIR_MODIFIED, SHARER_SHIFT, members, owner_of
+from .directory import DIR_MODIFIED, SHARER_SHIFT, owner_of
 from .messages import ServiceSource
 from .protocol_base import GlobalCoherenceProtocol
 
@@ -32,10 +32,12 @@ class BaselineProtocol(GlobalCoherenceProtocol):
     def read_miss(self, now: float, requester: int, block: int) -> Tuple[float, ServiceSource]:
         home = self._home_of_block(block)
         directory = self.directories[home]
+        stats = self.stats
 
-        latency = self._net_send(now, requester, home, MessageClass.REQUEST)
-        latency += directory.latency_ns
-        self.stats.directory_lookups += 1
+        latency = directory.latency_ns
+        if home != requester:
+            latency = self._net_send(now, requester, home, MessageClass.REQUEST) + latency
+        stats.directory_lookups += 1
         entry = directory.lookup(block)
 
         if (
@@ -48,15 +50,21 @@ class BaselineProtocol(GlobalCoherenceProtocol):
                 now + latency, home, owner, requester, block, downgrade=True
             )
             directory.set_shared(block, (owner, requester))
-            source = ServiceSource.REMOTE_LLC
-        else:
-            latency += self._memory_read(now + latency, home, block, requester)
-            latency += self._net_send(now + latency, home, requester, MessageClass.DATA_RESPONSE)
-            self._directory_note_read_sharer(directory, block, requester)
-            source = (ServiceSource.LOCAL_MEMORY if home == requester
-                      else ServiceSource.REMOTE_MEMORY)
+            return latency, ServiceSource.REMOTE_LLC
 
-        return latency, source
+        latency += self.sockets[home].memory.read_fast(now + latency, block)
+        if entry is not None and entry & DIR_MODIFIED:
+            # A stale Modified entry of the requester's own degrades to
+            # Shared rather than violating the directory's M-state invariant.
+            directory.set_shared(block, (requester,))
+        else:
+            directory.add_sharer(block, requester)
+        if home == requester:
+            stats.memory_reads_local += 1
+            return latency, ServiceSource.LOCAL_MEMORY
+        stats.memory_reads_remote += 1
+        latency += self._net_send(now + latency, home, requester, MessageClass.DATA_RESPONSE)
+        return latency, ServiceSource.REMOTE_MEMORY
 
     # ------------------------------------------------------------------
     # Writes
@@ -73,10 +81,12 @@ class BaselineProtocol(GlobalCoherenceProtocol):
     ) -> Tuple[float, ServiceSource]:
         home = self._home_of_block(block)
         directory = self.directories[home]
+        stats = self.stats
 
-        latency = self._net_send(now, requester, home, MessageClass.REQUEST)
-        latency += directory.latency_ns
-        self.stats.directory_lookups += 1
+        latency = directory.latency_ns
+        if home != requester:
+            latency = self._net_send(now, requester, home, MessageClass.REQUEST) + latency
+        stats.directory_lookups += 1
         entry = directory.lookup(block)
 
         if (
@@ -90,30 +100,29 @@ class BaselineProtocol(GlobalCoherenceProtocol):
             )
             source = ServiceSource.REMOTE_LLC
         else:
-            sharers = (members(entry >> SHARER_SHIFT & ~(1 << requester))
-                       if entry is not None else ())
             invalidation_latency = 0.0
-            for target in sharers:
-                invalidation_latency = max(
-                    invalidation_latency,
-                    self._invalidate_remote_socket(
-                        now + latency, home, target, block, include_dram_cache=False
-                    ),
+            if entry is not None:
+                invalidation_latency = self._invalidate_sockets(
+                    now + latency, home, block, entry >> SHARER_SHIFT & ~(1 << requester)
                 )
             data_latency = 0.0
             if has_shared_copy:
                 source = ServiceSource.LLC
             else:
-                data_latency = self._memory_read(now + latency, home, block, requester)
-                data_latency += self._net_send(now + latency + data_latency, home, requester,
-                                               MessageClass.DATA_RESPONSE)
-                source = (ServiceSource.LOCAL_MEMORY if home == requester
-                          else ServiceSource.REMOTE_MEMORY)
+                data_latency = self.sockets[home].memory.read_fast(now + latency, block)
+                if home == requester:
+                    stats.memory_reads_local += 1
+                    source = ServiceSource.LOCAL_MEMORY
+                else:
+                    stats.memory_reads_remote += 1
+                    data_latency += self._net_send(now + latency + data_latency, home,
+                                                   requester, MessageClass.DATA_RESPONSE)
+                    source = ServiceSource.REMOTE_MEMORY
             latency += max(invalidation_latency, data_latency)
 
         directory.set_modified(block, requester)
         if has_shared_copy:
-            self.stats.upgrades += 1
+            stats.upgrades += 1
         return latency, source
 
     # ------------------------------------------------------------------
@@ -135,18 +144,16 @@ class BaselineProtocol(GlobalCoherenceProtocol):
     def read_miss_functional(self, requester: int, block: int) -> None:
         directory = self.directories[self._home_of_block(block)]
         entry = directory.lookup(block)
-        if (
-            entry is not None
-            and entry & DIR_MODIFIED
-            and entry >> SHARER_SHIFT != 1 << requester
-        ):
+        if entry is None or not entry & DIR_MODIFIED:
+            directory.add_sharer(block, requester)
+        elif entry >> SHARER_SHIFT == 1 << requester:
+            directory.set_shared(block, (requester,))
+        else:
             owner = owner_of(entry)
             # Mirror of _fetch_from_remote_llc(downgrade=True): the owner
             # keeps a Shared copy (the write-through touches only counters).
             self.sockets[owner].downgrade_block(block)
             directory.set_shared(block, (owner, requester))
-        else:
-            self._directory_note_read_sharer(directory, block, requester)
 
     def write_miss_functional(
         self, requester: int, block: int, *, thread_id: int = 0,
@@ -154,18 +161,17 @@ class BaselineProtocol(GlobalCoherenceProtocol):
     ) -> None:
         directory = self.directories[self._home_of_block(block)]
         entry = directory.lookup(block)
-        if (
-            entry is not None
-            and entry & DIR_MODIFIED
-            and entry >> SHARER_SHIFT != 1 << requester
-        ):
-            # Mirror of _fetch_from_remote_llc(downgrade=False).
-            self.sockets[owner_of(entry)].invalidate_onchip(block)
-        elif entry is not None:
-            # Mirror of _invalidate_remote_socket(include_dram_cache=False)
-            # per sharer (the baseline has no DRAM caches to probe).
-            for target in members(entry >> SHARER_SHIFT & ~(1 << requester)):
-                self.sockets[target].invalidate_onchip(block)
+        if entry is not None:
+            # Mirror of _fetch_from_remote_llc(downgrade=False) for a remote
+            # owner, else of _invalidate_sockets over the sharers: a
+            # Modified entry's owner is its only sharer, and the baseline
+            # has no DRAM caches, so both invalidate the on-chip copies.
+            sharers = entry >> SHARER_SHIFT & ~(1 << requester)
+            sockets = self.sockets
+            while sharers:
+                low = sharers & -sharers
+                sharers ^= low
+                sockets[low.bit_length() - 1].invalidate_onchip(block)
         directory.set_modified(block, requester)
 
     def llc_eviction_functional(self, requester: int, block: int, *, dirty: bool) -> None:

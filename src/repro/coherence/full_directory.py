@@ -20,7 +20,7 @@ from typing import Tuple
 
 from ..caches.sram_cache import MODIFIED
 from ..interconnect.packet import MessageClass
-from .directory import DIR_MODIFIED, SHARER_SHIFT, members, owner_of
+from .directory import DIR_MODIFIED, SHARER_SHIFT, owner_of
 from .messages import ServiceSource
 from .protocol_base import GlobalCoherenceProtocol
 
@@ -40,19 +40,31 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
     # ------------------------------------------------------------------
 
     def read_miss(self, now: float, requester: int, block: int) -> Tuple[float, ServiceSource]:
-        hit, local_latency = self._probe_local_dram_cache(now, requester, block)
-        if hit:
-            # The directory continues to track the requester (it already did,
-            # by inclusivity), so no global transaction is needed.
-            return local_latency, ServiceSource.LOCAL_DRAM_CACHE
+        stats = self.stats
+        sockets = self.sockets
+        sock = sockets[requester]
+        dram_cache = sock.dram_cache
+        local_latency = 0.0
+        if dram_cache is not None:
+            local_latency = sock.dram_predictor_latency_ns
+            probe = dram_cache.probe(block)
+            if probe.array_accessed:
+                local_latency += sock.dram_cache_latency_ns
+            if probe.hit:
+                # The directory continues to track the requester (it already
+                # did, by inclusivity), so no global transaction is needed.
+                stats.dram_cache_hits += 1
+                return local_latency, ServiceSource.LOCAL_DRAM_CACHE
+            stats.dram_cache_misses += 1
 
         home = self._home_of_block(block)
         directory = self.directories[home]
         send = self._net_send
         latency = local_latency
-        latency += send(now + latency, requester, home, MessageClass.REQUEST)
+        if home != requester:
+            latency += send(now + latency, requester, home, MessageClass.REQUEST)
         latency += directory.latency_ns
-        self.stats.directory_lookups += 1
+        stats.directory_lookups += 1
         entry = directory.lookup(block)
 
         if (
@@ -66,18 +78,25 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
             )
             source = (
                 ServiceSource.REMOTE_LLC
-                if self.sockets[owner].llc.contains(block)
+                if sockets[owner].llc.contains(block)
                 else ServiceSource.REMOTE_DRAM_CACHE
             )
             directory.set_shared(block, (owner, requester))
-        else:
-            latency += self._memory_read(now + latency, home, block, requester)
-            latency += send(now + latency, home, requester, MessageClass.DATA_RESPONSE)
-            self._directory_note_read_sharer(directory, block, requester)
-            source = (ServiceSource.LOCAL_MEMORY if home == requester
-                      else ServiceSource.REMOTE_MEMORY)
+            return latency, source
 
-        return latency, source
+        latency += sockets[home].memory.read_fast(now + latency, block)
+        if entry is not None and entry & DIR_MODIFIED:
+            # A stale Modified entry of the requester's own degrades to
+            # Shared rather than violating the directory's M-state invariant.
+            directory.set_shared(block, (requester,))
+        else:
+            directory.add_sharer(block, requester)
+        if home == requester:
+            stats.memory_reads_local += 1
+            return latency, ServiceSource.LOCAL_MEMORY
+        stats.memory_reads_remote += 1
+        latency += send(now + latency, home, requester, MessageClass.DATA_RESPONSE)
+        return latency, ServiceSource.REMOTE_MEMORY
 
     def _fetch_from_owner_any_level(
         self, now: float, home: int, owner: int, requester: int, block: int
@@ -90,7 +109,7 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
         """
         owner_socket = self.sockets[owner]
         send = self._net_send
-        forward = send(now, home, owner, MessageClass.FORWARD)
+        forward = send(now, home, owner, MessageClass.FORWARD) if home != owner else 0.0
         if owner_socket.llc.contains(block):
             probe = owner_socket.llc_latency_ns
             was_dirty = owner_socket.downgrade_block(block)
@@ -120,17 +139,30 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
         thread_id: int = 0,
         has_shared_copy: bool = False,
     ) -> Tuple[float, ServiceSource]:
+        stats = self.stats
+        sockets = self.sockets
         local_hit = False
         local_latency = 0.0
         if not has_shared_copy:
-            local_hit, local_latency = self._probe_local_dram_cache(now, requester, block)
+            sock = sockets[requester]
+            dram_cache = sock.dram_cache
+            if dram_cache is not None:
+                local_latency = sock.dram_predictor_latency_ns
+                probe = dram_cache.probe(block)
+                if probe.array_accessed:
+                    local_latency += sock.dram_cache_latency_ns
+                local_hit = probe.hit
+                if local_hit:
+                    stats.dram_cache_hits += 1
+                else:
+                    stats.dram_cache_misses += 1
 
         home = self._home_of_block(block)
         directory = self.directories[home]
         send = self._net_send
-        stats = self.stats
         latency = local_latency
-        latency += send(now + latency, requester, home, MessageClass.REQUEST)
+        if home != requester:
+            latency += send(now + latency, requester, home, MessageClass.REQUEST)
         latency += directory.latency_ns
         stats.directory_lookups += 1
         entry = directory.lookup(block)
@@ -143,23 +175,16 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
             owner = owner_of(entry)
             source = (
                 ServiceSource.REMOTE_LLC
-                if self.sockets[owner].llc.contains(block)
+                if sockets[owner].llc.contains(block)
                 else ServiceSource.REMOTE_DRAM_CACHE
             )
-            latency += self._invalidate_remote_socket(
-                now + latency, home, owner, block, include_dram_cache=True
-            )
+            latency += self._invalidate_sockets(now + latency, home, block, 1 << owner)
             latency += send(now + latency, owner, requester, MessageClass.DATA_RESPONSE)
         else:
-            sharers = (members(entry >> SHARER_SHIFT & ~(1 << requester))
-                       if entry is not None else ())
             invalidation_latency = 0.0
-            for target in sharers:
-                invalidation_latency = max(
-                    invalidation_latency,
-                    self._invalidate_remote_socket(
-                        now + latency, home, target, block, include_dram_cache=True
-                    ),
+            if entry is not None:
+                invalidation_latency = self._invalidate_sockets(
+                    now + latency, home, block, entry >> SHARER_SHIFT & ~(1 << requester)
                 )
             data_latency = 0.0
             if has_shared_copy:
@@ -167,11 +192,15 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
             elif local_hit:
                 source = ServiceSource.LOCAL_DRAM_CACHE
             else:
-                data_latency = self._memory_read(now + latency, home, block, requester)
-                data_latency += send(now + latency + data_latency, home, requester,
-                                     MessageClass.DATA_RESPONSE)
-                source = (ServiceSource.LOCAL_MEMORY if home == requester
-                          else ServiceSource.REMOTE_MEMORY)
+                data_latency = sockets[home].memory.read_fast(now + latency, block)
+                if home == requester:
+                    stats.memory_reads_local += 1
+                    source = ServiceSource.LOCAL_MEMORY
+                else:
+                    stats.memory_reads_remote += 1
+                    data_latency += send(now + latency + data_latency, home, requester,
+                                         MessageClass.DATA_RESPONSE)
+                    source = ServiceSource.REMOTE_MEMORY
             latency += max(invalidation_latency, data_latency)
 
         directory.set_modified(block, requester)
@@ -184,7 +213,8 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
     # ------------------------------------------------------------------
 
     def llc_eviction(self, now: float, requester: int, block: int, *, dirty: bool) -> None:
-        if self.sockets[requester].dram_cache is None:
+        dram_cache = self.sockets[requester].dram_cache
+        if dram_cache is None:
             if dirty:
                 home = self._home_of_block(block)
                 self._memory_write(now, home, block, requester)
@@ -194,7 +224,15 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
         # The victim (dirty or clean) is absorbed by the local DRAM cache; the
         # directory keeps tracking the block at this socket (inclusive of the
         # DRAM cache), so no directory transition happens here.
-        self._insert_into_dram_cache(now, requester, block, dirty=dirty)
+        victim = dram_cache.insert(block, dirty=dirty)
+        if victim is None:
+            return
+        victim_block, victim_dirty = victim
+        if victim_dirty:
+            # A dirty DRAM-cache victim must reach its home memory.
+            self._memory_write(now, self._home_of_block(victim_block), victim_block,
+                               requester)
+        self._drop_dram_cache_victim(victim_block, requester, victim_dirty)
 
     # ------------------------------------------------------------------
     # Functional (state-only) mirrors -- see GlobalCoherenceProtocol
@@ -207,11 +245,11 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
             return
         directory = self.directories[self._home_of_block(block)]
         entry = directory.lookup(block)
-        if (
-            entry is not None
-            and entry & DIR_MODIFIED
-            and entry >> SHARER_SHIFT != 1 << requester
-        ):
+        if entry is None or not entry & DIR_MODIFIED:
+            directory.add_sharer(block, requester)
+        elif entry >> SHARER_SHIFT == 1 << requester:
+            directory.set_shared(block, (requester,))
+        else:
             owner = owner_of(entry)
             # Mirror of _fetch_from_owner_any_level: the owner's on-chip copy
             # is downgraded, else its DRAM-cache copy is marked clean.
@@ -221,48 +259,58 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
             elif owner_socket.dram_cache is not None:
                 owner_socket.dram_cache.mark_clean(block)
             directory.set_shared(block, (owner, requester))
-        else:
-            self._directory_note_read_sharer(directory, block, requester)
 
     def write_miss_functional(
         self, requester: int, block: int, *, thread_id: int = 0,
         has_shared_copy: bool = False,
     ) -> None:
+        sockets = self.sockets
         if not has_shared_copy:
-            dram_cache = self.sockets[requester].dram_cache
+            dram_cache = sockets[requester].dram_cache
             if dram_cache is not None:
                 dram_cache.probe(block)
         directory = self.directories[self._home_of_block(block)]
         entry = directory.lookup(block)
         if entry is not None:
-            # Mirror of _invalidate_remote_socket(include_dram_cache=True) per
-            # tracked holder.  A Modified entry's owner is its only sharer, so
-            # this covers write_miss's owner branch and its sharer branch.
-            sockets = self.sockets
-            for target in members(entry >> SHARER_SHIFT & ~(1 << requester)):
-                target_socket = sockets[target]
+            # Mirror of _invalidate_sockets per tracked holder.  A Modified
+            # entry's owner is its only sharer, so this covers write_miss's
+            # owner branch and its sharer branch.
+            targets = entry >> SHARER_SHIFT & ~(1 << requester)
+            while targets:
+                low = targets & -targets
+                targets ^= low
+                target_socket = sockets[low.bit_length() - 1]
                 if target_socket.dram_cache is not None:
                     target_socket.dram_cache.invalidate(block)
                 target_socket.invalidate_onchip(block)
         directory.set_modified(block, requester)
 
     def llc_eviction_functional(self, requester: int, block: int, *, dirty: bool) -> None:
-        if self.sockets[requester].dram_cache is None:
+        dram_cache = self.sockets[requester].dram_cache
+        if dram_cache is None:
             if dirty:
                 self.directories[self._home_of_block(block)].invalidate(block)
             return
-        self._insert_into_dram_cache_functional(requester, block, dirty=dirty)
+        victim = dram_cache.insert(block, dirty=dirty)
+        if victim is not None:
+            self._drop_dram_cache_victim(victim[0], requester, victim[1])
 
     # ------------------------------------------------------------------
-    # DRAM-cache eviction hooks (directory bookkeeping)
+    # DRAM-cache victims (directory bookkeeping)
     # ------------------------------------------------------------------
 
-    def _on_dram_cache_dirty_victim(self, block: int, socket_id: int) -> None:
+    def _drop_dram_cache_victim(self, block: int, socket_id: int, dirty: bool) -> None:
+        """Keep the directory inclusive after ``block`` left ``socket_id``'s
+        DRAM cache (a dirty victim has been written back already)."""
+        llc_line = self.sockets[socket_id].llc.peek(block)
+        if not dirty:
+            if llc_line is None:
+                self.directories[self._home_of_block(block)].remove_sharer(block, socket_id)
+            return
         directory = self.directories[self._home_of_block(block)]
         entry = directory.lookup(block)
         if entry is None:
             return
-        llc_line = self.sockets[socket_id].llc.peek(block)
         if entry == 1 << socket_id + SHARER_SHIFT | DIR_MODIFIED:
             if llc_line is None:
                 # The written-back data was the only copy: stop tracking.
@@ -274,7 +322,3 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
             # an older value and the entry must stay Modified.
         elif llc_line is None:
             directory.remove_sharer(block, socket_id)
-
-    def _on_dram_cache_clean_victim(self, block: int, socket_id: int) -> None:
-        if not self.sockets[socket_id].llc.contains(block):
-            self.directories[self._home_of_block(block)].remove_sharer(block, socket_id)

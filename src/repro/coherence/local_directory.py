@@ -18,11 +18,18 @@ part of the coherence substrate rather than of any particular protocol.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..caches.sram_cache import DIRTY, MODIFIED, VICTIM_SHIFT
 from .directory import members
 
+if TYPE_CHECKING:  # pragma: no cover
+    from ..caches.sram_cache import SetAssociativeCache
+
 __all__ = ["LocalDirectory"]
+
+#: SRAM line state bits of a store's fill: Modified and dirty.
+_WRITTEN = MODIFIED | DIRTY
 
 
 class LocalDirectory:
@@ -48,16 +55,31 @@ class LocalDirectory:
             yield block, members(entry >> shift), owner - 1 if owner else None
 
     # -- updates --------------------------------------------------------------
+    #
+    # Each update takes the socket's per-core L1s (and the LLC where it
+    # changes it) and makes the L1 change together with the entry's: the
+    # miss path makes one call into this class per fill or invalidation, and
+    # the encoding stays in this module.  ``insert`` is looked up on the L1
+    # at each call, so a wrapper installed on the instance (perfbench's
+    # ``caches.sram_insert`` span) sees every fill.
 
-    def record_fill(self, block: int, core: int, modified: bool = False,
-                    evicted: Optional[int] = None) -> None:
-        """Record that ``core`` now holds ``block`` in its L1.
+    def fill(self, l1s: Sequence["SetAssociativeCache"], llc: "SetAssociativeCache",
+             block: int, core: int, modified: bool = False,
+             llc_victim: Optional[int] = None) -> int:
+        """Fill ``block`` into ``core``'s L1 and record that ``core`` holds it.
 
         A Modified fill makes ``core`` the owner; a Shared fill by the owner
-        clears the ownership.  ``evicted`` is the block the fill displaced
-        from the core's L1, if any: the core no longer holds it.
+        clears the ownership.  The block the fill displaces from the L1 is
+        no longer held by ``core``, and a dirty one is written back into the
+        (inclusive) LLC.  ``llc_victim`` is the block the LLC displaced to
+        make room, if any: its L1 copies go first (:meth:`evict`), and their
+        state bits ORed together are returned (0 when no L1 held it).
         """
         entries = self._entries
+        dropped = 0
+        if llc_victim is not None and llc_victim in entries:
+            dropped = self.evict(l1s, llc_victim)
+        victim = l1s[core].insert(block, _WRITTEN if modified else 0)
         shift = self._owner_bits
         owner_mask = self._owner_mask
         field = core + 1
@@ -67,37 +89,55 @@ class LocalDirectory:
         elif entry & owner_mask == field:
             entry &= ~owner_mask
         entries[block] = entry
-        if evicted is not None:
-            entry = entries.get(evicted)
-            if entry is not None:
-                entry &= ~(1 << core + shift)
-                if entry & owner_mask == field:
-                    entry &= ~owner_mask
-                if entry >> shift:
-                    entries[evicted] = entry
-                else:
-                    del entries[evicted]
+        if victim is None:
+            return dropped
+        evicted = victim >> VICTIM_SHIFT
+        entry = entries.get(evicted)
+        if entry is not None:
+            entry &= ~(1 << core + shift)
+            if entry & owner_mask == field:
+                entry &= ~owner_mask
+            if entry >> shift:
+                entries[evicted] = entry
+            else:
+                del entries[evicted]
+        if victim & DIRTY:
+            llc.mark_dirty(evicted)
+        return dropped
 
-    def record_write(self, block: int, core: int) -> List[int]:
-        """Record a write by ``core``; returns the peer cores to invalidate."""
+    def write(self, l1s: Sequence["SetAssociativeCache"], llc: "SetAssociativeCache",
+              block: int, core: int) -> None:
+        """Give ``core`` the only L1 copy of LLC-resident ``block``, Modified:
+        peer copies are invalidated, and the LLC line becomes Modified and
+        dirty."""
         shift = self._owner_bits
-        peers = members(self._entries.get(block, 0) >> shift & ~(1 << core))
+        peers = self._entries.get(block, 0) >> shift & ~(1 << core)
+        while peers:
+            low = peers & -peers
+            l1s[low.bit_length() - 1].invalidate(block)
+            peers ^= low
         self._entries[block] = 1 << core + shift | core + 1
-        return peers
+        self.fill(l1s, llc, block, core, True)
+        llc.set_state(block, _WRITTEN)
 
-    def intervene(self, block: int, core: int) -> Optional[int]:
+    def intervene(self, l1s: Sequence["SetAssociativeCache"], block: int, core: int) -> bool:
         """Source ``block`` for ``core`` from a peer L1 that owns it Modified.
 
-        Returns the owner and clears the ownership (the owner keeps a Shared
-        copy); returns None when no peer of ``core`` owns the block.
+        The owner keeps a Shared copy with its dirty bit, and the ownership
+        is cleared.  Returns False, changing nothing, when no peer of
+        ``core`` owns the block.
         """
         entries = self._entries
         entry = entries.get(block, 0)
         owner = entry & self._owner_mask
         if not owner or owner == core + 1:
-            return None
+            return False
         entries[block] = entry & ~self._owner_mask
-        return owner - 1
+        owner_l1 = l1s[owner - 1]
+        line = owner_l1.peek(block)
+        if line is not None:
+            owner_l1.set_state(block, line & DIRTY)
+        return True
 
     def downgrade(self, block: int) -> List[int]:
         """Clear the owner of ``block``; returns the cores whose L1s hold it."""
@@ -108,12 +148,21 @@ class LocalDirectory:
         entries[block] = entry & ~self._owner_mask
         return members(entry >> self._owner_bits)
 
-    def invalidate_block(self, block: int) -> List[int]:
-        """Drop all L1 residency info for ``block``; returns the cores affected."""
+    def evict(self, l1s: Sequence["SetAssociativeCache"], block: int) -> int:
+        """Invalidate every L1 copy of ``block`` and drop its entry; returns
+        the dropped lines' state bits ORed together (0 when none)."""
         entry = self._entries.pop(block, None)
         if entry is None:
-            return []
-        return members(entry >> self._owner_bits)
+            return 0
+        bits = 0
+        sharers = entry >> self._owner_bits
+        while sharers:
+            low = sharers & -sharers
+            line = l1s[low.bit_length() - 1].invalidate(block)
+            if line is not None:
+                bits |= line
+            sharers ^= low
+        return bits
 
     def __contains__(self, block: int) -> bool:
         return block in self._entries

@@ -38,7 +38,7 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..interconnect.packet import MessageClass
-from .directory import DIR_MODIFIED, SHARER_SHIFT, GlobalDirectory, members
+from .directory import GlobalDirectory
 from .messages import ServiceSource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance for type checkers only
@@ -148,22 +148,15 @@ class GlobalCoherenceProtocol(ABC):
         self.llc_eviction(0.0, requester, block, dirty=dirty)
 
     # ------------------------------------------------------------------
-    # Memory helpers
+    # Shared transaction pieces
     # ------------------------------------------------------------------
-
-    def _memory_read(self, now: float, home: int, block: int, requester: int) -> float:
-        """Read ``block`` from its home memory; returns the memory latency.
-
-        Also classifies the access as local or remote relative to the
-        requesting socket for the Table I / Fig. 8 statistics.
-        """
-        latency = self.sockets[home].memory.read_fast(now, block)
-        stats = self.stats
-        if home == requester:
-            stats.memory_reads_local += 1
-        else:
-            stats.memory_reads_remote += 1
-        return latency
+    #
+    # The designs' handlers inline the per-miss steps themselves (the local
+    # DRAM-cache probe, the home memory read and its response, directory
+    # updates), so an L1 miss makes few Python calls.  A send between two
+    # endpoints on one socket is skipped: ``Interconnect.send`` returns 0.0
+    # for it and counts no byte, and latencies are never negative, so
+    # adding nothing leaves every sum unchanged.
 
     def _memory_write(self, now: float, home: int, block: int, requester: int) -> float:
         """Write ``block`` back to its home memory (includes the data transfer).
@@ -171,83 +164,16 @@ class GlobalCoherenceProtocol(ABC):
         Returns the total latency, which callers normally keep off the
         requester's critical path.
         """
-        transfer = self.interconnect.send(now, requester, home, MessageClass.WRITEBACK)
-        latency = self.sockets[home].memory.write_fast(now + transfer, block)
         stats = self.stats
         if home == requester:
             stats.memory_writes_local += 1
+            transfer = 0.0
         else:
             stats.memory_writes_remote += 1
+            transfer = self.interconnect.send(now, requester, home, MessageClass.WRITEBACK)
+        latency = self.sockets[home].memory.write_fast(now + transfer, block)
         stats.writebacks += 1
         return transfer + latency
-
-    # ------------------------------------------------------------------
-    # DRAM-cache helpers
-    # ------------------------------------------------------------------
-
-    def _probe_local_dram_cache(
-        self, now: float, requester: int, block: int
-    ) -> Tuple[bool, float]:
-        """Probe the requester's own DRAM cache.
-
-        Returns ``(hit, latency)``.  The latency charges the miss predictor
-        and, unless the predictor confidently predicted a miss, the DRAM
-        array access.
-        """
-        sock = self.sockets[requester]
-        if sock.dram_cache is None:
-            return False, 0.0
-        latency = sock.dram_predictor_latency_ns
-        probe = sock.dram_cache.probe(block)
-        if probe.array_accessed:
-            latency += sock.dram_cache_latency_ns
-        stats = self.stats
-        if probe.hit:
-            stats.dram_cache_hits += 1
-        else:
-            stats.dram_cache_misses += 1
-        return probe.hit, latency
-
-    def _insert_into_dram_cache(self, now: float, socket_id: int, block: int, *, dirty: bool) -> None:
-        """Insert an LLC victim into the socket's DRAM cache and handle its victim."""
-        sock = self.sockets[socket_id]
-        if sock.dram_cache is None:
-            return
-        victim = sock.dram_cache.insert(block, dirty=dirty)
-        if victim is None:
-            return
-        victim_block, victim_dirty = victim
-        if victim_dirty:
-            # A dirty DRAM-cache victim must reach its home memory
-            # (only possible in the non-clean designs).
-            victim_home = self._home_of_block(victim_block)
-            self._memory_write(now, victim_home, victim_block, socket_id)
-            self._on_dram_cache_dirty_victim(victim_block, socket_id)
-        else:
-            self._on_dram_cache_clean_victim(victim_block, socket_id)
-
-    def _insert_into_dram_cache_functional(self, socket_id: int, block: int, *,
-                                           dirty: bool) -> None:
-        """State-only :meth:`_insert_into_dram_cache` for a socket that has a
-        DRAM cache: the insert and its victim's directory hook, no write-back."""
-        victim = self.sockets[socket_id].dram_cache.insert(block, dirty=dirty)
-        if victim is None:
-            return
-        victim_block, victim_dirty = victim
-        if victim_dirty:
-            self._on_dram_cache_dirty_victim(victim_block, socket_id)
-        else:
-            self._on_dram_cache_clean_victim(victim_block, socket_id)
-
-    def _on_dram_cache_dirty_victim(self, block: int, socket_id: int) -> None:
-        """Directory bookkeeping hook for a dirty DRAM-cache eviction."""
-
-    def _on_dram_cache_clean_victim(self, block: int, socket_id: int) -> None:
-        """Directory bookkeeping hook for a clean DRAM-cache eviction."""
-
-    # ------------------------------------------------------------------
-    # Remote-socket probe / invalidation helpers
-    # ------------------------------------------------------------------
 
     def _fetch_from_remote_llc(
         self,
@@ -269,7 +195,7 @@ class GlobalCoherenceProtocol(ABC):
         """
         owner_socket = self.sockets[owner]
         send = self._net_send
-        forward = send(now, home, owner, MessageClass.FORWARD)
+        forward = send(now, home, owner, MessageClass.FORWARD) if home != owner else 0.0
         probe = owner_socket.llc_latency_ns
         stats = self.stats
         if downgrade:
@@ -283,43 +209,38 @@ class GlobalCoherenceProtocol(ABC):
         response = send(now + forward + probe, owner, requester, MessageClass.DATA_RESPONSE)
         return forward + probe + response
 
-    def _invalidate_remote_socket(
-        self,
-        now: float,
-        home: int,
-        target: int,
-        block: int,
-        *,
-        include_dram_cache: bool,
+    def _invalidate_sockets(
+        self, now: float, home: int, block: int, targets: int,
         message_class: MessageClass = MessageClass.INVALIDATION,
     ) -> float:
-        """Invalidate every copy of ``block`` at ``target``; returns round-trip latency."""
-        target_socket = self.sockets[target]
+        """Invalidate every copy of ``block`` -- DRAM cache, LLC and L1s -- at
+        each socket of the mask ``targets``, ascending; one round trip from
+        the home each, all issued at ``now``.  Returns the latest ack's
+        latency (0.0 for no target)."""
+        worst = 0.0
+        sockets = self.sockets
         send = self._net_send
-        out = send(now, home, target, message_class)
-        probe = 0.0
-        if include_dram_cache and target_socket.dram_cache is not None:
-            target_socket.dram_cache.invalidate(block)
-            probe = target_socket.dram_cache_latency_ns
-        if target_socket.llc.contains(block):
-            probe = max(probe, target_socket.llc_latency_ns)
-        target_socket.invalidate_onchip(block)
-        ack = send(now + out + probe, target, home, MessageClass.ACK)
-        self.stats.invalidations_sent += 1
-        return out + probe + ack
-
-    def _directory_note_read_sharer(self, directory: GlobalDirectory, block: int,
-                                    requester: int) -> None:
-        """Record ``requester`` as a sharer after a read served by memory.
-
-        Handles the (defensive) case of a stale Modified entry by degrading
-        it to Shared rather than violating the directory's M-state invariant.
-        """
-        entry = directory.lookup(block)
-        if entry is not None and entry & DIR_MODIFIED:
-            directory.set_shared(block, members(entry >> SHARER_SHIFT | 1 << requester))
-        else:
-            directory.add_sharer(block, requester)
+        stats = self.stats
+        ack_class = MessageClass.ACK
+        while targets:
+            low = targets & -targets
+            targets ^= low
+            target = low.bit_length() - 1
+            target_socket = sockets[target]
+            out = send(now, home, target, message_class) if target != home else 0.0
+            probe = 0.0
+            dram_cache = target_socket.dram_cache
+            if dram_cache is not None:
+                dram_cache.invalidate(block)
+                probe = target_socket.dram_cache_latency_ns
+            if target_socket.invalidate_onchip(block):
+                probe = max(probe, target_socket.llc_latency_ns)
+            ack = send(now + out + probe, target, home, ack_class) if target != home else 0.0
+            stats.invalidations_sent += 1
+            latency = out + probe + ack
+            if latency > worst:
+                worst = latency
+        return worst
 
     def describe(self) -> str:
         """One-line human-readable description of the design."""

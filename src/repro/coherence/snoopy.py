@@ -33,106 +33,76 @@ class SnoopyProtocol(GlobalCoherenceProtocol):
     clean_dram_cache = False
 
     # ------------------------------------------------------------------
-    # Snoop machinery
-    # ------------------------------------------------------------------
-
-    def _snoop_socket(
-        self,
-        now: float,
-        requester: int,
-        target: int,
-        home: int,
-        block: int,
-        *,
-        invalidate: bool,
-    ) -> Tuple[float, Optional[ServiceSource]]:
-        """Snoop one remote socket.
-
-        Returns ``(latency, data_source)`` where ``data_source`` is non-None
-        when the target supplied (dirty) data.  ``invalidate`` selects the
-        write-snoop behaviour (all copies at the target are invalidated).
-        """
-        target_socket = self.sockets[target]
-        send = self._net_send
-        stats = self.stats
-        out = send(now, requester, target, MessageClass.SNOOP)
-        # The snoop filter (the baseline's directory structure) only covers
-        # the on-chip caches -- it cannot possibly track the GB-scale DRAM
-        # cache, which is the whole storage problem of section III.  Every
-        # snoop therefore probes the DRAM-cache array, and that latency is on
-        # the critical path of the requester's miss.
-        probe = target_socket.snoop_filter_latency_ns
-        dram_cache = target_socket.dram_cache
-        if dram_cache is not None:
-            probe += target_socket.dram_cache_latency_ns
-        data_source: Optional[ServiceSource] = None
-
-        llc_line = target_socket.llc.peek(block)
-        dram_dirty = dram_cache.dirty_of(block) if dram_cache is not None else None
-
-        if llc_line is not None:
-            probe += target_socket.llc_latency_ns
-            if llc_line & MODIFIED:
-                data_source = ServiceSource.REMOTE_LLC
-                if invalidate:
-                    target_socket.invalidate_onchip(block)
-                else:
-                    target_socket.downgrade_block(block)
-                    stats.downgrades += 1
-                    self._memory_write(now + out + probe, home, block, target)
-            elif invalidate:
-                target_socket.invalidate_onchip(block)
-        elif dram_dirty:
-            data_source = ServiceSource.REMOTE_DRAM_CACHE
-            if not invalidate:
-                # Keep a clean copy and make memory valid again.
-                dram_cache.mark_clean(block)
-                self._memory_write(now + out + probe, home, block, target)
-
-        if invalidate:
-            if dram_dirty is not None:
-                dram_cache.invalidate(block)
-            target_socket.invalidate_onchip(block)
-            stats.invalidations_sent += 1
-
-        response_class = (
-            MessageClass.DATA_RESPONSE if data_source is not None else MessageClass.ACK
-        )
-        back = send(now + out + probe, target, requester, response_class)
-        return out + probe + back, data_source
-
-    def _memory_path(self, now: float, requester: int, home: int, block: int) -> float:
-        """Latency of the memory access issued in parallel with the snoops."""
-        send = self._net_send
-        latency = send(now, requester, home, MessageClass.REQUEST)
-        latency += self._memory_read(now + latency, home, block, requester)
-        latency += send(now + latency, home, requester, MessageClass.DATA_RESPONSE)
-        return latency
-
-    # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
+    #
+    # The snoop of each remote socket is inlined into both miss handlers.
+    # The snoop filter (the baseline's directory structure) only covers the
+    # on-chip caches -- it cannot possibly track the GB-scale DRAM cache,
+    # which is the whole storage problem of section III.  Every snoop
+    # therefore probes the DRAM-cache array, and that latency is on the
+    # critical path of the requester's miss.  Memory is accessed in
+    # parallel with the snoops.
 
     def read_miss(self, now: float, requester: int, block: int) -> Tuple[float, ServiceSource]:
-        hit, local_latency = self._probe_local_dram_cache(now, requester, block)
-        if hit:
-            return local_latency, ServiceSource.LOCAL_DRAM_CACHE
+        stats = self.stats
+        sockets = self.sockets
+        sock = sockets[requester]
+        dram_cache = sock.dram_cache
+        local_latency = 0.0
+        if dram_cache is not None:
+            local_latency = sock.dram_predictor_latency_ns
+            probe = dram_cache.probe(block)
+            if probe.array_accessed:
+                local_latency += sock.dram_cache_latency_ns
+            if probe.hit:
+                stats.dram_cache_hits += 1
+                return local_latency, ServiceSource.LOCAL_DRAM_CACHE
+            stats.dram_cache_misses += 1
 
         home = self._home_of_block(block)
         start = now + local_latency
-        memory_latency = self._memory_path(start, requester, home, block)
+        send = self._net_send
+        if home == requester:
+            memory_latency = sockets[home].memory.read_fast(start, block)
+            stats.memory_reads_local += 1
+        else:
+            memory_latency = send(start, requester, home, MessageClass.REQUEST)
+            memory_latency += sockets[home].memory.read_fast(start + memory_latency, block)
+            stats.memory_reads_remote += 1
+            memory_latency += send(start + memory_latency, home, requester,
+                                   MessageClass.DATA_RESPONSE)
 
         snoop_latency = 0.0
         data_source: Optional[ServiceSource] = None
-        for target in range(len(self.sockets)):
+        for target, target_socket in enumerate(sockets):
             if target == requester:
                 continue
-            latency, source = self._snoop_socket(
-                start, requester, target, home, block, invalidate=False
-            )
-            snoop_latency = max(snoop_latency, latency)
-            if source is not None:
-                data_source = source
+            out = send(start, requester, target, MessageClass.SNOOP)
+            probe_latency = target_socket.snoop_filter_latency_ns
+            target_dram = target_socket.dram_cache
+            if target_dram is not None:
+                probe_latency += target_socket.dram_cache_latency_ns
+            response_class = MessageClass.ACK
+            llc_line = target_socket.llc.peek(block)
+            if llc_line is not None:
+                probe_latency += target_socket.llc_latency_ns
+                if llc_line & MODIFIED:
+                    data_source = ServiceSource.REMOTE_LLC
+                    response_class = MessageClass.DATA_RESPONSE
+                    target_socket.downgrade_block(block)
+                    stats.downgrades += 1
+                    self._memory_write(start + out + probe_latency, home, block, target)
+            elif target_dram is not None and target_dram.dirty_of(block):
+                data_source = ServiceSource.REMOTE_DRAM_CACHE
+                response_class = MessageClass.DATA_RESPONSE
+                # Keep a clean copy and make memory valid again.
+                target_dram.mark_clean(block)
+                self._memory_write(start + out + probe_latency, home, block, target)
+            back = send(start + out + probe_latency, target, requester, response_class)
+            latency = out + probe_latency + back
+            if latency > snoop_latency:
+                snoop_latency = latency
 
         total = local_latency + max(memory_latency, snoop_latency)
         if data_source is not None:
@@ -154,38 +124,78 @@ class SnoopyProtocol(GlobalCoherenceProtocol):
         thread_id: int = 0,
         has_shared_copy: bool = False,
     ) -> Tuple[float, ServiceSource]:
+        stats = self.stats
+        sockets = self.sockets
         local_hit = False
         local_latency = 0.0
         if not has_shared_copy:
-            local_hit, local_latency = self._probe_local_dram_cache(now, requester, block)
+            sock = sockets[requester]
+            dram_cache = sock.dram_cache
+            if dram_cache is not None:
+                local_latency = sock.dram_predictor_latency_ns
+                probe = dram_cache.probe(block)
+                if probe.array_accessed:
+                    local_latency += sock.dram_cache_latency_ns
+                local_hit = probe.hit
+                if local_hit:
+                    stats.dram_cache_hits += 1
+                else:
+                    stats.dram_cache_misses += 1
 
         home = self._home_of_block(block)
         start = now + local_latency
+        send = self._net_send
 
+        # Every copy at every other socket goes.
         snoop_latency = 0.0
         data_source: Optional[ServiceSource] = None
-        for target in range(len(self.sockets)):
+        for target, target_socket in enumerate(sockets):
             if target == requester:
                 continue
-            latency, source = self._snoop_socket(
-                start, requester, target, home, block, invalidate=True
-            )
-            snoop_latency = max(snoop_latency, latency)
-            if source is not None:
-                data_source = source
+            out = send(start, requester, target, MessageClass.SNOOP)
+            probe_latency = target_socket.snoop_filter_latency_ns
+            target_dram = target_socket.dram_cache
+            if target_dram is not None:
+                probe_latency += target_socket.dram_cache_latency_ns
+            response_class = MessageClass.ACK
+            llc_line = target_socket.llc.peek(block)
+            dram_dirty = target_dram.dirty_of(block) if target_dram is not None else None
+            if llc_line is not None:
+                probe_latency += target_socket.llc_latency_ns
+                if llc_line & MODIFIED:
+                    data_source = ServiceSource.REMOTE_LLC
+                    response_class = MessageClass.DATA_RESPONSE
+            elif dram_dirty:
+                data_source = ServiceSource.REMOTE_DRAM_CACHE
+                response_class = MessageClass.DATA_RESPONSE
+            if dram_dirty is not None:
+                target_dram.invalidate(block)
+            if llc_line is not None:
+                target_socket.invalidate_onchip(block)
+            stats.invalidations_sent += 1
+            back = send(start + out + probe_latency, target, requester, response_class)
+            latency = out + probe_latency + back
+            if latency > snoop_latency:
+                snoop_latency = latency
 
         memory_latency = 0.0
         if has_shared_copy or local_hit:
             source = ServiceSource.LOCAL_DRAM_CACHE if local_hit else ServiceSource.LLC
         elif data_source is not None:
             source = data_source
+        elif home == requester:
+            memory_latency = sockets[home].memory.read_fast(start, block)
+            stats.memory_reads_local += 1
+            source = ServiceSource.LOCAL_MEMORY
         else:
-            memory_latency = self._memory_path(start, requester, home, block)
-            source = (ServiceSource.LOCAL_MEMORY if home == requester
-                      else ServiceSource.REMOTE_MEMORY)
+            memory_latency = send(start, requester, home, MessageClass.REQUEST)
+            memory_latency += sockets[home].memory.read_fast(start + memory_latency, block)
+            stats.memory_reads_remote += 1
+            memory_latency += send(start + memory_latency, home, requester,
+                                   MessageClass.DATA_RESPONSE)
+            source = ServiceSource.REMOTE_MEMORY
 
         total = local_latency + max(memory_latency, snoop_latency)
-        stats = self.stats
         stats.broadcasts += 1
         if has_shared_copy:
             stats.upgrades += 1
@@ -196,10 +206,17 @@ class SnoopyProtocol(GlobalCoherenceProtocol):
     # ------------------------------------------------------------------
 
     def llc_eviction(self, now: float, requester: int, block: int, *, dirty: bool) -> None:
-        if self.sockets[requester].dram_cache is not None:
-            self._insert_into_dram_cache(now, requester, block, dirty=dirty)
-        elif dirty:
-            self._memory_write(now, self._home_of_block(block), block, requester)
+        dram_cache = self.sockets[requester].dram_cache
+        if dram_cache is None:
+            if dirty:
+                self._memory_write(now, self._home_of_block(block), block, requester)
+            return
+        victim = dram_cache.insert(block, dirty=dirty)
+        if victim is not None and victim[1]:
+            # A dirty DRAM-cache victim must reach its home memory.  Snoopy
+            # keeps no directory, so a clean victim needs nothing.
+            victim_block = victim[0]
+            self._memory_write(now, self._home_of_block(victim_block), victim_block, requester)
 
     # ------------------------------------------------------------------
     # Functional (state-only) mirrors -- see GlobalCoherenceProtocol
@@ -210,8 +227,8 @@ class SnoopyProtocol(GlobalCoherenceProtocol):
         dram_cache = self.sockets[requester].dram_cache
         if dram_cache is not None and dram_cache.probe(block).hit:
             return
-        # Mirror of _snoop_socket(invalidate=False) per peer: a Modified LLC
-        # copy is downgraded, else a dirty DRAM-cache copy is marked clean
+        # Mirror of read_miss's snoop of each peer: a Modified LLC copy is
+        # downgraded, else a dirty DRAM-cache copy is marked clean
         # (mark_clean leaves a clean or absent block alone).
         for target_socket in self.sockets:
             if target_socket.socket_id == requester:
@@ -231,7 +248,7 @@ class SnoopyProtocol(GlobalCoherenceProtocol):
             dram_cache = self.sockets[requester].dram_cache
             if dram_cache is not None:
                 dram_cache.probe(block)
-        # Mirror of _snoop_socket(invalidate=True) per peer: every copy goes.
+        # Mirror of write_miss's snoop of each peer: every copy goes.
         for target_socket in self.sockets:
             if target_socket.socket_id == requester:
                 continue

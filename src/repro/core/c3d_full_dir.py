@@ -22,12 +22,15 @@ Two behavioural changes relative to :class:`~repro.core.c3d_protocol.C3DProtocol
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
-from ..coherence.directory import DIR_MODIFIED, SHARER_SHIFT, members, owner_of
+from ..coherence.directory import DIR_MODIFIED, SHARER_SHIFT, owner_of
 from ..coherence.messages import ServiceSource
 from ..interconnect.packet import MessageClass
 from .c3d_protocol import C3DProtocol
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..caches.dram_cache import DRAMCache
 
 __all__ = ["C3DFullDirectoryProtocol"]
 
@@ -43,14 +46,58 @@ class C3DFullDirectoryProtocol(C3DProtocol):
     # ------------------------------------------------------------------
 
     def read_miss(self, now: float, requester: int, block: int) -> Tuple[float, ServiceSource]:
-        latency, source = super().read_miss(now, requester, block)
-        # The idealised directory tracks DRAM-cache residency too, so a read
-        # served by memory (the untracked case in plain C3D) still allocates
-        # a sharer entry here.  Local DRAM-cache hits are already tracked.
-        if source is ServiceSource.LOCAL_MEMORY or source is ServiceSource.REMOTE_MEMORY:
-            directory = self.directories[self._home_of_block(block)]
-            self._directory_note_read_sharer(directory, block, requester)
-        return latency, source
+        # Plain C3D's read path, except that the idealised directory tracks
+        # DRAM-cache residency too: a read served by memory (the untracked
+        # case in plain C3D) still allocates a sharer entry here.  Local
+        # DRAM-cache hits are already tracked.
+        stats = self.stats
+        sock = self.sockets[requester]
+        dram_cache = sock.dram_cache
+        local_latency = 0.0
+        if dram_cache is not None:
+            local_latency = sock.dram_predictor_latency_ns
+            probe = dram_cache.probe(block)
+            if probe.array_accessed:
+                local_latency += sock.dram_cache_latency_ns
+            if probe.hit:
+                stats.dram_cache_hits += 1
+                return local_latency, ServiceSource.LOCAL_DRAM_CACHE
+            stats.dram_cache_misses += 1
+
+        home = self._home_of_block(block)
+        directory = self.directories[home]
+        latency = local_latency
+        if home != requester:
+            latency += self._net_send(now + latency, requester, home, MessageClass.REQUEST)
+        latency += directory.latency_ns
+        stats.directory_lookups += 1
+        entry = directory.lookup(block)
+
+        if (
+            entry is not None
+            and entry & DIR_MODIFIED
+            and entry >> SHARER_SHIFT != 1 << requester
+        ):
+            owner = owner_of(entry)
+            latency += self._fetch_from_remote_llc(
+                now + latency, home, owner, requester, block, downgrade=True
+            )
+            directory.set_shared(block, (owner, requester))
+            return latency, ServiceSource.REMOTE_LLC
+
+        latency += self.sockets[home].memory.read_fast(now + latency, block)
+        if entry is not None and entry & DIR_MODIFIED:
+            # A stale Modified entry of the requester's own degrades to
+            # Shared rather than violating the directory's M-state invariant.
+            directory.set_shared(block, (requester,))
+        else:
+            directory.add_sharer(block, requester)
+        if home == requester:
+            stats.memory_reads_local += 1
+            return latency, ServiceSource.LOCAL_MEMORY
+        stats.memory_reads_remote += 1
+        latency += self._net_send(now + latency, home, requester, MessageClass.DATA_RESPONSE)
+        return latency, ServiceSource.REMOTE_MEMORY
 
     # ------------------------------------------------------------------
     # Writes
@@ -65,17 +112,30 @@ class C3DFullDirectoryProtocol(C3DProtocol):
         thread_id: int = 0,
         has_shared_copy: bool = False,
     ) -> Tuple[float, ServiceSource]:
+        stats = self.stats
+        sockets = self.sockets
         local_hit = False
         local_latency = 0.0
         if not has_shared_copy:
-            local_hit, local_latency = self._probe_local_dram_cache(now, requester, block)
+            sock = sockets[requester]
+            dram_cache = sock.dram_cache
+            if dram_cache is not None:
+                local_latency = sock.dram_predictor_latency_ns
+                probe = dram_cache.probe(block)
+                if probe.array_accessed:
+                    local_latency += sock.dram_cache_latency_ns
+                local_hit = probe.hit
+                if local_hit:
+                    stats.dram_cache_hits += 1
+                else:
+                    stats.dram_cache_misses += 1
 
         home = self._home_of_block(block)
         directory = self.directories[home]
         send = self._net_send
-        stats = self.stats
         latency = local_latency
-        latency += send(now + latency, requester, home, MessageClass.REQUEST)
+        if home != requester:
+            latency += send(now + latency, requester, home, MessageClass.REQUEST)
         latency += directory.latency_ns
         stats.directory_lookups += 1
         entry = directory.lookup(block)
@@ -86,28 +146,32 @@ class C3DFullDirectoryProtocol(C3DProtocol):
             and entry >> SHARER_SHIFT != 1 << requester
         ):
             owner = owner_of(entry)
-            latency += self._invalidate_remote_socket(
-                now + latency, home, owner, block, include_dram_cache=True
-            )
+            latency += self._invalidate_sockets(now + latency, home, block, 1 << owner)
             latency += send(now + latency, owner, requester, MessageClass.DATA_RESPONSE)
             source = ServiceSource.REMOTE_LLC
         else:
             # The idealised directory lists every holder, so a block with no
             # entry has none to invalidate.
-            targets = (members(entry >> SHARER_SHIFT & ~(1 << requester))
-                       if entry is not None else ())
             invalidation_latency = 0.0
-            for target in targets:
-                invalidation_latency = max(
-                    invalidation_latency,
-                    self._invalidate_remote_socket(
-                        now + latency, home, target, block, include_dram_cache=True
-                    ),
+            if entry is not None:
+                invalidation_latency = self._invalidate_sockets(
+                    now + latency, home, block, entry >> SHARER_SHIFT & ~(1 << requester)
                 )
-            data_latency, source = self._write_data_path(
-                now + latency, requester, home, block,
-                has_shared_copy=has_shared_copy, local_hit=local_hit,
-            )
+            data_latency = 0.0
+            if has_shared_copy:
+                source = ServiceSource.LLC
+            elif local_hit:
+                source = ServiceSource.LOCAL_DRAM_CACHE
+            else:
+                data_latency = sockets[home].memory.read_fast(now + latency, block)
+                if home == requester:
+                    stats.memory_reads_local += 1
+                    source = ServiceSource.LOCAL_MEMORY
+                else:
+                    stats.memory_reads_remote += 1
+                    data_latency += send(now + latency + data_latency, home, requester,
+                                         MessageClass.DATA_RESPONSE)
+                    source = ServiceSource.REMOTE_MEMORY
             latency += max(invalidation_latency, data_latency)
 
         directory.set_modified(block, requester)
@@ -122,7 +186,7 @@ class C3DFullDirectoryProtocol(C3DProtocol):
     def llc_eviction(self, now: float, requester: int, block: int, *, dirty: bool) -> None:
         dram_cache = self.sockets[requester].dram_cache
         if dram_cache is not None:
-            self._insert_into_dram_cache(now, requester, block, dirty=False)
+            self._insert_clean(dram_cache, requester, block)
 
         if dirty:
             home = self._home_of_block(block)
@@ -151,48 +215,45 @@ class C3DFullDirectoryProtocol(C3DProtocol):
             return
         directory = self.directories[self._home_of_block(block)]
         entry = directory.lookup(block)
-        if (
-            entry is not None
-            and entry & DIR_MODIFIED
-            and entry >> SHARER_SHIFT != 1 << requester
-        ):
+        if entry is None or not entry & DIR_MODIFIED:
+            directory.add_sharer(block, requester)
+        elif entry >> SHARER_SHIFT == 1 << requester:
+            directory.set_shared(block, (requester,))
+        else:
             owner = owner_of(entry)
             # Mirror of _fetch_from_remote_llc(downgrade=True).
             self.sockets[owner].downgrade_block(block)
             directory.set_shared(block, (owner, requester))
-        else:
-            # Served by memory: read_miss's note_read_sharer.  It repeats
-            # plain C3D's add_sharer on a Shared entry, which changes nothing
-            # the second time, so this one call covers both.
-            self._directory_note_read_sharer(directory, block, requester)
 
     def write_miss_functional(
         self, requester: int, block: int, *, thread_id: int = 0,
         has_shared_copy: bool = False,
     ) -> None:
+        sockets = self.sockets
         if not has_shared_copy:
-            dram_cache = self.sockets[requester].dram_cache
+            dram_cache = sockets[requester].dram_cache
             if dram_cache is not None:
                 dram_cache.probe(block)
         directory = self.directories[self._home_of_block(block)]
         entry = directory.lookup(block)
-        # A Modified entry's owner is its only sharer, so the tracked targets
-        # cover write_miss's owner branch as well as its sharer branch.
-        targets = (members(entry >> SHARER_SHIFT & ~(1 << requester))
-                   if entry is not None else ())
-        sockets = self.sockets
-        for target in targets:
-            # Mirror of _invalidate_remote_socket(include_dram_cache=True).
-            target_socket = sockets[target]
-            if target_socket.dram_cache is not None:
-                target_socket.dram_cache.invalidate(block)
-            target_socket.invalidate_onchip(block)
+        if entry is not None:
+            # Mirror of _invalidate_sockets.  A Modified entry's owner is its
+            # only sharer, so the tracked targets cover write_miss's owner
+            # branch as well as its sharer branch.
+            targets = entry >> SHARER_SHIFT & ~(1 << requester)
+            while targets:
+                low = targets & -targets
+                targets ^= low
+                target_socket = sockets[low.bit_length() - 1]
+                if target_socket.dram_cache is not None:
+                    target_socket.dram_cache.invalidate(block)
+                target_socket.invalidate_onchip(block)
         directory.set_modified(block, requester)
 
     def llc_eviction_functional(self, requester: int, block: int, *, dirty: bool) -> None:
         dram_cache = self.sockets[requester].dram_cache
         if dram_cache is not None:
-            self._insert_into_dram_cache_functional(requester, block, dirty=False)
+            self._insert_clean(dram_cache, requester, block)
         if dirty:
             directory = self.directories[self._home_of_block(block)]
             if dram_cache is not None and dram_cache.contains(block):
@@ -201,9 +262,19 @@ class C3DFullDirectoryProtocol(C3DProtocol):
                 directory.invalidate(block)
 
     # ------------------------------------------------------------------
-    # DRAM-cache eviction hooks (keep the ideal directory precise)
+    # DRAM-cache fills (keep the ideal directory precise)
     # ------------------------------------------------------------------
 
-    def _on_dram_cache_clean_victim(self, block: int, socket_id: int) -> None:
-        if not self.sockets[socket_id].llc.contains(block):
-            self.directories[self._home_of_block(block)].remove_sharer(block, socket_id)
+    def _insert_clean(self, dram_cache: "DRAMCache", socket_id: int, block: int) -> None:
+        """Retain a clean copy of an LLC victim in the socket's DRAM cache.
+
+        The cache is clean, so its victim needs no write-back; the socket
+        leaves the victim's sharers unless its LLC still holds the block.
+        """
+        victim = dram_cache.insert(block, dirty=False)
+        if victim is not None:
+            victim_block = victim[0]
+            if not self.sockets[socket_id].llc.contains(victim_block):
+                self.directories[self._home_of_block(victim_block)].remove_sharer(
+                    victim_block, socket_id
+                )

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..coherence.directory import DIR_MODIFIED, DIR_SHARED, SHARER_SHIFT, members, owner_of
+from ..coherence.directory import DIR_MODIFIED, DIR_SHARED, SHARER_SHIFT, owner_of
 from ..coherence.messages import ServiceSource
 from ..coherence.protocol_base import GlobalCoherenceProtocol
 from ..interconnect.packet import MessageClass
@@ -63,7 +63,6 @@ class C3DProtocol(GlobalCoherenceProtocol):
     def read_miss(self, now: float, requester: int, block: int) -> Tuple[float, ServiceSource]:
         # Fast local hit: a read hit in the local DRAM cache completes with no
         # messages to remote sockets (first bullet of section IV-B summary).
-        # (Inlined _probe_local_dram_cache: this is the hottest C3D path.)
         stats = self.stats
         sock = self.sockets[requester]
         dram_cache = sock.dram_cache
@@ -81,7 +80,8 @@ class C3DProtocol(GlobalCoherenceProtocol):
         home = self._home_of_block(block)
         directory = self.directories[home]
         latency = local_latency
-        latency += self._net_send(now + latency, requester, home, MessageClass.REQUEST)
+        if home != requester:
+            latency += self._net_send(now + latency, requester, home, MessageClass.REQUEST)
         latency += directory.latency_ns
         stats.directory_lookups += 1
         entry = directory.lookup(block)
@@ -99,59 +99,24 @@ class C3DProtocol(GlobalCoherenceProtocol):
                 now + latency, home, owner, requester, block, downgrade=True
             )
             directory.set_shared(block, (owner, requester))
-            source = ServiceSource.REMOTE_LLC
-        elif entry is not None and entry & DIR_SHARED:
-            latency += self._memory_read(now + latency, home, block, requester)
-            latency += self._net_send(now + latency, home, requester, MessageClass.DATA_RESPONSE)
-            directory.add_sharer(block, requester)
-            source = (ServiceSource.LOCAL_MEMORY if home == requester
-                      else ServiceSource.REMOTE_MEMORY)
-        else:
-            # Invalid / untracked: memory is guaranteed valid (clean DRAM
-            # caches) and the request is NOT inserted into the directory.
-            latency += self._memory_read(now + latency, home, block, requester)
-            latency += self._net_send(now + latency, home, requester, MessageClass.DATA_RESPONSE)
-            source = (ServiceSource.LOCAL_MEMORY if home == requester
-                      else ServiceSource.REMOTE_MEMORY)
+            return latency, ServiceSource.REMOTE_LLC
 
-        return latency, source
+        # Shared: served by memory, the requester joins the sharers.
+        # Invalid / untracked: memory is guaranteed valid (clean DRAM
+        # caches) and the request is NOT inserted into the directory.
+        latency += self.sockets[home].memory.read_fast(now + latency, block)
+        if entry is not None and entry & DIR_SHARED:
+            directory.add_sharer(block, requester)
+        if home == requester:
+            stats.memory_reads_local += 1
+            return latency, ServiceSource.LOCAL_MEMORY
+        stats.memory_reads_remote += 1
+        latency += self._net_send(now + latency, home, requester, MessageClass.DATA_RESPONSE)
+        return latency, ServiceSource.REMOTE_MEMORY
 
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
-
-    def _broadcast_invalidations(self, now: float, requester: int, home: int, block: int) -> float:
-        """Invalidate every other socket's DRAM-cache (and untracked LLC) copy.
-
-        Returns the completion latency of the broadcast (last ack received).
-        """
-        worst = 0.0
-        send = self._net_send
-        stats = self.stats
-        sockets = self.sockets
-        broadcast_class = MessageClass.BROADCAST_INVALIDATION
-        ack_class = MessageClass.ACK
-        for target in range(len(sockets)):
-            if target == requester:
-                continue
-            # Fused _invalidate_remote_socket (this loop is the hot C3D
-            # write path: one probe + invalidation round trip per peer).
-            target_socket = sockets[target]
-            out = send(now, home, target, broadcast_class)
-            probe = 0.0
-            if target_socket.dram_cache is not None:
-                target_socket.dram_cache.invalidate(block)
-                probe = target_socket.dram_cache_latency_ns
-            if target_socket.llc.contains(block):
-                probe = max(probe, target_socket.llc_latency_ns)
-            target_socket.invalidate_onchip(block)
-            ack = send(now + out + probe, target, home, ack_class)
-            stats.invalidations_sent += 1
-            latency = out + probe + ack
-            if latency > worst:
-                worst = latency
-        stats.broadcasts += 1
-        return worst
 
     def write_miss(
         self,
@@ -163,11 +128,11 @@ class C3DProtocol(GlobalCoherenceProtocol):
         has_shared_copy: bool = False,
     ) -> Tuple[float, ServiceSource]:
         stats = self.stats
+        sockets = self.sockets
         local_hit = False
         local_latency = 0.0
         if not has_shared_copy:
-            # Inlined _probe_local_dram_cache.
-            sock = self.sockets[requester]
+            sock = sockets[requester]
             dram_cache = sock.dram_cache
             if dram_cache is not None:
                 local_latency = sock.dram_predictor_latency_ns
@@ -182,8 +147,10 @@ class C3DProtocol(GlobalCoherenceProtocol):
 
         home = self._home_of_block(block)
         directory = self.directories[home]
+        send = self._net_send
         latency = local_latency
-        latency += self._net_send(now + latency, requester, home, MessageClass.REQUEST)
+        if home != requester:
+            latency += send(now + latency, requester, home, MessageClass.REQUEST)
         latency += directory.latency_ns
         stats.directory_lookups += 1
         entry = directory.lookup(block)
@@ -194,75 +161,56 @@ class C3DProtocol(GlobalCoherenceProtocol):
             and entry >> SHARER_SHIFT != 1 << requester
         ):
             owner = owner_of(entry)
-            latency += self._invalidate_remote_socket(
-                now + latency, home, owner, block, include_dram_cache=True
+            latency += self._invalidate_sockets(now + latency, home, block, 1 << owner)
+            latency += send(now + latency, owner, requester, MessageClass.DATA_RESPONSE)
+            directory.set_modified(block, requester)
+            if has_shared_copy:
+                stats.upgrades += 1
+            return latency, ServiceSource.REMOTE_LLC
+
+        invalidation_latency = 0.0
+        if entry is not None and entry & DIR_SHARED:
+            invalidation_latency = self._invalidate_sockets(
+                now + latency, home, block, entry >> SHARER_SHIFT & ~(1 << requester)
             )
-            latency += self._net_send(now + latency, owner, requester,
-                                      MessageClass.DATA_RESPONSE)
-            source = ServiceSource.REMOTE_LLC
-        elif entry is not None and entry & DIR_SHARED:
-            sharers = members(entry >> SHARER_SHIFT & ~(1 << requester))
-            invalidation_latency = 0.0
-            for target in sharers:
-                invalidation_latency = max(
-                    invalidation_latency,
-                    self._invalidate_remote_socket(
-                        now + latency, home, target, block, include_dram_cache=True
-                    ),
-                )
-            data_latency, source = self._write_data_path(
-                now + latency, requester, home, block,
-                has_shared_copy=has_shared_copy, local_hit=local_hit,
-            )
-            latency += max(invalidation_latency, data_latency)
+        elif (self.broadcast_filter and self.classifier is not None
+              and self.classifier.write_is_private(thread_id, block)):
+            # Invalid / untracked, but the page is known thread-private.
+            stats.broadcasts_elided += 1
         else:
-            # Invalid / untracked: unless the page is known thread-private,
-            # broadcast invalidations to all other DRAM caches.
-            skip_broadcast = False
-            if self.broadcast_filter and self.classifier is not None:
-                skip_broadcast = self.classifier.write_is_private(thread_id, block)
-            if skip_broadcast:
-                stats.broadcasts_elided += 1
-            else:
-                broadcast_latency = self._broadcast_invalidations(
-                    now + latency, requester, home, block
-                )
-            data_latency, source = self._write_data_path(
-                now + latency, requester, home, block,
-                has_shared_copy=has_shared_copy, local_hit=local_hit,
+            # Invalid / untracked: broadcast invalidations to every other
+            # socket's DRAM cache (and any untracked LLC copies).
+            invalidation_latency = self._invalidate_sockets(
+                now + latency, home, block,
+                (1 << len(sockets)) - 1 & ~(1 << requester),
+                MessageClass.BROADCAST_INVALIDATION,
             )
-            if skip_broadcast:
-                latency += data_latency
+            stats.broadcasts += 1
+
+        # The data portion of the write.
+        data_latency = 0.0
+        if has_shared_copy:
+            source = ServiceSource.LLC
+        elif local_hit:
+            # Clean local DRAM-cache copy provides the data; memory is not
+            # accessed (its copy is identical).
+            source = ServiceSource.LOCAL_DRAM_CACHE
+        else:
+            data_latency = sockets[home].memory.read_fast(now + latency, block)
+            if home == requester:
+                stats.memory_reads_local += 1
+                source = ServiceSource.LOCAL_MEMORY
             else:
-                latency += max(broadcast_latency, data_latency)
+                stats.memory_reads_remote += 1
+                data_latency += send(now + latency + data_latency, home, requester,
+                                     MessageClass.DATA_RESPONSE)
+                source = ServiceSource.REMOTE_MEMORY
+        latency += max(invalidation_latency, data_latency)
 
         directory.set_modified(block, requester)
         if has_shared_copy:
             stats.upgrades += 1
         return latency, source
-
-    def _write_data_path(
-        self,
-        now: float,
-        requester: int,
-        home: int,
-        block: int,
-        *,
-        has_shared_copy: bool,
-        local_hit: bool,
-    ) -> Tuple[float, ServiceSource]:
-        """Latency and source of the data portion of a write transaction."""
-        if has_shared_copy:
-            return 0.0, ServiceSource.LLC
-        if local_hit:
-            # Clean local DRAM-cache copy provides the data; memory is not
-            # accessed (its copy is identical).
-            return 0.0, ServiceSource.LOCAL_DRAM_CACHE
-        data_latency = self._memory_read(now, home, block, requester)
-        data_latency += self._net_send(now + data_latency, home, requester,
-                                       MessageClass.DATA_RESPONSE)
-        return data_latency, (ServiceSource.LOCAL_MEMORY if home == requester
-                              else ServiceSource.REMOTE_MEMORY)
 
     # ------------------------------------------------------------------
     # Functional (state-only) mirrors -- see GlobalCoherenceProtocol
@@ -294,42 +242,33 @@ class C3DProtocol(GlobalCoherenceProtocol):
         self, requester: int, block: int, *, thread_id: int = 0,
         has_shared_copy: bool = False,
     ) -> None:
+        sockets = self.sockets
         if not has_shared_copy:
-            dram_cache = self.sockets[requester].dram_cache
+            dram_cache = sockets[requester].dram_cache
             if dram_cache is not None:
                 dram_cache.probe(block)
         directory = self.directories[self._home_of_block(block)]
         entry = directory.lookup(block)
-        sockets = self.sockets
-        if (
-            entry is not None
-            and entry & DIR_MODIFIED
-            and entry >> SHARER_SHIFT != 1 << requester
+        if entry is not None and (
+            entry & DIR_SHARED or entry >> SHARER_SHIFT != 1 << requester
         ):
-            # Mirror of _invalidate_remote_socket(include_dram_cache=True).
-            target_socket = sockets[owner_of(entry)]
+            # Tracked: the remote owner of a Modified entry (its only
+            # sharer), or the other sharers of a Shared one.
+            targets = entry >> SHARER_SHIFT & ~(1 << requester)
+        elif (self.broadcast_filter and self.classifier is not None
+              and self.classifier.write_is_private(thread_id, block)):
+            targets = 0
+        else:
+            # Invalid / untracked: the broadcast.
+            targets = (1 << len(sockets)) - 1 & ~(1 << requester)
+        # Mirror of _invalidate_sockets.
+        while targets:
+            low = targets & -targets
+            targets ^= low
+            target_socket = sockets[low.bit_length() - 1]
             if target_socket.dram_cache is not None:
                 target_socket.dram_cache.invalidate(block)
             target_socket.invalidate_onchip(block)
-        elif entry is not None and entry & DIR_SHARED:
-            for target in members(entry >> SHARER_SHIFT & ~(1 << requester)):
-                target_socket = sockets[target]
-                if target_socket.dram_cache is not None:
-                    target_socket.dram_cache.invalidate(block)
-                target_socket.invalidate_onchip(block)
-        else:
-            # Invalid / untracked: mirror of _broadcast_invalidations unless
-            # the broadcast filter classifies the page thread-private.
-            skip_broadcast = False
-            if self.broadcast_filter and self.classifier is not None:
-                skip_broadcast = self.classifier.write_is_private(thread_id, block)
-            if not skip_broadcast:
-                for target_socket in sockets:
-                    if target_socket.socket_id == requester:
-                        continue
-                    if target_socket.dram_cache is not None:
-                        target_socket.dram_cache.invalidate(block)
-                    target_socket.invalidate_onchip(block)
         directory.set_modified(block, requester)
 
     def llc_eviction_functional(self, requester: int, block: int, *, dirty: bool) -> None:

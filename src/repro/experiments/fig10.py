@@ -25,16 +25,16 @@ def run_fig10(
     context: ExperimentContext,
     *,
     workloads: Optional[Iterable[str]] = None,
-    latencies: Sequence[float] = LATENCY_POINTS_NS,
 ) -> Dict[str, Dict[str, float]]:
-    """Average speedup of each design at each DRAM-cache latency.
+    """Average speedup of each design at each DRAM-cache latency of
+    :data:`LATENCY_POINTS_NS`.
 
     Returns ``{"30ns": {design: speedup}, "40ns": ..., "50ns": ...}``.
     """
     workload_list = list(workloads) if workloads is not None else context.workloads()
     series: Dict[str, Dict[str, float]] = {}
 
-    for latency in latencies:
+    for latency in LATENCY_POINTS_NS:
         per_design: Dict[str, list] = {design: [] for design in SENSITIVITY_DESIGNS}
         for workload in workload_list:
             baseline = context.run(workload, "baseline")

@@ -26,13 +26,13 @@ def run_fig11(
     context: ExperimentContext,
     *,
     workloads: Optional[Iterable[str]] = None,
-    hop_latencies: Sequence[float] = HOP_LATENCY_POINTS_NS,
 ) -> Dict[str, Dict[str, float]]:
-    """Average speedup of each design at each inter-socket hop latency."""
+    """Average speedup of each design at each inter-socket hop latency of
+    :data:`HOP_LATENCY_POINTS_NS`."""
     workload_list = list(workloads) if workloads is not None else context.workloads()
     series: Dict[str, Dict[str, float]] = {}
 
-    for hop_latency in hop_latencies:
+    for hop_latency in HOP_LATENCY_POINTS_NS:
         per_design: Dict[str, list] = {design: [] for design in SENSITIVITY_DESIGNS}
         for workload in workload_list:
             baseline_config = context.make_config("baseline")

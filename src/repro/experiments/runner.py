@@ -349,8 +349,6 @@ class _PointTask:
     point: SweepPoint
     attempt: int = 1
     not_before: float = 0.0
-    last_error: str = ""
-    last_traceback: str = ""
 
 
 def _isolated_point_worker(conn, point: SweepPoint, engine: str, attempt: int) -> None:
@@ -410,8 +408,6 @@ def _run_points_isolated(
     inflight: Dict[object, Tuple[_PointTask, object, Optional[float]]] = {}
 
     def fail_attempt(task: _PointTask, error: str, trace: str, exc) -> None:
-        task.last_error = error
-        task.last_traceback = trace
         now = time.monotonic()
         if task.attempt < policy.max_attempts:
             task.not_before = now + policy.backoff(

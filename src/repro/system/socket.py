@@ -32,6 +32,7 @@ __all__ = ["Socket"]
 _WRITTEN = MODIFIED | DIRTY
 # Enum members read through the class cost a metaclass lookup each; the LLC
 # miss path compares against these once per miss.
+_LLC = ServiceSource.LLC
 _LOCAL_DRAM_CACHE = ServiceSource.LOCAL_DRAM_CACHE
 _LOCAL_MEMORY = ServiceSource.LOCAL_MEMORY
 _REMOTE_MEMORY = ServiceSource.REMOTE_MEMORY
@@ -168,8 +169,9 @@ class Socket:
         accounting).
         """
         stats = self.stats
+        local_directory = self.local_directory
         # LLC level (local directory consulted in parallel with the tag check).
-        latency = self.l1_latency_ns + self.local_directory.latency_ns
+        latency = self.l1_latency_ns + local_directory.latency_ns
         llc = self.llc
         llc_line = llc.lookup(block)
 
@@ -177,24 +179,27 @@ class Socket:
             latency += self.llc_latency_ns
             stats.llc_hits += 1
             if not is_write:
-                latency += self._peer_intervention(core_index, block)
-                self._fill_l1(core_index, block, modified=False)
-                return latency, ServiceSource.LLC
+                if local_directory.intervene(self.l1s, block, core_index):
+                    # A peer L1 owned the block Modified and sourced it.
+                    stats.llc_peer_hits += 1
+                    latency += self.l1_latency_ns
+                local_directory.fill(self.l1s, llc, block, core_index)
+                return latency, _LLC
             if llc_line & MODIFIED:
-                self._local_write_update(core_index, block)
-                return latency, ServiceSource.LLC
+                local_directory.write(self.l1s, llc, block, core_index)
+                return latency, _LLC
             # Shared in the LLC: data is present but Modified permission is
-            # not.  _local_write_update then makes the LLC line Modified.
+            # not.  The local write then makes the LLC line Modified.
             miss_latency, source = self.protocol.write_miss(
                 now + latency, self.socket_id, block,
                 thread_id=thread_id, has_shared_copy=True,
             )
             latency += miss_latency
-            self._local_write_update(core_index, block)
+            local_directory.write(self.l1s, llc, block, core_index)
             return latency, source
 
         # LLC miss: hand the request to the global protocol, then install the
-        # fill -- LLC and the LLC victim's eviction in this frame, then L1.
+        # fill -- LLC, then L1, then the LLC victim's eviction.
         stats.llc_misses += 1
         protocol = self.protocol
         if is_write:
@@ -225,20 +230,17 @@ class Socket:
             acc.maximum = miss_latency
 
         victim = llc.insert(block, bits)
-        if victim is not None:
-            # Back-invalidate the victim's L1 copies (the LLC is inclusive);
-            # a dirty L1 copy makes the eviction dirty.
-            victim_block = victim >> VICTIM_SHIFT
-            victim_dirty = victim & DIRTY
-            l1s = self.l1s
-            for core in self.local_directory.invalidate_block(victim_block):
-                line = l1s[core].invalidate(victim_block)
-                if line is not None:
-                    victim_dirty |= line & DIRTY
-            protocol.llc_eviction(now + latency, self.socket_id, victim_block,
-                                  dirty=victim_dirty != 0)
-
-        self._fill_l1(core_index, block, modified=is_write)
+        if victim is None:
+            local_directory.fill(self.l1s, llc, block, core_index, is_write)
+            return latency, source
+        # The LLC is inclusive: the L1 fill back-invalidates the victim's L1
+        # copies, and a dirty one makes the eviction dirty.  The eviction
+        # reads none of the state the fill changes, so it may come last.
+        victim_block = victim >> VICTIM_SHIFT
+        victim |= local_directory.fill(self.l1s, llc, block, core_index, is_write,
+                                       victim_block)
+        protocol.llc_eviction(now + latency, self.socket_id, victim_block,
+                              dirty=victim & DIRTY != 0)
         return latency, source
 
     def access_functional(self, core_index: int, block: int, is_write: bool,
@@ -251,106 +253,61 @@ class Socket:
         its only caller, which inlines the L1 hit paths and calls this only
         after its own L1 check found a miss, or a Shared line under a store.
         So there is no L1 lookup here: on a miss it would change nothing, and
-        under a store to a Shared line the ``_fill_l1`` below moves the line
-        to MRU anyway (only peer L1s are touched in between).  The *state*
-        transitions mirror :meth:`access_l1_missed` exactly -- LLC recency
-        and fills, local-directory bookkeeping, and the global protocol's
-        directory/DRAM-cache updates through each design's state-only
-        ``*_functional`` mirrors, which send nothing, count nothing and
-        compute no latency.  The peer-intervention counter still lands on
-        the scratch statistics the caller installed, so a fast-forward
-        leaves the measured statistics untouched while every cache stays
-        warm.
+        under a store to a Shared line the L1 fill below moves the line to
+        MRU anyway (only peer L1s are touched in between).  The *state*
+        transitions mirror :meth:`access_l1_missed` exactly, in the same
+        order -- LLC recency and fills, local-directory bookkeeping, and the
+        global protocol's directory/DRAM-cache updates through each design's
+        state-only ``*_functional`` mirrors, which send nothing, count
+        nothing and compute no latency -- so a fast-forward leaves the
+        measured statistics untouched while every cache stays warm.
         """
         llc = self.llc
+        local_directory = self.local_directory
         llc_line = llc.lookup(block)
         if llc_line is not None:
             if not is_write:
-                self._peer_intervention(core_index, block)
-                self._fill_l1(core_index, block, modified=False)
+                local_directory.intervene(self.l1s, block, core_index)
+                local_directory.fill(self.l1s, llc, block, core_index)
                 return
             if not llc_line & MODIFIED:
                 self.protocol.write_miss_functional(
                     self.socket_id, block,
                     thread_id=thread_id, has_shared_copy=True,
                 )
-            self._local_write_update(core_index, block)
+            local_directory.write(self.l1s, llc, block, core_index)
             return
+        protocol = self.protocol
         if is_write:
-            self.protocol.write_miss_functional(
+            protocol.write_miss_functional(
                 self.socket_id, block,
                 thread_id=thread_id, has_shared_copy=False,
             )
         else:
-            self.protocol.read_miss_functional(self.socket_id, block)
-        self._fill_functional(core_index, block, modified=is_write)
-
-    # ------------------------------------------------------------------
-    # Intra-socket mechanics
-    # ------------------------------------------------------------------
-
-    def _peer_intervention(self, core_index: int, block: int) -> float:
-        """If a peer core's L1 owns the block modified, source it from there."""
-        owner = self.local_directory.intervene(block, core_index)
-        if owner is None:
-            return 0.0
-        self.stats.llc_peer_hits += 1
-        # The owner is downgraded to Shared, keeping its dirty bit; the LLC
-        # copy is made current.
-        owner_l1 = self.l1s[owner]
-        owner_line = owner_l1.peek(block)
-        if owner_line is not None:
-            owner_l1.set_state(block, owner_line & DIRTY)
-        return self.l1_latency_ns
-
-    def _local_write_update(self, core_index: int, block: int) -> None:
-        """Give core ``core_index`` the only L1 copy and mark everything dirty."""
-        for peer in self.local_directory.record_write(block, core_index):
-            self.l1s[peer].invalidate(block)
-        self._fill_l1(core_index, block, modified=True)
-        # The LLC just hit on the block, so it is resident.
-        self.llc.set_state(block, _WRITTEN)
-
-    def _fill_l1(self, core_index: int, block: int, *, modified: bool) -> None:
-        victim = self.l1s[core_index].insert(block, _WRITTEN if modified else 0)
+            protocol.read_miss_functional(self.socket_id, block)
+        victim = llc.insert(block, _WRITTEN if is_write else 0)
         if victim is None:
-            self.local_directory.record_fill(block, core_index, modified)
+            local_directory.fill(self.l1s, llc, block, core_index, is_write)
             return
         victim_block = victim >> VICTIM_SHIFT
-        self.local_directory.record_fill(block, core_index, modified, victim_block)
-        if victim & DIRTY:
-            # Write the L1 victim's data back into the (inclusive) LLC.
-            self.llc.mark_dirty(victim_block)
-
-    def _fill_functional(self, core_index: int, block: int, *, modified: bool) -> None:
-        """State-only LLC + L1 fill of :meth:`access_l1_missed`: victims go to
-        the protocol's functional mirror."""
-        victim = self.llc.insert(block, _WRITTEN if modified else 0)
-        if victim is not None:
-            victim_block = victim >> VICTIM_SHIFT
-            victim_dirty = victim & DIRTY
-            for core in self.local_directory.invalidate_block(victim_block):
-                line = self.l1s[core].invalidate(victim_block)
-                if line is not None:
-                    victim_dirty |= line & DIRTY
-            self.protocol.llc_eviction_functional(
-                self.socket_id, victim_block, dirty=victim_dirty != 0
-            )
-        self._fill_l1(core_index, block, modified=modified)
+        victim |= local_directory.fill(self.l1s, llc, block, core_index, is_write,
+                                       victim_block)
+        protocol.llc_eviction_functional(self.socket_id, victim_block,
+                                         dirty=victim & DIRTY != 0)
 
     # ------------------------------------------------------------------
     # Entry points used by the global protocols on remote sockets
     # ------------------------------------------------------------------
 
     def invalidate_onchip(self, block: int) -> bool:
-        """Invalidate any LLC / L1 copies of ``block``; returns True if one existed."""
-        had_copy = False
-        for core in self.local_directory.invalidate_block(block):
-            self.l1s[core].invalidate(block)
-            had_copy = True
-        if self.llc.invalidate(block) is not None:
-            had_copy = True
-        return had_copy
+        """Invalidate any LLC / L1 copies of ``block``; returns True if the
+        LLC held it."""
+        if self.llc.invalidate(block) is None:
+            # The LLC includes the L1s (NumaSystem.check_invariants checks
+            # it), so no L1 holds the block either.
+            return False
+        self.local_directory.evict(self.l1s, block)
+        return True
 
     def downgrade_block(self, block: int) -> bool:
         """Downgrade an on-chip Modified copy to Shared; returns True if it was dirty."""

@@ -95,8 +95,9 @@ def test_fig9_inter_socket_traffic(context):
     assert series["average"]["c3d"] < 1.1
 
 
-def test_fig10_dram_latency_sensitivity(context):
-    series = fig10.run_fig10(context, workloads=["streamcluster"], latencies=(30.0, 50.0))
+def test_fig10_dram_latency_sensitivity(context, monkeypatch):
+    monkeypatch.setattr(fig10, "LATENCY_POINTS_NS", (30.0, 50.0))
+    series = fig10.run_fig10(context, workloads=["streamcluster"])
     assert set(series) == {"30ns", "50ns"}
     for row in series.values():
         assert set(row) == set(fig10.SENSITIVITY_DESIGNS)
@@ -104,8 +105,9 @@ def test_fig10_dram_latency_sensitivity(context):
     assert series["30ns"]["c3d"] >= series["50ns"]["c3d"] - 0.02
 
 
-def test_fig11_inter_socket_latency_sensitivity(context):
-    series = fig11.run_fig11(context, workloads=["streamcluster"], hop_latencies=(5.0, 30.0))
+def test_fig11_inter_socket_latency_sensitivity(context, monkeypatch):
+    monkeypatch.setattr(fig11, "HOP_LATENCY_POINTS_NS", (5.0, 30.0))
+    series = fig11.run_fig11(context, workloads=["streamcluster"])
     assert set(series) == {"5ns", "30ns"}
     # C3D's advantage grows with the inter-socket latency (it removes that cost).
     assert series["30ns"]["c3d"] >= series["5ns"]["c3d"] - 0.02

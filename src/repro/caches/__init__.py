@@ -1,7 +1,6 @@
-"""Cache substrate: SRAM caches, DRAM cache, miss predictor."""
+"""Cache substrate: SRAM caches and the DRAM cache with its miss predictor."""
 
 from .dram_cache import DRAMCache, DRAMCacheProbe
-from .miss_predictor import RegionMissPredictor
 from .sram_cache import DIRTY, MODIFIED, SetAssociativeCache
 
 __all__ = [
@@ -10,5 +9,4 @@ __all__ = [
     "DIRTY",
     "DRAMCache",
     "DRAMCacheProbe",
-    "RegionMissPredictor",
 ]

@@ -1,5 +1,5 @@
 """Block-based DRAM cache (Table II: 1 GB, direct-mapped, 64-byte blocks,
-40 ns access, region-based miss predictor).
+40 ns access, region-based miss predictor, 4K-entry, 2-cycle).
 
 Two operating modes are supported, selected by ``clean``:
 
@@ -20,6 +20,26 @@ several sockets' caches by copying it: no line is shared between two caches.  Th
 this class; callers read :meth:`DRAMCache.dirty_of`,
 :meth:`DRAMCache.resident_blocks` and :meth:`DRAMCache.dirty_blocks`.
 
+The cache owns its miss predictor: a small, LRU-managed table of recently
+observed memory *regions* (4 KiB by default), region ``block //
+blocks_per_region``.  Each entry stores a presence bit per block of the
+region (MissMap semantics, as in the Loh & Hill design the paper cites): the
+bit is set when the block is inserted and cleared when it is evicted or
+invalidated.  :meth:`DRAMCache.probe` consults the table first:
+
+* if the region is untracked, or tracked with the block's bit clear, the
+  block is predicted absent and the slow DRAM-cache array access is skipped;
+* otherwise the block is predicted present and the array is probed.
+
+A tracked region a probe consults becomes the most recently used.
+Displacing a region entry from the finite table loses its presence bits, so
+a later lookup may predict "absent" for a block that is actually resident.
+The probe double-checks such predictions against the tag store before
+trusting them, so displacement can cost latency and hit rate but never
+correctness.  Every method that changes a line updates the table inline;
+the encoding (``region -> presence bitmask``, LRU first) stays in this
+module.
+
 The DRAM cache is *non-inclusive* with respect to the on-chip hierarchy in
 all designs (section IV-C): it never forces LLC invalidations, and LLC fills
 do not have to allocate here.
@@ -27,10 +47,9 @@ do not have to allocate here.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
-
-from .miss_predictor import RegionMissPredictor
 
 __all__ = ["DRAMCache", "DRAMCacheProbe"]
 
@@ -56,7 +75,8 @@ _PROBE_HIT = DRAMCacheProbe(hit=True, array_accessed=True)
 
 
 class DRAMCache:
-    """Direct-mapped DRAM cache of 64-byte blocks."""
+    """Direct-mapped DRAM cache of 64-byte blocks with its region miss
+    predictor (``predictor_entries`` regions of ``region_size`` bytes)."""
 
     def __init__(
         self,
@@ -65,20 +85,31 @@ class DRAMCache:
         block_size: int = 64,
         clean: bool = True,
         name: str = "dram_cache",
-        miss_predictor: Optional[RegionMissPredictor] = None,
+        predictor_entries: int = 4096,
+        region_size: int = 4096,
     ) -> None:
         if size_bytes <= 0 or block_size <= 0:
             raise ValueError("cache geometry parameters must be positive")
         self.num_sets = size_bytes // block_size
         if self.num_sets == 0:
             raise ValueError(f"{name}: size {size_bytes} smaller than one block")
+        if predictor_entries <= 0:
+            raise ValueError(f"{name}: predictor_entries must be positive")
+        if region_size <= 0 or region_size % block_size:
+            raise ValueError(
+                f"{name}: region_size must be a positive multiple of the block size"
+            )
         self.name = name
         self.size_bytes = size_bytes
         self.block_size = block_size
         self.clean = clean
-        self.miss_predictor = miss_predictor
+        self.predictor_entries = predictor_entries
+        self.region_size = region_size
+        self._blocks_per_region = region_size // block_size
         #: set index -> block << 1 | dirty.
         self._lines: Dict[int, int] = {}
+        #: The miss predictor's table: region -> presence bitmask, LRU first.
+        self._regions: "OrderedDict[int, int]" = OrderedDict()
 
     # -- geometry -----------------------------------------------------------
 
@@ -109,26 +140,22 @@ class DRAMCache:
         The cache counts nothing: callers record the outcome in
         ``SimulationStats``.
         """
-        # The tag is read once, inline; the predictor's bookkeeping below
+        # The tag is read once, inline; the region table's upkeep below
         # neither depends on nor changes it.
         tag = self._lines.get(block % self.num_sets)
         hit = tag is not None and tag >> 1 == block
-        predictor = self.miss_predictor
-        if predictor is not None:
-            # The predictor's lookup (miss_predictor's module docstring).
-            table = predictor._table
-            region = (block * predictor._block_size) // predictor.region_size
-            bits = table.get(region)
-            if bits is not None:
-                table.move_to_end(region)
-            if not hit and (
-                bits is None or not bits & (1 << (block % predictor._blocks_per_region))
-            ):
-                return _PROBE_MISS_BYPASS
-            # A predicted miss on a resident line is a mis-prediction (the
-            # predictor lost this region's residency information): fall
-            # through to the array access so that a resident -- possibly
-            # dirty -- line is never silently ignored.
+        regions = self._regions
+        blocks_per_region = self._blocks_per_region
+        region = block // blocks_per_region
+        bits = regions.get(region)
+        if bits is not None:
+            regions.move_to_end(region)
+        if not hit and (bits is None or not bits & (1 << (block % blocks_per_region))):
+            return _PROBE_MISS_BYPASS
+        # A predicted miss on a resident line is a mis-prediction (the table
+        # lost this region's residency information): fall through to the
+        # array access so that a resident -- possibly dirty -- line is never
+        # silently ignored.
         return _PROBE_HIT if hit else _PROBE_MISS_ARRAY
 
     # -- mutations ------------------------------------------------------------
@@ -144,10 +171,11 @@ class DRAMCache:
         dirty bit and sets it when ``dirty`` is stored.
         """
         stored_dirty = dirty and not self.clean
-        predictor = self.miss_predictor
         index = block % self.num_sets
         lines = self._lines
         tag = lines.get(index)
+        regions = self._regions
+        blocks_per_region = self._blocks_per_region
 
         victim: Optional[Tuple[int, bool]] = None
         if tag is not None:
@@ -157,37 +185,45 @@ class DRAMCache:
                     lines[index] = tag | 1
                 return None
             victim = (victim_block, (tag & 1) == 1)
-            if predictor is not None:
-                predictor.note_evict(victim_block)
+            # The victim's presence bit clears; a displaced region has none.
+            region = victim_block // blocks_per_region
+            bits = regions.get(region)
+            if bits is not None:
+                regions[region] = bits & ~(1 << (victim_block % blocks_per_region))
+                regions.move_to_end(region)
 
         lines[index] = block << 1 | stored_dirty
-        if predictor is not None:
-            predictor.note_insert(block)
+        region = block // blocks_per_region
+        bits = regions.get(region)
+        if bits is None:
+            if len(regions) >= self.predictor_entries:
+                regions.popitem(last=False)
+            bits = 0
+        else:
+            regions.move_to_end(region)
+        regions[region] = bits | (1 << (block % blocks_per_region))
         return victim
 
     def bulk_insert_clean(self, blocks) -> int:
         """Insert an iterable of block numbers clean (prewarm fast path).
 
         Semantically identical to calling ``insert(block, dirty=False)`` for
-        each block in order -- same final tags, same predictor table in the
+        each block in order -- same final tags, same region table in the
         same LRU order -- but vectorised: contiguous ranges fill the tag
         store with one ``dict.update`` from a ``zip`` of set indices and
         clean tags (``range(2 * start, 2 * stop, 2)``, as each tag is
-        ``block << 1``), and predictor presence bits are OR-ed per *region*
-        instead of per block.  Falls back to a faithful per-block loop for
+        ``block << 1``), and presence bits are OR-ed per *region* instead
+        of per block.  Falls back to a faithful per-block loop for
         non-contiguous inputs, ranges longer than the cache and
-        predictor-displacement corner cases.  Returns the number of
-        blocks processed.
+        region-displacement corner cases.  Returns the number of blocks
+        processed.
         """
         if isinstance(blocks, range) and blocks.step == 1 and 0 < len(blocks) <= self.num_sets:
-            predictor = self.miss_predictor
-            if predictor is None:
-                return self._bulk_fill_range(blocks)
-            first_region = (blocks.start * predictor._block_size) // predictor.region_size
-            last_region = ((blocks.stop - 1) * predictor._block_size) // predictor.region_size
+            blocks_per_region = self._blocks_per_region
+            spanned = (blocks.stop - 1) // blocks_per_region - blocks.start // blocks_per_region
             # The batched path cannot reproduce mid-stream table displacement
             # order, so require headroom for every region it may allocate.
-            if len(predictor._table) + (last_region - first_region + 1) < predictor.entries:
+            if len(self._regions) + spanned + 1 < self.predictor_entries:
                 return self._bulk_fill_range(blocks)
         return self._bulk_insert_clean_loop(blocks)
 
@@ -195,10 +231,11 @@ class DRAMCache:
         """Vectorised clean fill of a contiguous block range (see above).
 
         Requires ``len(blocks) <= num_sets`` (so all set indices are
-        distinct) and predictor-table headroom (no displacements possible).
+        distinct) and region-table headroom (no displacements possible).
         """
         lines = self._lines
         num_sets = self.num_sets
+        bpr = self._blocks_per_region
         start, stop = blocks.start, blocks.stop
         n = stop - start
 
@@ -208,11 +245,13 @@ class DRAMCache:
             idx_list = [b % num_sets for b in blocks]
 
         # Set conflicts with already-resident lines (rare relative to n).
-        # ``same_block`` entries keep their existing tag (dirty bit
-        # preserved); the displaced victims are noted in the predictor below.
+        # A block already resident as itself keeps its tag (dirty bit
+        # preserved) and, as the per-block path does not re-insert it, sets
+        # no presence bit and touches no region; the displaced victims'
+        # bits clear below.
         victims_by_region = {}
+        skipped_by_region = {}
         same_block = []
-        predictor = self.miss_predictor
         if lines:
             evicted = []  # (inserting block, victim block), later sorted to
             # recover the per-block processing order the loop path would use.
@@ -220,81 +259,61 @@ class DRAMCache:
                 tag = lines[index]
                 block = start + (index - start) % num_sets
                 if tag >> 1 == block:
-                    same_block.append((index, tag, block))
+                    same_block.append((index, tag))
+                    region = block // bpr
+                    skipped_by_region[region] = skipped_by_region.get(region, 0) | (
+                        1 << (block % bpr)
+                    )
                     continue
                 evicted.append((block, tag >> 1))
-            if predictor is not None and evicted:
-                evicted.sort()
-                for block, victim_block in evicted:
-                    region = (block * predictor._block_size) // predictor.region_size
-                    victims_by_region.setdefault(region, []).append(victim_block)
+            evicted.sort()
+            for block, victim_block in evicted:
+                victims_by_region.setdefault(block // bpr, []).append(victim_block)
 
         lines.update(zip(idx_list, range(2 * start, 2 * stop, 2)))
-        for index, tag, _block in same_block:
+        for index, tag in same_block:
             lines[index] = tag
 
-        if predictor is not None:
-            # Blocks already resident as themselves are *not* re-inserted by
-            # the per-block path, so they contribute no presence bit and no
-            # region touch.
-            skipped_by_region = {}
-            if same_block:
-                bs = predictor._block_size
-                rs = predictor.region_size
-                bpr_bits = predictor._blocks_per_region
-                for _index, _tag, block in same_block:
-                    region = (block * bs) // rs
-                    skipped_by_region[region] = skipped_by_region.get(region, 0) | (
-                        1 << (block % bpr_bits)
-                    )
-            # Region-batched predictor update, preserving the exact LRU order
-            # of the per-block path: within each region's chunk the evicted
-            # victims are noted first (in block order), then the region's
-            # presence bits are OR-ed in and the region moves to the back.
-            table = predictor._table
-            table_get = table.get
-            move_to_end = table.move_to_end
-            block_size = predictor._block_size
-            region_size = predictor.region_size
-            bpr = predictor._blocks_per_region
-            first_region = (start * block_size) // region_size
-            last_region = ((stop - 1) * block_size) // region_size
-            for region in range(first_region, last_region + 1):
-                for victim_block in victims_by_region.get(region, ()):
-                    victim_region = (victim_block * block_size) // region_size
-                    bits = table_get(victim_region)
-                    if bits is not None:
-                        table[victim_region] = bits & ~(1 << (victim_block % bpr))
-                        move_to_end(victim_region)
-                region_first = max(start, (region * region_size) // block_size)
-                region_stop = min(stop, ((region + 1) * region_size) // block_size)
-                mask = ((1 << (region_stop - region_first)) - 1) << (region_first % bpr)
-                mask &= ~skipped_by_region.get(region, 0)
-                if not mask:
-                    # Every block of this chunk was already resident: the
-                    # per-block path performs no insert and no region touch.
-                    continue
-                bits = table_get(region)
-                if bits is None:
-                    table[region] = mask
-                else:
-                    move_to_end(region)
-                    table[region] = bits | mask
+        # Region-batched table update, preserving the exact LRU order of the
+        # per-block path: within each region's chunk the evicted victims
+        # clear their bits first (in block order), then the region's
+        # presence bits are OR-ed in and the region moves to the back.
+        regions = self._regions
+        regions_get = regions.get
+        move_to_end = regions.move_to_end
+        for region in range(start // bpr, (stop - 1) // bpr + 1):
+            for victim_block in victims_by_region.get(region, ()):
+                victim_region = victim_block // bpr
+                bits = regions_get(victim_region)
+                if bits is not None:
+                    regions[victim_region] = bits & ~(1 << (victim_block % bpr))
+                    move_to_end(victim_region)
+            region_first = max(start, region * bpr)
+            region_stop = min(stop, (region + 1) * bpr)
+            mask = ((1 << (region_stop - region_first)) - 1) << (region_first % bpr)
+            mask &= ~skipped_by_region.get(region, 0)
+            if not mask:
+                # Every block of this chunk was already resident: the
+                # per-block path performs no insert and no region touch.
+                continue
+            bits = regions_get(region)
+            if bits is None:
+                regions[region] = mask
+            else:
+                move_to_end(region)
+                regions[region] = bits | mask
         return n
 
     def _bulk_insert_clean_loop(self, blocks) -> int:
-        """Faithful per-block loop behind :meth:`bulk_insert_clean`."""
+        """Faithful per-block loop behind :meth:`bulk_insert_clean`: the
+        clean ``insert`` of each block, inlined."""
         lines = self._lines
         num_sets = self.num_sets
-        predictor = self.miss_predictor
-        if predictor is not None:
-            table = predictor._table
-            table_get = table.get
-            move_to_end = table.move_to_end
-            entries = predictor.entries
-            block_size = predictor._block_size
-            region_size = predictor.region_size
-            blocks_per_region = predictor._blocks_per_region
+        regions = self._regions
+        regions_get = regions.get
+        move_to_end = regions.move_to_end
+        entries = self.predictor_entries
+        bpr = self._blocks_per_region
         count = 0
         for block in blocks:
             count += 1
@@ -303,25 +322,21 @@ class DRAMCache:
                 victim_block = tag >> 1
                 if victim_block == block:
                     continue
-                if predictor is not None:
-                    # Inlined RegionMissPredictor.note_evict(victim_block).
-                    region = (victim_block * block_size) // region_size
-                    bits = table_get(region)
-                    if bits is not None:
-                        table[region] = bits & ~(1 << (victim_block % blocks_per_region))
-                        move_to_end(region)
-            lines[block % num_sets] = block << 1
-            if predictor is not None:
-                # Inlined RegionMissPredictor.note_insert(block).
-                region = (block * block_size) // region_size
-                bits = table_get(region)
-                if bits is None:
-                    if len(table) >= entries:
-                        table.popitem(last=False)
-                    bits = 0
-                else:
+                region = victim_block // bpr
+                bits = regions_get(region)
+                if bits is not None:
+                    regions[region] = bits & ~(1 << (victim_block % bpr))
                     move_to_end(region)
-                table[region] = bits | (1 << (block % blocks_per_region))
+            lines[block % num_sets] = block << 1
+            region = block // bpr
+            bits = regions_get(region)
+            if bits is None:
+                if len(regions) >= entries:
+                    regions.popitem(last=False)
+                bits = 0
+            else:
+                move_to_end(region)
+            regions[region] = bits | (1 << (block % bpr))
         return count
 
     def invalidate(self, block: int) -> bool:
@@ -332,8 +347,12 @@ class DRAMCache:
         if tag is None or tag >> 1 != block:
             return False
         del self._lines[index]
-        if self.miss_predictor is not None:
-            self.miss_predictor.note_evict(block)
+        regions = self._regions
+        region = block // self._blocks_per_region
+        bits = regions.get(region)
+        if bits is not None:
+            regions[region] = bits & ~(1 << (block % self._blocks_per_region))
+            regions.move_to_end(region)
         return True
 
     def mark_clean(self, block: int) -> None:
@@ -349,26 +368,19 @@ class DRAMCache:
     # -- prewarm fill sharing ----------------------------------------------------
 
     def is_empty(self) -> bool:
-        """True when no set holds a line and the predictor tracks no region."""
-        predictor = self.miss_predictor
-        return not self._lines and (predictor is None or not predictor._table)
+        """True when no set holds a line and the region table tracks no
+        region."""
+        return not self._lines and not self._regions
 
     def _geometry(self) -> Tuple:
-        predictor = self.miss_predictor
-        return (
-            self.num_sets,
-            self.block_size,
-            None if predictor is None else (
-                predictor.entries, predictor.region_size, predictor._block_size
-            ),
-        )
+        return (self.num_sets, self.block_size, self.predictor_entries, self.region_size)
 
     def share_fill(self, source: "DRAMCache") -> None:
         """Adopt the clean fill ``source`` received, instead of repeating it.
 
         This cache must be empty (:meth:`is_empty`) and share ``source``'s
         geometry, and ``source`` must have been empty before its fill.
-        Afterwards the tag store and predictor table equal ``source``'s, in
+        Afterwards the tag store and region table equal ``source``'s, in
         the same order: the state a replay of the same inserts would leave.
         The tags are ints, so the copies share nothing a later change to
         either cache could reach.
@@ -378,9 +390,7 @@ class DRAMCache:
         if self._geometry() != source._geometry():
             raise ValueError(f"{self.name}: geometry differs from {source.name}")
         self._lines = source._lines.copy()
-        predictor = self.miss_predictor
-        if predictor is not None:
-            predictor._table = source.miss_predictor._table.copy()
+        self._regions = source._regions.copy()
 
     # -- state queries --------------------------------------------------------
 

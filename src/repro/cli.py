@@ -58,6 +58,7 @@ import time
 from typing import List, Optional
 
 from . import engines
+from .memory.allocation import POLICY_NAMES
 from .stats.amat import amat_breakdown
 from .stats.sampling import SamplingPlan
 from .system.config import PROTOCOL_NAMES, SystemConfig
@@ -88,8 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="measured memory accesses per core")
     parser.add_argument("--warmup", type=int, default=500,
                         help="warm-up accesses per core (not measured)")
-    parser.add_argument("--policy", default="first_touch",
-                        choices=["interleave", "ft1", "ft2", "first_touch"],
+    parser.add_argument("--policy", default="first_touch", choices=POLICY_NAMES,
                         help="NUMA page-placement policy")
     parser.add_argument("--no-prewarm", action="store_true",
                         help="do not pre-load the DRAM caches before measuring")

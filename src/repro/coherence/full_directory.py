@@ -73,16 +73,11 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
             and entry >> SHARER_SHIFT != 1 << requester
         ):
             owner = owner_of(entry)
-            latency += self._fetch_from_owner_any_level(
+            fetch, source = self._fetch_from_owner_any_level(
                 now + latency, home, owner, requester, block
             )
-            source = (
-                ServiceSource.REMOTE_LLC
-                if sockets[owner].llc.contains(block)
-                else ServiceSource.REMOTE_DRAM_CACHE
-            )
             directory.set_shared(block, (owner, requester))
-            return latency, source
+            return latency + fetch, source
 
         latency += sockets[home].memory.read_fast(now + latency, block)
         if entry is not None and entry & DIR_MODIFIED:
@@ -100,22 +95,25 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
 
     def _fetch_from_owner_any_level(
         self, now: float, home: int, owner: int, requester: int, block: int
-    ) -> float:
+    ) -> Tuple[float, ServiceSource]:
         """Forward a read to the owner socket; serve from its LLC or DRAM cache.
 
-        The owner keeps a Shared (clean) copy and its dirty data is written
-        back to the home memory so that the Shared invariant (memory not
-        stale) holds afterwards.
+        Returns the latency and the level that served the read.  The owner
+        keeps a Shared (clean) copy and its dirty data is written back to
+        the home memory so that the Shared invariant (memory not stale)
+        holds afterwards.
         """
         owner_socket = self.sockets[owner]
         send = self._net_send
         forward = send(now, home, owner, MessageClass.FORWARD) if home != owner else 0.0
         if owner_socket.llc.contains(block):
+            source = ServiceSource.REMOTE_LLC
             probe = owner_socket.llc_latency_ns
             was_dirty = owner_socket.downgrade_block(block)
             self.stats.downgrades += 1
         else:
             # The dirty copy lives in the owner's DRAM cache (Fig. 4 path).
+            source = ServiceSource.REMOTE_DRAM_CACHE
             probe = owner_socket.dram_cache_latency_ns
             dram_cache = owner_socket.dram_cache
             was_dirty = dram_cache is not None and bool(dram_cache.dirty_of(block))
@@ -124,7 +122,7 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
         if was_dirty:
             self._memory_write(now + forward + probe, home, block, owner)
         response = send(now + forward + probe, owner, requester, MessageClass.DATA_RESPONSE)
-        return forward + probe + response
+        return forward + probe + response, source
 
     # ------------------------------------------------------------------
     # Writes
@@ -239,7 +237,8 @@ class FullDirectoryProtocol(GlobalCoherenceProtocol):
     # ------------------------------------------------------------------
 
     def read_miss_functional(self, requester: int, block: int) -> None:
-        # The local probe is stateful (predictor and associative LRU).
+        # The local probe is stateful: it makes the block's predictor region
+        # the most recently used, as in the timed path.
         dram_cache = self.sockets[requester].dram_cache
         if dram_cache is not None and dram_cache.probe(block).hit:
             return

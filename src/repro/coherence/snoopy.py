@@ -223,7 +223,8 @@ class SnoopyProtocol(GlobalCoherenceProtocol):
     # ------------------------------------------------------------------
 
     def read_miss_functional(self, requester: int, block: int) -> None:
-        # The local probe is stateful (predictor and associative LRU).
+        # The local probe is stateful: it makes the block's predictor region
+        # the most recently used, as in the timed path.
         dram_cache = self.sockets[requester].dram_cache
         if dram_cache is not None and dram_cache.probe(block).hit:
             return

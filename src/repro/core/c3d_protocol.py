@@ -217,9 +217,9 @@ class C3DProtocol(GlobalCoherenceProtocol):
     # ------------------------------------------------------------------
 
     def read_miss_functional(self, requester: int, block: int) -> None:
-        # The DRAM-cache probe is stateful (the predictor's and an
-        # associative set's LRU order advance) and must run exactly as in
-        # the timed path.
+        # The DRAM-cache probe is stateful (it makes the block's predictor
+        # region the most recently used) and must run exactly as in the
+        # timed path.
         dram_cache = self.sockets[requester].dram_cache
         if dram_cache is not None and dram_cache.probe(block).hit:
             return

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Hashable, Iterator, Optional, Tuple
 
 from ..caches.dram_cache import DRAMCache
-from ..caches.miss_predictor import RegionMissPredictor
 from ..stats.counters import SimulationStats
 from ..workloads.compiled import CompiledTrace, compile_trace
 from ..workloads.trace import MemoryAccess
@@ -217,7 +216,7 @@ class EngineContext:
 
         The interleave policy ignores both hints.
         """
-        policy_name = self.system.config.allocation_policy.lower()
+        policy_name = self.system.config.allocation_policy
         pin = getattr(self.system.policy, "pin_page", None)
         if pin is None:
             return
@@ -230,7 +229,7 @@ class EngineContext:
                 pin(page, 0)
             return
 
-        if policy_name in ("ft2", "first_touch", "first-touch"):
+        if policy_name in ("ft2", "first_touch"):
             regions = getattr(self.workload, "memory_regions", None)
             if regions is None:
                 return
@@ -352,16 +351,12 @@ class EngineContext:
         if memo is not None and memo[0] == key:
             return memo[1]
         EngineContext._fill_memo = None  # dropped before the next is built
-        predictor = cache.miss_predictor
         template = DRAMCache(
             cache.size_bytes,
             block_size=cache.block_size,
             name="prewarm template",
-            miss_predictor=None if predictor is None else RegionMissPredictor(
-                entries=predictor.entries,
-                region_size=predictor.region_size,
-                layout=predictor.layout,
-            ),
+            predictor_entries=cache.predictor_entries,
+            region_size=cache.region_size,
         )
         for blocks in fill:
             template.bulk_insert_clean(blocks)
@@ -466,9 +461,7 @@ class EngineContext:
         (smallest ``(core time, core id)`` first) with the per-access Python
         overhead stripped out: no generator resumption, no ``MemoryAccess``
         allocation, no address arithmetic (block/page are precomputed), a
-        single ``heappushpop`` per access instead of a push/pop pair -- and
-        no heap at all when at most two cores are active (a direct two-stream
-        merge).
+        single ``heappushpop`` per access instead of a push/pop pair.
         """
         system = self.system
         classifier = system.page_classifier
@@ -506,52 +499,6 @@ class EngineContext:
             return 0
 
         executed = 0
-
-        def run_one(core_id: int) -> float:
-            """Execute one access of ``core_id``; returns the core's new time."""
-            blocks, pages, addrs, writes, gaps, execute_fast, socket_id, thread_id = states[
-                core_id
-            ]
-            i = cursors[core_id]
-            page = pages[i]
-            # Inlined AddressMapper.touch_page; see the heap loop below.
-            if page not in touched_pages:
-                touched_pages[page] = home_of_page(page, socket_id)
-            if record_access is not None:
-                record_access(thread_id, addrs[i])
-            new_time = execute_fast(blocks[i], writes[i], gaps[i])
-            cursors[core_id] = i + 1
-            return new_time
-
-        if len(states) <= 2:
-            # Two-stream merge: compare the two head entries directly.
-            entries = sorted((cores[cid].time, cid) for cid in states)
-            if len(entries) == 1:
-                (_t, cid), = entries
-                end = ends[cid]
-                while cursors[cid] < end:
-                    run_one(cid)
-                    executed += 1
-                return executed
-            a, b = entries
-            while True:
-                if a <= b:
-                    current, other = a, b
-                else:
-                    current, other = b, a
-                cid = current[1]
-                new_time = run_one(cid)
-                executed += 1
-                if cursors[cid] >= ends[cid]:
-                    # Drain the remaining stream alone.
-                    cid = other[1]
-                    end = ends[cid]
-                    while cursors[cid] < end:
-                        run_one(cid)
-                        executed += 1
-                    return executed
-                a, b = (new_time, cid), other
-
         heap = [(cores[cid].time, cid) for cid in states]
         heapq.heapify(heap)
         heappop = heapq.heappop
@@ -560,7 +507,7 @@ class EngineContext:
         current = heappop(heap)
         while True:
             cid = current[1]
-            # Inlined run_one (this loop executes once per simulated access).
+            # This loop executes once per simulated access.
             blocks, pages, addrs, writes, gaps, execute_fast, socket_id, thread_id = states[
                 cid
             ]

@@ -446,46 +446,28 @@ class SampledEngine(ExecutionEngine):
                 i = cursors[core_id]
                 stop = min(end, i + chunk)
                 executed += stop - i
-                if record_access is not None:
-                    for block, page, write, addr in zip(
-                        blocks[i:stop], pages[i:stop], writes[i:stop], addrs[i:stop]
-                    ):
-                        if page not in touched_pages:
-                            touched_pages[page] = home_of_page(page, socket_id)
+                for block, page, write, addr in zip(
+                    blocks[i:stop], pages[i:stop], writes[i:stop], addrs[i:stop]
+                ):
+                    if page not in touched_pages:
+                        touched_pages[page] = home_of_page(page, socket_id)
+                    if record_access is not None:
                         record_access(thread_id, addr)
-                        cache_set = l1_sets.get(block % num_sets)
-                        line = cache_set.get(block) if cache_set is not None else None
-                        if line is None:
-                            access_functional(local_index, block, write, thread_id)
-                        elif not write:
-                            # Inlined L1 read-hit path (recency only).
-                            del cache_set[block]
-                            cache_set[block] = line
-                        elif line & MODIFIED:
-                            # Inlined L1 write-hit path: recency + dirty bit
-                            # (the LLC line is Modified and dirty already).
-                            del cache_set[block]
-                            cache_set[block] = line | DIRTY
-                        else:
-                            access_functional(local_index, block, True, thread_id)
-                else:
-                    for block, page, write in zip(
-                        blocks[i:stop], pages[i:stop], writes[i:stop]
-                    ):
-                        if page not in touched_pages:
-                            touched_pages[page] = home_of_page(page, socket_id)
-                        cache_set = l1_sets.get(block % num_sets)
-                        line = cache_set.get(block) if cache_set is not None else None
-                        if line is None:
-                            access_functional(local_index, block, write, thread_id)
-                        elif not write:
-                            del cache_set[block]
-                            cache_set[block] = line
-                        elif line & MODIFIED:
-                            del cache_set[block]
-                            cache_set[block] = line | DIRTY
-                        else:
-                            access_functional(local_index, block, True, thread_id)
+                    cache_set = l1_sets.get(block % num_sets)
+                    line = cache_set.get(block) if cache_set is not None else None
+                    if line is None:
+                        access_functional(local_index, block, write, thread_id)
+                    elif not write:
+                        # Inlined L1 read-hit path (recency only).
+                        del cache_set[block]
+                        cache_set[block] = line
+                    elif line & MODIFIED:
+                        # Inlined L1 write-hit path: recency + dirty bit
+                        # (the LLC line is Modified and dirty already).
+                        del cache_set[block]
+                        cache_set[block] = line | DIRTY
+                    else:
+                        access_functional(local_index, block, True, thread_id)
                 cursors[core_id] = stop
                 if stop < end:
                     next_active.append(state)

@@ -41,6 +41,7 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .. import engines
+from ..memory.allocation import POLICY_NAMES
 from ..stats.counters import SimulationStats
 from ..stats.store import MissingRunError, ResultsStore
 from ..system.config import PROTOCOL_NAMES
@@ -262,7 +263,18 @@ def _parse_settings(payload: Mapping) -> ExperimentSettings:
     overrides = {k: v for k, v in payload.items() if k != "profile"}
     if overrides:
         settings = replace(settings, **overrides)
+    _check_policy(settings.allocation_policy, "settings")
     return settings
+
+
+def _check_policy(policy, where: str) -> None:
+    """Reject an allocation policy :func:`make_policy` would refuse, so a
+    bad spec fails when it is parsed, not when a point builds its machine."""
+    if policy not in POLICY_NAMES:
+        raise CampaignError(
+            f"{where}: unknown allocation_policy {policy!r}; "
+            f"expected one of {list(POLICY_NAMES)}"
+        )
 
 
 def _parse_grid(payload: Mapping, settings: ExperimentSettings, index: int) -> SweepGrid:
@@ -316,6 +328,9 @@ def _parse_grid(payload: Mapping, settings: ExperimentSettings, index: int) -> S
                 f"got {dict(topo)}"
             ) from None
 
+    allocation_policy = payload.get("allocation_policy", settings.allocation_policy)
+    _check_policy(allocation_policy, where)
+
     sample_plan = payload.get("sample_plan")
     if sample_plan is not None:
         from ..stats.sampling import SamplingPlan
@@ -339,9 +354,7 @@ def _parse_grid(payload: Mapping, settings: ExperimentSettings, index: int) -> S
         warmup_accesses_per_thread=payload.get(
             "warmup_accesses_per_thread", settings.warmup_accesses_per_thread
         ),
-        allocation_policy=payload.get(
-            "allocation_policy", settings.allocation_policy
-        ),
+        allocation_policy=allocation_policy,
         prewarm=payload.get("prewarm", settings.prewarm),
         broadcast_filter=payload.get("broadcast_filter", False),
         seed=payload.get("seed", settings.seed),

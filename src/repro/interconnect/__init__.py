@@ -6,7 +6,6 @@ from .packet import (
     CONTROL_PACKET_BYTES,
     DATA_PACKET_BYTES,
     MessageClass,
-    Packet,
     PacketKind,
 )
 from .topology import (
@@ -20,7 +19,6 @@ __all__ = [
     "Interconnect",
     "Link",
     "MessageClass",
-    "Packet",
     "PacketKind",
     "CONTROL_PACKET_BYTES",
     "DATA_PACKET_BYTES",

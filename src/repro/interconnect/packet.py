@@ -10,9 +10,8 @@ control traffic, which is why its byte contribution is small).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-__all__ = ["PacketKind", "MessageClass", "Packet", "CONTROL_PACKET_BYTES", "DATA_PACKET_BYTES"]
+__all__ = ["PacketKind", "MessageClass", "CONTROL_PACKET_BYTES", "DATA_PACKET_BYTES"]
 
 #: Default packet sizes from Table II.
 CONTROL_PACKET_BYTES = 16
@@ -50,23 +49,3 @@ class MessageClass(enum.Enum):
         if self in (MessageClass.DATA_RESPONSE, MessageClass.WRITEBACK):
             return PacketKind.DATA
         return PacketKind.CONTROL
-
-
-@dataclass(frozen=True)
-class Packet:
-    """A single inter-socket packet."""
-
-    src: int
-    dst: int
-    message_class: MessageClass
-    size_bytes: int
-
-    @classmethod
-    def control(cls, src: int, dst: int, message_class: MessageClass,
-                size_bytes: int = CONTROL_PACKET_BYTES) -> "Packet":
-        return cls(src=src, dst=dst, message_class=message_class, size_bytes=size_bytes)
-
-    @classmethod
-    def data(cls, src: int, dst: int, message_class: MessageClass,
-             size_bytes: int = DATA_PACKET_BYTES) -> "Packet":
-        return cls(src=src, dst=dst, message_class=message_class, size_bytes=size_bytes)

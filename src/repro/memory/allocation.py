@@ -103,20 +103,21 @@ class FirstTouchPolicy(AllocationPolicy):
         self._page_home[page] = socket % self.num_sockets
 
 
-#: Policy names accepted by :func:`make_policy`, matching the paper's labels.
-POLICY_NAMES = ("interleave", "first_touch", "ft1", "ft2", "int")
+#: The policy names :func:`make_policy` accepts, matching the paper's
+#: labels; there is one spelling of each.
+POLICY_NAMES = ("interleave", "first_touch", "ft1", "ft2")
 
 
 def make_policy(name: str, num_sockets: int) -> AllocationPolicy:
-    """Create an allocation policy from its paper name.
+    """Create an allocation policy from its paper name (:data:`POLICY_NAMES`).
 
-    ``ft1`` and ``ft2`` both map to :class:`FirstTouchPolicy`; the FT1/FT2
-    distinction is realised by the workload's pre-touch behaviour.
+    ``first_touch``, ``ft1`` and ``ft2`` all map to
+    :class:`FirstTouchPolicy`; the FT1/FT2 distinction is realised by the
+    workload's pre-touch behaviour.
     """
-    key = name.lower()
-    if key in ("interleave", "int"):
+    if name == "interleave":
         return InterleavePolicy(num_sockets)
-    if key in ("first_touch", "ft1", "ft2", "first-touch"):
+    if name in POLICY_NAMES:
         return FirstTouchPolicy(num_sockets)
     raise ValueError(f"unknown allocation policy {name!r}; expected one of {POLICY_NAMES}")
 

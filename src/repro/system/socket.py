@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..caches.dram_cache import DRAMCache
-from ..caches.miss_predictor import RegionMissPredictor
 from ..caches.sram_cache import DIRTY, MODIFIED, VICTIM_SHIFT, SetAssociativeCache
 from ..coherence.local_directory import LocalDirectory
 from ..coherence.messages import ServiceSource
@@ -95,18 +94,13 @@ class Socket:
         # -- optional DRAM cache ------------------------------------------------
         self.dram_cache: Optional[DRAMCache] = None
         if with_dram_cache:
-            predictor = RegionMissPredictor(
-                entries=config.dram_cache.predictor_entries,
-                region_size=config.dram_cache.region_size,
-                layout=self.layout,
-            )
-            clean = system.protocol_is_clean
             self.dram_cache = DRAMCache(
                 config.dram_cache.size_bytes,
                 block_size=config.block_size,
-                clean=clean,
+                clean=system.protocol_is_clean,
                 name=f"socket{socket_id}.dram_cache",
-                miss_predictor=predictor,
+                predictor_entries=config.dram_cache.predictor_entries,
+                region_size=config.dram_cache.region_size,
             )
 
         # -- local memory ---------------------------------------------------------

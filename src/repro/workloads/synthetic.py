@@ -155,10 +155,6 @@ class SyntheticWorkload:
     def num_threads(self) -> int:
         return self.spec.num_threads
 
-    @property
-    def best_policy(self) -> str:
-        return self.spec.best_policy
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SyntheticWorkload({self.spec.name!r}, threads={self.num_threads})"
 

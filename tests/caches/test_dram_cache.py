@@ -6,14 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.caches.dram_cache import DRAMCache
-from repro.caches.miss_predictor import RegionMissPredictor
 
 from ..conftest import predicts_miss
 
 
-def make_cache(size=1024, clean=True, predictor=False):
-    mp = RegionMissPredictor(entries=16, region_size=256) if predictor else None
-    return DRAMCache(size, clean=clean, miss_predictor=mp)
+def make_cache(size=1024, clean=True):
+    return DRAMCache(size, clean=clean, predictor_entries=16, region_size=256)
 
 
 def test_direct_mapped_geometry():
@@ -101,12 +99,10 @@ def test_dirty_of_and_dirty_blocks():
 def test_direct_mapped_tag_store_is_not_tracked_by_the_collector():
     """A prewarm-sized fill and its shared copy hold no object the cyclic
     garbage collector tracks."""
-    predictor = RegionMissPredictor(entries=64, region_size=4096)
-    source = DRAMCache(64 * 1024, clean=False, miss_predictor=predictor)
+    source = DRAMCache(64 * 1024, clean=False, predictor_entries=64)
     source.bulk_insert_clean(range(100, 900))
     source.insert(5, dirty=True)
-    copy = DRAMCache(64 * 1024, clean=False,
-                     miss_predictor=RegionMissPredictor(entries=64, region_size=4096))
+    copy = DRAMCache(64 * 1024, clean=False, predictor_entries=64)
     copy.share_fill(source)
     for cache in (source, copy):
         assert len(list(cache.resident_blocks())) == 801
@@ -114,15 +110,14 @@ def test_direct_mapped_tag_store_is_not_tracked_by_the_collector():
 
 
 def test_predictor_skips_array_on_confident_miss():
-    cache = make_cache(predictor=True)
+    cache = make_cache()
     probe = cache.probe(7)
     assert not probe.hit and not probe.array_accessed
 
 
 def test_predictor_mispredict_still_finds_resident_block():
     # Thrash the predictor's region table so it forgets a resident block.
-    predictor = RegionMissPredictor(entries=1, region_size=64)
-    cache = DRAMCache(64 * 64, miss_predictor=predictor)
+    cache = DRAMCache(64 * 64, predictor_entries=1, region_size=64)
     cache.insert(0)
     cache.insert(50)   # displaces region 0 from the 1-entry table
     probe = cache.probe(0)
@@ -168,20 +163,13 @@ def tag_snapshot(cache):
 
 
 def cache_state(cache):
-    """Tags (in storage order) and the predictor table (in LRU order)."""
-    predictor = cache.miss_predictor
-    return (
-        tag_snapshot(cache),
-        None if predictor is None else list(predictor._table.items()),
-    )
+    """Tags (in storage order) and the region table (in LRU order)."""
+    return tag_snapshot(cache), list(cache._regions.items())
 
 
 def build_cache(num_sets, predictor_entries, region_blocks):
-    predictor = (
-        RegionMissPredictor(entries=predictor_entries, region_size=64 * region_blocks)
-        if predictor_entries else None
-    )
-    return DRAMCache(64 * num_sets, clean=False, miss_predictor=predictor)
+    return DRAMCache(64 * num_sets, clean=False, predictor_entries=predictor_entries,
+                     region_size=64 * region_blocks)
 
 
 fill_inputs = st.one_of(
@@ -198,7 +186,7 @@ fill_inputs = st.one_of(
     # Set counts that are not a multiple of the region size let one
     # predictor region straddle the wrap-around of a contiguous fill.
     num_sets=st.sampled_from([4, 6, 16, 24, 64]),
-    predictor_entries=st.sampled_from([0, 1, 2, 4, 64]),
+    predictor_entries=st.sampled_from([1, 2, 4, 64]),
     region_blocks=st.sampled_from([1, 4, 16]),
     before=st.lists(st.tuples(st.integers(0, 300), st.booleans()), max_size=60),
     fills=st.lists(fill_inputs, min_size=1, max_size=3),
@@ -228,8 +216,7 @@ def test_bulk_insert_clean_matches_per_block_insert(
 
 def test_shared_fill_equals_a_replayed_fill():
     def build():
-        predictor = RegionMissPredictor(entries=4, region_size=256)
-        return DRAMCache(64 * 32, clean=False, miss_predictor=predictor)
+        return DRAMCache(64 * 32, clean=False, predictor_entries=4, region_size=256)
 
     source, shared, replayed = build(), build(), build()
     fill = [range(0, 40), range(64, 90), range(8, 12)]
@@ -242,7 +229,7 @@ def test_shared_fill_equals_a_replayed_fill():
     # The fill displaced lines, and predictor regions with their presence bits.
     resident = len(list(shared.resident_blocks()))
     assert resident < sum(len(blocks) for blocks in fill)
-    presence_bits = sum(bin(bits).count("1") for bits in shared.miss_predictor._table.values())
+    presence_bits = sum(bin(bits).count("1") for bits in shared._regions.values())
     assert presence_bits < resident
     with pytest.raises(ValueError):
         shared.share_fill(source)  # no longer empty
@@ -280,13 +267,12 @@ def test_shared_line_is_unchanged_by_the_other_cache():
 def test_predictor_and_cache_agree_on_absence(ops):
     """If the predictor says "absent" for an untracked/cleared block and the
     table has not displaced the region, the block really is absent."""
-    predictor = RegionMissPredictor(entries=1024, region_size=256)
-    cache = DRAMCache(4096, miss_predictor=predictor)
+    cache = DRAMCache(4096, predictor_entries=1024, region_size=256)
     for block, invalidate in ops:
         if invalidate:
             cache.invalidate(block)
         else:
             cache.insert(block)
     for block, _ in ops:
-        if predicts_miss(predictor, block):
+        if predicts_miss(cache, block):
             assert not cache.contains(block)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.caches.dram_cache import DRAMCache
-from repro.caches.miss_predictor import RegionMissPredictor
 from repro.system.config import (
     CacheConfig,
     DirectoryConfig,
@@ -91,12 +90,21 @@ def block_homed_at(system: NumaSystem, home: int, index: int = 0) -> int:
     return page * blocks_per_page
 
 
-def predicts_miss(predictor: RegionMissPredictor, block: int) -> bool:
-    """The miss predictor's answer for ``block``, read through
-    :meth:`DRAMCache.probe`, the lookup the simulator runs: with no line
-    resident, a probe accesses the array only for a block predicted present
-    (and, like any probe, makes a tracked region the most recently used)."""
-    return not DRAMCache(64 * 64, miss_predictor=predictor).probe(block).array_accessed
+def predicts_miss(cache: DRAMCache, block: int) -> bool:
+    """The miss predictor's answer for ``block`` in ``cache``, read through
+    :meth:`DRAMCache.probe`, the lookup the simulator runs, on an empty twin
+    of ``cache`` that shares its region table: with no line resident, a
+    probe accesses the array only for a block predicted present (and, like
+    any probe, makes a tracked region of ``cache``'s the most recently
+    used)."""
+    twin = DRAMCache(
+        cache.size_bytes,
+        block_size=cache.block_size,
+        predictor_entries=cache.predictor_entries,
+        region_size=cache.region_size,
+    )
+    twin._regions = cache._regions
+    return not twin.probe(block).array_accessed
 
 
 def read(system: NumaSystem, socket_id: int, block: int, *, core: int = 0, now: float = 0.0):

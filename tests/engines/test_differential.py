@@ -2,7 +2,8 @@
 
 Property-based counterpart to ``tests/system/test_engine_equivalence.py``:
 instead of a handful of curated workloads, hypothesis composes random
-per-thread traces from adversarial building blocks -- dwell runs that sit
+per-thread traces (one, two or four threads on a machine of two sockets with
+two cores each) from adversarial building blocks -- dwell runs that sit
 on one block (long hit runs), sweeps that walk fresh blocks (miss trains),
 ping-pongs over a shared block pair (coherence traffic), store bursts that
 overflow the store buffer, and write-then-read pairs that exercise
@@ -25,7 +26,10 @@ from repro.workloads.trace import MemoryAccess
 
 PROTOCOLS = ("baseline", "snoopy", "full-dir", "c3d", "c3d-full-dir")
 BLOCK = 64
-NUM_THREADS = 4  # dual-socket, 2 cores per socket
+#: Thread counts drawn for the dual-socket, 2-cores-per-socket machine: a
+#: phase that starts with one or two active streams is ordered by the same
+#: heap as one with four.
+THREAD_COUNTS = (1, 2, 4)
 
 #: Region bases: one private region per thread plus two regions shared by
 #: every thread (the shared ones generate invalidations and downgrades of
@@ -114,7 +118,9 @@ def _run(protocol, engine, per_thread, warmup):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     protocol=st.sampled_from(PROTOCOLS),
-    traces=st.lists(_thread_trace, min_size=NUM_THREADS, max_size=NUM_THREADS),
+    traces=st.sampled_from(THREAD_COUNTS).flatmap(
+        lambda threads: st.lists(_thread_trace, min_size=threads, max_size=threads)
+    ),
     warmup=st.sampled_from((0, 7)),
 )
 def test_engines_bit_identical_on_random_interleavings(protocol, traces, warmup):

@@ -109,7 +109,7 @@ def test_changed_keys_miss_and_replaced_entries_are_freed():
     run("c3d", "compiled", dram_cache=replace(base, predictor_entries=1024))
     (other_ranges, other_geometry), other = EngineContext._fill_memo
     assert other_ranges == ranges and other_geometry != geometry
-    assert other.miss_predictor.entries == 1024
+    assert other.predictor_entries == 1024
 
     # Another workload misses both, and nothing keeps the old entries.
     dead = [weakref.ref(trace) for trace in traces.values()]

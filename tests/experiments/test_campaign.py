@@ -14,6 +14,7 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.common import ExperimentContext, ExperimentSettings
 from repro.experiments.runner import run_sweep, sweep_point_key
+from repro.memory.allocation import POLICY_NAMES, make_policy
 from repro.stats.store import MissingRunError, ResultsStore
 
 TINY_SETTINGS = {
@@ -86,6 +87,29 @@ def test_spec_validation_errors(mutation, fragment):
     payload = {**TINY_SPEC, **mutation}
     with pytest.raises(CampaignError, match=fragment):
         CampaignSpec.from_dict(payload)
+
+
+def test_an_allocation_policy_has_one_spelling_checked_when_a_spec_is_parsed():
+    """Exactly the four ``POLICY_NAMES`` are accepted: an alias or another
+    case fails in ``make_policy``, and an unknown name fails a campaign spec
+    when it is parsed, in ``settings`` or in a grid, not when a point
+    builds its machine."""
+    for alias in ("int", "INT", "first-touch", "FT2"):
+        with pytest.raises(ValueError):
+            make_policy(alias, 4)
+    for name in POLICY_NAMES:
+        make_policy(name, 4)
+        spec = CampaignSpec.from_dict(
+            {**TINY_SPEC, "settings": {**TINY_SETTINGS, "allocation_policy": name}}
+        )
+        assert {point.allocation_policy for point in spec.expand()} == {name}
+    with pytest.raises(CampaignError, match="unknown allocation_policy 'ft3'"):
+        CampaignSpec.from_dict(
+            {**TINY_SPEC, "settings": {**TINY_SETTINGS, "allocation_policy": "ft3"}}
+        )
+    grid = {**TINY_SPEC["sweeps"][0], "allocation_policy": "int"}
+    with pytest.raises(CampaignError, match=r"sweeps\[0\]: unknown allocation_policy"):
+        CampaignSpec.from_dict({**TINY_SPEC, "sweeps": [grid]})
 
 
 def test_grid_expansion_order_and_sources():

@@ -42,7 +42,6 @@ def test_first_touch_lookup_without_toucher_is_deterministic():
 
 def test_make_policy_names():
     assert isinstance(make_policy("interleave", 2), InterleavePolicy)
-    assert isinstance(make_policy("INT", 2), InterleavePolicy)
     assert isinstance(make_policy("ft1", 2), FirstTouchPolicy)
     assert isinstance(make_policy("ft2", 2), FirstTouchPolicy)
     assert isinstance(make_policy("first_touch", 2), FirstTouchPolicy)

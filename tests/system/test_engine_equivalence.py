@@ -110,8 +110,7 @@ def machine_state(system):
             None if sock.dram_cache is None else (
                 list(sock.dram_cache.resident_blocks()),
                 list(sock.dram_cache.dirty_blocks()),
-                None if sock.dram_cache.miss_predictor is None
-                else list(sock.dram_cache.miss_predictor._table.items()),
+                list(sock.dram_cache._regions.items()),
             ),
             [(channel.busy_until, channel.last_arrival) for channel in sock.memory.channels],
         )

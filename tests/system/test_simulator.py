@@ -157,11 +157,10 @@ def dram_cache_state(cache):
     predictor table in LRU order, read through the public queries."""
     if cache is None:
         return None
-    predictor = cache.miss_predictor
     return (
         [(cache.set_index(block), block, cache.dirty_of(block))
          for block in cache.resident_blocks()],
-        None if predictor is None else list(predictor._table.items()),
+        list(cache._regions.items()),
     )
 
 

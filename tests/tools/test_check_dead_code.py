@@ -153,6 +153,64 @@ def test_a_same_named_local_or_function_does_not_keep_a_method_alive(tmp_path):
     ]
 
 
+def test_a_definitions_uses_of_its_own_name_do_not_keep_it_alive(tmp_path):
+    """Recursion, a class's own name in an annotation inside its body and a
+    property that reads a same-named field are uses inside the definition
+    itself, so they do not count; a decorator and a base class are outside
+    the definition they decorate or derive, so they do."""
+    write(tmp_path, "src/repro/mod.py", """\
+        def countdown(n):
+            return countdown(n - 1) if n else 0
+
+
+        class Packet:
+            @classmethod
+            def control(cls) -> "Packet":
+                return cls()
+
+
+        class Workload:
+            def __init__(self, spec):
+                self.spec = spec
+
+            @property
+            def best_policy(self):
+                return self.spec.best_policy
+
+            @property
+            def name(self):
+                return self.spec.name
+
+
+        def registered(func):
+            return func
+
+
+        @registered
+        def plugin():
+            return 1
+
+
+        class Base:
+            pass
+
+
+        class Derived(Base):
+            pass
+        """)
+    write(tmp_path, "tools/run.py", """\
+        from repro.mod import Derived, Workload, plugin
+
+        print(Workload(None).name, plugin(), Derived())
+        """)
+    assert tool.dead_definitions(tmp_path) == [
+        "src/repro/mod.py:1: def countdown",
+        "src/repro/mod.py:5: class Packet",
+        "src/repro/mod.py:7: def control",
+        "src/repro/mod.py:16: def best_policy",
+    ]
+
+
 def test_an_allowlist_entry_silences_a_name(tmp_path, monkeypatch):
     make_tree(tmp_path)
     monkeypatch.setitem(tool.ALLOWLIST, "silenced", "framework callback: test")

@@ -12,7 +12,11 @@ A definition is dead when no program code names it.  The check parses every
 
 A method (a ``def`` directly in a class body) is only ever called through an
 object, so only the last two count for it: a local variable or a module
-function that shares a method's name does not keep the method alive.
+function that shares a method's name does not keep the method alive.  A
+use inside a definition of the same name does not count either: recursion,
+a ``-> "Packet"`` annotation in ``Packet``'s body or a property that reads
+a field of its own name cannot keep a definition alive.  Decorators and
+base classes are outside the definition they decorate or derive.
 
 Everything else is not a use: ``tests/``, ``docs/`` and the README, comments,
 docstrings, the strings listed in a module's ``__all__`` and the names a
@@ -71,6 +75,7 @@ ALLOWLIST: Dict[str, str] = {
                   "mapping; the store corruption tests damage a record through it",
     "do_GET": "framework callback: http.server dispatches GET requests to it",
     "do_POST": "framework callback: http.server dispatches POST requests to it",
+    "log_message": "framework callback: http.server logs each request through it",
 }
 
 
@@ -112,16 +117,34 @@ def _exported(tree: ast.AST) -> Set[int]:
 
 def uses(tree: ast.AST) -> Iterator[Tuple[str, bool]]:
     """``(name, bare)`` for each name, attribute and identifier string
-    ``tree`` uses; ``bare`` is true for a plain name."""
+    ``tree`` uses outside the definitions of the same name; ``bare`` is true
+    for a plain name."""
     skip = _docstrings(tree) | _exported(tree)
-    for node in ast.walk(tree):
+    # (node, names of the definitions that enclose it)
+    pending = [(tree, frozenset())]
+    while pending:
+        node, enclosing = pending.pop()
         if isinstance(node, ast.Name):
-            yield node.id, True
+            used = node.id, True
         elif isinstance(node, ast.Attribute):
-            yield node.attr, False
+            used = node.attr, False
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and node.value.isidentifier() and id(node) not in skip):
-            yield node.value, False
+            used = node.value, False
+        else:
+            used = None
+        if used is not None and used[0] not in enclosing:
+            yield used
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            outside = node.decorator_list + getattr(node, "bases", []) + getattr(
+                node, "keywords", [])
+            pending.extend((child, enclosing) for child in outside)
+            outside_ids = {id(child) for child in outside}
+            enclosing = enclosing | {node.name}
+            pending.extend((child, enclosing) for child in ast.iter_child_nodes(node)
+                           if id(child) not in outside_ids)
+        else:
+            pending.extend((child, enclosing) for child in ast.iter_child_nodes(node))
 
 
 def definitions(root: Path) -> List[Tuple[str, int, str, str, bool]]:

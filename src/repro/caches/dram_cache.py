@@ -36,9 +36,9 @@ Displacing a region entry from the finite table loses its presence bits, so
 a later lookup may predict "absent" for a block that is actually resident.
 The probe double-checks such predictions against the tag store before
 trusting them, so displacement can cost latency and hit rate but never
-correctness.  Every method that changes a line updates the table inline;
-the encoding (``region -> presence bitmask``, LRU first) stays in this
-module.
+correctness.  :meth:`DRAMCache.insert`, :meth:`DRAMCache.invalidate` and
+the bulk fills update the table inline; the encoding (``region ->
+presence bitmask``, LRU first) stays in this module.
 
 The DRAM cache is *non-inclusive* with respect to the on-chip hierarchy in
 all designs (section IV-C): it never forces LLC invalidations, and LLC fills
